@@ -52,7 +52,7 @@ def bench_write_verify(n_trials, tensor_sizes=_LENET_TENSOR_SIZES, seed=0):
     (trial, tensor); the batched path one per tensor with all trials
     stacked on the leading axis.
     """
-    from repro.cim.device import DeviceConfig
+    from repro.cim import DeviceConfig
     from repro.cim.write_verify import WriteVerifyConfig, write_verify_trials
 
     device = DeviceConfig(bits=4, sigma=0.1)

@@ -6,9 +6,11 @@
    the warm pass replays the whole grid from the content-addressed
    artifact cache.  The subsystem's contract is a >= 5x warm speedup
    with bitwise-identical selections — both are measured and reported.
-2. **Serial vs parallel scenario execution** (``--jobs N``): the same
-   retention grid's Monte Carlo cells mapped over the fork pool, with
-   byte-identical outcomes checked via the rendered CSV rows.
+2. **Serial vs parallel scenario execution** (``--workers N``): the
+   same retention grid's Monte Carlo tiles mapped over the fork pool
+   (on a cache without the serial run's eval tiles, so the pool really
+   computes), with byte-identical outcomes checked via the rendered CSV
+   rows.
 
 Writes ``$REPRO_RESULTS_DIR/BENCH_planner.json`` (CI uploads it)::
 
@@ -87,25 +89,27 @@ def bench_plan_grid(zoo, scale, cache_root, technology="pcm-comp"):
     }
 
 
-def bench_scenario_jobs(scale, cache_root, jobs=2):
-    """Serial vs ``jobs=N`` wall time for the retention scenario."""
+def bench_scenario_workers(scale, cache_root, workers=2):
+    """Serial vs ``workers=N`` wall time for the retention scenario."""
     from repro.experiments.reporting import _sweep_rows
     from repro.experiments.retention import run_retention
     from repro.plan import PlanArtifactCache
 
-    kwargs = dict(
-        technologies=("pcm", "pcm-comp"),
-        methods=METHODS,
-        plan_cache=PlanArtifactCache(root=cache_root),
-    )
+    def timed(name, **kwargs):
+        # Each side gets its own cache root: the parallel run must
+        # compute its tiles, not replay the serial run's.
+        start = time.perf_counter()
+        result = run_retention(
+            scale,
+            technologies=("pcm", "pcm-comp"),
+            methods=METHODS,
+            plan_cache=PlanArtifactCache(root=os.path.join(cache_root, name)),
+            **kwargs,
+        )
+        return result, time.perf_counter() - start
 
-    start = time.perf_counter()
-    serial = run_retention(scale, **kwargs)
-    serial_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = run_retention(scale, jobs=jobs, **kwargs)
-    parallel_seconds = time.perf_counter() - start
+    serial, serial_seconds = timed("serial")
+    parallel, parallel_seconds = timed("parallel", workers=workers)
 
     def rows(result):
         return [
@@ -117,9 +121,9 @@ def bench_scenario_jobs(scale, cache_root, jobs=2):
     return {
         "cells": len(serial.outcomes),
         "mc_runs_per_cell": scale.mc_runs_retention,
-        "jobs": jobs,
+        "workers": workers,
         "serial_seconds": serial_seconds,
-        "jobs_seconds": parallel_seconds,
+        "workers_seconds": parallel_seconds,
         "speedup": serial_seconds / max(parallel_seconds, 1e-9),
         "byte_identical": rows(serial) == rows(parallel),
     }
@@ -131,7 +135,7 @@ def main(argv=None):
     )
     parser.add_argument("--smoke", action="store_true",
                         help="seconds-scale sanity run (CI)")
-    parser.add_argument("--jobs", type=int, default=2,
+    parser.add_argument("--workers", type=int, default=2,
                         help="worker count for the scenario half")
     parser.add_argument("--output", default=None,
                         help="JSON output path (default: "
@@ -159,13 +163,14 @@ def main(argv=None):
             f"{plan['bitwise_identical']}"
         )
 
-        scenario = bench_scenario_jobs(scale, cache_root, jobs=args.jobs)
+        scenario = bench_scenario_workers(scale, cache_root,
+                                          workers=args.workers)
         report["scenario"] = scenario
         print(
             f"retention scenario ({scenario['cells']} cells x "
             f"{scenario['mc_runs_per_cell']} trials): serial "
-            f"{scenario['serial_seconds']:.1f}s vs --jobs {args.jobs} "
-            f"{scenario['jobs_seconds']:.1f}s "
+            f"{scenario['serial_seconds']:.1f}s vs --workers {args.workers} "
+            f"{scenario['workers_seconds']:.1f}s "
             f"({scenario['speedup']:.2f}x), byte identical: "
             f"{scenario['byte_identical']}"
         )

@@ -1,19 +1,18 @@
 """Benchmark: what fault tolerance costs, and what recovery buys.
 
-Three questions about the robustness layer, each with a correctness
+Two questions about the robustness layer, each with a correctness
 gate (byte-identical outcomes) attached:
 
 1. **Supervision overhead** — the same fault-free retention grid run
-   serially and under the supervised ``jobs=N`` pool.  Supervision
-   (process-per-cell, result queue, liveness polling) must stay a
+   serially and under the supervised ``workers=N`` pool.  Supervision
+   (process-per-tile, result queue, liveness polling) must stay a
    small constant per cell, not a tax proportional to cell runtime.
-2. **Recovery cost** — the same grid with an injected worker crash and
-   a hung cell (killed by timeout): wall-clock overhead of detecting,
-   killing, and retrying versus the fault-free parallel run, with the
-   final rows still byte-identical.
-3. **Resume speedup** — a fully-checkpointed grid re-run with
-   ``resume=True``: the whole Monte Carlo cost collapses to cache
-   reads, byte-identically.
+2. **Recovery cost** — the same grid with an injected worker crash:
+   wall-clock overhead of detecting the crash and retrying versus the
+   fault-free parallel run, with the final rows still byte-identical.
+
+(What a rerun after a kill costs is the warm-rerun number of
+``bench_scheduler.py``: finished tiles come back from the cache.)
 
 Writes ``$REPRO_RESULTS_DIR/BENCH_robustness.json`` (CI uploads it)::
 
@@ -44,7 +43,7 @@ def _rows(result):
     ]
 
 
-def _run(scale, cache_root, jobs=None, resume=None, faults=None, ledger=None):
+def _run(scale, cache_root, workers=None, faults=None, ledger=None):
     """One retention grid run, returning (rows, seconds, RunReport)."""
     from repro.experiments.retention import run_retention
     from repro.plan import PlanArtifactCache
@@ -68,8 +67,7 @@ def _run(scale, cache_root, jobs=None, resume=None, faults=None, ledger=None):
             technologies=TECHNOLOGIES,
             methods=METHODS,
             plan_cache=PlanArtifactCache(root=cache_root),
-            jobs=jobs,
-            resume=resume,
+            workers=workers,
             report_out=reports,
         )
         seconds = time.perf_counter() - start
@@ -88,7 +86,7 @@ def main(argv=None):
     )
     parser.add_argument("--smoke", action="store_true",
                         help="seconds-scale sanity run (CI)")
-    parser.add_argument("--jobs", type=int, default=2,
+    parser.add_argument("--workers", type=int, default=2,
                         help="supervised worker count")
     parser.add_argument("--output", default=None,
                         help="JSON output path (default: "
@@ -99,17 +97,17 @@ def main(argv=None):
     from repro.experiments.reporting import results_dir
 
     scale = get_scale("smoke" if args.smoke else "default")
-    report = {"scale": scale.name, "jobs": args.jobs}
+    report = {"scale": scale.name, "workers": args.workers}
     failures = []
 
     print(f"# bench_robustness — scale: {scale.name}")
     with tempfile.TemporaryDirectory(prefix="bench-robust-") as root:
         serial_rows, serial_s, _ = _run(scale, os.path.join(root, "serial"))
         clean_rows, clean_s, clean_rep = _run(
-            scale, os.path.join(root, "clean"), jobs=args.jobs
+            scale, os.path.join(root, "clean"), workers=args.workers
         )
         cells = len(clean_rep.cells)
-        overhead = (clean_s - serial_s / max(args.jobs, 1)) / max(cells, 1)
+        overhead = (clean_s - serial_s / max(args.workers, 1)) / max(cells, 1)
         report["supervision"] = {
             "cells": cells,
             "serial_seconds": serial_s,
@@ -118,8 +116,8 @@ def main(argv=None):
             "byte_identical": clean_rows == serial_rows,
         }
         print(
-            f"supervision: serial {serial_s:.1f}s vs supervised --jobs "
-            f"{args.jobs} {clean_s:.1f}s over {cells} cells "
+            f"supervision: serial {serial_s:.1f}s vs supervised --workers "
+            f"{args.workers} {clean_s:.1f}s over {cells} cells "
             f"(~{overhead:.2f}s/cell overhead), byte identical: "
             f"{clean_rows == serial_rows}"
         )
@@ -130,7 +128,7 @@ def main(argv=None):
         os.environ["REPRO_CELL_TIMEOUT"] = "0"  # crashes only, no hang
         try:
             faulted_rows, faulted_s, faulted_rep = _run(
-                scale, os.path.join(root, "faulted"), jobs=args.jobs,
+                scale, os.path.join(root, "faulted"), workers=args.workers,
                 faults="crash:cell@0", ledger=os.path.join(root, "ledger"),
             )
         finally:
@@ -153,26 +151,6 @@ def main(argv=None):
         )
         if faulted_rows != serial_rows or recovered < 1 or faulted_rep.failed:
             failures.append("faulted grid did not recover byte-identically")
-
-        # Resume: every cell checkpointed by the serial run above.
-        resumed_rows, resumed_s, resumed_rep = _run(
-            scale, os.path.join(root, "serial"), resume=True
-        )
-        report["resume"] = {
-            "resumed_cells": resumed_rep.count("resumed"),
-            "straight_seconds": serial_s,
-            "resume_seconds": resumed_s,
-            "speedup": serial_s / max(resumed_s, 1e-9),
-            "byte_identical": resumed_rows == serial_rows,
-        }
-        print(
-            f"resume: straight-through {serial_s:.1f}s vs resumed "
-            f"{resumed_s:.1f}s ({serial_s / max(resumed_s, 1e-9):.1f}x, "
-            f"{resumed_rep.count('resumed')}/{cells} cells from "
-            f"checkpoints), byte identical: {resumed_rows == serial_rows}"
-        )
-        if resumed_rows != serial_rows or resumed_rep.count("resumed") != cells:
-            failures.append("resume did not replay the grid byte-identically")
 
     for failure in failures:
         print(f"ERROR: {failure}", file=sys.stderr)

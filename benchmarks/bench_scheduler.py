@@ -1,11 +1,11 @@
 """Benchmark: what the work-rectangle scheduler buys, gated on bitwise identity.
 
-Three questions about the unified scheduler, each with a correctness
+Two questions about the unified scheduler, each with a correctness
 gate (byte-identical rows) attached:
 
 1. **Saturation** — the same retention grid run serially and as one
-   (cells x trial-blocks) rectangle under ``--jobs 2 --processes 2``,
-   the combination that used to exit 64.  The rectangle must schedule,
+   (cells x trial-blocks) rectangle on a ``--workers N`` pool (default:
+   auto-sized to the core count).  The rectangle must schedule,
    complete, and reproduce the serial rows byte for byte.
 2. **Warm rerun** — the rectangle re-run against its own eval-tile
    cache: every tile must come back from the artifact store
@@ -42,7 +42,7 @@ def _rows(result):
     ]
 
 
-def _run(scale, cache_root, jobs=None, processes=None):
+def _run(scale, cache_root, workers=None):
     """One retention grid run, returning (rows, seconds, RunReport)."""
     from repro.experiments.retention import run_retention
     from repro.plan import PlanArtifactCache
@@ -54,8 +54,7 @@ def _run(scale, cache_root, jobs=None, processes=None):
         technologies=TECHNOLOGIES,
         methods=METHODS,
         plan_cache=PlanArtifactCache(root=cache_root),
-        jobs=jobs,
-        processes=processes,
+        workers=workers,
         report_out=reports,
     )
     seconds = time.perf_counter() - start
@@ -68,10 +67,9 @@ def main(argv=None):
     )
     parser.add_argument("--smoke", action="store_true",
                         help="seconds-scale sanity run (CI)")
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="deprecated-pair jobs factor")
-    parser.add_argument("--processes", type=int, default=2,
-                        help="deprecated-pair processes factor")
+    parser.add_argument("--workers", type=int, default=0,
+                        help="rectangle pool size (0 = auto-size to the "
+                             "core count)")
     parser.add_argument("--output", default=None,
                         help="JSON output path (default: "
                              "$REPRO_RESULTS_DIR/BENCH_scheduler.json)")
@@ -79,11 +77,11 @@ def main(argv=None):
 
     from repro.experiments.config import get_scale
     from repro.experiments.reporting import results_dir
+    from repro.robustness import resolve_workers
 
     scale = get_scale("smoke" if args.smoke else "default")
-    workers = max(1, args.jobs) * max(1, args.processes)
-    report = {"scale": scale.name, "jobs": args.jobs,
-              "processes": args.processes, "workers": workers}
+    workers = resolve_workers(args.workers)
+    report = {"scale": scale.name, "workers": workers}
     failures = []
 
     print(f"# bench_scheduler — scale: {scale.name}")
@@ -92,9 +90,7 @@ def main(argv=None):
             scale, os.path.join(root, "serial")
         )
         rect_root = os.path.join(root, "rectangle")
-        rect_rows, rect_s, rect_rep = _run(
-            scale, rect_root, jobs=args.jobs, processes=args.processes
-        )
+        rect_rows, rect_s, rect_rep = _run(scale, rect_root, workers=workers)
         report["saturation"] = {
             "cells": len(rect_rep.cells),
             "tiles": rect_rep.tiles_total,
@@ -104,8 +100,8 @@ def main(argv=None):
             "byte_identical": rect_rows == serial_rows,
         }
         print(
-            f"saturation: serial {serial_s:.1f}s vs --jobs {args.jobs} "
-            f"--processes {args.processes} rectangle {rect_s:.1f}s "
+            f"saturation: serial {serial_s:.1f}s vs --workers {workers} "
+            f"rectangle {rect_s:.1f}s "
             f"({rect_rep.tiles_total} tiles, "
             f"{serial_s / max(rect_s, 1e-9):.1f}x), byte identical: "
             f"{rect_rows == serial_rows}"
@@ -114,9 +110,7 @@ def main(argv=None):
             failures.append("rectangle run diverged from serial")
 
         # Warm rerun: every eval tile served from the artifact cache.
-        warm_rows, warm_s, warm_rep = _run(
-            scale, rect_root, jobs=args.jobs, processes=args.processes
-        )
+        warm_rows, warm_s, warm_rep = _run(scale, rect_root, workers=workers)
         report["warm_rerun"] = {
             "cold_seconds": rect_s,
             "warm_seconds": warm_s,

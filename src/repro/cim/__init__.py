@@ -5,8 +5,7 @@ subsystem: a trial-batched :class:`NonidealityStack` (programming noise →
 spatial correlation at write time, retention drift at read time, with
 endurance accounting as an observer) behind a :class:`DeviceTechnology`
 registry (``fefet`` — the paper's default — plus ``rram``, ``pcm``,
-``mram``).  The old per-silo modules (``repro.cim.device`` etc.) remain
-as deprecated shims.
+``mram``); import its names from here or from :mod:`repro.cim.devices`.
 """
 
 from repro.cim.accelerator import CimAccelerator, weighted_layer_names

@@ -128,7 +128,7 @@ def write_verify(targets, initial_levels, device, config, rng,
     initial_levels:
         Levels after the initial parallel programming pass.
     device:
-        :class:`~repro.cim.device.DeviceConfig` (supplies the full-scale).
+        :class:`~repro.cim.DeviceConfig` (supplies the full-scale).
     config:
         :class:`WriteVerifyConfig`.
     rng:

@@ -20,9 +20,10 @@ the Python dispatch cost of every pipeline stage ``n_trials`` times.
   is not yet met.
 
 Trials are processed in blocks (``trial_block``) so activation memory
-stays bounded; workloads too large to batch at all can opt into a
-process-pool fallback (``processes=N``) that fans the scalar per-trial
-path across forked workers instead.
+stays bounded.  Parallelism lives one level up: the work-rectangle
+scheduler (:mod:`repro.robustness.scheduler`) fans trial windows
+(``trial_range``) across its supervised fork pool, so the engine itself
+always runs in-process.
 
 The scalar implementations remain available behind ``batched=False``
 everywhere, which is what the seeded equivalence tests compare against.
@@ -30,28 +31,17 @@ everywhere, which is what the seeded equivalence tests compare against.
 
 from __future__ import annotations
 
-import contextlib
-import multiprocessing
-import warnings
-
 import numpy as np
 
 from repro.core.metrics import evaluate_accuracy_trials
 from repro.core.selection import cumulative_groups
 from repro.core.swim import SwimConfig, SwimResult
 from repro.core.swim import sweep_nwc as sweep_nwc_scalar
-from repro.robustness.errors import CellExecutionError
 from repro.robustness.faults import active_schedule
-from repro.robustness.scheduler import resolve_worker_count
-from repro.robustness.supervisor import has_fork, run_with_retry, supervised_map
+from repro.robustness.supervisor import run_with_retry
 from repro.utils.stats import running_mean_converged
 
-__all__ = [
-    "MonteCarloEngine",
-    "default_trial_block",
-    "no_trial_pool",
-    "resolve_processes",
-]
+__all__ = ["MonteCarloEngine", "default_trial_block"]
 
 #: Largest folded batch (n_trials_in_block * eval_batch_size) the engine
 #: feeds through the network at once.  Small folds win: the per-trial
@@ -59,41 +49,6 @@ __all__ = [
 #: input unfolding and amortized dispatch — while oversized folds blow
 #: the cache (measured ~2x slower at 4096 than at 512 on default LeNet).
 DEFAULT_MAX_FOLD = 512
-
-#: When False, ``resolve_processes`` ignores both its argument and
-#: ``REPRO_MC_PROCESSES`` — see :func:`no_trial_pool`.
-_TRIAL_POOL_ENABLED = True
-
-
-@contextlib.contextmanager
-def no_trial_pool():
-    """Disable the trial-pool knob inside the ``with`` body.
-
-    The work-rectangle scheduler owns trial parallelism: a scenario
-    tile *is* a trial block already placed on a worker, so an engine
-    built inside one must not read ``processes=``/``REPRO_MC_PROCESSES``
-    and try to fork a nested pool.  Disabling is bitwise-safe — the
-    pool changes where trials run, never what they compute.
-    """
-    global _TRIAL_POOL_ENABLED
-    previous = _TRIAL_POOL_ENABLED
-    _TRIAL_POOL_ENABLED = False
-    try:
-        yield
-    finally:
-        _TRIAL_POOL_ENABLED = previous
-
-
-def resolve_processes(processes=None):
-    """Resolve the trial-pool worker count: arg, else ``REPRO_MC_PROCESSES``.
-
-    ``0`` (from either source) means "auto-size to the core count";
-    unset/empty means no pool.  Inside :func:`no_trial_pool` always
-    resolves to ``None``.
-    """
-    if not _TRIAL_POOL_ENABLED:
-        return None
-    return resolve_worker_count(processes, "REPRO_MC_PROCESSES", "processes")
 
 
 def default_trial_block(eval_batch_size=256, trial_block=None):
@@ -122,12 +77,7 @@ class MonteCarloEngine:
         scalar :func:`repro.core.metrics.monte_carlo` harness uses, so
         adding trials never perturbs earlier ones.
     batched:
-        When False, the engine delegates to the scalar per-trial path
-        (still honoring ``processes``).
-    processes:
-        Opt-in process-pool fallback for workloads too large to batch in
-        memory: the scalar per-trial path is fanned across ``processes``
-        forked workers.  Ignored on platforms without ``fork``.
+        When False, the engine delegates to the scalar per-trial path.
     trial_block:
         Trials batched per block.  Defaults to a memory-bounded guess
         from the evaluation batch size (``DEFAULT_MAX_FOLD`` folded
@@ -144,14 +94,13 @@ class MonteCarloEngine:
         is the work-rectangle scheduler's tile contract.
     """
 
-    def __init__(self, n_trials, rng, batched=True, processes=None,
-                 trial_block=None, trial_range=None):
+    def __init__(self, n_trials, rng, batched=True, trial_block=None,
+                 trial_range=None):
         if n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         self.n_trials = int(n_trials)
         self.rng = rng
         self.batched = bool(batched)
-        self.processes = resolve_processes(processes)
         self.trial_block = trial_block
         if trial_range is not None:
             start, stop = int(trial_range[0]), int(trial_range[1])
@@ -203,18 +152,9 @@ class MonteCarloEngine:
     def map_trials(self, trial_fn):
         """Run ``trial_fn(index) -> value`` for every trial in the window.
 
-        With ``processes`` set, a thin shim over trial-block scheduling:
-        contiguous blocks of trials (the :meth:`block_size` grain) are
-        mapped over a *supervised* fork pool
-        (:func:`~repro.robustness.supervisor.supervised_map` — the same
-        supervision path the work-rectangle scheduler uses), so a
-        worker that crashes or raises a retryable error re-runs its
-        whole block; a block that fails permanently raises a
-        :class:`~repro.robustness.errors.CellExecutionError` naming the
-        first casualty.  Inside a daemonic pool worker (which cannot
-        fork) or on fork-less platforms the same trials run in-process
-        instead — bitwise-identical either way, because every trial
-        draws from its own named substream.  Results keep trial order.
+        Trials run in order, in-process; each one fires the ``trial``
+        fault site (when a schedule is active) and is retried on
+        retryable failures.  Results keep trial order.
         """
         start, stop = self.span
         if active_schedule() is not None:
@@ -224,52 +164,6 @@ class MonteCarloEngine:
                 active_schedule().fire("trial", index)
                 return inner_fn(index)
 
-        if self.processes and self.processes > 1 and stop - start > 1:
-            if multiprocessing.current_process().daemon:
-                warnings.warn(
-                    "trial pool requested inside a daemonic worker; "
-                    "running the trial loop in-process",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            elif not has_fork():
-                warnings.warn(
-                    "process-pool Monte Carlo needs the fork start method; "
-                    "falling back to the in-process scalar loop",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            else:
-                block = self.block_size()
-                starts = list(range(start, stop, block))
-
-                def run_block(base):
-                    return [
-                        trial_fn(i)
-                        for i in range(base, min(base + block, stop))
-                    ]
-
-                # Blocks share the cell's wall-clock budget rather than
-                # carrying per-block deadlines, so no timeout here.
-                supervised = supervised_map(
-                    run_block,
-                    starts,
-                    workers=min(self.processes, len(starts)),
-                    timeout=None,
-                )
-                failed = supervised.failed
-                if failed:
-                    first = supervised.reports[failed[0]]
-                    raise CellExecutionError(
-                        f"{len(failed)} of {len(starts)} Monte Carlo "
-                        f"trial blocks failed permanently (first: trials "
-                        f"[{failed[0]}, {min(failed[0] + block, stop)}): "
-                        f"{first.error})"
-                    )
-                values = []
-                for base in starts:
-                    values.extend(supervised.values[base])
-                return values
         return [
             run_with_retry(lambda i=i: trial_fn(i))[0]
             for i in range(start, stop)
@@ -279,8 +173,8 @@ class MonteCarloEngine:
         """Scalar-compatible harness: ``run_fn(stream) -> float`` per trial.
 
         Equivalent to :func:`repro.core.metrics.monte_carlo` (same
-        substream naming, same convergence bookkeeping) but honoring the
-        engine's process-pool fallback.
+        substream naming, same convergence bookkeeping), restricted to
+        the engine's trial window.
         """
         from repro.core.metrics import MonteCarloResult
 
@@ -344,9 +238,7 @@ class MonteCarloEngine:
         accuracies = np.empty((self.n_trials, n_targets), dtype=np.float64)
         achieved = np.empty((self.n_trials, n_targets), dtype=np.float64)
 
-        # An explicit process pool overrides batching: it exists for
-        # workloads whose trial-stacked state would not fit in memory.
-        if not self.batched or self.processes:
+        if not self.batched:
             def scalar_trial(i):
                 return sweep_nwc_scalar(
                     model, accelerator, order, space, eval_x, eval_y,
@@ -417,9 +309,7 @@ class MonteCarloEngine:
             config.eval_batch_size if eval_batch_size is None else eval_batch_size
         )
 
-        # As in sweep_nwc, an explicit process pool selects the scalar
-        # per-trial path — that is the fallback's whole purpose.
-        if not self.batched or self.processes:
+        if not self.batched:
             return self.map_trials(
                 lambda i: scalar_swim(
                     model, accelerator, scorer, eval_x, eval_y,

@@ -39,9 +39,8 @@ class DevicesResult:
 
 def run_devices(scale, technologies=None, nwc_targets=DEFAULT_NWC_TARGETS,
                 methods=DEVICES_METHODS, workload="lenet-digits", seed=11,
-                use_cache=True, batched=True, processes=None, jobs=None,
-                workers=None, plan_cache=None, plans_out=None, resume=None,
-                report_out=None):
+                use_cache=True, batched=True, workers=None, plan_cache=None,
+                plans_out=None, report_out=None):
     """Run the accuracy-vs-NWC sweep for every registered technology.
 
     Parameters
@@ -59,21 +58,19 @@ def run_devices(scale, technologies=None, nwc_targets=DEFAULT_NWC_TARGETS,
     batched:
         Same Monte Carlo path selection as the paper sweeps; per-trial
         draws are identical in every mode.
-    workers / jobs / processes:
+    workers:
         Size the work-rectangle fork pool over the scenario's
-        (cells x trial-blocks) tiles (``workers`` or ``REPRO_WORKERS``;
-        the deprecated ``jobs``/``processes`` pair combines into it);
-        results are bitwise-equal to serial.
+        (cells x trial-blocks) tiles (or ``REPRO_WORKERS``); results
+        are bitwise-equal to serial.
     plan_cache:
         Optional :class:`~repro.plan.PlanArtifactCache` for the
         selection planner (default: the shared on-disk cache).
     plans_out:
         Optional dict filled with the resolved ``technology ->
         SelectionPlan`` mapping (for ``--save-plans``).
-    resume / report_out:
-        Skip checkpointed cells (or ``REPRO_RESUME``), and an optional
-        list collecting the orchestrator's :class:`~repro.robustness.
-        report.RunReport`.
+    report_out:
+        Optional list collecting the orchestrator's
+        :class:`~repro.robustness.report.RunReport`.
 
     Returns
     -------
@@ -113,8 +110,7 @@ def run_devices(scale, technologies=None, nwc_targets=DEFAULT_NWC_TARGETS,
         for name in names
     ]
     result.outcomes.update(
-        orchestrator.run(cells, batched=batched, processes=processes,
-                         jobs=jobs, workers=workers, resume=resume,
+        orchestrator.run(cells, batched=batched, workers=workers,
                          scenario="devices")
     )
     if plans_out is not None:

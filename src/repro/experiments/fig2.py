@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.core.metrics import DEFAULT_NWC_TARGETS
 from repro.experiments.model_zoo import load_workload
-from repro.experiments.sweeps import run_method_sweep
+from repro.plan import PlanRequest, ScenarioCell, ScenarioOrchestrator
 from repro.utils.ascii_plot import line_plot
 from repro.utils.rng import RngStream
 from repro.utils.tables import Table
@@ -28,36 +28,50 @@ FIG2_WORKLOADS = {
 def run_fig2_panel(scale, panel, nwc_targets=DEFAULT_NWC_TARGETS,
                    methods=("swim", "magnitude", "random", "insitu"),
                    sigma=0.1, seed=2, use_cache=True, batched=True,
-                   processes=None):
+                   workers=None, report_out=None):
     """Run one Fig. 2 panel (``panel`` in {"a", "b", "c"}).
 
-    ``batched`` selects the trial-batched Monte Carlo engine (default);
-    ``processes`` opts into the scalar process-pool fallback instead —
-    the escape hatch for the ResNet panels when the trial-folded
-    activations would not fit in memory.
+    The panel is a one-cell scenario grid, so it plans through the
+    shared plan cache and reruns warm from the eval-tile cache like
+    every other scenario.  ``batched`` selects the trial-batched Monte
+    Carlo engine (default); ``batched=False`` is the scalar per-trial
+    path — the escape hatch for the ResNet panels when the trial-folded
+    activations would not fit in memory.  ``workers`` sizes the
+    work-rectangle fork pool over the cell's trial tiles (or
+    ``REPRO_WORKERS``; results bitwise-equal to serial), and
+    ``report_out`` (a list, when given) collects the orchestrator's
+    :class:`~repro.robustness.report.RunReport`.
 
     Returns
     -------
     repro.experiments.sweeps.SweepOutcome
+        Or None when the cell failed permanently (see the report).
     """
     if panel not in FIG2_WORKLOADS:
         raise KeyError(f"panel must be one of {sorted(FIG2_WORKLOADS)}")
     zoo = load_workload(scale.workload(FIG2_WORKLOADS[panel]),
                         use_cache=use_cache)
-    root = RngStream(seed).child("fig2", panel)
-    return run_method_sweep(
-        zoo,
-        sigma=sigma,
-        nwc_targets=nwc_targets,
+    cell = ScenarioCell(
+        key=sigma,
+        request=PlanRequest(
+            methods=tuple(methods),
+            nwc_targets=tuple(nwc_targets),
+            sigma=sigma,
+            weight_bits=zoo.spec.weight_bits,
+        ),
+        rng=RngStream(seed).child("fig2", panel),
         mc_runs=scale.mc_runs_fig2,
-        rng=root,
-        eval_samples=scale.eval_samples,
-        sense_samples=scale.sense_samples,
-        methods=methods,
-        insitu_lr=scale.insitu_lr,
-        batched=batched,
-        processes=processes,
+        sweep_kwargs={"insitu_lr": scale.insitu_lr},
     )
+    orchestrator = ScenarioOrchestrator(
+        zoo, eval_samples=scale.eval_samples,
+        sense_samples=scale.sense_samples,
+    )
+    outcomes = orchestrator.run([cell], batched=batched, workers=workers,
+                                scenario=f"fig2{panel}")
+    if report_out is not None:
+        report_out.append(orchestrator.report)
+    return outcomes.get(cell.key)
 
 
 def render_fig2_panel(outcome, panel):

@@ -54,9 +54,8 @@ class RetentionResult:
 def run_retention(scale, technologies=RETENTION_TECHNOLOGIES, times=None,
                   nwc_targets=DEFAULT_NWC_TARGETS, methods=RETENTION_METHODS,
                   workload="lenet-digits", seed=13, use_cache=True,
-                  batched=True, processes=None, jobs=None, workers=None,
-                  plan_cache=None,
-                  plans_out=None, resume=None, report_out=None):
+                  batched=True, workers=None, plan_cache=None,
+                  plans_out=None, report_out=None):
     """Run the Table-1-over-time drift study.
 
     Parameters
@@ -73,16 +72,16 @@ def run_retention(scale, technologies=RETENTION_TECHNOLOGIES, times=None,
     times:
         Read-time grid in seconds (default: the preset's).  Must be
         >= the retention model's ``t0`` (1 s).
-    jobs:
-        Fan the (technology, read time) cells across N forked workers
-        (or ``REPRO_JOBS``); results are bitwise-equal to serial.
+    workers:
+        Size the work-rectangle fork pool over the (technology, read
+        time) cells' tiles (or ``REPRO_WORKERS``); results are
+        bitwise-equal to serial.
     plan_cache / plans_out:
         Planner cache override, and an optional dict collecting the
         resolved ``(technology, time) -> SelectionPlan`` mapping.
-    resume / report_out:
-        Skip checkpointed cells (or ``REPRO_RESUME``), and an optional
-        list collecting the orchestrator's :class:`~repro.robustness.
-        report.RunReport`.
+    report_out:
+        Optional list collecting the orchestrator's
+        :class:`~repro.robustness.report.RunReport`.
 
     Returns
     -------
@@ -132,8 +131,7 @@ def run_retention(scale, technologies=RETENTION_TECHNOLOGIES, times=None,
         sense_samples=scale.sense_samples, cache=plan_cache,
     )
     result.outcomes.update(
-        orchestrator.run(cells, batched=batched, processes=processes,
-                         jobs=jobs, workers=workers, resume=resume,
+        orchestrator.run(cells, batched=batched, workers=workers,
                          scenario="retention")
     )
     if plans_out is not None:

@@ -80,13 +80,11 @@ def _report_back(reports):
     return report
 
 
-def _run_table1(scale, out_dir, batched=True, processes=None, jobs=None,
-                workers=None, save_plans=False, resume=None):
+def _run_table1(scale, out_dir, batched=True, workers=None, save_plans=False):
     plans = {} if save_plans else None
     reports = []
-    result = run_table1(scale, batched=batched, processes=processes,
-                        jobs=jobs, workers=workers, plans_out=plans,
-                        resume=resume, report_out=reports)
+    result = run_table1(scale, batched=batched, workers=workers,
+                        plans_out=plans, report_out=reports)
     print(render_table1(result))
     for sigma, outcome in result.outcomes.items():
         path = save_sweep_csv(
@@ -98,20 +96,22 @@ def _run_table1(scale, out_dir, batched=True, processes=None, jobs=None,
     return _report_back(reports)
 
 
-def _run_fig2(scale, out_dir, panel, batched=True, processes=None):
-    outcome = run_fig2_panel(scale, panel, batched=batched, processes=processes)
-    print(render_fig2_panel(outcome, panel))
-    path = save_sweep_csv(outcome, os.path.join(out_dir, f"fig2{panel}.csv"))
-    print(f"[saved {path}]")
+def _run_fig2(scale, out_dir, panel, batched=True, workers=None):
+    reports = []
+    outcome = run_fig2_panel(scale, panel, batched=batched, workers=workers,
+                             report_out=reports)
+    if outcome is not None:
+        print(render_fig2_panel(outcome, panel))
+        path = save_sweep_csv(outcome, os.path.join(out_dir, f"fig2{panel}.csv"))
+        print(f"[saved {path}]")
+    return _report_back(reports)
 
 
-def _run_devices(scale, out_dir, batched=True, processes=None, jobs=None,
-                 workers=None, save_plans=False, resume=None):
+def _run_devices(scale, out_dir, batched=True, workers=None, save_plans=False):
     plans = {} if save_plans else None
     reports = []
-    result = run_devices(scale, batched=batched, processes=processes,
-                         jobs=jobs, workers=workers, plans_out=plans,
-                         resume=resume, report_out=reports)
+    result = run_devices(scale, batched=batched, workers=workers,
+                         plans_out=plans, report_out=reports)
     print(render_devices(result))
     path = save_devices_csv(result, os.path.join(out_dir, "devices.csv"))
     print(f"[saved {path}]")
@@ -120,13 +120,12 @@ def _run_devices(scale, out_dir, batched=True, processes=None, jobs=None,
     return _report_back(reports)
 
 
-def _run_retention(scale, out_dir, batched=True, processes=None, jobs=None,
-                   workers=None, save_plans=False, resume=None):
+def _run_retention(scale, out_dir, batched=True, workers=None,
+                   save_plans=False):
     plans = {} if save_plans else None
     reports = []
-    result = run_retention(scale, batched=batched, processes=processes,
-                           jobs=jobs, workers=workers, plans_out=plans,
-                           resume=resume, report_out=reports)
+    result = run_retention(scale, batched=batched, workers=workers,
+                           plans_out=plans, report_out=reports)
     print(render_retention(result))
     path = save_retention_csv(result, os.path.join(out_dir, "retention.csv"))
     print(f"[saved {path}]")
@@ -135,13 +134,11 @@ def _run_retention(scale, out_dir, batched=True, processes=None, jobs=None,
     return _report_back(reports)
 
 
-def _run_spatial(scale, out_dir, batched=True, processes=None, jobs=None,
-                 workers=None, save_plans=False, resume=None):
+def _run_spatial(scale, out_dir, batched=True, workers=None, save_plans=False):
     plans = {} if save_plans else None
     reports = []
-    result = run_spatial(scale, batched=batched, processes=processes,
-                         jobs=jobs, workers=workers, plans_out=plans,
-                         resume=resume, report_out=reports)
+    result = run_spatial(scale, batched=batched, workers=workers,
+                         plans_out=plans, report_out=reports)
     print(render_spatial(result))
     path = save_spatial_csv(result, os.path.join(out_dir, "spatial.csv"))
     print(f"[saved {path}]")
@@ -199,24 +196,10 @@ def main(argv=None):
                              "blocks) tiles; 0 = auto-size to the "
                              "detected core count; bitwise-identical to "
                              "serial (or REPRO_WORKERS)")
-    parser.add_argument("--processes", type=int, default=None,
-                        help="deprecated alias (REPRO_MC_PROCESSES): "
-                             "combines with --jobs into the --workers "
-                             "rectangle pool; still the trial-pool size "
-                             "for fig2's scalar loop")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="deprecated alias (REPRO_JOBS): combines "
-                             "with --processes into the --workers "
-                             "rectangle pool")
     parser.add_argument("--save-plans", action="store_true",
                         help="also write each scenario's resolved "
                              "selection plans as <scenario>_plans.json "
                              "for offline reuse")
-    parser.add_argument("--resume", action="store_true",
-                        help="skip scenario cells whose checkpoints are "
-                             "already in the artifact cache (e.g. after "
-                             "a crash mid-grid; or REPRO_RESUME=1); "
-                             "resumed output is byte-identical")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="record trace spans and write them as JSONL "
                              "to PATH (plus a chrome://tracing twin next "
@@ -227,11 +210,7 @@ def main(argv=None):
     out_dir = results_dir(args.output_dir)
     todo = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
     batched = not args.scalar
-    resume = True if args.resume else None
     reports = []
-    if args.jobs is not None or args.processes is not None:
-        print("note: --jobs/--processes are deprecated; they now combine "
-              "into one --workers pool over the work rectangle")
     if args.trace:
         from repro.obs import enable_tracing
 
@@ -242,7 +221,7 @@ def main(argv=None):
         start = time.time()
         print(f"\n=== {name} ===")
         with TRACER.span(f"runner.{name}", scale=scale.name):
-            _run_one(name, scale, out_dir, args, batched, resume, reports)
+            _run_one(name, scale, out_dir, args, batched, reports)
         print(f"[{name} took {time.time() - start:.1f}s]")
 
     if args.trace:
@@ -263,39 +242,25 @@ def main(argv=None):
     return 0
 
 
-def _run_one(name, scale, out_dir, args, batched, resume, reports):
+def _run_one(name, scale, out_dir, args, batched, reports):
     """Dispatch one experiment name (traced as ``runner.<name>``)."""
     if name == "fig1":
         _run_fig1(scale, out_dir, batched=batched)
-    elif name == "table1":
-        reports.append(_run_table1(
-            scale, out_dir, batched=batched,
-            processes=args.processes, jobs=args.jobs,
-            workers=args.workers,
-            save_plans=args.save_plans, resume=resume))
-    elif name.startswith("fig2"):
-        _run_fig2(scale, out_dir, name[-1], batched=batched,
-                  processes=args.processes)
-    elif name == "devices":
-        reports.append(_run_devices(
-            scale, out_dir, batched=batched,
-            processes=args.processes, jobs=args.jobs,
-            workers=args.workers,
-            save_plans=args.save_plans, resume=resume))
-    elif name == "retention":
-        reports.append(_run_retention(
-            scale, out_dir, batched=batched,
-            processes=args.processes, jobs=args.jobs,
-            workers=args.workers,
-            save_plans=args.save_plans, resume=resume))
-    elif name == "spatial":
-        reports.append(_run_spatial(
-            scale, out_dir, batched=batched,
-            processes=args.processes, jobs=args.jobs,
-            workers=args.workers,
-            save_plans=args.save_plans, resume=resume))
     elif name == "ablations":
         _run_ablations(scale, out_dir)
+    elif name.startswith("fig2"):
+        reports.append(_run_fig2(scale, out_dir, name[-1], batched=batched,
+                                 workers=args.workers))
+    else:
+        scenario = {
+            "table1": _run_table1,
+            "devices": _run_devices,
+            "retention": _run_retention,
+            "spatial": _run_spatial,
+        }[name]
+        reports.append(scenario(scale, out_dir, batched=batched,
+                                workers=args.workers,
+                                save_plans=args.save_plans))
 
 
 def _write_trace(path):

@@ -48,9 +48,8 @@ class SpatialResult:
 def run_spatial(scale, technology="fefet-spatial", correlation_lengths=None,
                 nwc_targets=DEFAULT_NWC_TARGETS, methods=SPATIAL_METHODS,
                 workload="lenet-digits", seed=17, use_cache=True,
-                batched=True, processes=None, jobs=None, workers=None,
-                plan_cache=None,
-                plans_out=None, resume=None, report_out=None):
+                batched=True, workers=None, plan_cache=None,
+                plans_out=None, report_out=None):
     """Run the clustered-failure stress test across correlation lengths.
 
     Parameters
@@ -64,16 +63,16 @@ def run_spatial(scale, technology="fefet-spatial", correlation_lengths=None,
         point runs a copy of it with that correlation length.
     correlation_lengths:
         Length grid in devices (default: the preset's); 0 means i.i.d.
-    jobs:
-        Fan the correlation-length cells across N forked workers (or
-        ``REPRO_JOBS``); results are bitwise-equal to serial.
+    workers:
+        Size the work-rectangle fork pool over the correlation-length
+        cells' tiles (or ``REPRO_WORKERS``); results are bitwise-equal
+        to serial.
     plan_cache / plans_out:
         Planner cache override, and an optional dict collecting the
         resolved ``length -> SelectionPlan`` mapping.
-    resume / report_out:
-        Skip checkpointed cells (or ``REPRO_RESUME``), and an optional
-        list collecting the orchestrator's :class:`~repro.robustness.
-        report.RunReport`.
+    report_out:
+        Optional list collecting the orchestrator's
+        :class:`~repro.robustness.report.RunReport`.
 
     Returns
     -------
@@ -122,8 +121,7 @@ def run_spatial(scale, technology="fefet-spatial", correlation_lengths=None,
         sense_samples=scale.sense_samples, cache=plan_cache,
     )
     result.outcomes.update(
-        orchestrator.run(cells, batched=batched, processes=processes,
-                         jobs=jobs, workers=workers, resume=resume,
+        orchestrator.run(cells, batched=batched, workers=workers,
                          scenario="spatial")
     )
     if plans_out is not None:

@@ -8,11 +8,12 @@ the paper's "who wins at fixed NWC" claims.
 By default the Monte Carlo trials run through the trial-batched engine
 (:mod:`repro.core.mc`): each block of trials shares one masked verify
 loop and one folded forward pass per (method, target) cell.  Pass
-``batched=False`` for the scalar reference loop, or ``processes=N`` to
-fan the scalar loop across forked workers when a workload is too large
-to batch in memory.  Trial ``i`` draws its programming noise from the
-same named substream in every mode, so the paired design — and the
-per-trial noise draw itself — is identical across paths.
+``batched=False`` for the scalar reference loop (the path for workloads
+too large to batch in memory; the scenario orchestrator's ``workers=``
+pool parallelizes it across trial windows).  Trial ``i`` draws its
+programming noise from the same named substream in every mode, so the
+paired design — and the per-trial noise draw itself — is identical
+across paths.
 """
 
 from __future__ import annotations
@@ -215,8 +216,7 @@ def _scalar_sweep_trial(run_rng, zoo, accelerator, space, orders, methods,
                         read_time=None):
     """One scalar Monte Carlo trial: rows for every method.
 
-    Returns ``method -> (accuracy_row, nwc_row)``; factored out so the
-    in-process loop and the process-pool fallback share one body.
+    Returns ``method -> (accuracy_row, nwc_row)``.
     """
     accelerator.program(run_rng.child("program").generator)
     accelerator.write_verify_all(run_rng.child("verify").generator)
@@ -263,7 +263,6 @@ def run_method_sweep(
     device_bits=4,
     curvature_batches=2,
     batched=True,
-    processes=None,
     trial_block=None,
     trial_range=None,
     technology=None,
@@ -305,9 +304,6 @@ def run_method_sweep(
         Drive the write-verify methods through the trial-batched Monte
         Carlo engine (default).  ``False`` selects the scalar reference
         loop; per-trial programming noise is identical either way.
-    processes:
-        Opt-in process-pool fallback (scalar path fanned across forked
-        workers) for workloads too large to batch in memory.
     trial_block:
         Trials per batched block (default: memory-bounded heuristic).
     trial_range:
@@ -408,10 +404,10 @@ def run_method_sweep(
 
     counts = [int(round(t * space.total_size)) for t in nwc_targets]
     engine = MonteCarloEngine(
-        mc_runs, rng, batched=batched, processes=processes,
+        mc_runs, rng, batched=batched,
         trial_block=trial_block, trial_range=trial_range,
     )
-    if trial_range is not None and batched and not engine.processes:
+    if trial_range is not None and batched:
         block = engine.block_size()
         start, stop = engine.span
         if start % block or (stop % block and stop != mc_runs):
@@ -422,7 +418,7 @@ def run_method_sweep(
                 "misaligned window would not reproduce the full run"
             )
 
-    if batched and not engine.processes:
+    if batched:
         _batched_sweep(
             engine, zoo, accelerator, space, orders, methods, counts,
             nwc_targets, eval_x, eval_y, insitu_lr, acc_store, nwc_store,

@@ -39,18 +39,15 @@ class Table1Result:
 
 def run_table1(scale, sigmas=TABLE1_SIGMAS, nwc_targets=DEFAULT_NWC_TARGETS,
                methods=("swim", "magnitude", "random", "insitu"),
-               seed=1, use_cache=True, batched=True, processes=None,
-               jobs=None, workers=None, plan_cache=None, plans_out=None,
-               resume=None, report_out=None):
+               seed=1, use_cache=True, batched=True, workers=None,
+               plan_cache=None, plans_out=None, report_out=None):
     """Run the Table 1 experiment at a given scale preset.
 
     ``batched`` selects the trial-batched Monte Carlo engine (default).
     ``workers`` sizes the work-rectangle scheduler's fork pool over the
-    (cells x trial-blocks) tiles (``jobs``/``processes`` are deprecated
-    aliases that combine into it; results bitwise-equal to serial); the
+    (cells x trial-blocks) tiles (results bitwise-equal to serial); the
     deterministic selections themselves are planned once for all sigmas
     — the curvature ranking does not depend on the device noise level.
-    ``resume`` skips checkpointed cells (or ``REPRO_RESUME``);
     ``report_out`` (a list, when given) collects the orchestrator's
     :class:`~repro.robustness.report.RunReport`.
 
@@ -85,8 +82,7 @@ def run_table1(scale, sigmas=TABLE1_SIGMAS, nwc_targets=DEFAULT_NWC_TARGETS,
         sense_samples=scale.sense_samples, cache=plan_cache,
     )
     result.outcomes.update(
-        orchestrator.run(cells, batched=batched, processes=processes,
-                         jobs=jobs, workers=workers, resume=resume,
+        orchestrator.run(cells, batched=batched, workers=workers,
                          scenario="table1")
     )
     if plans_out is not None:

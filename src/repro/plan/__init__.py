@@ -7,8 +7,7 @@ expressed as batched :class:`PlanRequest`\\ s, resolved by a
 selection orders) live in a content-addressed
 :class:`PlanArtifactCache`, and executed by a
 :class:`ScenarioOrchestrator` as a (cells x trial-blocks) work
-rectangle on one supervised fork pool (``--workers N``; the deprecated
-``--jobs``/``--processes`` pair combines into it) — serially or
+rectangle on one supervised fork pool (``--workers N``) — serially or
 parallel with bitwise-identical results, with every evaluation tile
 cached content-addressed so warm reruns recompute only what changed.
 """
@@ -30,12 +29,7 @@ from repro.plan.engine import (
     load_plans,
     save_plans,
 )
-from repro.plan.orchestrator import (
-    ScenarioCell,
-    ScenarioOrchestrator,
-    resolve_jobs,
-    resolve_resume,
-)
+from repro.plan.orchestrator import ScenarioCell, ScenarioOrchestrator
 
 __all__ = [
     "PLAN_CACHE_VERSION",
@@ -51,8 +45,6 @@ __all__ = [
     "data_digest",
     "load_plans",
     "model_digest",
-    "resolve_jobs",
     "resolve_memory_items",
-    "resolve_resume",
     "save_plans",
 ]

@@ -10,9 +10,7 @@ once), and then executes the grid as a **work rectangle** (cells x
 trial blocks; :mod:`repro.robustness.scheduler`): every cell's trial
 axis splits into block-aligned tiles, and the flat tile list is packed
 onto one supervised fork pool sized by ``workers=`` / ``--workers`` /
-``REPRO_WORKERS`` (``0`` = auto-size to the core count).  The
-deprecated ``jobs``/``processes`` pair still works — combined into
-``jobs * processes`` workers instead of the old exit-64 conflict.
+``REPRO_WORKERS`` (``0`` = auto-size to the core count).
 
 Fault tolerance
 ---------------
@@ -24,24 +22,23 @@ then re-executed serially in the parent, and only then declared failed.
 A failed tile fails its cell but not the grid — the cell's key is
 simply absent from the returned outcome dict (its surviving tiles stay
 cached for the next attempt), and the per-cell story (ok / cached /
-resumed / recovered / degraded / failed) is recorded in
+recovered / degraded / failed) is recorded in
 :attr:`ScenarioOrchestrator.report`, a :class:`~repro.robustness.
 report.RunReport` the CLI renders and exits on.
 
-Incremental evaluation / checkpoint / resume
---------------------------------------------
+Incremental evaluation
+----------------------
 Every tile's partial outcome persists the moment it lands, as a
 content-addressed ``eval`` artifact in the engine's :class:`~repro.
 plan.cache.PlanArtifactCache` — keyed on model/sense/eval digests, the
 request physics, the cell's RNG seed, and the tile's trial window;
-never on supervision or worker-count knobs.  Every run (no flag
-needed) probes these artifacts first, so a rerun after a one-cell
-config change recomputes only that cell's tiles and is still
-byte-identical to a cold serial run; the hit/recompute counts are on
-the report (``tiles_cached`` / ``tiles_computed``).  Completed cells
-additionally checkpoint as ``cell`` artifacts the moment their last
-tile lands, which is what ``resume=True`` / ``REPRO_RESUME=1`` loads
-to skip whole cells after a mid-grid kill.
+never on supervision or worker-count knobs.  Every run probes these
+artifacts first, so rerunning the same command after a crash or a
+kill skips every finished tile, a rerun after a one-cell config change
+recomputes only that cell's tiles, and either is still byte-identical
+to a cold serial run; the hit/recompute counts are on the report
+(``tiles_cached`` / ``tiles_computed``).  A fully warm rerun is
+passless: it reads tiles and writes nothing.
 
 Determinism
 -----------
@@ -50,7 +47,7 @@ Every cell derives *all* of its randomness from its own named
 of the Monte Carlo engine), planned orders are computed before any tile
 runs, and tile boundaries are worker-count independent and aligned to
 the engine's trial-block grid — so serial, ``--workers N``, retried,
-degraded, cached, and resumed runs are all bitwise-equal.  Workers
+degraded, and cached runs are all bitwise-equal.  Workers
 receive the model via ``fork`` (models carry closures that do not
 pickle); on platforms without fork the tiles run serially in the
 parent with a warning.
@@ -58,12 +55,11 @@ parent with a warning.
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from dataclasses import dataclass, field
 
-from repro.core.mc import default_trial_block, no_trial_pool
+from repro.core.mc import default_trial_block
 from repro.obs.trace import span
 from repro.plan.cache import data_digest
 from repro.plan.engine import PlanEngine, PlanRequest
@@ -78,7 +74,6 @@ from repro.robustness.checkpoint import (
 from repro.robustness.scheduler import (
     Tile,
     resolve_tile_trials,
-    resolve_worker_count,
     resolve_workers,
     scheduler_metrics,
     tile_ranges,
@@ -91,30 +86,7 @@ from repro.robustness.supervisor import (
     supervised_map,
 )
 
-__all__ = [
-    "ScenarioCell",
-    "ScenarioOrchestrator",
-    "resolve_jobs",
-    "resolve_resume",
-]
-
-
-def resolve_jobs(jobs=None):
-    """Resolve the deprecated cell-level worker knob (``REPRO_JOBS``).
-
-    ``0`` means "auto-size to the core count"; unset means serial.
-    Kept as a back-compat alias — new code should size the rectangle
-    with :func:`~repro.robustness.scheduler.resolve_workers`.
-    """
-    return resolve_worker_count(jobs, "REPRO_JOBS", "jobs")
-
-
-def resolve_resume(resume=None):
-    """Resolve the resume flag: explicit arg, else ``REPRO_RESUME``."""
-    if resume is None:
-        raw = os.environ.get("REPRO_RESUME", "").strip().lower()
-        resume = raw in ("1", "true", "yes", "on")
-    return bool(resume)
+__all__ = ["ScenarioCell", "ScenarioOrchestrator"]
 
 
 @dataclass
@@ -201,7 +173,7 @@ class ScenarioOrchestrator:
 
     @property
     def cache(self):
-        """The engine's artifact cache (checkpoints live here too)."""
+        """The engine's artifact cache (eval tiles live here too)."""
         return self.engine.cache
 
     def plan_cells(self, cells):
@@ -220,7 +192,7 @@ class ScenarioOrchestrator:
             }
         return self.plans
 
-    # ----------------------------------------------------------- checkpoints
+    # ------------------------------------------------------------ tile keys
 
     def _cell_config(self, cell, batched):
         """Content address of one cell's outcome: everything that
@@ -228,9 +200,10 @@ class ScenarioOrchestrator:
 
         Model and data enter as digests, the request as its canonical
         physics dict (technology instances through their ``to_dict``
-        form), randomness as the cell's root stream seed.  Neither
-        ``jobs`` nor timeouts/retries appear — supervision must not
-        change what a cell computes, only whether it completes.
+        form), randomness as the cell's root stream seed.  Neither the
+        worker count nor timeouts/retries appear — supervision must not
+        change what a cell computes, only whether it completes.  Each
+        tile's ``eval`` key adds its trial window to this dict.
         """
         request = cell.request
         technology = request.technology
@@ -270,9 +243,8 @@ class ScenarioOrchestrator:
 
     # -------------------------------------------------------------- execution
 
-    def run(self, cells, batched=True, processes=None, jobs=None,
-            workers=None, resume=None, timeout=None, retries=None,
-            scenario="", tile_trials=None):
+    def run(self, cells, batched=True, workers=None, timeout=None,
+            retries=None, scenario="", tile_trials=None):
         """Schedule the grid's work rectangle and merge its tiles.
 
         Parameters
@@ -285,22 +257,8 @@ class ScenarioOrchestrator:
         workers:
             Total worker processes for the (cells x trial-blocks)
             rectangle (or ``REPRO_WORKERS``); ``0`` auto-sizes to the
-            detected core count.  Unset and with neither deprecated
-            knob given, tiles run serially in the parent.  Results are
-            bitwise-equal at any worker count.
-        jobs / processes:
-            Deprecated aliases (``REPRO_JOBS`` /
-            ``REPRO_MC_PROCESSES``): formerly the two conflicting
-            parallelism axes, now combined by
-            :func:`~repro.robustness.scheduler.resolve_workers` into
-            ``jobs * processes`` rectangle workers.  ``processes`` no
-            longer selects the scalar per-trial path inside cells —
-            the rectangle owns trial parallelism.
-        resume:
-            Load whole already-checkpointed cells from the artifact
-            cache (default: ``REPRO_RESUME``).  Independent of — and
-            faster than — the always-on per-tile evaluation cache:
-            resume skips even the tile probe and the merge.
+            detected core count.  Unset, tiles run serially in the
+            parent.  Results are bitwise-equal at any worker count.
         timeout / retries:
             Supervision overrides forwarded to :func:`~repro.
             robustness.supervisor.supervised_map` (default:
@@ -323,10 +281,7 @@ class ScenarioOrchestrator:
         """
         from repro.experiments.sweeps import run_method_sweep
 
-        workers = resolve_workers(
-            workers=workers, jobs=jobs, processes=processes
-        )
-        resume = resolve_resume(resume)
+        workers = resolve_workers(workers)
         tile_trials = resolve_tile_trials(tile_trials)
         cells = list(cells)
         plans = self.plan_cells(cells)
@@ -334,33 +289,20 @@ class ScenarioOrchestrator:
         self.report = report
         schedule = active_schedule()
 
-        configs = [self._cell_config(cell, batched) for cell in cells]
-        outcomes = {}  # index -> SweepOutcome
-        records = {}  # index -> CellRecord
-        pending = []  # cell indexes not resumed from a checkpoint
-        for index, cell in enumerate(cells):
-            arrays = self.cache.get("cell", configs[index]) if resume else None
-            if arrays is not None:
-                outcomes[index] = decode_outcome(arrays)
-                records[index] = CellRecord(
-                    key=cell.key, status="resumed", attempts=0, tiles=0
-                )
-            else:
-                pending.append(index)
-
-        # --- decompose pending cells into the work rectangle's tiles.
+        # --- decompose every cell into the work rectangle's tiles.
         # Boundaries depend only on each cell's trial count and the
         # engine block grid — never on the worker count — so tile cache
         # keys are stable across serial and parallel invocations.
+        configs = [self._cell_config(cell, batched) for cell in cells]
         block = default_trial_block()
         tiles = []  # tile id -> Tile
-        cell_tiles = {index: [] for index in pending}
-        for index in pending:
-            for start, stop in tile_ranges(
-                cells[index].mc_runs, block, tile_trials
-            ):
-                cell_tiles[index].append(len(tiles))
+        cell_tiles = []  # cell index -> its tile ids, in trial order
+        for index, cell in enumerate(cells):
+            ids = []
+            for start, stop in tile_ranges(cell.mc_runs, block, tile_trials):
+                ids.append(len(tiles))
                 tiles.append(Tile(cell=index, start=start, stop=stop))
+            cell_tiles.append(ids)
         tile_configs = {
             t: {**configs[tile.cell], "trials": [tile.start, tile.stop]}
             for t, tile in enumerate(tiles)
@@ -379,29 +321,6 @@ class ScenarioOrchestrator:
                 todo.append(t)
         report.tiles_total = len(tiles)
         report.tiles_cached = len(cached_tiles)
-        remaining = {
-            index: sum(1 for t in cell_tiles[index] if t not in cached_tiles)
-            for index in pending
-        }
-
-        def finish_cell(index):
-            # Every tile landed: merge them into the cell's full
-            # outcome and write the cell checkpoint (the resume fast
-            # path) the moment the cell completes — not at end of run —
-            # so a mid-grid kill leaves resumable cells behind.
-            outcome = merge_outcomes(
-                [tile_values[t] for t in cell_tiles[index]]
-            )
-            outcomes[index] = outcome
-            try:
-                self.cache.put("cell", configs[index], encode_outcome(outcome))
-            except CacheWriteError as exc:
-                report.checkpoint_errors += 1
-                warnings.warn(
-                    f"could not checkpoint cell {cells[index].key!r}: {exc}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
 
         def execute(t):
             tile = tiles[t]
@@ -415,7 +334,7 @@ class ScenarioOrchestrator:
             with span(
                 "scenario.tile",
                 cell=tile.cell, start=tile.start, stop=tile.stop,
-            ), no_trial_pool():
+            ):
                 return run_method_sweep(
                     self.zoo,
                     sigma=request.sigma,
@@ -436,8 +355,10 @@ class ScenarioOrchestrator:
                 )
 
         def persist(t, partial):
-            # An artifact that cannot be written must not take the
-            # result (minutes of Monte Carlo work) down with it.
+            # Each tile persists the moment it lands, so a killed run
+            # leaves its finished tiles behind for the rerun.  An
+            # artifact that cannot be written must not take the result
+            # (minutes of Monte Carlo work) down with it.
             tile_values[t] = partial
             try:
                 self.cache.put("eval", tile_configs[t], encode_outcome(partial))
@@ -448,9 +369,6 @@ class ScenarioOrchestrator:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            remaining[tiles[t].cell] -= 1
-            if remaining[tiles[t].cell] == 0:
-                finish_cell(tiles[t].cell)
 
         def label(t):
             tile = tiles[t]
@@ -460,19 +378,6 @@ class ScenarioOrchestrator:
             return f"{key} trials[{tile.start}:{tile.stop}]"
 
         labels = {t: label(t) for t in range(len(tiles))}
-
-        # Cells served entirely from the evaluation cache merge without
-        # scheduling anything — the warm-rerun (passless) path.
-        for index in pending:
-            if remaining[index] == 0:
-                finish_cell(index)
-                records[index] = CellRecord(
-                    key=cells[index].key,
-                    status="cached",
-                    attempts=0,
-                    tiles=len(cell_tiles[index]),
-                    tiles_cached=len(cell_tiles[index]),
-                )
 
         # --- schedule the remaining tiles on one supervised pool.
         tile_reports = {}
@@ -537,16 +442,14 @@ class ScenarioOrchestrator:
                         persist(t, value)
         report.tiles_computed = sum(1 for t in todo if t in tile_values)
 
-        # --- fold tile reports into per-cell records.
-        for index in pending:
-            if index in records:
-                continue  # all-cached, recorded above
-            own = [
-                tile_reports[t] for t in cell_tiles[index] if t in tile_reports
-            ]
-            missing = [
-                t for t in cell_tiles[index] if t not in tile_values
-            ]
+        # --- merge complete cells; fold tile reports into cell records.
+        # A cell served entirely from the evaluation cache is "cached"
+        # (the passless warm-rerun path).
+        outcomes = {}
+        for index, cell in enumerate(cells):
+            ids = cell_tiles[index]
+            own = [tile_reports[t] for t in ids if t in tile_reports]
+            missing = [t for t in ids if t not in tile_values]
             if missing:
                 status = "failed"
                 error = next(
@@ -555,38 +458,35 @@ class ScenarioOrchestrator:
                     "tile not executed",
                 )
             else:
+                outcomes[cell.key] = merge_outcomes(
+                    [tile_values[t] for t in ids]
+                )
                 error = None
                 statuses = {task.status for task in own}
-                if "degraded" in statuses:
+                if not own:
+                    status = "cached"
+                elif "degraded" in statuses:
                     status = "degraded"
                 elif "recovered" in statuses:
                     status = "recovered"
                 else:
                     status = "ok"
-            records[index] = CellRecord(
-                key=cells[index].key,
+            report.add(CellRecord(
+                key=cell.key,
                 status=status,
                 attempts=max((task.attempts for task in own), default=0),
-                duration=sum(task.duration for task in own),
+                duration=sum((task.duration for task in own), 0.0),
                 error=error,
                 failures=[f for task in own for f in task.failures],
-                tiles=len(cell_tiles[index]),
-                tiles_cached=sum(
-                    1 for t in cell_tiles[index] if t in cached_tiles
-                ),
-            )
+                tiles=len(ids),
+                tiles_cached=sum(1 for t in ids if t in cached_tiles),
+            ))
 
-        for index in range(len(cells)):
-            report.add(records[index])
         report.cache = self.cache.stats()
         metrics = scheduler_metrics()
         metrics["workers"].set(int(workers or 0))
         metrics["tiles"].labels(result="cached").inc(report.tiles_cached)
         metrics["tiles"].labels(result="computed").inc(report.tiles_computed)
-        for record in records.values():
+        for record in report.cells:
             metrics["cells"].labels(status=record.status).inc()
-        return {
-            cells[index].key: outcomes[index]
-            for index in range(len(cells))
-            if index in outcomes
-        }
+        return outcomes

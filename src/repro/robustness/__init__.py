@@ -8,17 +8,17 @@ those failures survivable and *testable*:
 - :mod:`~repro.robustness.errors` — a retryable-vs-fatal exception
   taxonomy with per-family CLI exit codes;
 - :mod:`~repro.robustness.supervisor` — :func:`supervised_map`, the
-  crash/timeout/retry-aware replacement for ``Pool.map`` used by both
-  the scenario orchestrator and the Monte Carlo trial pool;
+  crash/timeout/retry-aware replacement for ``Pool.map`` that runs
+  every scenario's tiles;
 - :mod:`~repro.robustness.scheduler` — the work-rectangle scheduler:
-  worker-count resolution (``--workers`` / ``REPRO_WORKERS``, with the
-  deprecated jobs x processes pair folded in) and the worker-count
-  independent (cells x trial-blocks) tile decomposition every scenario
-  run schedules onto one :func:`supervised_map` pool;
+  worker-count resolution (``--workers`` / ``REPRO_WORKERS``, the one
+  worker knob) and the worker-count independent (cells x trial-blocks)
+  tile decomposition every scenario run schedules onto one
+  :func:`supervised_map` pool;
 - :mod:`~repro.robustness.checkpoint` — sweep-outcome serialization so
-  completed grid cells and evaluation tiles persist as
-  content-addressed artifacts and warm or resumed runs skip them
-  byte-identically (:func:`merge_outcomes` reassembles tiles exactly);
+  evaluation tiles persist as content-addressed artifacts and warm
+  reruns (including reruns after a crash) skip them byte-identically
+  (:func:`merge_outcomes` reassembles tiles exactly);
 - :mod:`~repro.robustness.report` — structured run reports (what ran,
   what recovered, what failed) behind the CLI summary and exit codes;
 - :mod:`~repro.robustness.faults` — the deterministic fault-injection
@@ -35,7 +35,6 @@ from repro.robustness.checkpoint import (
 from repro.robustness.errors import (
     CacheCorruptionError,
     CacheWriteError,
-    CellExecutionError,
     CellTimeoutError,
     FatalError,
     PartialGridError,
@@ -80,7 +79,6 @@ from repro.robustness.supervisor import (
 __all__ = [
     "CacheCorruptionError",
     "CacheWriteError",
-    "CellExecutionError",
     "CellRecord",
     "CellTimeoutError",
     "FatalError",

@@ -1,27 +1,26 @@
-"""Checkpoint serialization: sweep outcomes as cache artifacts.
+"""Checkpoint serialization: evaluation tiles as cache artifacts.
 
-A scenario grid's unit of loss is one :class:`~repro.experiments.
-sweeps.SweepOutcome` — minutes of Monte Carlo work at real scales.
-These helpers round-trip an outcome through the ``name -> array`` dict
-shape the :class:`~repro.plan.cache.PlanArtifactCache` stores, so the
-orchestrator can persist each cell the moment it completes and a
-resumed run can skip it.
+A scenario grid's unit of loss is one work-rectangle *tile* — a
+partial :class:`~repro.experiments.sweeps.SweepOutcome` over a
+``trial_range`` window, where ``achieved_nwc`` holds raw per-trial rows
+instead of the across-trial mean; minutes of Monte Carlo work at real
+scales.  These helpers round-trip an outcome through the
+``name -> array`` dict shape the :class:`~repro.plan.cache.
+PlanArtifactCache` stores, so the orchestrator can persist each tile
+the moment it lands and a rerun (after a crash, a kill, or nothing at
+all) skips it.
 
 The round trip is *exact*: accuracy/NWC arrays are stored as the
-float64 they were computed in, and scalar metadata rides in a canonical
-JSON blob (Python's ``json`` emits shortest-round-trip float literals),
-so a CSV rendered from resumed cells is byte-identical to one rendered
-from a straight-through run — the property the resume tests pin.
-
-The same codec serializes work-rectangle *tiles* (partial outcomes
-over a ``trial_range`` window, where ``achieved_nwc`` holds raw
-per-trial rows instead of the across-trial mean): the arrays are
-row-count agnostic.  :func:`merge_outcomes` reassembles an ordered set
-of tiles into the cell's full :class:`~repro.experiments.sweeps.
-SweepOutcome` — bit for bit, because stacking contiguous row slices
-reproduces the full arrays and the reductions (the NWC mean, the wear
-statistics via :func:`merge_wear`'s integer aggregates) repeat the
-unsplit run's exact float operations.
+float64 they were computed in (row-count agnostic), and scalar
+metadata rides in a canonical JSON blob (Python's ``json`` emits
+shortest-round-trip float literals), so a CSV rendered from cached
+tiles is byte-identical to one rendered from a straight-through run.
+:func:`merge_outcomes` reassembles an ordered set of tiles into the
+cell's full :class:`~repro.experiments.sweeps.SweepOutcome` — bit for
+bit, because stacking contiguous row slices reproduces the full arrays
+and the reductions (the NWC mean, the wear statistics via
+:func:`merge_wear`'s integer aggregates) repeat the unsplit run's
+exact float operations.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ def decode_outcome(arrays):
 
     Curves come back in their original method order (recorded in the
     metadata), which is what keeps rendered tables and CSV row order
-    stable across resume.
+    stable across cached reruns.
     """
     from repro.experiments.sweeps import MethodCurve, SweepOutcome
 

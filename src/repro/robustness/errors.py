@@ -20,7 +20,6 @@ from __future__ import annotations
 __all__ = [
     "CacheCorruptionError",
     "CacheWriteError",
-    "CellExecutionError",
     "CellTimeoutError",
     "FatalError",
     "PartialGridError",
@@ -98,10 +97,6 @@ class CacheCorruptionError(RetryableError):
     callers that probe ``get`` directly and want to distinguish "never
     existed" from "existed but was rotten".
     """
-
-
-class CellExecutionError(FatalError):
-    """A scenario cell raised a deterministic (non-retryable) exception."""
 
 
 class ScenarioConfigError(FatalError, ValueError):

@@ -30,8 +30,8 @@ fires the entry that many times.
 
 Firing state lives in a filesystem ledger (one marker file per firing,
 claimed with ``O_CREAT | O_EXCL``), because the processes that observe a
-schedule — the parent, forked pool workers, retried workers, resumed
-runs — do not share memory.  "Fire once" therefore means once *per
+schedule — the parent, forked pool workers, retried workers, reruns —
+do not share memory.  "Fire once" therefore means once *per
 ledger*, across every process of a run; point ``REPRO_FAULTS_DIR`` at a
 fresh directory per experiment (it defaults to a schedule-keyed
 directory under the artifact cache).
@@ -213,7 +213,7 @@ def active_schedule():
     Parsed once per distinct (spec, ledger dir) environment value, so
     hot paths pay a dict lookup.  The ledger directory defaults to a
     spec-keyed directory under the artifact cache (shared by fork
-    children and resumed runs, which is the point); override with
+    children and reruns, which is the point); override with
     ``REPRO_FAULTS_DIR``.
     """
     spec = os.environ.get("REPRO_FAULTS", "").strip()

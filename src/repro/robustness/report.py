@@ -2,9 +2,9 @@
 
 A fault-tolerant grid run no longer has a binary outcome, so "it
 printed a table" stops being evidence of health.  The orchestrator
-records one :class:`CellRecord` per grid cell — executed, recovered
-after retries, degraded to the serial fallback, resumed from a
-checkpoint, or permanently failed — plus the cache's self-healing
+records one :class:`CellRecord` per grid cell — executed, served from
+the evaluation-tile cache, recovered after retries, degraded to the
+serial fallback, or permanently failed — plus the cache's self-healing
 counters, and the CLI renders the summary (and exits nonzero on partial
 grids) from this report rather than from log archaeology.
 """
@@ -60,9 +60,8 @@ def render_cache_stats(stats):
 
 #: Cell statuses in severity order (render order for anomalies).
 #: ``cached`` means every evaluation tile of the cell was served from
-#: the content-addressed eval cache (an incremental warm rerun);
-#: ``resumed`` means the whole cell came from a ``--resume`` checkpoint.
-STATUSES = ("ok", "cached", "resumed", "recovered", "degraded", "failed")
+#: the content-addressed eval cache (an incremental warm rerun).
+STATUSES = ("ok", "cached", "recovered", "degraded", "failed")
 
 
 @dataclass

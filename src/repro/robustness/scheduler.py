@@ -1,36 +1,24 @@
 """The work-rectangle scheduler: one worker pool for cells x trials.
 
-Before this module, a scenario run had two mutually-exclusive
-parallelism axes — ``--jobs`` fanned grid *cells* across a fork pool
-and ``--processes`` fanned Monte Carlo *trials* inside one cell — and
-combining them exited 64, because daemonic pool workers cannot fork
-nested pools.  A many-core box therefore could not be saturated on a
-small grid of large cells.
-
-The scheduler removes the axes entirely.  Every scenario run is a
-**work rectangle**: the grid's cells on one side, each cell's Monte
-Carlo trials on the other.  :func:`tile_ranges` decomposes each cell's
-trial axis into *tiles* — contiguous runs of whole engine trial blocks
-(see :meth:`~repro.core.mc.MonteCarloEngine.block_size`; the batched
-verify stage draws one RNG per block, keyed on the block's first trial,
-so only block-aligned splits are bitwise-identical to an unsplit run) —
-and the resulting flat tile list is packed onto **one** supervised fork
-pool (:func:`~repro.robustness.supervisor.supervised_map`; no second
-supervision path), sized by :func:`resolve_workers`:
-
-- ``workers`` / ``REPRO_WORKERS`` is the one knob: total concurrent
-  worker processes; ``0`` means auto-size to the detected core count
-  (:func:`auto_workers`).
-- the deprecated ``jobs`` / ``processes`` pair (``REPRO_JOBS`` /
-  ``REPRO_MC_PROCESSES``) now *combines* into ``jobs * processes``
-  workers instead of conflicting.
+Every scenario run is a **work rectangle**: the grid's cells on one
+side, each cell's Monte Carlo trials on the other.  :func:`tile_ranges`
+decomposes each cell's trial axis into *tiles* — contiguous runs of
+whole engine trial blocks (see :meth:`~repro.core.mc.MonteCarloEngine.
+block_size`; the batched verify stage draws one RNG per block, keyed on
+the block's first trial, so only block-aligned splits are
+bitwise-identical to an unsplit run) — and the resulting flat tile list
+is packed onto **one** supervised fork pool
+(:func:`~repro.robustness.supervisor.supervised_map`; no second
+supervision path), sized by :func:`resolve_workers`: ``workers`` /
+``REPRO_WORKERS`` is the one knob — total concurrent worker processes,
+``0`` meaning auto-size to the detected core count
+(:func:`auto_workers`).
 
 Tile boundaries are a pure function of the cell's trial count and the
 engine block size — never of the worker count — so a tile's
-content-addressed cache key is stable across serial, ``--workers 4``,
-and ``--jobs 2 --processes 2`` invocations, which is what makes warm
-reruns incremental (only changed cells/blocks recompute) and still
-byte-identical to a cold serial run.
+content-addressed cache key is stable across serial and ``--workers N``
+invocations, which is what makes warm reruns incremental (only changed
+cells/blocks recompute) and still byte-identical to a cold serial run.
 """
 
 from __future__ import annotations
@@ -129,28 +117,14 @@ def resolve_worker_count(value, env, what):
     return value
 
 
-def resolve_workers(workers=None, jobs=None, processes=None):
-    """Resolve the rectangle's worker count from every supported knob.
+def resolve_workers(workers=None):
+    """Resolve the rectangle's worker count: arg, else ``REPRO_WORKERS``.
 
-    ``workers`` / ``REPRO_WORKERS`` is authoritative when given (``0``
-    = auto).  Otherwise the deprecated pair is consulted — ``jobs`` /
-    ``REPRO_JOBS`` (formerly: parallel cells) and ``processes`` /
-    ``REPRO_MC_PROCESSES`` (formerly: the per-cell trial pool) — and
-    *combined* into ``jobs * processes`` workers, the capacity the two
-    pools would have claimed had nesting worked.  With no knob set at
-    all the result is ``None``: the caller runs serially (parallelism
-    stays opt-in, as before).
+    ``0`` means auto-size to the core count; with neither source set
+    the result is ``None`` and the caller runs serially (parallelism
+    stays opt-in).
     """
-    workers = resolve_worker_count(workers, "REPRO_WORKERS", "workers")
-    if workers is not None:
-        return workers
-    jobs = resolve_worker_count(jobs, "REPRO_JOBS", "jobs")
-    processes = resolve_worker_count(
-        processes, "REPRO_MC_PROCESSES", "processes"
-    )
-    if jobs is None and processes is None:
-        return None
-    return max(1, (jobs or 1) * (processes or 1))
+    return resolve_worker_count(workers, "REPRO_WORKERS", "workers")
 
 
 def resolve_tile_trials(tile_trials=None):

@@ -22,9 +22,9 @@ it with per-task supervision:
   receives a per-task :class:`TaskReport` alongside the values.
 
 Tasks must be deterministic for retry to be sound — true of every
-scenario cell and Monte Carlo trial here (all randomness comes from
-named RNG substreams), which is also what makes a recovered run
-byte-identical to a fault-free one.
+scenario tile here (all randomness comes from named RNG substreams),
+which is also what makes a recovered run byte-identical to a
+fault-free one.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cim import DeviceConfig
 from repro.cim.accelerator import CimAccelerator, weighted_layer_names
-from repro.cim.device import DeviceConfig
 from repro.cim.mapping import MappingConfig
 from repro.nn.models import lenet, mlp
 

@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cim import DeviceConfig
 from repro.cim.crossbar import (
     ConverterConfig,
     CrossbarConfig,
     CrossbarLinear,
     uniform_quantize_midrise,
 )
-from repro.cim.device import DeviceConfig
 from repro.cim.mapping import MappingConfig, WeightMapper
 
 

@@ -4,13 +4,10 @@ Contract under test: every stage supports the leading ``(n_trials, ...)``
 axis through per-trial named RNG substreams, with trial ``i`` of the
 batched path bitwise-identical to the scalar call — programming noise,
 spatial fields, retention drift, and their stacked composition — plus
-the registry round trip and the deprecation shims of the old silos.
+the registry round trip.
 """
 
 from __future__ import annotations
-
-import importlib
-import sys
 
 import numpy as np
 import pytest
@@ -330,21 +327,3 @@ def test_sweep_batched_matches_scalar_for_every_technology():
                 scalar.curves[method].achieved_nwc,
                 atol=0.05,
             )
-
-
-# ------------------------------------------------------- deprecation shims
-
-
-@pytest.mark.parametrize("module,symbol", [
-    ("repro.cim.device", "DeviceConfig"),
-    ("repro.cim.noise", "ResidualModel"),
-    ("repro.cim.retention", "RetentionModel"),
-    ("repro.cim.spatial", "SpatialVariationModel"),
-    ("repro.cim.endurance", "EnduranceModel"),
-])
-def test_old_silo_modules_are_deprecated_shims(module, symbol):
-    sys.modules.pop(module, None)
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        shim = importlib.import_module(module)
-    devices = importlib.import_module("repro.cim.devices")
-    assert getattr(shim, symbol) is getattr(devices, symbol)

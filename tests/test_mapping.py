@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cim.device import DeviceConfig
+from repro.cim import DeviceConfig
 from repro.cim.mapping import MappingConfig, WeightMapper
 
 

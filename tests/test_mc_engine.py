@@ -12,8 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cim import CimAccelerator, DeviceConfig, MappingConfig
-from repro.cim.noise import ResidualModel, inject_code_noise
+from repro.cim import (
+    CimAccelerator,
+    DeviceConfig,
+    MappingConfig,
+    ResidualModel,
+    inject_code_noise,
+)
 from repro.cim.write_verify import (
     WriteVerifyConfig,
     write_verify,
@@ -170,21 +175,6 @@ def test_engine_blocks_cover_all_trials():
     blocks = list(engine.blocks())
     assert [len(b) for b in blocks] == [4, 4, 2]
     np.testing.assert_array_equal(np.concatenate(blocks), np.arange(10))
-
-
-def test_engine_process_pool_matches_scalar():
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("fork start method unavailable")
-
-    def run_fn(stream):
-        return float(stream.uniform())
-
-    root = RngStream(9).child("pool")
-    serial = MonteCarloEngine(6, root).run(run_fn)
-    pooled = MonteCarloEngine(6, root, processes=2).run(run_fn)
-    np.testing.assert_array_equal(serial.values, pooled.values)
 
 
 # ----------------------------------------- accelerator + sweep pipeline

@@ -3,7 +3,7 @@
 The Monte Carlo drivers rely on two equivalences:
 
 1. pre-write-verify: the closed-form Eq. 16 injection
-   (:func:`repro.cim.noise.inject_code_noise`) matches per-device
+   (:func:`repro.cim.inject_code_noise`) matches per-device
    programming + readout statistically;
 2. post-write-verify: the empirical :class:`ResidualModel` sampler matches
    the verify-loop residual distribution.

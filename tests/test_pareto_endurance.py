@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cim.endurance import EnduranceModel
+from repro.cim import EnduranceModel
 from repro.core.pareto import nwc_to_reach, speedup_at_iso_accuracy, speedup_table
 
 

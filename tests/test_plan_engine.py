@@ -222,31 +222,43 @@ class TestSelectionPlanArtifact:
 
 
 class TestScenarioIntegration:
-    def test_jobs_and_processes_combine_into_one_pool(self, mini_zoo):
-        """Regression: ``jobs=2, processes=2`` used to raise (exit 64 at
-        the CLI) because cell and trial pools could not nest.  The
-        work-rectangle scheduler folds the pair into one 4-worker pool,
-        so the combination now schedules and completes."""
+    def test_scalar_tiles_on_the_pool_match_a_direct_sweep(self, mini_zoo):
+        """Fig. 2's path: a one-cell grid with every method on the scalar
+        per-trial loop, its trial tiles fanned over the worker pool, is
+        bitwise a direct scalar ``run_method_sweep``."""
+        from repro.experiments.sweeps import run_method_sweep
         from repro.plan import ScenarioCell, ScenarioOrchestrator
 
+        methods = ("swim", "magnitude", "random", "insitu")
+        targets = (0.0, 0.5)
+        rng = RngStream(2).child("fig2", "test")
+        direct = run_method_sweep(
+            mini_zoo, sigma=0.1, nwc_targets=targets, mc_runs=4, rng=rng,
+            eval_samples=32, sense_samples=64, methods=methods,
+            batched=False,
+        )
         orchestrator = ScenarioOrchestrator(
             mini_zoo, eval_samples=32, sense_samples=64,
             cache=PlanArtifactCache(disk=False),
         )
-        cells = [
-            ScenarioCell(key=i,
-                         request=PlanRequest(methods=("magnitude",),
-                                             nwc_targets=(0.0, 0.5),
-                                             sigma=0.1),
-                         rng=RngStream(1).child("pool", i), mc_runs=1)
-            for i in range(2)
-        ]
-        outcomes = orchestrator.run(cells, jobs=2, processes=2)
-        assert set(outcomes) == {0, 1}
+        cell = ScenarioCell(
+            key=0.1,
+            request=PlanRequest(methods=methods, nwc_targets=targets,
+                                sigma=0.1),
+            rng=rng,
+            mc_runs=4,
+        )
+        tiled = orchestrator.run([cell], batched=False, workers=2)[0.1]
         report = orchestrator.report
         assert not report.failed
-        assert report.tiles_total == 2
-        assert report.tiles_computed == 2
+        assert report.tiles_computed == report.tiles_total == 2
+        assert list(tiled.curves) == list(direct.curves)
+        for method in methods:
+            assert np.array_equal(tiled.curves[method].accuracy_runs,
+                                  direct.curves[method].accuracy_runs)
+            assert np.array_equal(tiled.curves[method].achieved_nwc,
+                                  direct.curves[method].achieved_nwc)
+        assert tiled.wear == direct.wear
 
     @pytest.mark.slow
     def test_retention_grid_runs_one_sensitivity_pass(self, monkeypatch):
@@ -292,7 +304,7 @@ class TestScenarioIntegration:
 
     @pytest.mark.slow
     def test_parallel_cells_byte_identical_to_serial(self, tmp_path):
-        """``jobs=2`` and the serial loop write identical scenario CSVs."""
+        """``workers=2`` and the serial loop write identical scenario CSVs."""
         from repro.experiments.config import get_scale
         from repro.experiments.reporting import save_retention_csv
         from repro.experiments.retention import run_retention

@@ -1,18 +1,19 @@
-"""Fault tolerance: supervised workers, self-healing cache, checkpoint/resume.
+"""Fault tolerance: supervised workers, self-healing cache, eval tiles.
 
 Pins the robustness subsystem's contracts: corrupted cache artifacts are
 quarantined and recomputed instead of crashing the run, crashed and hung
 workers are retried (then degraded to the serial parent) without losing
 their siblings' results, transiently-failing producers are retried with
-counted attempts, completed cells checkpoint and resume byte-identically,
-and the CLI maps the exception taxonomy to single-line messages with
-distinct exit codes.
+counted attempts, finished evaluation tiles persist so a rerun after a
+kill replays them byte-identically, and the CLI maps the exception
+taxonomy to single-line messages with distinct exit codes.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -28,11 +29,9 @@ from repro.plan import (
     PlanRequest,
     ScenarioCell,
     ScenarioOrchestrator,
-    resolve_jobs,
 )
 from repro.robustness import (
     CacheWriteError,
-    CellExecutionError,
     FatalError,
     ReproError,
     RetryableError,
@@ -62,7 +61,7 @@ class TestTaxonomy:
     def test_retryable_vs_fatal_split(self):
         assert is_retryable(WorkerCrashError("boom"))
         assert is_retryable(TransientFaultError("blip"))
-        assert not is_retryable(CellExecutionError("bad"))
+        assert not is_retryable(FatalError("bad"))
         assert not is_retryable(ValueError("plain"))
         assert issubclass(RetryableError, ReproError)
         assert issubclass(FatalError, ReproError)
@@ -538,26 +537,22 @@ def _assert_outcomes_equal(a, b):
 
 
 class TestOrchestratorRobustness:
-    def test_checkpoint_then_resume_skips_cells(self, mini_zoo, tmp_path):
+    def test_without_resume_warm_tiles_serve_cells(self, mini_zoo, tmp_path,
+                                                   monkeypatch):
+        """A warm rerun (a new process stand-in: new orchestrator, new
+        cache object) is passless: every tile comes from the eval cache,
+        the cells merge as ``cached``, and nothing is written."""
         cache = PlanArtifactCache(root=str(tmp_path), memory=False)
         first = _orchestrator(mini_zoo, cache).run(_grid(), scenario="t")
 
-        # A *new* orchestrator + cache (new process stand-in) resumes.
-        cache2 = PlanArtifactCache(root=str(tmp_path), memory=False)
-        orchestrator = _orchestrator(mini_zoo, cache2)
-        hits_before = cache2.stats()["disk"]
-        resumed = orchestrator.run(_grid(), resume=True, scenario="t")
-        assert [c.status for c in orchestrator.report.cells] == [
-            "resumed", "resumed"
-        ]
-        assert cache2.stats()["disk"] >= hits_before + 2  # checkpoint hits
-        _assert_outcomes_equal(first, resumed)
+        puts = []
+        real_put = PlanArtifactCache.put
 
-    def test_without_resume_warm_tiles_serve_cells(self, mini_zoo, tmp_path):
-        """Even without --resume, a warm rerun is passless: every tile
-        comes from the eval cache and the cells merge as ``cached``."""
-        cache = PlanArtifactCache(root=str(tmp_path), memory=False)
-        first = _orchestrator(mini_zoo, cache).run(_grid(), scenario="t")
+        def counting_put(self, kind, config, arrays):
+            puts.append(kind)
+            return real_put(self, kind, config, arrays)
+
+        monkeypatch.setattr(PlanArtifactCache, "put", counting_put)
         orchestrator = _orchestrator(
             mini_zoo, PlanArtifactCache(root=str(tmp_path), memory=False)
         )
@@ -566,7 +561,29 @@ class TestOrchestratorRobustness:
         assert [c.status for c in report.cells] == ["cached", "cached"]
         assert report.tiles_cached == report.tiles_total > 0
         assert report.tiles_computed == 0
+        assert puts == []
         _assert_outcomes_equal(first, second)
+
+    def test_unwritable_eval_tile_warns_and_keeps_the_result(
+            self, mini_zoo, monkeypatch):
+        """A tile whose artifact cannot be written still lands in the
+        outcome; the failure warns and counts in checkpoint_errors."""
+        real_put = PlanArtifactCache.put
+
+        def failing_put(self, kind, config, arrays):
+            if kind == "eval":
+                raise CacheWriteError("disk full")
+            return real_put(self, kind, config, arrays)
+
+        monkeypatch.setattr(PlanArtifactCache, "put", failing_put)
+        orchestrator = _orchestrator(mini_zoo, PlanArtifactCache(disk=False))
+        with pytest.warns(RuntimeWarning, match="could not persist eval tile"):
+            outcomes = orchestrator.run(_grid(), scenario="t")
+        report = orchestrator.report
+        assert set(outcomes) == {"cell0", "cell1"}
+        assert not report.failed
+        assert report.checkpoint_errors == report.tiles_total == 2
+        assert report.eventful
 
     def test_failed_cell_reported_not_raised(self, mini_zoo, tmp_path,
                                              monkeypatch):
@@ -609,7 +626,7 @@ class TestOrchestratorRobustness:
             mini_zoo, PlanArtifactCache(root=str(tmp_path), memory=False)
         )
         faulted = orchestrator.run(
-            _grid(3), jobs=2, timeout=15.0, scenario="t"
+            _grid(3), workers=2, timeout=15.0, scenario="t"
         )
         statuses = {
             c.key: c.status for c in orchestrator.report.cells
@@ -635,20 +652,6 @@ class TestOrchestratorRobustness:
         plan = engine.plan(PlanRequest(methods=("magnitude",), sigma=0.1))
         assert "magnitude" in plan.orders
         assert cache.stats()["producer_retries"] == 2
-
-    def test_jobs_processes_combination_schedules(self, mini_zoo):
-        """Regression: this exact call used to raise ScenarioConfigError
-        ("one parallelism axis") — the rectangle folds both knobs into
-        one pool and completes the grid."""
-        orchestrator = _orchestrator(mini_zoo, PlanArtifactCache(disk=False))
-        outcomes = orchestrator.run(_grid(), jobs=2, processes=2)
-        assert set(outcomes) == {"cell0", "cell1"}
-        assert not orchestrator.report.failed
-
-    def test_resolve_jobs_rejects_garbage_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "lots")
-        with pytest.raises(ScenarioConfigError, match="REPRO_JOBS"):
-            resolve_jobs()
 
 
 # ------------------------------------------------- incremental eval cache
@@ -818,51 +821,6 @@ def _runner(args, env):
 
 
 class TestRunnerExitCodes:
-    def test_jobs_times_processes_schedules_and_completes(self, tmp_path):
-        """Regression: ``--jobs 2 --processes 2`` used to exit 64 with a
-        "pick one parallelism axis" error.  The work-rectangle scheduler
-        combines them into one 4-worker pool; the run completes and its
-        CSV is byte-identical to the serial run's."""
-        serial = _runner(
-            ["retention"],
-            _runner_env(
-                tmp_path / "serial", REPRO_CACHE_DIR=str(tmp_path / "c1")
-            ),
-        )
-        assert serial.returncode == 0, serial.stderr[-2000:]
-        serial_csv = (
-            tmp_path / "serial" / "results" / "retention.csv"
-        ).read_bytes()
-
-        combined = _runner(
-            ["retention", "--jobs", "2", "--processes", "2"],
-            _runner_env(
-                tmp_path / "both", REPRO_CACHE_DIR=str(tmp_path / "c2")
-            ),
-        )
-        assert combined.returncode == 0, combined.stderr[-2000:]
-        assert "deprecated" in combined.stdout
-        combined_csv = (
-            tmp_path / "both" / "results" / "retention.csv"
-        ).read_bytes()
-        assert combined_csv == serial_csv
-
-    def test_env_only_jobs_and_processes_schedule(self, tmp_path):
-        """Regression: REPRO_JOBS + REPRO_MC_PROCESSES with no CLI flags
-        also used to exit 64; the env-only combination must schedule
-        normally too."""
-        proc = _runner(
-            ["retention"],
-            _runner_env(
-                tmp_path,
-                REPRO_CACHE_DIR=str(tmp_path / "cache"),
-                REPRO_JOBS="2",
-                REPRO_MC_PROCESSES="2",
-            ),
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert (tmp_path / "results" / "retention.csv").exists()
-
     def test_unwritable_cache_dir_exit_74_one_line(self, tmp_path):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("file, not a directory")
@@ -876,7 +834,7 @@ class TestRunnerExitCodes:
 
     def test_malformed_fault_schedule_exit_64(self, tmp_path):
         proc = _runner(
-            ["retention", "--jobs", "2"],
+            ["retention", "--workers", "2"],
             _runner_env(tmp_path, REPRO_FAULTS="explode:everything"),
         )
         assert proc.returncode == 64
@@ -904,7 +862,7 @@ class TestRunnerChaos:
             tile.unlink()
 
         chaos = _runner(
-            ["retention", "--jobs", "2"],
+            ["retention", "--workers", "2"],
             _runner_env(
                 tmp_path / "b",
                 REPRO_CACHE_DIR=str(cache),  # warm: corrupt can fire on read
@@ -912,8 +870,6 @@ class TestRunnerChaos:
                              "hang:cell@2=300",
                 REPRO_FAULTS_DIR=str(tmp_path / "ledger"),
                 REPRO_CELL_TIMEOUT="30",
-                REPRO_RESUME="0",
-                REPRO_MC_PROCESSES="2",  # chaos + the combined knobs
             ),
         )
         assert chaos.returncode == 0, chaos.stderr[-2000:]
@@ -928,6 +884,8 @@ class TestRunnerChaos:
         assert len(fired) == 3
 
     def test_resume_after_sigkill_skips_cells_same_bytes(self, tmp_path):
+        """Kill a grid once its first eval tile lands; rerunning the same
+        command reuses the finished tiles and writes the reference CSV."""
         reference = _runner(
             ["retention"], _runner_env(
                 tmp_path / "ref", REPRO_CACHE_DIR=str(tmp_path / "cache-ref"))
@@ -943,28 +901,34 @@ class TestRunnerChaos:
             [sys.executable, "-m", "repro.experiments.runner", "retention"],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
-        # Wait for at least one cell checkpoint, then kill mid-grid.
+        # Wait for at least one finished eval tile, then kill mid-grid.
         plan_dir = cache / "plan" / "v2"
         deadline = time.monotonic() + 300
         while time.monotonic() < deadline:
             done = (
-                list(plan_dir.glob("cell-*.npz")) if plan_dir.exists() else []
+                list(plan_dir.glob("eval-*.npz")) if plan_dir.exists() else []
             )
             if done:
                 break
             if proc.poll() is not None:
-                break  # finished before we could kill: resume still works
+                break  # finished before we could kill: the rerun is warm
             time.sleep(0.2)
         if proc.poll() is None:
             os.kill(proc.pid, signal.SIGKILL)
         proc.wait()
 
-        resumed = _runner(
-            ["retention", "--resume"],
+        rerun = _runner(
+            ["retention"],
             _runner_env(tmp_path / "run", REPRO_CACHE_DIR=str(cache)),
         )
-        assert resumed.returncode == 0, resumed.stderr[-2000:]
-        assert "resumed" in resumed.stdout
+        assert rerun.returncode == 0, rerun.stderr[-2000:]
+        tiles = re.search(
+            r"tiles: total=(\d+) cached=(\d+) computed=(\d+)", rerun.stdout
+        )
+        assert tiles, rerun.stdout[-2000:]
+        total, cached, computed = map(int, tiles.groups())
+        assert cached >= 1 and computed < total
+        assert cached + computed == total
         out_csv = (
             tmp_path / "run" / "results" / "retention.csv"
         ).read_bytes()

@@ -8,6 +8,7 @@ by default.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -15,11 +16,12 @@ import sys
 import pytest
 
 
-def _run_runner(results, *experiments, extra_args=()):
+def _run_runner(results, *experiments, extra_args=(), **extra_env):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
     env["REPRO_RESULTS_DIR"] = str(results)
+    env.update(extra_env)
     return subprocess.run(
         [sys.executable, "-m", "repro.experiments.runner", *experiments,
          "--scale", "smoke", *extra_args],
@@ -108,21 +110,36 @@ def test_runner_spatial_smoke_csv_schema_and_determinism(tmp_path):
 
 @pytest.mark.slow
 def test_runner_retention_parallel_jobs_byte_identical(tmp_path):
-    """``--jobs 2`` reproduces the serial scenario CSV byte for byte.
+    """``--workers 2`` reproduces the serial scenario CSV byte for byte.
 
-    The orchestrator fans the (technology, read time) cells over a fork
+    The orchestrator fans the (technology, read time) tiles over a fork
     pool, but every cell derives all randomness from its own named
     streams — so the parallel CSV must be identical, not just close.
-    The run also exercises ``--save-plans`` (the offline plan artifact).
+    The parallel side runs after the serial run's eval tiles are
+    dropped, so it really computes on the pool (the trace shows tile
+    spans from several worker pids).  The run also exercises
+    ``--save-plans`` (the offline plan artifact).
     """
+    cache = tmp_path / "cache"
     serial = tmp_path / "serial"
-    proc = _run_runner(serial, "retention")
+    proc = _run_runner(serial, "retention", REPRO_CACHE_DIR=str(cache))
     assert proc.returncode == 0, proc.stderr[-2000:]
 
+    for tile in (cache / "plan" / "v2").glob("eval-*.npz"):
+        tile.unlink()
+
     parallel = tmp_path / "parallel"
+    trace = tmp_path / "trace.jsonl"
     proc2 = _run_runner(parallel, "retention",
-                        extra_args=("--jobs", "2", "--save-plans"))
+                        extra_args=("--workers", "2", "--save-plans",
+                                    "--trace", str(trace)),
+                        REPRO_CACHE_DIR=str(cache))
     assert proc2.returncode == 0, proc2.stderr[-2000:]
+
+    spans = [json.loads(line) for line in trace.read_text().splitlines()]
+    runner_pid = next(s["pid"] for s in spans if s["name"] == "runner.retention")
+    tile_pids = {s["pid"] for s in spans if s["name"] == "scenario.tile"}
+    assert len(tile_pids - {runner_pid}) >= 2
 
     serial_csv = (serial / "retention.csv").read_bytes()
     assert serial_csv == (parallel / "retention.csv").read_bytes()

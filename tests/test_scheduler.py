@@ -1,10 +1,10 @@
 """Work-rectangle scheduler: worker resolution and tile decomposition.
 
 Pins the scheduler's contracts: ``0`` means "auto-size to the core
-count" in every resolver, the deprecated jobs x processes pair combines
-into one worker count instead of conflicting, and tile boundaries are a
-pure function of (trial count, block size, tile height) — never of the
-worker count — and always align to the engine's trial-block grid.
+count" in every resolver, ``workers`` / ``REPRO_WORKERS`` is the one
+worker knob, and tile boundaries are a pure function of (trial count,
+block size, tile height) — never of the worker count — and always align
+to the engine's trial-block grid.
 """
 
 from __future__ import annotations
@@ -13,12 +13,7 @@ import os
 
 import pytest
 
-from repro.core.mc import (
-    MonteCarloEngine,
-    default_trial_block,
-    no_trial_pool,
-    resolve_processes,
-)
+from repro.core.mc import MonteCarloEngine, default_trial_block
 from repro.robustness import ScenarioConfigError
 from repro.robustness.scheduler import (
     DEFAULT_TILES_PER_CELL,
@@ -48,9 +43,9 @@ class TestWorkerResolution:
                             raising=False)
         assert auto_workers() == 6
         assert resolve_worker_count(0, "REPRO_WORKERS", "workers") == 6
-        assert resolve_processes(0) == 6
-        monkeypatch.setenv("REPRO_MC_PROCESSES", "0")
-        assert resolve_processes() == 6
+        assert resolve_workers(0) == 6
+        monkeypatch.setenv("REPRO_WORKERS", "0")
+        assert resolve_workers() == 6
 
     def test_auto_workers_falls_back_to_cpu_count(self, monkeypatch):
         def unsupported(pid):
@@ -71,34 +66,13 @@ class TestWorkerResolution:
             resolve_worker_count(None, "REPRO_WORKERS", "workers")
 
     def test_workers_knob_is_authoritative(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "8")
-        assert resolve_workers(workers=2, jobs=3, processes=3) == 2
         monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert resolve_workers(jobs=3, processes=3) == 5
-
-    def test_deprecated_pair_combines_into_a_product(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers(jobs=2, processes=3) == 6
-        assert resolve_workers(jobs=2) == 2
-        assert resolve_workers(processes=4) == 4
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        monkeypatch.setenv("REPRO_MC_PROCESSES", "2")
-        assert resolve_workers() == 4
+        assert resolve_workers(workers=2) == 2
+        assert resolve_workers() == 5
 
     def test_no_knob_means_serial(self, monkeypatch):
-        for env in ("REPRO_WORKERS", "REPRO_JOBS", "REPRO_MC_PROCESSES"):
-            monkeypatch.delenv(env, raising=False)
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         assert resolve_workers() is None
-
-    def test_no_trial_pool_disables_the_engine_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MC_PROCESSES", "4")
-        assert resolve_processes() == 4
-        with no_trial_pool():
-            assert resolve_processes() is None
-            assert resolve_processes(8) is None
-            engine = MonteCarloEngine(4, RngStream(1))
-            assert engine.processes is None
-        assert resolve_processes() == 4
 
 
 class TestTileTrials:

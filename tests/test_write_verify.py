@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cim.device import DeviceConfig
-from repro.cim.noise import ResidualModel
+from repro.cim import DeviceConfig, ResidualModel
 from repro.cim.write_verify import WriteVerifyConfig, calibrate_alpha, write_verify
 
 
