@@ -8,9 +8,10 @@
 2. **Histogram honesty** — warm plan requests driven at a live
    :class:`~repro.serve.service.PlanService` are timed externally; the
    ``repro_serve_plan_seconds`` histogram must have counted every
-   request and its bucket-derived p50/p99 must bracket the externally
-   measured percentiles (within one bucket of slack — the histogram
-   only knows bounds, not exact values).
+   request and its bucket-derived p50/p99 (the same
+   :func:`~repro.obs.metrics.bucket_quantile` ``/statsz`` reports)
+   must bracket the externally measured percentiles (within one bucket
+   of slack — the histogram only knows bounds, not exact values).
 
 Writes ``$REPRO_RESULTS_DIR/BENCH_obs.json`` (CI uploads it)::
 
@@ -130,16 +131,9 @@ def _bucket_index(bounds, value):
     return bisect.bisect_left(bounds, value)
 
 
-def _quantile_from_cumulative(bounds, cumulative, count, q):
-    rank = q * count
-    for index, seen in enumerate(cumulative):
-        if seen >= rank:
-            return index
-    return len(bounds)
-
-
 def bench_serve_histogram(scale, cache_root, requests):
     """Warm plan traffic: external percentiles vs the service histogram."""
+    from repro.obs.metrics import bucket_quantile
     from repro.serve.cli import build_service
 
     body = {
@@ -186,10 +180,7 @@ def bench_serve_histogram(scale, cache_root, requests):
     }
     brackets = {}
     for label, q in (("p50", 0.5), ("p99", 0.99)):
-        hist_index = _quantile_from_cumulative(
-            bounds, sample["buckets"], sample["count"], q
-        )
-        upper = math.inf if hist_index == len(bounds) else bounds[hist_index]
+        upper = bucket_quantile(bounds, sample["buckets"], q)
         external = _percentile(latencies, q * 100)
         brackets[label] = {
             # "+Inf" (not float inf) so the report stays strict JSON
@@ -198,7 +189,7 @@ def bench_serve_histogram(scale, cache_root, requests):
             # one bucket of slack: the external timer wraps the event
             # loop dispatch the internal one does not see
             "consistent": abs(
-                _bucket_index(bounds, external) - hist_index
+                _bucket_index(bounds, external) - _bucket_index(bounds, upper)
             ) <= 1,
         }
     report["brackets"] = brackets

@@ -12,6 +12,9 @@
    route); both per-engine tripwires must stay flat and the two
    workloads' key spaces must stay disjoint.
 
+Every tripwire is read from ``GET /statsz``, the surface operators
+read, not from in-process state.
+
 Every served plan is also checked byte-identical against a direct
 memory-only :class:`~repro.plan.engine.PlanEngine` resolution — the
 speed must not come from serving different bytes.
@@ -69,10 +72,10 @@ def _classify(seconds_list, total_seconds):
 class _ServerThread:
     """The HTTP server on a daemon thread (ephemeral port)."""
 
-    def __init__(self, service):
+    def __init__(self, registry):
         from repro.serve import PlanHTTPServer
 
-        self.server = PlanHTTPServer(service, port=0)
+        self.server = PlanHTTPServer(registry, port=0)
         self._ready = threading.Event()
         self._loop = None
         self.error = None
@@ -112,8 +115,20 @@ class _ServerThread:
         return self.server.port
 
 
-def bench_serving(service, port, weight_bits, warm_rounds):
-    """Run the three phases against a live server; returns the report."""
+def _resolutions(port, workload):
+    """One workload's ``engine_resolutions`` tripwire, from ``/statsz``."""
+    from repro.serve import PlanClient
+
+    with PlanClient(port=port, timeout=600) as client:
+        stats = client.statsz()
+    return stats["engines"][workload]["requests"]["engine_resolutions"]
+
+
+def bench_serving(workload, port, weight_bits, warm_rounds):
+    """Run the three phases against a live server; returns the report.
+
+    Unrouted requests reach ``workload``, the server's default route.
+    """
     from repro.serve import PlanClient
 
     bodies = [_body(t, weight_bits) for t in READ_TIMES]
@@ -132,7 +147,7 @@ def bench_serving(service, port, weight_bits, warm_rounds):
             served[response.key] = response.data
         report["cold"] = _classify(latencies, time.perf_counter() - start)
 
-        tripwire = service.counters["engine_resolutions"]
+        tripwire = _resolutions(port, workload)
         assert tripwire == len(bodies), (tripwire, len(bodies))
 
         # -- warm: repeated rounds replay stored bytes, tripwire flat
@@ -147,7 +162,7 @@ def bench_serving(service, port, weight_bits, warm_rounds):
                 assert response.data == served[response.key]
         report["warm"] = _classify(latencies, time.perf_counter() - start)
         report["warm"]["tripwire_flat"] = (
-            service.counters["engine_resolutions"] == tripwire
+            _resolutions(port, workload) == tripwire
         )
 
     # -- coalesced: K identical concurrent POSTs, one resolution
@@ -161,12 +176,12 @@ def bench_serving(service, port, weight_bits, warm_rounds):
             response = worker.plan(fresh)
             return time.perf_counter() - t0, response
 
-    before = service.counters["engine_resolutions"]
+    before = _resolutions(port, workload)
     start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=COALESCE_CLIENTS) as pool:
         results = list(pool.map(lambda _: fire(), range(COALESCE_CLIENTS)))
     total = time.perf_counter() - start
-    resolutions = service.counters["engine_resolutions"] - before
+    resolutions = _resolutions(port, workload) - before
     payloads = {response.data for _, response in results}
     report["coalesced"] = {
         **_classify([seconds for seconds, _ in results], total),
@@ -179,7 +194,7 @@ def bench_serving(service, port, weight_bits, warm_rounds):
     return report, served
 
 
-def bench_multi_workload(registry, port, weight_bits, rounds):
+def bench_multi_workload(port, weight_bits, rounds):
     """Interleaved warm traffic across two engines of one registry.
 
     Warms both engines over a body set, then interleaves routed warm
@@ -198,9 +213,7 @@ def bench_multi_workload(registry, port, weight_bits, rounds):
                 response = client.plan(body, workload=workload)
                 keys[workload].add(response.key)
         tripwires = {
-            workload: registry.service(workload).counters[
-                "engine_resolutions"
-            ]
+            workload: _resolutions(port, workload)
             for workload in MULTI_WORKLOADS
         }
 
@@ -226,8 +239,7 @@ def bench_multi_workload(registry, port, weight_bits, rounds):
 
     report["workloads"] = list(MULTI_WORKLOADS)
     report["tripwires_flat"] = all(
-        registry.service(workload).counters["engine_resolutions"]
-        == tripwires[workload]
+        _resolutions(port, workload) == tripwires[workload]
         for workload in MULTI_WORKLOADS
     )
     report["keys_disjoint"] = not (
@@ -296,16 +308,15 @@ def main(argv=None):
         assert isinstance(registry, PlanEngineRegistry)
         zoo_key = registry.default
         # Phases 1-3 drive the default engine (unrouted requests), so
-        # its per-engine counters carry the contracts exactly as a
+        # its workload's counters carry the contracts exactly as a
         # single-workload server's would.
-        service = registry.resolve()
         with _ServerThread(registry) as running:
             report_body, served = bench_serving(
-                service, running.port,
+                zoo_key, running.port,
                 weight_bits=4, warm_rounds=warm_rounds,
             )
             report_body["multi_workload"] = bench_multi_workload(
-                registry, running.port,
+                running.port,
                 weight_bits=4, rounds=max(2, warm_rounds // 2),
             )
 

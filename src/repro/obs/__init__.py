@@ -10,7 +10,7 @@ uninstrumented runs produce byte-identical scientific output.
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
-    ZeroedCounter,
+    bucket_quantile,
     get_registry,
     render_prometheus,
 )
@@ -31,7 +31,7 @@ from repro.obs.trace import (
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "MetricsRegistry",
-    "ZeroedCounter",
+    "bucket_quantile",
     "get_registry",
     "render_prometheus",
     "TRACER",

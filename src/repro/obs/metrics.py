@@ -27,7 +27,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ZeroedCounter",
+    "bucket_quantile",
     "get_registry",
     "render_prometheus",
 ]
@@ -71,6 +71,24 @@ def _format_value(value):
             return str(int(value))
         return repr(value)
     raise TypeError(f"unsupported sample value: {value!r}")
+
+
+def bucket_quantile(bounds, cumulative, q):
+    """The ``q`` quantile of a histogram as its bucket's upper bound.
+
+    ``cumulative`` holds the cumulative bucket counts, one per bound
+    plus the final ``+Inf`` bucket, as in a :meth:`MetricsRegistry.
+    snapshot` sample.  Returns ``math.inf`` past the last finite bound
+    and ``None`` when nothing has been observed.
+    """
+    count = cumulative[-1]
+    if count == 0:
+        return None
+    rank = q * count
+    for bound, seen in zip(tuple(bounds) + (math.inf,), cumulative):
+        if seen >= rank:
+            return bound
+    return math.inf
 
 
 def _escape_label_value(value):
@@ -166,15 +184,8 @@ class _HistogramChild:
 
         Returns ``None`` when no observations have been recorded.
         """
-        cumulative, _, count = self.snapshot()
-        if count == 0:
-            return None
-        rank = q * count
-        bounds = self._bounds + (math.inf,)
-        for bound, seen in zip(bounds, cumulative):
-            if seen >= rank:
-                return bound
-        return math.inf
+        cumulative, _, _ = self.snapshot()
+        return bucket_quantile(self._bounds, cumulative, q)
 
     @property
     def count(self):
@@ -185,30 +196,6 @@ class _HistogramChild:
     def sum(self):
         with self._lock:
             return self._sum
-
-
-class ZeroedCounter:
-    """A zero-based view over a counter child.
-
-    Writes pass through to the shared child (so process-cumulative
-    surfaces like ``/metricsz`` keep counting across engine rebuilds)
-    while ``value`` reads relative to the child's count at view
-    construction — a freshly built ``PlanService`` reports zero even
-    when its workload label has served traffic from a retired engine.
-    """
-
-    __slots__ = ("_child", "_base")
-
-    def __init__(self, child):
-        self._child = child
-        self._base = child.value
-
-    def inc(self, amount=1):
-        self._child.inc(amount)
-
-    @property
-    def value(self):
-        return self._child.value - self._base
 
 
 class _Family:

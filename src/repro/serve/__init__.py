@@ -19,15 +19,19 @@ The perf contract, in one sentence each:
 - **single-flight coalescing** — N identical concurrent requests
   collapse into one resolution *per engine*, keyed by the same
   content digest the shared cache uses;
-- **bounded memory** — the cache's LRU cap (``REPRO_CACHE_MEM_ITEMS``),
-  the live-engine cap (``REPRO_SERVE_MAX_ENGINES``) and fixed-size
-  latency windows keep a long-lived server's RSS flat.
+- **bounded memory** — the cache's LRU cap (``REPRO_CACHE_MEM_ITEMS``)
+  and the live-engine cap (``REPRO_SERVE_MAX_ENGINES``) keep a
+  long-lived server's RSS flat; counters and latency histograms are
+  fixed-size children of the engine registry's one
+  :class:`~repro.obs.metrics.MetricsRegistry`, which ``/metricsz``
+  renders and ``/statsz`` views as JSON.
 
 Entry points: ``runner serve`` / ``python -m repro.serve`` (the CLI),
-:class:`PlanEngineRegistry` / :class:`PlanService` +
-:class:`PlanHTTPServer` (embedding), :class:`PlanClient` (consumers),
-``benchmarks/bench_serving.py`` (the load benchmark behind
-``BENCH_serving.json``).
+:class:`PlanEngineRegistry` + :class:`PlanHTTPServer` (embedding; a
+single-workload server is a one-workload registry, and
+:class:`PlanService` is its per-engine core), :class:`PlanClient`
+(consumers), ``benchmarks/bench_serving.py`` (the load benchmark
+behind ``BENCH_serving.json``).
 """
 
 from repro.serve.client import PlanClient, PlanClientError, PlanResponse
@@ -40,12 +44,11 @@ from repro.serve.codec import (
 )
 from repro.serve.http import DEFAULT_PORT, PlanHTTPServer
 from repro.serve.registry import PlanEngineRegistry, resolve_max_engines
-from repro.serve.service import LatencyWindow, PlanService, ServedPlan
+from repro.serve.service import PlanService, ServedPlan
 from repro.serve.cli import build_service, run, serve_main
 
 __all__ = [
     "DEFAULT_PORT",
-    "LatencyWindow",
     "PlanClient",
     "PlanClientError",
     "PlanEngineRegistry",

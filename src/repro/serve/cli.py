@@ -45,7 +45,7 @@ __all__ = ["build_service", "run", "serve_main"]
 
 
 def build_service(workloads=("lenet-digits",), scale=None, resolve_workers=1,
-                  cache=None, max_engines=None, preload=True, metrics=None):
+                  cache=None, max_engines=None, preload=True):
     """Wire a :class:`PlanEngineRegistry` over a scale's model zoo.
 
     ``workloads`` (a name or a sequence) are preloaded eagerly — the
@@ -55,10 +55,10 @@ def build_service(workloads=("lenet-digits",), scale=None, resolve_workers=1,
     training-subset slice, curvature batch size capped at 256), so
     served plans are the ones a scenario run would compute.
 
-    One shared :class:`~repro.obs.metrics.MetricsRegistry` (``metrics``,
-    default fresh) spans the engine registry, every per-workload
-    service, and — when the cache is built here — the artifact cache,
-    so ``GET /metricsz`` is a single exposition for the whole process.
+    The registry's one :class:`~repro.obs.metrics.MetricsRegistry`
+    spans routing, every per-workload service, and — when the cache is
+    built here — the artifact cache, so ``GET /metricsz`` is a single
+    exposition for the whole process and ``/statsz`` a view of it.
     """
     from repro.experiments.config import get_scale
     from repro.plan.engine import build_engine
@@ -82,7 +82,6 @@ def build_service(workloads=("lenet-digits",), scale=None, resolve_workers=1,
         cache=cache,
         resolve_workers=resolve_workers,
         max_engines=max_engines,
-        metrics=metrics,
     )
     if preload:
         for workload in workloads:

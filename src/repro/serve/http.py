@@ -1,4 +1,4 @@
-"""Hand-rolled asyncio HTTP/1.1 front end for :class:`PlanService`.
+"""Hand-rolled asyncio HTTP/1.1 front end for :class:`PlanEngineRegistry`.
 
 Stdlib only, built directly on :func:`asyncio.start_server`: a minimal
 request parser (request line + headers + Content-Length body), four
@@ -13,8 +13,9 @@ Routes::
     GET  /v1/plan/<key>  content-addressed warm fetch (404 on miss)
     GET  /v1/models      loaded + loadable workloads, digests, counters
     GET  /healthz        liveness
-    GET  /statsz         per-engine counters + aggregate, cache stats
-    GET  /metricsz       Prometheus text exposition (service + cache)
+    GET  /statsz         JSON view of the metrics: per-workload counters,
+                         aggregate, latency quantiles, cache stats
+    GET  /metricsz       Prometheus text exposition (engines + cache)
 
 Plan responses carry ``X-Plan-Key`` (the content address, for later
 warm ``GET``\\ s) and ``X-Plan-Source`` (``warm`` / ``cold`` /
@@ -25,8 +26,8 @@ wall time), and when tracing is enabled each request records an
 ``http.request`` span tagged with the same id — the client/server
 correlation handle (:attr:`~repro.serve.client.PlanClient.
 last_request_id`).  Per-route request counts and latency histograms
-register in the service's metrics registry, so ``/metricsz`` covers
-the transport too.
+register in the engine registry's metrics registry, so ``/metricsz``
+covers the transport too.
 
 Shutdown discipline (the contract load tests rely on): the first
 SIGTERM/SIGINT stops accepting, lets in-flight requests finish, and
@@ -45,7 +46,6 @@ import sys
 import time
 import uuid
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACER
 from repro.robustness.errors import ScenarioConfigError, TransientFaultError
 
@@ -76,16 +76,15 @@ def _one_line(exc):
 
 
 class PlanHTTPServer:
-    """Serves one :class:`~repro.serve.service.PlanService` over TCP.
+    """Serves one :class:`~repro.serve.registry.PlanEngineRegistry` over TCP.
 
     Parameters
     ----------
-    service:
-        The transport-independent core (anything with async ``plan``
-        plus ``fetch`` / ``models`` / ``healthz`` / ``stats`` /
-        ``close``) — a single-engine :class:`~repro.serve.service.
-        PlanService` or a multi-workload :class:`~repro.serve.registry.
-        PlanEngineRegistry`.
+    registry:
+        The transport-independent core: async ``plan`` plus ``fetch``
+        / ``models`` / ``healthz`` / ``stats`` / ``metricsz`` /
+        ``close``, and the ``metrics`` registry the transport counts
+        into.
     host / port:
         Bind address; port ``0`` asks the kernel for an ephemeral port
         (read the bound one back from :attr:`port` after
@@ -95,21 +94,19 @@ class PlanHTTPServer:
         must stay bounded" guards.
     """
 
-    def __init__(self, service, host="127.0.0.1", port=DEFAULT_PORT,
+    def __init__(self, registry, host="127.0.0.1", port=DEFAULT_PORT,
                  max_body=1 << 20):
         if not 0 <= int(port) <= 65535:
             raise ScenarioConfigError(
                 f"port must be in [0, 65535], got {port}"
             )
-        self.service = service
+        self.registry = registry
         self.host = host
         self.port = int(port)
         self.max_body = int(max_body)
-        # Transport metrics live in the service's registry when it has
-        # one (so /metricsz is a single exposition), else privately.
-        metrics = getattr(service, "metrics", None)
-        if metrics is None:
-            metrics = MetricsRegistry()
+        # Transport metrics share the registry's metrics, so /metricsz
+        # is a single exposition.
+        metrics = registry.metrics
         self._http_requests = metrics.counter(
             "repro_http_requests_total",
             "HTTP requests by route and status.",
@@ -196,7 +193,7 @@ class PlanHTTPServer:
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         await self._server.wait_closed()
-        self.service.close()
+        self.registry.close()
         if abandoned:
             raise TransientFaultError(
                 f"forced shutdown: abandoned {abandoned} in-flight "
@@ -346,7 +343,7 @@ class PlanHTTPServer:
             if path == "/v1/plan":
                 if method != "POST":
                     return 405, {"error": "use POST /v1/plan"}, None
-                served = await self.service.plan(body)
+                served = await self.registry.plan(body)
                 return 200, served.data, {
                     "X-Plan-Key": served.key,
                     "X-Plan-Source": served.source,
@@ -355,7 +352,7 @@ class PlanHTTPServer:
                 if method != "GET":
                     return 405, {"error": "use GET /v1/plan/<key>"}, None
                 key = path[len("/v1/plan/"):]
-                data = self.service.fetch(key)
+                data = self.registry.fetch(key)
                 if data is None:
                     return 404, {"error": f"no plan at key {key!r}"}, None
                 return 200, data, {
@@ -365,22 +362,19 @@ class PlanHTTPServer:
             if path == "/v1/models":
                 if method != "GET":
                     return 405, {"error": "use GET /v1/models"}, None
-                return 200, self.service.models(), None
+                return 200, self.registry.models(), None
             if path == "/healthz":
                 if method != "GET":
                     return 405, {"error": "use GET /healthz"}, None
-                return 200, self.service.healthz(), None
+                return 200, self.registry.healthz(), None
             if path == "/statsz":
                 if method != "GET":
                     return 405, {"error": "use GET /statsz"}, None
-                return 200, self.service.stats(), None
+                return 200, self.registry.stats(), None
             if path == "/metricsz":
                 if method != "GET":
                     return 405, {"error": "use GET /metricsz"}, None
-                metricsz = getattr(self.service, "metricsz", None)
-                if metricsz is None:
-                    return 404, {"error": "metrics not supported"}, None
-                return 200, metricsz(), {
+                return 200, self.registry.metricsz(), {
                     "Content-Type": "text/plain; version=0.0.4; charset=utf-8",
                 }
             return 404, {"error": f"no route for {path}"}, None

@@ -7,7 +7,7 @@ one process answering for *every* zoo workload, so the
 
 - **lazy engines** — the registry knows every loadable workload of its
   scale but constructs a :class:`~repro.serve.service.PlanService`
-  (engine + resolution executor + counters) only on a workload's first
+  (engine + resolution executor) only on a workload's first
   request, through one injected ``engine_factory(workload, cache)``.
 - **digest routing** — a ``POST /v1/plan`` body may carry a
   ``workload`` (zoo key) or ``model`` (16-hex digest) field; the
@@ -28,13 +28,17 @@ one process answering for *every* zoo workload, so the
   collide), while the ``engine_resolutions`` tripwire and the
   single-flight in-flight map stay *per engine*, keyed by the cache's
   own content key exactly as before.
+- **one counter source** — the registry owns one
+  :class:`~repro.obs.metrics.MetricsRegistry` that every engine counts
+  into, labeled by workload.  ``/metricsz`` renders it, and ``/statsz``
+  and the ``/v1/models`` rows are JSON views of its snapshot
+  (:func:`~repro.serve.service.workload_stats`), so the two surfaces
+  cannot disagree and a retired engine's traffic stays counted.
 
-The registry implements the same surface the HTTP layer speaks
-(``plan`` / ``fetch`` / ``models`` / ``healthz`` / ``stats`` /
-``close``), so :class:`~repro.serve.http.PlanHTTPServer` serves either
-a bare :class:`~repro.serve.service.PlanService` or a registry without
-knowing which.  This is the single-box half of the ROADMAP's
-digest-sharded fan-out: the content key is already the shard key.
+The registry is the whole surface the HTTP layer speaks (``plan`` /
+``fetch`` / ``models`` / ``healthz`` / ``stats`` / ``metricsz`` /
+``close``): :class:`~repro.serve.http.PlanHTTPServer` serves a
+registry, and a single-workload server is a one-workload registry.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 
-from repro.obs.metrics import MetricsRegistry, ZeroedCounter, render_prometheus
+from repro.obs.metrics import MetricsRegistry, render_prometheus
 from repro.robustness.errors import ScenarioConfigError
 from repro.serve.codec import (
     PlanRequestError,
@@ -50,7 +54,7 @@ from repro.serve.codec import (
     is_plan_key,
     split_plan_route,
 )
-from repro.serve.service import COUNTER_NAMES, PLAN_KIND, PlanService
+from repro.serve.service import PLAN_KIND, PlanService, workload_stats
 
 __all__ = ["PlanEngineRegistry", "resolve_max_engines"]
 
@@ -89,7 +93,9 @@ class PlanEngineRegistry:
         ``factory(workload, cache) -> PlanEngine`` — invoked once per
         workload on first request (and again after an LRU retirement).
         The registry always passes its own shared ``cache`` so every
-        engine stores into one bounded artifact tier.
+        engine stores into one bounded artifact tier.  The engine's
+        ``workload`` must be the key it was built for: it is the label
+        the engine's counters are kept under.
     workloads:
         The loadable workload keys (a scale's zoo).  Requests naming
         anything else are a single-line 400.
@@ -108,16 +114,16 @@ class PlanEngineRegistry:
     max_engines:
         Live-engine cap via :func:`resolve_max_engines`
         (``REPRO_SERVE_MAX_ENGINES``; 0 = unbounded).
-    metrics:
-        The shared :class:`~repro.obs.metrics.MetricsRegistry` every
-        per-workload service registers its families in (default: a
-        fresh one).  When the registry also builds its own cache, the
-        cache shares this registry too, so ``GET /metricsz`` is one
-        exposition covering routing, engines, and artifact tiers.
+
+    :attr:`metrics` is the registry's own
+    :class:`~repro.obs.metrics.MetricsRegistry`: routing counters and
+    every per-workload service's families live in it (and the cache's
+    too, when the registry builds the cache), so ``GET /metricsz`` is
+    one exposition covering routing, engines, and artifact tiers.
     """
 
     def __init__(self, engine_factory, workloads, default=None, cache=None,
-                 resolve_workers=1, max_engines=None, metrics=None):
+                 resolve_workers=1, max_engines=None):
         from repro.plan import PlanArtifactCache
 
         workloads = tuple(workloads)
@@ -133,7 +139,7 @@ class PlanEngineRegistry:
         self._factory = engine_factory
         self.workloads = workloads
         self.default = default
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.cache = (
             cache if cache is not None
             else PlanArtifactCache(metrics=self.metrics)
@@ -146,35 +152,24 @@ class PlanEngineRegistry:
         # Digests are deterministic functions of the workload spec, so
         # entries survive retirement and never go stale.
         self._digests = {}
-        bad = self.metrics.counter(
+        self._bad_requests = self.metrics.counter(
             "repro_serve_registry_bad_requests_total",
             "Routing-level 400s (pre-engine).",
-        )
+        ).labels()
         fetches = self.metrics.counter(
             "repro_serve_registry_fetches_total",
             "Workload-agnostic GET /v1/plan/<key> fetches by result.",
             labels=("result",),
         )
+        self._fetch_hits = fetches.labels(result="hit")
+        self._fetch_misses = fetches.labels(result="miss")
         engines = self.metrics.counter(
             "repro_serve_engines_total",
             "Engine lifecycle events (loaded includes rebuilds).",
             labels=("event",),
         )
-        self._c = {
-            "bad_requests": ZeroedCounter(bad.labels()),
-            "fetch_hits": ZeroedCounter(fetches.labels(result="hit")),
-            "fetch_misses": ZeroedCounter(fetches.labels(result="miss")),
-            "engines_loaded": ZeroedCounter(engines.labels(event="loaded")),
-            "engines_retired": ZeroedCounter(engines.labels(event="retired")),
-        }
-
-    @property
-    def counters(self):
-        """Registry-level counter view (plain ints) over the metrics
-        registry children; see :class:`~repro.serve.service.PlanService.
-        counters` for the view semantics.
-        """
-        return {name: child.value for name, child in self._c.items()}
+        self._engines_loaded = engines.labels(event="loaded")
+        self._engines_retired = engines.labels(event="retired")
 
     # ---------------------------------------------------------------- routing
 
@@ -199,12 +194,12 @@ class PlanEngineRegistry:
             )
             self._services[workload] = service
             self._digests[engine._model_digest] = workload
-            self._c["engines_loaded"].inc()
+            self._engines_loaded.inc()
         self._services.move_to_end(workload)
         while self.max_engines > 0 and len(self._services) > self.max_engines:
             _, retired = self._services.popitem(last=False)
             retired.close(wait=False)
-            self._c["engines_retired"].inc()
+            self._engines_retired.inc()
         return service
 
     def resolve(self, workload=None, model=None):
@@ -238,7 +233,7 @@ class PlanEngineRegistry:
             (workload, model), remainder = split_plan_route(body)
             service = self.resolve(workload, model)
         except Exception:
-            self._c["bad_requests"].inc()
+            self._bad_requests.inc()
             raise
         return await service.plan(remainder)
 
@@ -250,9 +245,9 @@ class PlanEngineRegistry:
         """
         arrays = self.cache.lookup(PLAN_KIND, key) if is_plan_key(key) else None
         if arrays is None:
-            self._c["fetch_misses"].inc()
+            self._fetch_misses.inc()
             return None
-        self._c["fetch_hits"].inc()
+        self._fetch_hits.inc()
         return decode_plan_bytes(arrays)
 
     # -------------------------------------------------------------- plumbing
@@ -260,25 +255,23 @@ class PlanEngineRegistry:
     def models(self):
         """``GET /v1/models``: loaded + loadable workloads, one row each.
 
-        Loaded rows carry the model digest and live per-engine
-        counters; never-loaded rows carry ``"loaded": false`` and a
-        null digest (the digest is unknowable without paying the
-        load); retired rows keep their digest (it is deterministic)
-        but lose their counters with the engine.
+        A row's ``requests`` are the workload's cumulative counters
+        (:func:`~repro.serve.service.workload_stats`): a retired row
+        keeps its digest (it is deterministic) and its counters, while
+        a never-loaded row carries a null digest (unknowable without
+        paying the load) and null counters.
         """
+        views = workload_stats(self.metrics.snapshot())
         known = {w: d for d, w in self._digests.items()}
-        rows = []
-        for workload in self.workloads:
-            service = self._services.get(workload)
-            if service is not None:
-                rows.append(service.model_entry())
-            else:
-                rows.append({
-                    "workload": workload,
-                    "model": known.get(workload),
-                    "loaded": False,
-                    "requests": None,
-                })
+        rows = [
+            {
+                "workload": workload,
+                "model": known.get(workload),
+                "loaded": workload in self._services,
+                "requests": views.get(workload, {}).get("requests"),
+            }
+            for workload in self.workloads
+        ]
         return {
             "default": self.default,
             "max_engines": self.max_engines,
@@ -297,57 +290,74 @@ class PlanEngineRegistry:
         }
 
     def stats(self):
-        """``/statsz``: per-engine sections plus one aggregate.
+        """``/statsz``: a JSON view of :attr:`metrics`.
 
-        The aggregate ``requests`` dict sums every live engine's
-        counters and folds in the registry-level ones
-        (routing ``bad_requests``, shared-cache ``fetch_*``); the
-        ``cache`` section is the shared cache's
-        :meth:`~repro.plan.cache.PlanArtifactCache.stats` verbatim,
-        exactly once (per-engine sections drop it — it is one cache).
+        ``engines`` has one section per live engine: its workload's
+        counters and latency quantiles (:func:`~repro.serve.service.
+        workload_stats`) beside the engine's live in-flight count and
+        stage stats.  The aggregate ``requests`` sums the counters of
+        every workload ever loaded, retired ones included, and folds in
+        the registry-level ones (routing ``bad_requests``, shared-cache
+        ``fetch_*``).  The ``cache`` section is the shared cache's
+        :meth:`~repro.plan.cache.PlanArtifactCache.stats` verbatim.
         """
-        aggregate = {name: 0 for name in COUNTER_NAMES}
-        engines = {}
-        in_flight = 0
-        for workload, service in self._services.items():
-            stats = service.stats()
-            stats.pop("cache", None)
-            engines[workload] = stats
-            in_flight += stats["in_flight_coalesced"]
-            for name, value in stats["requests"].items():
-                aggregate[name] = aggregate.get(name, 0) + value
-        registry_counters = self.counters
-        for name in ("bad_requests", "fetch_hits", "fetch_misses"):
-            aggregate[name] = aggregate.get(name, 0) + registry_counters[name]
+        views = workload_stats(self.metrics.snapshot())
+
+        def total(name):
+            return sum(view["requests"][name] for view in views.values())
+
+        engines = {
+            workload: {
+                "requests": views[workload]["requests"],
+                "in_flight_coalesced": len(service._inflight),
+                "engine": dict(service.engine.stats),
+                "latency_ms": views[workload]["latency_ms"],
+            }
+            for workload, service in self._services.items()
+        }
         return {
-            "requests": aggregate,
-            "in_flight_coalesced": in_flight,
+            "requests": {
+                "requests": total("requests"),
+                "warm": total("warm"),
+                "cold": total("cold"),
+                "coalesced": total("coalesced"),
+                "fetch_hits": self._fetch_hits.value,
+                "fetch_misses": self._fetch_misses.value,
+                "bad_requests": (
+                    total("bad_requests") + self._bad_requests.value
+                ),
+                "resolve_errors": total("resolve_errors"),
+                "engine_resolutions": total("engine_resolutions"),
+            },
+            "in_flight_coalesced": sum(
+                engine["in_flight_coalesced"] for engine in engines.values()
+            ),
             "engines": engines,
             "registry": {
                 "default": self.default,
                 "loaded": list(self._services),
                 "loadable": list(self.workloads),
                 "max_engines": self.max_engines,
-                "engines_loaded": registry_counters["engines_loaded"],
-                "engines_retired": registry_counters["engines_retired"],
+                "engines_loaded": self._engines_loaded.value,
+                "engines_retired": self._engines_retired.value,
             },
             "cache": self.cache.stats(),
         }
 
     def metricsz(self):
         """``GET /metricsz``: one Prometheus exposition for the whole
-        process — routing counters, every live engine's per-workload
-        families, and the shared cache (deduplicated by registry
-        identity when the cache shares :attr:`metrics`).
+        process — routing counters, every loaded workload's families,
+        and the shared cache (deduplicated by registry identity when the
+        cache shares :attr:`metrics`).
         """
         return render_prometheus(self.metrics, self.cache.metrics)
 
     def close(self):
         """Shut every live engine's executor down (after the HTTP drain).
 
-        Engines stay registered — their counters remain readable (the
-        CLI prints the drained summary from :meth:`stats` *after*
-        closing), they just cannot resolve anymore.
+        Engines stay registered and :meth:`stats` stays readable (the
+        CLI prints the drained summary from it *after* closing); the
+        engines just cannot resolve anymore.
         """
         for service in self._services.values():
             service.close()

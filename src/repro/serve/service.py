@@ -1,7 +1,8 @@
-"""The transport-independent plan-serving core.
+"""The per-engine plan-serving core.
 
 :class:`PlanService` answers "which weights do I verify at budget b?"
-at three speeds, from one content-addressed key space:
+for one :class:`~repro.plan.engine.PlanEngine`, at three speeds, from
+one content-addressed key space:
 
 - **warm** — the plan artifact is already in the
   :class:`~repro.plan.cache.PlanArtifactCache`: the response is the
@@ -19,84 +20,97 @@ at three speeds, from one content-addressed key space:
   so coalescing and caching can never disagree about request identity:
   N identical concurrent requests cost exactly one resolution.
 
-Memory stays bounded under serving load: the cache's LRU cap
-(``REPRO_CACHE_MEM_ITEMS``) bounds the artifact tier, and latency
-samples live in fixed-size windows (:class:`LatencyWindow`).
+The service keeps no bookkeeping of its own: each request increments
+its workload's children in a :class:`~repro.obs.metrics.
+MetricsRegistry`, and :func:`workload_stats` reads them back from a
+snapshot.  The :class:`~repro.serve.registry.PlanEngineRegistry` owns
+that registry, routes to the services, and is what the HTTP layer
+serves.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from repro.obs.metrics import MetricsRegistry, ZeroedCounter, render_prometheus
+from repro.obs.metrics import MetricsRegistry, bucket_quantile
 from repro.obs.trace import span
 from repro.serve.codec import (
     decode_plan_bytes,
     encode_plan_bytes,
-    is_plan_key,
     parse_plan_request,
     plan_bytes,
     plan_config,
 )
 
-__all__ = ["COUNTER_NAMES", "LatencyWindow", "PlanService", "ServedPlan"]
+__all__ = ["PlanService", "ServedPlan", "workload_stats"]
 
 #: The artifact kind under which served plans live in the cache.
 PLAN_KIND = "plan"
 
-#: Counter keys every :class:`PlanService` keeps.  The engine registry
-#: zero-seeds its aggregate from this, so ``/statsz`` is shape-stable
-#: before any engine has loaded or served.
-COUNTER_NAMES = (
-    "requests",
-    "warm",
-    "cold",
-    "coalesced",
-    "fetch_hits",
-    "fetch_misses",
-    "bad_requests",
-    "resolve_errors",       # failed resolutions (cold + riders)
-    "engine_resolutions",   # the warm-path tripwire
-)
+#: Where a served plan came from (the ``source`` label).
+SOURCES = ("warm", "cold", "coalesced")
 
 
-class LatencyWindow:
-    """Fixed-size latency sample window with on-demand percentiles.
+def workload_stats(snapshot):
+    """Per-workload serving counters and latencies from a metrics snapshot.
 
-    Serving load must not grow RSS without bound, so the window keeps
-    the most recent ``maxlen`` samples (plus a lifetime count) and
-    computes p50/p99 by sorting on demand — ``/statsz`` is rare next to
-    request traffic.
+    ``snapshot`` is a :meth:`~repro.obs.metrics.MetricsRegistry.
+    snapshot`.  Returns ``{workload: {"requests": {...}, "latency_ms":
+    {source: {"count", "p50_ms", "p99_ms"}}}}`` for every workload a
+    :class:`PlanService` was built for.  The counters are the samples
+    ``/metricsz`` renders, cumulative over the registry's lifetime, so
+    they survive engine retirement.  p50/p99 are the upper bounds of
+    the ``repro_serve_plan_seconds`` buckets the quantiles fall in
+    (``"+Inf"`` past the last bound, so the payload stays strict JSON;
+    None before the first observation).
     """
+    def count(name, *labels):
+        return snapshot[name]["samples"][labels]
 
-    def __init__(self, maxlen=2048):
-        self._samples = deque(maxlen=int(maxlen))
-        self.count = 0
-
-    def record(self, seconds):
-        self._samples.append(float(seconds))
-        self.count += 1
-
-    def percentile(self, p):
-        """The ``p``-th percentile (0-100) of the windowed samples."""
-        if not self._samples:
+    def quantile_ms(sample, q):
+        bound = bucket_quantile(seconds["buckets"], sample["buckets"], q)
+        if bound is None:
             return None
-        ordered = sorted(self._samples)
-        index = round((p / 100.0) * (len(ordered) - 1))
-        return ordered[int(index)]
+        return "+Inf" if bound == math.inf else round(1e3 * bound, 4)
 
-    def summary(self):
-        """``{"count", "p50_ms", "p99_ms"}`` for ``/statsz``."""
-        p50, p99 = self.percentile(50), self.percentile(99)
-        return {
-            "count": self.count,
-            "p50_ms": None if p50 is None else round(1e3 * p50, 4),
-            "p99_ms": None if p99 is None else round(1e3 * p99, 4),
+    if "repro_serve_requests_total" not in snapshot:
+        return {}  # no PlanService has counted into this registry yet
+    seconds = snapshot["repro_serve_plan_seconds"]
+    views = {}
+    served = snapshot["repro_serve_requests_total"]["samples"]
+    for (workload,), requests in served.items():
+        latency = {}
+        for source in SOURCES:
+            sample = seconds["samples"][(workload, source)]
+            latency[source] = {
+                "count": sample["count"],
+                "p50_ms": quantile_ms(sample, 0.5),
+                "p99_ms": quantile_ms(sample, 0.99),
+            }
+        views[workload] = {
+            "requests": {
+                "requests": requests,
+                **{
+                    source: count("repro_serve_plans_total", workload, source)
+                    for source in SOURCES
+                },
+                "bad_requests": count(
+                    "repro_serve_bad_requests_total", workload
+                ),
+                "resolve_errors": count(
+                    "repro_serve_resolve_errors_total", workload
+                ),
+                "engine_resolutions": count(
+                    "repro_serve_engine_resolutions_total", workload
+                ),
+            },
+            "latency_ms": latency,
         }
+    return views
 
 
 @dataclass(frozen=True)
@@ -127,15 +141,11 @@ class PlanService:
         resolutions serialize (they share cache stages), which also
         maximizes stage reuse; the event loop stays free either way.
     metrics:
-        A :class:`~repro.obs.metrics.MetricsRegistry` to register this
-        service's counter and histogram families in (default: a private
-        one).  Families are labeled by workload, so every engine of a
-        :class:`~repro.serve.registry.PlanEngineRegistry` shares one
-        registry — and one ``/metricsz`` — without colliding.  Registry
-        counters are process-cumulative; the per-service view
-        (:attr:`counters`, ``/statsz``) is zero-based from service
-        construction, so a lazily rebuilt engine still reports fresh
-        numbers.
+        The :class:`~repro.obs.metrics.MetricsRegistry` this service
+        counts into (default: a private one).  Families are labeled by
+        workload, so every engine of a :class:`~repro.serve.registry.
+        PlanEngineRegistry` shares the registry's one instance, and a
+        rebuilt engine keeps counting where its predecessor stopped.
     """
 
     def __init__(self, engine, resolve_workers=1, metrics=None):
@@ -149,80 +159,49 @@ class PlanService:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         workload = engine.workload or "default"
         self.workload_label = workload
-        requests = self.metrics.counter(
-            "repro_serve_requests_total", "Plan requests served.",
-            labels=("workload",),
+
+        def counter(name, help):
+            return self.metrics.counter(
+                name, help, labels=("workload",)
+            ).labels(workload=workload)
+
+        self._requests = counter(
+            "repro_serve_requests_total", "Plan requests served."
+        )
+        self._bad_requests = counter(
+            "repro_serve_bad_requests_total", "Malformed plan requests."
+        )
+        self._resolve_errors = counter(
+            "repro_serve_resolve_errors_total",
+            "Failed resolutions (cold requesters and coalesced riders).",
+        )
+        self._engine_resolutions = counter(
+            "repro_serve_engine_resolutions_total",
+            "Engine resolutions — the warm-path tripwire.",
         )
         plans = self.metrics.counter(
             "repro_serve_plans_total",
             "Plan responses by source (warm/cold/coalesced).",
             labels=("workload", "source"),
         )
-        fetches = self.metrics.counter(
-            "repro_serve_fetches_total",
-            "Content-addressed GET /v1/plan/<key> fetches by result.",
-            labels=("workload", "result"),
-        )
-        bad = self.metrics.counter(
-            "repro_serve_bad_requests_total", "Malformed plan requests.",
-            labels=("workload",),
-        )
-        errors = self.metrics.counter(
-            "repro_serve_resolve_errors_total",
-            "Failed resolutions (cold requesters and coalesced riders).",
-            labels=("workload",),
-        )
-        resolutions = self.metrics.counter(
-            "repro_serve_engine_resolutions_total",
-            "Engine resolutions — the warm-path tripwire.",
-            labels=("workload",),
-        )
-        self._c = {
-            "requests": ZeroedCounter(requests.labels(workload=workload)),
-            "warm": ZeroedCounter(plans.labels(workload=workload, source="warm")),
-            "cold": ZeroedCounter(plans.labels(workload=workload, source="cold")),
-            "coalesced": ZeroedCounter(
-                plans.labels(workload=workload, source="coalesced")
-            ),
-            "fetch_hits": ZeroedCounter(
-                fetches.labels(workload=workload, result="hit")
-            ),
-            "fetch_misses": ZeroedCounter(
-                fetches.labels(workload=workload, result="miss")
-            ),
-            "bad_requests": ZeroedCounter(bad.labels(workload=workload)),
-            "resolve_errors": ZeroedCounter(errors.labels(workload=workload)),
-            "engine_resolutions": ZeroedCounter(
-                resolutions.labels(workload=workload)
-            ),
-        }
-        histogram = self.metrics.histogram(
+        seconds = self.metrics.histogram(
             "repro_serve_plan_seconds",
             "Plan-request latency by source.",
             labels=("workload", "source"),
         )
-        self._latency_hist = {
-            source: histogram.labels(workload=workload, source=source)
-            for source in ("warm", "cold", "coalesced")
-        }
-        self.latency = {
-            "warm": LatencyWindow(),
-            "cold": LatencyWindow(),
-            "coalesced": LatencyWindow(),
+        self._by_source = {
+            source: (
+                plans.labels(workload=workload, source=source),
+                seconds.labels(workload=workload, source=source),
+            )
+            for source in SOURCES
         }
 
-    @property
-    def counters(self):
-        """Per-service counter view — plain ints keyed by
-        :data:`COUNTER_NAMES`, zero-based from service construction.
-        The backing registry children keep process-cumulative counts
-        for ``/metricsz``.
-        """
-        return {name: child.value for name, child in self._c.items()}
-
-    def _record_latency(self, source, seconds):
-        self.latency[source].record(seconds)
-        self._latency_hist[source].observe(seconds)
+    def _record(self, source, start):
+        plans, seconds = self._by_source[source]
+        self._requests.inc()
+        plans.inc()
+        seconds.observe(time.perf_counter() - start)
 
     # ---------------------------------------------------------------- serving
 
@@ -236,7 +215,7 @@ class PlanService:
         try:
             request = parse_plan_request(body)
         except Exception:
-            self._c["bad_requests"].inc()
+            self._bad_requests.inc()
             raise
         config = plan_config(self.engine, request)
         key = self.cache.key(PLAN_KIND, config)
@@ -264,15 +243,11 @@ class PlanService:
                 # requester *and* every coalesced rider record their
                 # request, source, and latency, plus the error counter —
                 # error load must be visible in /statsz.
-                self._c["requests"].inc()
-                self._c[source].inc()
-                self._c["resolve_errors"].inc()
-                self._record_latency(source, time.perf_counter() - start)
+                self._resolve_errors.inc()
+                self._record(source, start)
                 raise
 
-        self._c["requests"].inc()
-        self._c[source].inc()
-        self._record_latency(source, time.perf_counter() - start)
+        self._record(source, start)
         return ServedPlan(data=data, key=key, source=source)
 
     async def _resolve_async(self, request, config):
@@ -283,85 +258,11 @@ class PlanService:
     def _resolve(self, request, config):
         # The only line in the serving layer that touches the engine:
         # the tripwire counter and the resolution are inseparable.
-        self._c["engine_resolutions"].inc()
+        self._engine_resolutions.inc()
         with span("serve.resolve", workload=self.workload_label):
             data = plan_bytes(self.engine.plan(request))
         self.cache.put(PLAN_KIND, config, encode_plan_bytes(data))
         return data
-
-    def fetch(self, key):
-        """``GET /v1/plan/<key>``: content-addressed warm fetch.
-
-        Pure cache lookup — a miss returns None (HTTP 404), never a
-        resolution; an ill-shaped key is a miss by definition.
-        """
-        arrays = self.cache.lookup(PLAN_KIND, key) if is_plan_key(key) else None
-        if arrays is None:
-            self._c["fetch_misses"].inc()
-            return None
-        self._c["fetch_hits"].inc()
-        return decode_plan_bytes(arrays)
-
-    # -------------------------------------------------------------- plumbing
-
-    def healthz(self):
-        """Liveness payload: the model being served and its key space."""
-        return {
-            "status": "ok",
-            "workload": self.engine.workload,
-            "model": self.engine._model_digest,
-            "cache_version": self.cache.version,
-        }
-
-    def model_entry(self):
-        """This engine's row in a ``GET /v1/models`` listing."""
-        return {
-            "workload": self.engine.workload,
-            "model": self.engine._model_digest,
-            "loaded": True,
-            "requests": dict(self.counters),
-        }
-
-    def models(self):
-        """``GET /v1/models`` payload for a single-engine service.
-
-        Shape-compatible with :meth:`~repro.serve.registry.
-        PlanEngineRegistry.models`, so embedders can swap one engine
-        for a registry without touching consumers.
-        """
-        return {
-            "default": self.engine.workload,
-            "max_engines": 1,
-            "models": [self.model_entry()],
-        }
-
-    def stats(self):
-        """``/statsz`` payload.
-
-        The ``cache`` section is :meth:`~repro.plan.cache.
-        PlanArtifactCache.stats` verbatim — the same dict
-        :class:`~repro.robustness.report.RunReport` embeds, one shared
-        code path for hit/miss/quarantine counters.
-        """
-        return {
-            "requests": dict(self.counters),
-            "in_flight_coalesced": len(self._inflight),
-            "engine": dict(self.engine.stats),
-            "cache": self.cache.stats(),
-            "latency_ms": {
-                source: window.summary()
-                for source, window in self.latency.items()
-            },
-        }
-
-    def metricsz(self):
-        """``GET /metricsz`` payload: Prometheus text exposition.
-
-        Covers this service's request/latency families plus the
-        cache's — merged by registry identity, so a cache sharing the
-        service's registry renders exactly once.
-        """
-        return render_prometheus(self.metrics, self.cache.metrics)
 
     def close(self, wait=True):
         """Shut the resolution executor down (after the HTTP drain).

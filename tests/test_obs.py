@@ -10,6 +10,7 @@ Three contracts matter most and each gets a direct test here:
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
     TRACER,
-    ZeroedCounter,
+    bucket_quantile,
     disable_tracing,
     enable_tracing,
     render_prometheus,
@@ -87,6 +88,11 @@ class TestMetricsRegistry:
         counts, _, count = hist.snapshot()
         # value == bound lands in that bucket (le semantics)
         assert counts == (2, 3, 4) and count == 4
+        # a quantile is its bucket's upper bound, +Inf past the last one
+        assert hist.quantile(0.5) == 1.0
+        assert hist.quantile(0.75) == 2.0
+        assert hist.quantile(0.99) == math.inf
+        assert bucket_quantile((1.0, 2.0), (0, 0, 0), 0.5) is None
 
     def test_declare_is_idempotent_but_conflicts_raise(self):
         registry = MetricsRegistry()
@@ -108,15 +114,6 @@ class TestMetricsRegistry:
         assert registry.flat("repro_cache_") == {
             "memory": 3, "disk": 1, "misses": 2, "memory_entries": 5,
         }
-
-    def test_zeroed_counter_views_share_one_child(self):
-        registry = MetricsRegistry()
-        child = registry.counter("c_total", "c")
-        child.inc(7)
-        view = ZeroedCounter(child)
-        assert view.value == 0
-        view.inc(2)
-        assert view.value == 2 and child.value == 9
 
     def test_render_is_valid_exposition(self):
         registry = MetricsRegistry()

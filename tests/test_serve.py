@@ -25,6 +25,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.plan import PlanArtifactCache, PlanEngine, PlanRequest
 from repro.robustness.errors import TransientFaultError
 from repro.serve import (
@@ -63,15 +64,15 @@ def mini_zoo(trained_lenet):
     )
 
 
-def _engine(mini_zoo, sense=96, **cache_kwargs):
-    cache_kwargs.setdefault("disk", False)
+def _engine(mini_zoo):
+    """A memory-only engine for direct (unserved) resolutions."""
     return PlanEngine(
         mini_zoo.model,
-        mini_zoo.data.train_x[:sense],
-        mini_zoo.data.train_y[:sense],
+        mini_zoo.data.train_x[:96],
+        mini_zoo.data.train_y[:96],
         workload=mini_zoo.spec.key,
-        cache=PlanArtifactCache(**cache_kwargs),
-        curvature_batch_size=min(256, sense),
+        cache=PlanArtifactCache(disk=False),
+        curvature_batch_size=96,
     )
 
 
@@ -97,9 +98,12 @@ def twin_zoo(mini_zoo):
     )
 
 
-def _registry(mini_zoo, twin_zoo, **kwargs):
-    """A two-workload registry over one shared memory-only cache."""
-    zoos = {"lenet-test": mini_zoo, "lenet-twin": twin_zoo}
+def _registry(mini_zoo, twin_zoo=None, **kwargs):
+    """A registry over one shared memory-only cache: one workload, or
+    two with ``twin_zoo``."""
+    zoos = {"lenet-test": mini_zoo}
+    if twin_zoo is not None:
+        zoos["lenet-twin"] = twin_zoo
 
     def factory(workload, cache):
         zoo = zoos[workload]
@@ -113,9 +117,7 @@ def _registry(mini_zoo, twin_zoo, **kwargs):
         )
 
     kwargs.setdefault("cache", PlanArtifactCache(disk=False))
-    return PlanEngineRegistry(
-        factory, workloads=("lenet-test", "lenet-twin"), **kwargs
-    )
+    return PlanEngineRegistry(factory, workloads=tuple(zoos), **kwargs)
 
 
 # --------------------------------------------------------------------- codec
@@ -150,101 +152,123 @@ class TestCodec:
 
 
 class TestPlanService:
+    """The per-engine core, driven through a one-workload registry."""
+
     def test_coalescing_single_flight(self, mini_zoo):
         """K identical concurrent requests: exactly one engine resolution."""
-        service = PlanService(_engine(mini_zoo))
+        registry = _registry(mini_zoo)
         try:
             async def burst():
                 return await asyncio.gather(
-                    *(service.plan(_body()) for _ in range(8))
+                    *(registry.plan(_body()) for _ in range(8))
                 )
 
             served = asyncio.run(burst())
+            counters = registry.stats()["requests"]
         finally:
-            service.close()
+            registry.close()
 
-        assert service.counters["engine_resolutions"] == 1
+        assert counters["engine_resolutions"] == 1
         sources = sorted(plan.source for plan in served)
         assert sources.count("cold") == 1
         assert sources.count("coalesced") == 7
         assert len({plan.data for plan in served}) == 1
         assert len({plan.key for plan in served}) == 1
-        assert service.counters["requests"] == 8
+        assert counters["requests"] == 8
 
     def test_warm_path_is_passless_and_byte_identical(self, mini_zoo, tmp_path):
         """A warm hit replays stored bytes without any engine pass."""
         root = str(tmp_path / "serve-cache")
-        cold_service = PlanService(_engine(mini_zoo, disk=True, root=root))
+        cold_registry = _registry(mini_zoo, cache=PlanArtifactCache(root=root))
         try:
-            cold = asyncio.run(cold_service.plan(_body()))
+            cold = asyncio.run(cold_registry.plan(_body()))
         finally:
-            cold_service.close()
+            cold_registry.close()
         assert cold.source == "cold"
 
-        # A fresh engine + service over the same cache root: the warm
+        # A fresh engine + registry over the same cache root: the warm
         # request must not touch the engine at all.
-        warm_service = PlanService(_engine(mini_zoo, disk=True, root=root))
+        warm_registry = _registry(mini_zoo, cache=PlanArtifactCache(root=root))
         try:
-            warm = asyncio.run(warm_service.plan(_body()))
+            warm = asyncio.run(warm_registry.plan(_body()))
             assert warm.source == "warm"
             assert warm.key == cold.key
             assert warm.data == cold.data
-            assert warm_service.counters["engine_resolutions"] == 0
-            assert all(v == 0 for v in warm_service.engine.stats.values())
+            stats = warm_registry.stats()
+            assert stats["requests"]["engine_resolutions"] == 0
+            assert all(
+                v == 0 for v in stats["engines"]["lenet-test"]["engine"].values()
+            )
 
             # ... and byte-identical to a direct PlanEngine resolution.
             direct = _engine(mini_zoo).plan(parse_plan_request(_body()))
             assert warm.data == plan_bytes(direct)
 
             # fetch() replays the same bytes, also passlessly.
-            fetched = warm_service.fetch(warm.key)
+            fetched = warm_registry.fetch(warm.key)
             assert fetched == warm.data
-            assert warm_service.fetch("0" * 32) is None
-            assert warm_service.fetch("not-a-key") is None
-            assert warm_service.counters["engine_resolutions"] == 0
+            assert warm_registry.fetch("0" * 32) is None
+            assert warm_registry.fetch("not-a-key") is None
+            assert (
+                warm_registry.stats()["requests"]["engine_resolutions"] == 0
+            )
         finally:
-            warm_service.close()
+            warm_registry.close()
 
     def test_distinct_requests_do_not_coalesce(self, mini_zoo):
-        service = PlanService(_engine(mini_zoo))
+        registry = _registry(mini_zoo)
         try:
             async def two():
                 return await asyncio.gather(
-                    service.plan(_body(read_time=ONE_HOUR)),
-                    service.plan(_body(read_time=ONE_MONTH)),
+                    registry.plan(_body(read_time=ONE_HOUR)),
+                    registry.plan(_body(read_time=ONE_MONTH)),
                 )
 
             first, second = asyncio.run(two())
         finally:
-            service.close()
+            registry.close()
         assert first.key != second.key
-        assert service.counters["engine_resolutions"] == 2
+        assert registry.stats()["requests"]["engine_resolutions"] == 2
 
     def test_bad_request_counted_and_raised(self, mini_zoo):
-        service = PlanService(_engine(mini_zoo))
+        registry = _registry(mini_zoo)
         try:
             with pytest.raises(PlanRequestError):
-                asyncio.run(service.plan(b"not json"))
+                asyncio.run(registry.plan(_body(methods=["random"])))
         finally:
-            service.close()
-        assert service.counters["bad_requests"] == 1
-        assert service.counters["requests"] == 0
+            registry.close()
+        counters = registry.stats()["engines"]["lenet-test"]["requests"]
+        assert counters["bad_requests"] == 1
+        assert counters["requests"] == 0
 
     def test_stats_shares_the_cache_code_path(self, mini_zoo):
-        """/statsz's cache section is PlanArtifactCache.stats verbatim."""
-        service = PlanService(_engine(mini_zoo))
+        """/statsz's cache section is PlanArtifactCache.stats verbatim,
+        and the whole payload is strict JSON."""
+        registry = _registry(mini_zoo)
         try:
-            asyncio.run(service.plan(_body()))
-            asyncio.run(service.plan(_body()))
-            stats = service.stats()
+            asyncio.run(registry.plan(_body()))
+            asyncio.run(registry.plan(_body()))
+            # A latency past the last histogram bucket renders as
+            # "+Inf", never as a bare (non-JSON) Infinity.
+            registry.metrics.histogram(
+                "repro_serve_plan_seconds", labels=("workload", "source"),
+            ).labels(workload="lenet-test", source="cold").observe(60.0)
+            stats = registry.stats()
         finally:
-            service.close()
-        assert stats["cache"] == service.cache.stats()
+            registry.close()
+        assert stats["cache"] == registry.cache.stats()
         assert stats["requests"]["warm"] == 1
         assert stats["requests"]["cold"] == 1
         assert stats["in_flight_coalesced"] == 0
-        warm = stats["latency_ms"]["warm"]
+        latency = stats["engines"]["lenet-test"]["latency_ms"]
+        warm = latency["warm"]
         assert warm["count"] == 1 and warm["p50_ms"] is not None
+        assert latency["cold"]["count"] == 2
+        assert latency["cold"]["p99_ms"] == "+Inf"
+        assert latency["coalesced"] == {
+            "count": 0, "p50_ms": None, "p99_ms": None,
+        }
+        assert json.loads(json.dumps(stats, allow_nan=False)) == stats
 
 
 # ------------------------------------------------------------- error counters
@@ -259,43 +283,47 @@ class TestResolveErrorCounters:
         a server melting down looked idle in /statsz.  Both the cold
         requester and its coalesced riders must record.
         """
-        service = PlanService(_engine(mini_zoo))
+        registry = _registry(mini_zoo)
 
         def boom(request):
             raise RuntimeError("engine exploded")
 
-        monkeypatch.setattr(service.engine, "plan", boom)
+        engine = registry.service("lenet-test").engine
+        monkeypatch.setattr(engine, "plan", boom)
         try:
             async def burst():
                 return await asyncio.gather(
-                    *(service.plan(_body()) for _ in range(4)),
+                    *(registry.plan(_body()) for _ in range(4)),
                     return_exceptions=True,
                 )
 
             results = asyncio.run(burst())
+            stats = registry.stats()
         finally:
-            service.close()
+            registry.close()
 
         assert all(isinstance(r, RuntimeError) for r in results)
-        counters = service.counters
+        counters = stats["requests"]
         assert counters["requests"] == 4
         assert counters["cold"] == 1
         assert counters["coalesced"] == 3
         assert counters["resolve_errors"] == 4
         assert counters["engine_resolutions"] == 1  # the attempt counts
-        assert service.latency["cold"].count == 1
-        assert service.latency["coalesced"].count == 3
+        latency = stats["engines"]["lenet-test"]["latency_ms"]
+        assert latency["cold"]["count"] == 1
+        assert latency["coalesced"]["count"] == 3
         # The key is no longer in flight: a retry starts a fresh attempt.
-        assert len(service._inflight) == 0
+        assert stats["in_flight_coalesced"] == 0
 
     def test_error_surfaces_as_500_over_http(self, mini_zoo, monkeypatch):
-        service = PlanService(_engine(mini_zoo))
+        registry = _registry(mini_zoo)
 
         def boom(request):
             raise RuntimeError("engine exploded")
 
-        monkeypatch.setattr(service.engine, "plan", boom)
-        with _ServerThread(service) as running:
+        engine = registry.service("lenet-test").engine
+        monkeypatch.setattr(engine, "plan", boom)
+        with _ServerThread(registry) as running:
             with PlanClient(port=running.port) as client:
                 with pytest.raises(PlanClientError) as excinfo:
                     client.plan(BODY)
@@ -415,7 +443,7 @@ class TestPlanEngineRegistry:
             with pytest.raises(PlanRequestError) as excinfo:
                 asyncio.run(registry.plan(_body(model="f" * 16)))
             assert "unknown model digest" in str(excinfo.value)
-            assert registry.counters["bad_requests"] == 1
+            assert registry.stats()["requests"]["bad_requests"] == 1
         finally:
             registry.close()
 
@@ -431,7 +459,7 @@ class TestPlanEngineRegistry:
             ):
                 with pytest.raises(PlanRequestError):
                     asyncio.run(registry.plan(body))
-            assert registry.counters["bad_requests"] == 5
+            assert registry.stats()["requests"]["bad_requests"] == 5
         finally:
             registry.close()
 
@@ -465,7 +493,8 @@ class TestPlanEngineRegistry:
             registry.close()
 
     def test_engine_cap_lru_retirement(self, mini_zoo, twin_zoo):
-        """Past the cap the least-recently-routed engine retires, drained."""
+        """Past the cap the least-recently-routed engine retires, drained,
+        and its workload's counters survive the retirement."""
         registry = _registry(mini_zoo, twin_zoo, max_engines=1)
         try:
             first = asyncio.run(registry.plan(_body(workload="lenet-test")))
@@ -474,21 +503,32 @@ class TestPlanEngineRegistry:
 
             asyncio.run(registry.plan(_body(workload="lenet-twin")))
             assert list(registry._services) == ["lenet-twin"]
-            assert registry.counters["engines_retired"] == 1
+            assert registry.stats()["registry"]["engines_retired"] == 1
             # The retired executor is shut down (drained, not leaked).
             assert survivor._executor._shutdown
 
             # The retired digest still routes: the engine rebuilds lazily
             # and its plan replays warm from the shared cache — no new
-            # resolution.
+            # resolution, so the workload's count stays at the first 1.
             again = asyncio.run(registry.plan(_body(model=digest)))
             assert again.source == "warm"
             assert again.data == first.data
-            assert registry.counters["engines_loaded"] == 3
-            assert registry.counters["engines_retired"] == 2
-            rebuilt = registry.service("lenet-test")
-            assert rebuilt is not survivor
-            assert rebuilt.counters["engine_resolutions"] == 0
+            stats = registry.stats()
+            assert stats["registry"]["engines_loaded"] == 3
+            assert stats["registry"]["engines_retired"] == 2
+            assert registry.service("lenet-test") is not survivor
+            requests = stats["engines"]["lenet-test"]["requests"]
+            assert requests["engine_resolutions"] == 1
+
+            # Routed a, b, a, b: every request stays counted, and
+            # /statsz agrees with /metricsz.
+            asyncio.run(registry.plan(_body(workload="lenet-twin")))
+            assert registry.stats()["requests"]["requests"] == 4
+            samples = re.findall(
+                r"^repro_serve_requests_total\{.*\} (\d+)$",
+                registry.metricsz(), flags=re.MULTILINE,
+            )
+            assert sum(int(value) for value in samples) == 4
         finally:
             registry.close()
 
@@ -522,8 +562,8 @@ class TestPlanEngineRegistry:
 class _ServerThread:
     """Run a PlanHTTPServer on a daemon thread with an ephemeral port."""
 
-    def __init__(self, service):
-        self.server = PlanHTTPServer(service, port=0)
+    def __init__(self, registry):
+        self.server = PlanHTTPServer(registry, port=0)
         self._ready = threading.Event()
         self._loop = None
         self.result = None
@@ -577,17 +617,14 @@ class _ServerThread:
 class TestHTTP:
     @pytest.fixture()
     def served(self, mini_zoo):
-        service = PlanService(_engine(mini_zoo))
-        with _ServerThread(service) as running:
+        with _ServerThread(_registry(mini_zoo)) as running:
             with PlanClient(port=running.port) as client:
-                yield SimpleNamespace(
-                    client=client, running=running, service=service
-                )
+                yield SimpleNamespace(client=client, running=running)
 
     def test_round_trip_and_warm_fetch(self, served):
         health = served.client.healthz()
         assert health["status"] == "ok"
-        assert health["workload"] == "lenet-test"
+        assert health["default"] == "lenet-test"
 
         response = served.client.plan(BODY)
         assert response.source == "cold"
@@ -632,8 +669,7 @@ class TestHTTP:
         assert status == 405
 
     def test_clean_drain_returns_zero(self, mini_zoo):
-        service = PlanService(_engine(mini_zoo))
-        with _ServerThread(service) as running:
+        with _ServerThread(_registry(mini_zoo)) as running:
             with PlanClient(port=running.port) as client:
                 client.healthz()
             running.signal()
@@ -645,12 +681,9 @@ class TestHTTP:
 class TestObservabilityHTTP:
     @pytest.fixture()
     def served(self, mini_zoo):
-        service = PlanService(_engine(mini_zoo))
-        with _ServerThread(service) as running:
+        with _ServerThread(_registry(mini_zoo)) as running:
             with PlanClient(port=running.port) as client:
-                yield SimpleNamespace(
-                    client=client, running=running, service=service
-                )
+                yield SimpleNamespace(client=client, running=running)
 
     def test_metricsz_is_valid_and_covers_all_layers(self, served):
         from repro.obs.validate import validate_exposition
@@ -742,6 +775,7 @@ class TestForcedShutdown:
         class StuckService:
             def __init__(self):
                 self.closed = False
+                self.metrics = MetricsRegistry()
 
             async def plan(self, body):
                 await asyncio.sleep(3600)  # never finishes on its own
@@ -793,8 +827,7 @@ class TestCrossThreadShutdown:
         NOT (unlike ``_ServerThread.signal``): before the fix this hung
         the drain until the join timeout.
         """
-        service = PlanService(_engine(mini_zoo))
-        with _ServerThread(service) as running:
+        with _ServerThread(_registry(mini_zoo)) as running:
             with PlanClient(port=running.port) as client:
                 client.healthz()
             running.server.request_shutdown()
@@ -804,8 +837,7 @@ class TestCrossThreadShutdown:
 
     def test_request_shutdown_before_start_is_safe(self, mini_zoo):
         """No loop yet: the signal lands directly, run() exits at once."""
-        service = PlanService(_engine(mini_zoo))
-        server = PlanHTTPServer(service, port=0)
+        server = PlanHTTPServer(_registry(mini_zoo), port=0)
         server.request_shutdown()
         assert server._signals == 1
         assert asyncio.run(server.run(install_signals=False)) == 0
@@ -831,8 +863,7 @@ class TestContentLengthValidation:
 
     @pytest.fixture()
     def served(self, mini_zoo):
-        service = PlanService(_engine(mini_zoo))
-        with _ServerThread(service) as running:
+        with _ServerThread(_registry(mini_zoo)) as running:
             yield running
 
     # int() would happily accept every one of these; the parser must
