@@ -12,8 +12,8 @@ reference it is numerically equivalent to:
     forward pass per perturbation draw.  This is the headline number —
     the default scale matches the Fig. 1 default preset.
 ``sweep``
-    The accuracy-vs-NWC sweep behind Table 1 / Fig. 2, batched engine vs
-    scalar per-trial pipeline.
+    The accuracy-vs-NWC sweep behind Table 1 / Fig. 2
+    (``run_method_sweep``), trial-batched vs the scalar per-trial loop.
 
 Results are printed and written as JSON under ``REPRO_RESULTS_DIR``
 (default ``results/``).  Run ``--smoke`` for a seconds-scale sanity pass
@@ -131,38 +131,35 @@ def bench_fig1(scale):
 
 
 def bench_sweep(scale, mc_runs, seed=7):
-    """The Table 1 / Fig. 2 NWC sweep pipeline, batched vs scalar."""
-    from repro.cim import CimAccelerator, DeviceConfig, MappingConfig
-    from repro.core import MonteCarloEngine, SwimScorer, WeightSpace
+    """The Table 1 / Fig. 2 NWC sweep (``run_method_sweep``), batched vs
+    scalar.  The SWIM order is precomputed and passed as ``orders=``, so
+    both timings cover the Monte Carlo loop, not a curvature pass."""
+    from repro.core import SwimScorer, WeightSpace
     from repro.experiments.model_zoo import load_workload
+    from repro.experiments.sweeps import run_method_sweep
     from repro.utils.rng import RngStream
 
     zoo = load_workload(scale.workload("lenet-digits"))
-    mapping = MappingConfig(
-        weight_bits=zoo.spec.weight_bits,
-        device=DeviceConfig(bits=4, sigma=0.1),
-    )
-    accelerator = CimAccelerator(zoo.model, mapping_config=mapping)
     space = WeightSpace.from_model(zoo.model)
-    eval_x = zoo.data.test_x[: scale.eval_samples]
-    eval_y = zoo.data.test_y[: scale.eval_samples]
     order = SwimScorer(batch_size=128, max_batches=1).ranking(
         zoo.model, space, zoo.data.train_x[:128], zoo.data.train_y[:128]
     )
     targets = (0.0, 0.3, 0.7, 1.0)
 
     def run(batched):
-        engine = MonteCarloEngine(mc_runs, RngStream(seed).child("bench"),
-                                  batched=batched)
-        return engine.sweep_nwc(
-            zoo.model, accelerator, order, space, eval_x, eval_y, targets
+        outcome = run_method_sweep(
+            zoo, sigma=0.1, nwc_targets=targets, mc_runs=mc_runs,
+            rng=RngStream(seed).child("bench"),
+            eval_samples=scale.eval_samples, methods=("swim",),
+            device_bits=4, batched=batched, orders={"swim": order},
         )
+        return outcome.curve("swim").accuracy_runs
 
-    batched_s, (acc_b, _) = _time(lambda: run(True))
-    scalar_s, (acc_s, _) = _time(lambda: run(False))
+    batched_s, acc_b = _time(lambda: run(True))
+    scalar_s, acc_s = _time(lambda: run(False))
     return {
         "mc_runs": mc_runs,
-        "eval_samples": int(eval_x.shape[0]),
+        "eval_samples": int(min(scale.eval_samples, zoo.data.test_x.shape[0])),
         "nwc_targets": list(targets),
         "scalar_seconds": scalar_s,
         "batched_seconds": batched_s,

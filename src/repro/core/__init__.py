@@ -11,10 +11,8 @@ from repro.core.insitu import InSituConfig, InSituHistory, InSituTrainer
 from repro.core.mc import MonteCarloEngine
 from repro.core.metrics import (
     DEFAULT_NWC_TARGETS,
-    MonteCarloResult,
     evaluate_accuracy,
     evaluate_accuracy_trials,
-    monte_carlo,
 )
 from repro.core.pareto import nwc_to_reach, speedup_at_iso_accuracy, speedup_table
 from repro.core.second_derivative import (
@@ -33,7 +31,7 @@ from repro.core.sensitivity import (
     SwimScorer,
     build_scorer,
 )
-from repro.core.swim import SwimConfig, SwimResult, selective_write_verify, sweep_nwc
+from repro.core.swim import SwimConfig, SwimResult, selective_write_verify
 
 __all__ = [
     "DEFAULT_NWC_TARGETS",
@@ -46,7 +44,6 @@ __all__ = [
     "InSituTrainer",
     "MagnitudeScorer",
     "MonteCarloEngine",
-    "MonteCarloResult",
     "RandomScorer",
     "SensitivityScorer",
     "SwimConfig",
@@ -63,13 +60,11 @@ __all__ = [
     "expected_loss_increase",
     "fd_diagonal_hessian",
     "fd_diagonal_hessian_sampled",
-    "monte_carlo",
     "nwc_to_reach",
     "rank_descending",
     "selective_write_verify",
     "speedup_at_iso_accuracy",
     "speedup_table",
-    "sweep_nwc",
     "variance_map_from_mapping",
     "variance_map_from_stack",
 ]

@@ -1,33 +1,22 @@
-"""Accuracy evaluation, NWC accounting, and the Monte Carlo harness.
-
-The paper reports every number as mean +/- std over 3,000 Monte Carlo runs
-"with verified convergence" (Sec. 4.2).  :func:`monte_carlo` reproduces
-that protocol with named per-run RNG streams (run ``i`` sees the same noise
-regardless of how many total runs are requested) and an optional
-running-mean convergence check.
+"""Accuracy evaluation and the paper's NWC grid.
 
 :func:`evaluate_accuracy_trials` is the trial-batched counterpart of
 :func:`evaluate_accuracy`: with trial-batched weight overrides deployed on
 the model's layers (see :mod:`repro.nn.layers.base`), it scores all
 ``n_trials`` variation draws in one folded forward pass per mini-batch and
-returns a ``(n_trials,)`` accuracy vector.  The batched Monte Carlo engine
-(:mod:`repro.core.mc`) builds on it.
+returns a ``(n_trials,)`` accuracy vector.  The batched Monte Carlo sweep
+(:func:`repro.experiments.sweeps.run_method_sweep`) builds on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.nn.trainer import evaluate_accuracy
-from repro.utils.stats import MeanStd, running_mean_converged, summarize
 
 __all__ = [
     "evaluate_accuracy",
     "evaluate_accuracy_trials",
-    "MonteCarloResult",
-    "monte_carlo",
     "DEFAULT_NWC_TARGETS",
 ]
 
@@ -93,57 +82,3 @@ def evaluate_accuracy_trials(model, x, y, n_trials, batch_size=256):
         model.train()
     return correct / x.shape[0]
 
-
-@dataclass
-class MonteCarloResult:
-    """Per-run values plus convergence metadata."""
-
-    values: np.ndarray
-    converged: bool
-    label: str = ""
-
-    def summary(self) -> MeanStd:
-        """Mean +/- std in the paper's reporting format."""
-        return summarize(self.values)
-
-    def __repr__(self):
-        s = self.summary()
-        return f"MonteCarloResult({self.label or 'unnamed'}: {s}, n={s.n})"
-
-
-def monte_carlo(run_fn, n_runs, rng, label="", check_convergence=True,
-                convergence_tol=0.02):
-    """Run ``run_fn(run_rng) -> float`` for ``n_runs`` independent trials.
-
-    Parameters
-    ----------
-    run_fn:
-        Callable taking a per-run :class:`~repro.utils.rng.RngStream`.
-    n_runs:
-        Number of Monte Carlo trials.
-    rng:
-        Parent stream; run ``i`` uses ``rng.child("mc", i)``.
-    label:
-        Name recorded in the result.
-    check_convergence:
-        Record whether the running mean settled (paper's "verified
-        convergence"); does not affect the values.
-    convergence_tol:
-        Relative tolerance of the convergence check.
-
-    Returns
-    -------
-    MonteCarloResult
-    """
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    values = np.empty(n_runs, dtype=np.float64)
-    for i in range(n_runs):
-        values[i] = float(run_fn(rng.child("mc", i)))
-    converged = (
-        running_mean_converged(values, rel_tol=convergence_tol,
-                               window=max(3, n_runs // 5))
-        if check_convergence and n_runs >= 8
-        else False
-    )
-    return MonteCarloResult(values=values, converged=converged, label=label)

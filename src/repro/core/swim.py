@@ -1,27 +1,21 @@
-"""Algorithm 1 — SWIM's selective write-verify — and the NWC sweep variant.
+"""Algorithm 1 — SWIM's selective write-verify.
 
-Two entry points:
-
-- :func:`selective_write_verify` is the literal Algorithm 1: program,
-  rank by sensitivity, write-verify group after group (granularity ``p``)
-  until the measured accuracy drop is within ``delta_a``.
-- :func:`sweep_nwc` drives the Table 1 / Fig. 2 experiments: for one Monte
-  Carlo draw it deploys the top-k selection for every requested NWC target
-  and records the accuracy, sharing a single program + verify simulation
-  across all targets (the weights' verified values do not depend on which
-  of them we *choose* to deploy, so this is exact, not an approximation).
+:func:`selective_write_verify` is the literal Algorithm 1 for one Monte
+Carlo draw: program, rank by sensitivity, write-verify group after group
+(granularity ``p``) until the measured accuracy drop is within
+``delta_a``.  The Table 1 / Fig. 2 accuracy-vs-NWC sweeps deploy fixed
+top-k budgets instead; they run through
+:func:`repro.experiments.sweeps.run_method_sweep`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.metrics import evaluate_accuracy
 from repro.core.selection import WeightSpace, cumulative_groups
 
-__all__ = ["SwimConfig", "SwimResult", "selective_write_verify", "sweep_nwc"]
+__all__ = ["SwimConfig", "SwimResult", "selective_write_verify"]
 
 
 @dataclass(frozen=True)
@@ -162,68 +156,3 @@ def selective_write_verify(
     result.met_target = baseline_accuracy - accuracy <= config.delta_a
     return result
 
-
-def sweep_nwc(
-    model,
-    accelerator,
-    order,
-    space,
-    eval_x,
-    eval_y,
-    nwc_targets,
-    rng,
-    eval_batch_size=256,
-    read_time=None,
-    scorer=None,
-    sense_x=None,
-    sense_y=None,
-):
-    """Accuracy at each NWC target for one Monte Carlo draw.
-
-    The ranking ``order`` is computed once by the caller (it does not
-    depend on the noise draw); this function performs the program + verify
-    simulation and then deploys/evaluates every target fraction.
-    Alternatively pass ``order=None`` with a ``scorer`` (any
-    :class:`~repro.core.sensitivity.SensitivityScorer`, e.g. a stack-fed
-    :class:`~repro.core.extensions.HeteroSwimScorer`) and the ranking is
-    computed here on the clean network — from ``sense_x/sense_y``
-    (training data, as in Algorithm 1; do not rank on the data you
-    score on).  The scorer's rng is ``rng.child("scorer")``, so a caller
-    looping this function over Monte Carlo draws re-ranks per trial;
-    precompute the order instead when the ranking should be shared
-    (which is what :meth:`~repro.core.mc.MonteCarloEngine.sweep_nwc`
-    does).  ``read_time`` (seconds since programming) lets a drifting
-    nonideality stack age the deployed levels before each evaluation;
-    the drift draws are named off ``rng``, so every target sees the same
-    drifted devices.
-
-    Returns
-    -------
-    tuple
-        ``(accuracies, achieved_nwc)`` arrays aligned with
-        ``nwc_targets``.
-    """
-    if order is None:
-        if scorer is None:
-            raise ValueError("sweep_nwc needs a precomputed order or a scorer")
-        if sense_x is None:
-            raise ValueError(
-                "scorer= needs sense_x/sense_y (rank on training data, "
-                "not the evaluation set)"
-            )
-        accelerator.clear()
-        order = scorer.ranking(
-            model, space, sense_x, sense_y, rng=rng.child("scorer")
-        )
-    accelerator.program(rng.child("program").generator)
-    accelerator.write_verify_all(rng.child("verify").generator)
-    accuracies = np.empty(len(nwc_targets), dtype=np.float64)
-    achieved = np.empty(len(nwc_targets), dtype=np.float64)
-    for i, target in enumerate(nwc_targets):
-        count = int(round(target * space.total_size))
-        masks = space.masks_from_indices(order[:count])
-        achieved[i] = accelerator.apply_selection(
-            masks, read_time=read_time, read_stream=rng
-        )
-        accuracies[i] = evaluate_accuracy(model, eval_x, eval_y, eval_batch_size)
-    return accuracies, achieved

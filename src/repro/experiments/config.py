@@ -22,7 +22,9 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass, field
 
-__all__ = ["WorkloadSpec", "ScalePreset", "get_scale", "SCALES"]
+from repro.robustness.errors import ScenarioConfigError
+
+__all__ = ["WorkloadSpec", "ScalePreset", "get_scale", "resolve_scale", "SCALES"]
 
 
 @dataclass(frozen=True)
@@ -203,3 +205,13 @@ def get_scale(name=None):
     if resolved not in SCALES:
         raise KeyError(f"unknown scale {resolved!r}; known: {sorted(SCALES)}")
     return SCALES[resolved]
+
+
+def resolve_scale(name):
+    """:func:`get_scale` for command lines: an unknown name is a
+    :class:`~repro.robustness.errors.ScenarioConfigError` (exit 64, one
+    ``error:`` line naming the known scales) instead of a ``KeyError``."""
+    try:
+        return get_scale(name)
+    except KeyError as exc:
+        raise ScenarioConfigError(exc.args[0]) from None

@@ -25,7 +25,7 @@ import sys
 import time
 
 from repro.experiments import ablations as ablation_mod
-from repro.experiments.config import get_scale
+from repro.experiments.config import resolve_scale
 from repro.experiments.devices import render_devices, run_devices
 from repro.experiments.fig1 import Fig1Config, run_fig1
 from repro.experiments.fig2 import FIG2_WORKLOADS, render_fig2_panel, run_fig2_panel
@@ -206,7 +206,7 @@ def main(argv=None):
                              "to it); results stay byte-identical")
     args = parser.parse_args(argv)
 
-    scale = get_scale(args.scale)
+    scale = resolve_scale(args.scale)
     out_dir = results_dir(args.output_dir)
     todo = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
     batched = not args.scalar

@@ -5,15 +5,17 @@ One Monte Carlo run programs the devices once and evaluates *every*
 that reduces the variance of method comparisons, exactly what matters for
 the paper's "who wins at fixed NWC" claims.
 
-By default the Monte Carlo trials run through the trial-batched engine
-(:mod:`repro.core.mc`): each block of trials shares one masked verify
-loop and one folded forward pass per (method, target) cell.  Pass
-``batched=False`` for the scalar reference loop (the path for workloads
-too large to batch in memory; the scenario orchestrator's ``workers=``
-pool parallelizes it across trial windows).  Trial ``i`` draws its
-programming noise from the same named substream in every mode, so the
-paired design — and the per-trial noise draw itself — is identical
-across paths.
+:func:`run_method_sweep` is the repo's one Monte Carlo sweep: every
+scenario (Table 1, Fig. 2, devices, retention, spatial) runs through it,
+one trial window (tile) at a time under the scenario orchestrator.  By
+default each block of trials shares one masked verify loop and one
+folded forward pass per (method, target) cell.  Pass ``batched=False``
+for the scalar reference loop (the path for workloads too large to
+batch in memory; the orchestrator's ``workers=`` pool parallelizes it
+across trial windows).  Trial ``i`` draws its programming noise from the
+same named substream (:class:`~repro.core.mc.MonteCarloEngine`) in
+every mode, so the paired design — and the per-trial noise draw itself
+— is identical across paths.
 """
 
 from __future__ import annotations
@@ -263,7 +265,6 @@ def run_method_sweep(
     device_bits=4,
     curvature_batches=2,
     batched=True,
-    trial_block=None,
     trial_range=None,
     technology=None,
     read_time=None,
@@ -301,11 +302,10 @@ def run_method_sweep(
     curvature_batches:
         Batches accumulated in SWIM's curvature pass.
     batched:
-        Drive the write-verify methods through the trial-batched Monte
-        Carlo engine (default).  ``False`` selects the scalar reference
-        loop; per-trial programming noise is identical either way.
-    trial_block:
-        Trials per batched block (default: memory-bounded heuristic).
+        Run the write-verify methods a block of trials at a time
+        (default).  ``False`` selects the scalar reference loop, one
+        trial at a time; per-trial programming noise is identical
+        either way.
     trial_range:
         Optional ``(start, stop)`` window: evaluate only trials
         ``start..stop-1`` of the ``mc_runs`` protocol, with absolute
@@ -403,10 +403,7 @@ def run_method_sweep(
     nwc_store = {m: np.zeros((mc_runs, n_targets)) for m in methods}
 
     counts = [int(round(t * space.total_size)) for t in nwc_targets]
-    engine = MonteCarloEngine(
-        mc_runs, rng, batched=batched,
-        trial_block=trial_block, trial_range=trial_range,
-    )
+    engine = MonteCarloEngine(mc_runs, rng, trial_range=trial_range)
     if trial_range is not None and batched:
         block = engine.block_size()
         start, stop = engine.span
@@ -425,14 +422,12 @@ def run_method_sweep(
             read_time=read_time,
         )
     else:
-        rows_per_trial = engine.map_trials(
-            lambda i: _scalar_sweep_trial(
-                engine.substream(i), zoo, accelerator, space, orders,
+        for run in range(*engine.span):
+            rows = _scalar_sweep_trial(
+                engine.substream(run), zoo, accelerator, space, orders,
                 methods, counts, nwc_targets, eval_x, eval_y, insitu_lr,
                 read_time=read_time,
             )
-        )
-        for run, rows in zip(range(*engine.span), rows_per_trial):
             for method, (accuracies, achieved) in rows.items():
                 acc_store[method][run] = accuracies
                 nwc_store[method][run] = achieved

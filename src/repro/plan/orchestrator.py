@@ -14,11 +14,13 @@ onto one supervised fork pool sized by ``workers=`` / ``--workers`` /
 
 Fault tolerance
 ---------------
-Tiles run under :func:`~repro.robustness.supervisor.supervised_map`
-(the single supervision path): a worker that crashes (OOM kill,
+The tile is the one retried unit.  Tiles run under :func:`~repro.
+robustness.supervisor.supervised_map`: a worker that crashes (OOM kill,
 segfault) or overruns its wall-clock budget (``REPRO_CELL_TIMEOUT``)
 is retried with bounded exponential backoff (``REPRO_CELL_RETRIES``),
 then re-executed serially in the parent, and only then declared failed.
+A serial run (no ``workers``) goes through :func:`~repro.robustness.
+supervisor.serial_map`, the same retry policy without the pool.
 A failed tile fails its cell but not the grid — the cell's key is
 simply absent from the returned outcome dict (its surviving tiles stay
 cached for the next attempt), and the per-cell story (ok / cached /
@@ -55,7 +57,6 @@ parent with a warning.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -63,7 +64,7 @@ from repro.core.mc import default_trial_block
 from repro.obs.trace import span
 from repro.plan.cache import data_digest
 from repro.plan.engine import PlanEngine, PlanRequest
-from repro.robustness.errors import CacheWriteError, ScenarioConfigError
+from repro.robustness.errors import CacheWriteError
 from repro.robustness.faults import active_schedule
 from repro.robustness.report import CellRecord, RunReport
 from repro.robustness.checkpoint import (
@@ -78,13 +79,7 @@ from repro.robustness.scheduler import (
     scheduler_metrics,
     tile_ranges,
 )
-from repro.robustness.supervisor import (
-    TaskReport,
-    _describe,
-    has_fork,
-    run_with_retry,
-    supervised_map,
-)
+from repro.robustness.supervisor import serial_map, supervised_map
 
 __all__ = ["ScenarioCell", "ScenarioOrchestrator"]
 
@@ -379,17 +374,9 @@ class ScenarioOrchestrator:
 
         labels = {t: label(t) for t in range(len(tiles))}
 
-        # --- schedule the remaining tiles on one supervised pool.
-        tile_reports = {}
-        parallel = workers and workers > 1 and len(todo) > 1
-        if parallel and not has_fork():
-            warnings.warn(
-                "parallel tile scheduling needs the fork start method; "
-                "falling back to the serial tile loop",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            parallel = False
+        # --- schedule the remaining tiles: one supervised pool, or the
+        # same retry policy in this process.  A ScenarioConfigError in a
+        # serial tile propagates (a usage error poisons every tile).
         # The cell span: worker tile spans shipped back through
         # supervised_map's result channel re-attach under it.
         with span(
@@ -397,7 +384,7 @@ class ScenarioOrchestrator:
             scenario=scenario or "", tiles=len(todo),
             workers=int(workers or 0),
         ):
-            if parallel:
+            if workers and workers > 1 and len(todo) > 1:
                 supervised = supervised_map(
                     execute,
                     todo,
@@ -407,39 +394,12 @@ class ScenarioOrchestrator:
                     labels=labels,
                     on_result=persist,
                 )
-                tile_reports = supervised.reports
             else:
-                for t in todo:
-                    failures = []
-                    started = time.monotonic()
-                    try:
-                        value, attempts = run_with_retry(
-                            lambda t=t: execute(t),
-                            retries=retries,
-                            failures=failures,
-                        )
-                    except ScenarioConfigError:
-                        raise  # a usage error poisons every tile — surface it
-                    except Exception as exc:
-                        tile_reports[t] = TaskReport(
-                            item=t,
-                            label=labels[t],
-                            status="failed",
-                            attempts=len(failures),
-                            duration=time.monotonic() - started,
-                            error=_describe(exc),
-                            failures=failures,
-                        )
-                    else:
-                        tile_reports[t] = TaskReport(
-                            item=t,
-                            label=labels[t],
-                            status="ok" if attempts == 1 else "recovered",
-                            attempts=attempts,
-                            duration=time.monotonic() - started,
-                            failures=failures,
-                        )
-                        persist(t, value)
+                supervised = serial_map(
+                    execute, todo, retries=retries, labels=labels,
+                    on_result=persist,
+                )
+        tile_reports = supervised.reports
         report.tiles_computed = sum(1 for t in todo if t in tile_values)
 
         # --- merge complete cells; fold tile reports into cell records.

@@ -9,7 +9,8 @@ those failures survivable and *testable*:
   taxonomy with per-family CLI exit codes;
 - :mod:`~repro.robustness.supervisor` — :func:`supervised_map`, the
   crash/timeout/retry-aware replacement for ``Pool.map`` that runs
-  every scenario's tiles;
+  every scenario's tiles, and :func:`serial_map`, the same map and
+  retry policy in-process for serial runs;
 - :mod:`~repro.robustness.scheduler` — the work-rectangle scheduler:
   worker-count resolution (``--workers`` / ``REPRO_WORKERS``, the one
   worker knob) and the worker-count independent (cells x trial-blocks)
@@ -73,6 +74,7 @@ from repro.robustness.supervisor import (
     resolve_retries,
     resolve_timeout,
     run_with_retry,
+    serial_map,
     supervised_map,
 )
 
@@ -112,5 +114,6 @@ __all__ = [
     "resolve_worker_count",
     "resolve_workers",
     "run_with_retry",
+    "serial_map",
     "supervised_map",
 ]

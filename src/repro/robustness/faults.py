@@ -12,10 +12,12 @@ Grammar (entries separated by ``;``)::
     entry := kind ':' site ['@' key] ['*' times] ['=' param]
 
     kind  := crash | hang | raise | corrupt
-    site  := cell | trial | artifact | producer
+    site  := cell | artifact | producer
 
-- ``crash:cell@0`` — the first execution of scenario cell 0 calls
-  ``os._exit(1)`` (an OOM-kill / segfault stand-in).
+- ``crash:cell@0`` — the first execution of a tile of scenario cell 0
+  calls ``os._exit(1)`` (an OOM-kill / segfault stand-in).  The ``cell``
+  site fires once per scheduled tile, the one unit the supervisor
+  retries.
 - ``hang:cell@1=60`` — the first execution of cell 1 sleeps 60 seconds
   (to be killed by ``REPRO_CELL_TIMEOUT``).
 - ``raise:producer@variance*2`` — the first two runs of a ``variance``
@@ -55,7 +57,7 @@ __all__ = [
 ]
 
 _KINDS = ("crash", "hang", "raise", "corrupt")
-_SITES = ("cell", "trial", "artifact", "producer")
+_SITES = ("cell", "artifact", "producer")
 
 #: Default sleep of a ``hang`` fault without an explicit ``=seconds`` —
 #: long enough that only the supervisor's timeout ends it.
@@ -161,8 +163,8 @@ class FaultSchedule:
     def fire(self, site, key):
         """Inject any scheduled crash/hang/raise fault at one site.
 
-        Called at the top of a cell/trial execution (in the worker — or
-        the parent, for serial runs) and before a producer runs.  A
+        Called at the top of a tile's execution (in the worker — or the
+        parent, for serial runs) and before a producer runs.  A
         ``crash`` terminates the calling process the way an OOM kill
         would; a ``hang`` sleeps; a ``raise`` throws
         :class:`TransientFaultError`.

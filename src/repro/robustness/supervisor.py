@@ -21,6 +21,9 @@ it with per-task supervision:
 - failures never abort the map: surviving tasks complete and the caller
   receives a per-task :class:`TaskReport` alongside the values.
 
+:func:`serial_map` is the same map without the pool — the serial
+scenario path and the fork-less fallback — under the same retry policy.
+
 Tasks must be deterministic for retry to be sound — true of every
 scenario tile here (all randomness comes from named RNG substreams),
 which is also what makes a recovered run byte-identical to a
@@ -54,6 +57,7 @@ __all__ = [
     "resolve_retries",
     "resolve_timeout",
     "run_with_retry",
+    "serial_map",
     "supervised_map",
 ]
 
@@ -197,6 +201,17 @@ def _count_statuses(metrics, result):
         metrics["tasks"].labels(status=report.status).inc()
 
 
+def _pending_result(items, labels):
+    """A :class:`SupervisedResult` with one pending report per item."""
+    labels = labels or {}
+    return SupervisedResult(
+        reports={
+            item: TaskReport(item=item, label=str(labels.get(item, item)))
+            for item in items
+        },
+    )
+
+
 def run_with_retry(fn, retries=None, backoff=None, failures=None):
     """Run ``fn()`` with the supervisor's retry policy, in-process.
 
@@ -220,6 +235,52 @@ def run_with_retry(fn, retries=None, backoff=None, failures=None):
             if not is_retryable(exc) or attempt > retries:
                 raise
             time.sleep(backoff * (2 ** (attempt - 1)))
+
+
+def serial_map(fn, items, retries=None, backoff=None, labels=None,
+               on_result=None):
+    """Map ``fn`` over ``items`` in the calling process, one at a time.
+
+    The fork-less twin of :func:`supervised_map`, with the same retry
+    policy (:func:`run_with_retry`) and the same :class:`SupervisedResult`:
+    a task that still fails after its retries is reported ``failed`` and
+    the map moves on.  A :class:`~repro.robustness.errors.
+    ScenarioConfigError` propagates instead — a usage error would fail
+    every task the same way.  ``on_result(item, value)`` runs as each
+    task completes.
+    """
+    items = list(items)
+    retries = resolve_retries(retries)
+    backoff = resolve_backoff(backoff)
+    result = _pending_result(items, labels)
+    metrics = _supervisor_metrics()
+    for item in items:
+        report = result.reports[item]
+        started = time.monotonic()
+        try:
+            value, attempts = run_with_retry(
+                lambda item=item: fn(item),
+                retries=retries,
+                backoff=backoff,
+                failures=report.failures,
+            )
+        except ScenarioConfigError:
+            raise
+        except Exception as exc:
+            report.attempts = len(report.failures)
+            report.status = "failed"
+            report.error = _describe(exc)
+        else:
+            report.attempts = attempts
+            report.status = "ok" if attempts == 1 else "recovered"
+            result.values[item] = value
+            if on_result is not None:
+                on_result(item, value)
+        if report.attempts > 1:
+            metrics["retries"].inc(report.attempts - 1)
+        report.duration = time.monotonic() - started
+    _count_statuses(metrics, result)
+    return result
 
 
 def _child_run(fn, item, out_queue):
@@ -284,24 +345,6 @@ def supervised_map(fn, items, workers, timeout=None, retries=None,
     items = list(items)
     workers = max(1, int(workers))
     timeout = resolve_timeout(timeout)
-    retries = resolve_retries(retries)
-    backoff = resolve_backoff(backoff)
-    labels = labels or {}
-    result = SupervisedResult(
-        reports={
-            item: TaskReport(item=item, label=str(labels.get(item, item)))
-            for item in items
-        },
-    )
-    metrics = _supervisor_metrics()
-    # Worker spans re-attach under the span open at map entry (the cell
-    # span in the orchestrator) so traces nest across the fork boundary.
-    adopt_parent = TRACER.current_span_id() if TRACER.enabled else None
-
-    def adopt_spans(spans):
-        if TRACER.enabled and spans:
-            TRACER.adopt(spans, parent=adopt_parent)
-
     if not has_fork():
         # The payload crosses to workers via fork (closures over models
         # never pickle), so a fork-less platform cannot run the pool at
@@ -313,31 +356,20 @@ def supervised_map(fn, items, workers, timeout=None, retries=None,
             RuntimeWarning,
             stacklevel=2,
         )
-        for item in items:
-            report = result.reports[item]
-            started = time.monotonic()
-            try:
-                value, attempts = run_with_retry(
-                    lambda item=item: fn(item),
-                    retries=retries,
-                    backoff=backoff,
-                    failures=report.failures,
-                )
-            except Exception as exc:
-                report.attempts = max(1, len(report.failures))
-                report.status = "failed"
-                report.error = _describe(exc)
-            else:
-                report.attempts = attempts
-                report.status = "ok" if attempts == 1 else "recovered"
-                result.values[item] = value
-                if on_result is not None:
-                    on_result(item, value)
-            if report.attempts > 1:
-                metrics["retries"].inc(report.attempts - 1)
-            report.duration = time.monotonic() - started
-        _count_statuses(metrics, result)
-        return result
+        return serial_map(fn, items, retries=retries, backoff=backoff,
+                          labels=labels, on_result=on_result)
+    retries = resolve_retries(retries)
+    backoff = resolve_backoff(backoff)
+    result = _pending_result(items, labels)
+    metrics = _supervisor_metrics()
+    # Worker spans re-attach under the span open at map entry (the cell
+    # span in the orchestrator) so traces nest across the fork boundary.
+    adopt_parent = TRACER.current_span_id() if TRACER.enabled else None
+
+    def adopt_spans(spans):
+        if TRACER.enabled and spans:
+            TRACER.adopt(spans, parent=adopt_parent)
+
     ctx = multiprocessing.get_context("fork")
     out_queue = ctx.Queue()
     pending = deque((item, 1, 0.0) for item in items)  # (item, attempt, not_before)

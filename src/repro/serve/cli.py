@@ -97,6 +97,8 @@ async def _serve(server, announce):
 
 def serve_main(argv=None):
     """Parse flags, build the service, serve until signaled."""
+    from repro.experiments.config import resolve_scale
+
     parser = argparse.ArgumentParser(
         prog="runner serve",
         description="Serve selection plans over HTTP (POST /v1/plan, "
@@ -131,7 +133,7 @@ def serve_main(argv=None):
     workers = resolve_worker_count(args.workers, "REPRO_WORKERS", "workers")
     service = build_service(
         workloads=tuple(args.workloads or ("lenet-digits",)),
-        scale=args.scale,
+        scale=resolve_scale(args.scale),
         resolve_workers=workers if workers is not None else 1,
         max_engines=args.max_engines,
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -67,3 +68,15 @@ def trained_lenet():
     accuracy = evaluate_accuracy(model, data.test_x, data.test_y)
     assert accuracy > 0.9, f"fixture model failed to train: {accuracy}"
     return model, data, accuracy
+
+
+@pytest.fixture()
+def mini_zoo(trained_lenet):
+    """A ZooModel-shaped wrapper around the shared test LeNet."""
+    model, data, accuracy = trained_lenet
+    return SimpleNamespace(
+        model=model,
+        data=data,
+        clean_accuracy=accuracy,
+        spec=SimpleNamespace(key="lenet-test", weight_bits=4),
+    )

@@ -1,10 +1,11 @@
-"""Trial-batched Monte Carlo engine: seeded equivalence with the scalar path.
+"""Trial-batched Monte Carlo stages: seeded equivalence with the scalar path.
 
-The batched engine must reproduce the scalar protocol's physics — same
+The batched stages must reproduce the scalar protocol's physics — same
 per-trial programming draws (bitwise), same write-verify statistics
 (mean cycles ~10, residual sigma ~0.03-0.05 full-scale at the paper's
-operating point), same sweep results within Monte Carlo tolerance — while
-stacking all trials on one leading axis.
+operating point) — while stacking all trials on one leading axis.  The
+whole sweep's batched == scalar gate is
+``test_device_stack.py::test_sweep_batched_matches_scalar_for_every_technology``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from repro.cim.write_verify import (
     write_verify,
     write_verify_trials,
 )
-from repro.core import MonteCarloEngine, SwimConfig, WeightSpace
-from repro.core.metrics import evaluate_accuracy, evaluate_accuracy_trials, monte_carlo
+from repro.core import MonteCarloEngine, WeightSpace
+from repro.core.metrics import evaluate_accuracy, evaluate_accuracy_trials
 from repro.core.sensitivity import MagnitudeScorer
 from repro.utils.rng import RngStream
 
@@ -158,26 +159,14 @@ def test_engine_substreams_are_independent_and_stable():
     np.testing.assert_array_equal(a, again)
 
 
-def test_engine_run_matches_monte_carlo_harness():
-    def run_fn(stream):
-        return float(stream.normal())
-
-    root = RngStream(5).child("mc-test")
-    legacy = monte_carlo(run_fn, 8, root)
-    engine = MonteCarloEngine(8, root)
-    modern = engine.run(run_fn)
-    np.testing.assert_array_equal(legacy.values, modern.values)
-    assert legacy.converged == modern.converged
-
-
 def test_engine_blocks_cover_all_trials():
-    engine = MonteCarloEngine(10, RngStream(0).child("b"), trial_block=4)
-    blocks = list(engine.blocks())
+    engine = MonteCarloEngine(10, RngStream(0).child("b"))
+    blocks = list(engine.blocks(eval_batch_size=128))
     assert [len(b) for b in blocks] == [4, 4, 2]
     np.testing.assert_array_equal(np.concatenate(blocks), np.arange(10))
 
 
-# ----------------------------------------- accelerator + sweep pipeline
+# ---------------------------------------------- accelerator pipeline
 
 
 @pytest.fixture(scope="module")
@@ -213,34 +202,6 @@ def test_program_trials_bitwise_matches_scalar(small_setup):
     scalar = accelerator.program(streams[1].child("program").generator)
     for name in scalar:
         np.testing.assert_array_equal(stacked[name][:, 1], scalar[name])
-
-
-def test_sweep_nwc_batched_vs_scalar(small_setup):
-    model, data, accelerator, space, order = small_setup
-    eval_x, eval_y = data.test_x, data.test_y
-    targets = (0.0, 0.5, 1.0)
-
-    def run(batched):
-        engine = MonteCarloEngine(6, RngStream(21).child("sweep"),
-                                  batched=batched)
-        return engine.sweep_nwc(
-            model, accelerator, order, space, eval_x, eval_y, targets
-        )
-
-    acc_b, nwc_b = run(True)
-    acc_s, nwc_s = run(False)
-    assert acc_b.shape == acc_s.shape == (6, 3)
-    # Endpoints: no verification -> 0 cycles; everything -> all cycles.
-    np.testing.assert_allclose(nwc_b[:, 0], 0.0)
-    np.testing.assert_allclose(nwc_b[:, -1], 1.0)
-    np.testing.assert_allclose(nwc_s[:, 0], 0.0)
-    np.testing.assert_allclose(nwc_s[:, -1], 1.0)
-    # Identical per-trial programming draws make achieved NWC agree
-    # closely; accuracies agree in Monte Carlo mean.
-    np.testing.assert_allclose(nwc_b[:, 1], nwc_s[:, 1], atol=0.03)
-    np.testing.assert_allclose(acc_b.mean(axis=0), acc_s.mean(axis=0), atol=0.06)
-    # Write-verify must not hurt on average: full verify >= no verify.
-    assert acc_b[:, -1].mean() >= acc_b[:, 0].mean() - 0.02
 
 
 def test_trial_cycle_accounting_consistent_with_nwc(small_setup):
@@ -298,36 +259,6 @@ def test_evaluate_accuracy_trials_matches_scalar_with_shared_weights(small_setup
     scalar = evaluate_accuracy(model, x, y)
     per_trial = evaluate_accuracy_trials(model, x, y, n_trials=3)
     np.testing.assert_allclose(per_trial, scalar)
-
-
-def test_engine_selective_write_verify_batched_vs_scalar(small_setup):
-    model, data, accelerator, space, order = small_setup
-    from repro.core.sensitivity import MagnitudeScorer
-
-    eval_x, eval_y = data.test_x[:160], data.test_y[:160]
-    baseline = evaluate_accuracy(model, eval_x, eval_y)
-    config = SwimConfig(delta_a=0.02, granularity=0.25)
-
-    def run(batched):
-        engine = MonteCarloEngine(3, RngStream(77).child("alg1"),
-                                  batched=batched)
-        return engine.selective_write_verify(
-            model, accelerator, MagnitudeScorer(), eval_x, eval_y,
-            baseline, config=config,
-        )
-
-    batched = run(True)
-    scalar = run(False)
-    assert len(batched) == len(scalar) == 3
-    for result in batched + scalar:
-        assert 0.0 <= result.achieved_nwc <= 1.0
-        assert 0.0 <= result.selected_fraction <= 1.0
-        assert len(result.accuracy_history) == len(result.nwc_history)
-        if result.met_target:
-            assert baseline - result.achieved_accuracy <= config.delta_a + 1e-12
-    mean_b = np.mean([r.achieved_accuracy for r in batched])
-    mean_s = np.mean([r.achieved_accuracy for r in scalar])
-    assert mean_b == pytest.approx(mean_s, abs=0.08)
 
 
 # -------------------------------------------------- perturbation engine

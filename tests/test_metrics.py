@@ -1,48 +1,15 @@
-"""Monte Carlo harness and reporting helpers."""
+"""The paper's NWC grid and reporting helpers."""
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
-import pytest
-
-from repro.core.metrics import DEFAULT_NWC_TARGETS, monte_carlo
+from repro.core.metrics import DEFAULT_NWC_TARGETS
 from repro.experiments.reporting import results_dir
-from repro.utils.rng import RngStream
 
 
 def test_default_targets_match_paper_columns():
     assert DEFAULT_NWC_TARGETS == (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
-
-
-def test_monte_carlo_runs_are_stream_stable():
-    """Run i's value must not depend on the total run count."""
-    seen = {}
-
-    def run_fn(run_rng):
-        return float(run_rng.normal())
-
-    short = monte_carlo(run_fn, 4, RngStream(5).child("mc-test"))
-    long = monte_carlo(run_fn, 8, RngStream(5).child("mc-test"))
-    np.testing.assert_array_equal(short.values, long.values[:4])
-
-
-def test_monte_carlo_summary_format():
-    result = monte_carlo(lambda r: 0.5, 6, RngStream(1).child("x"), label="demo")
-    stat = result.summary()
-    assert stat.mean == 0.5 and stat.std == 0.0
-    assert "demo" in repr(result)
-
-
-def test_monte_carlo_convergence_flag():
-    result = monte_carlo(lambda r: 1.0, 20, RngStream(2).child("c"))
-    assert result.converged  # constant sequence converges trivially
-
-
-def test_monte_carlo_validates_runs():
-    with pytest.raises(ValueError):
-        monte_carlo(lambda r: 0.0, 0, RngStream(0).child("n"))
 
 
 def test_results_dir_env_override(tmp_path, monkeypatch):

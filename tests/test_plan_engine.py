@@ -10,8 +10,6 @@ byte-identical to serial.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -35,18 +33,6 @@ from repro.utils.rng import RngStream
 
 ONE_HOUR = 3.6e3
 ONE_MONTH = 2.592e6
-
-
-@pytest.fixture()
-def mini_zoo(trained_lenet):
-    """A ZooModel-shaped wrapper around the shared test LeNet."""
-    model, data, accuracy = trained_lenet
-    return SimpleNamespace(
-        model=model,
-        data=data,
-        clean_accuracy=accuracy,
-        spec=SimpleNamespace(key="lenet-test", weight_bits=4),
-    )
 
 
 def _engine(mini_zoo, sense=128, **cache_kwargs):

@@ -96,7 +96,7 @@ class TestFaultSchedule:
 
     @pytest.mark.parametrize("spec", [
         "bogus", "explode:cell", "crash:universe", "crash:cell*zero",
-        "crash:cell*0",
+        "crash:cell*0", "crash:trial@0",
     ])
     def test_malformed_spec_is_a_config_error(self, spec):
         with pytest.raises(ScenarioConfigError):
@@ -487,17 +487,6 @@ class TestCheckpointRoundTrip:
 # ----------------------------------------------- orchestrator end-to-end
 
 
-@pytest.fixture()
-def mini_zoo(trained_lenet):
-    model, data, accuracy = trained_lenet
-    return SimpleNamespace(
-        model=model,
-        data=data,
-        clean_accuracy=accuracy,
-        spec=SimpleNamespace(key="lenet-test", weight_bits=4),
-    )
-
-
 def _grid(n=2, methods=("magnitude",)):
     """A tiny n-cell scenario grid (magnitude only: no curvature pass)."""
     root = RngStream(91).child("robustness")
@@ -652,6 +641,20 @@ class TestOrchestratorRobustness:
         plan = engine.plan(PlanRequest(methods=("magnitude",), sigma=0.1))
         assert "magnitude" in plan.orders
         assert cache.stats()["producer_retries"] == 2
+
+
+def test_config_error_in_a_serial_tile_propagates(mini_zoo, monkeypatch):
+    """A usage error would fail every tile the same way, so a serial run
+    raises it (the runner exits 64) instead of failing cells."""
+    import repro.experiments.sweeps as sweeps
+
+    def misconfigured(zoo, **kwargs):
+        raise ScenarioConfigError("bad knob")
+
+    monkeypatch.setattr(sweeps, "run_method_sweep", misconfigured)
+    orchestrator = _orchestrator(mini_zoo, PlanArtifactCache(disk=False))
+    with pytest.raises(ScenarioConfigError, match="bad knob"):
+        orchestrator.run(_grid(), scenario="t")
 
 
 # ------------------------------------------------- incremental eval cache

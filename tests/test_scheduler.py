@@ -144,11 +144,6 @@ class TestEngineWindow:
         with pytest.raises(ValueError, match="trial_range"):
             MonteCarloEngine(4, RngStream(1), trial_range=(3, 3))
 
-    def test_map_trials_covers_only_the_window(self):
-        engine = MonteCarloEngine(10, RngStream(1), trial_range=(4, 8))
-        assert engine.map_trials(lambda i: i) == [4, 5, 6, 7]
-
     def test_default_trial_block_grain(self):
         assert default_trial_block(256) == 2
-        assert default_trial_block(256, trial_block=5) == 5
         assert default_trial_block(4096) == 1

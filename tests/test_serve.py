@@ -52,18 +52,6 @@ BODY = {
 }
 
 
-@pytest.fixture()
-def mini_zoo(trained_lenet):
-    """A ZooModel-shaped wrapper around the shared test LeNet."""
-    model, data, accuracy = trained_lenet
-    return SimpleNamespace(
-        model=model,
-        data=data,
-        clean_accuracy=accuracy,
-        spec=SimpleNamespace(key="lenet-test", weight_bits=4),
-    )
-
-
 def _engine(mini_zoo):
     """A memory-only engine for direct (unserved) resolutions."""
     return PlanEngine(
@@ -969,6 +957,23 @@ def test_unknown_workload_exits_64(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, env_scale", [
+    (["table1", "--scale", "bogus"], None),
+    (["serve"], "bogus"),
+])
+def test_unknown_scale_exits_64(capsys, monkeypatch, argv, env_scale):
+    from repro.experiments.runner import run
+
+    if env_scale is not None:
+        monkeypatch.setenv("REPRO_SCALE", env_scale)
+    code = run(argv)
+    assert code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown scale 'bogus'")
+    assert err.count("\n") == 1
+    assert "'smoke'" in err and "Traceback" not in err
 
 
 def test_bad_port_exits_64(capsys):

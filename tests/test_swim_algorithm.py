@@ -1,4 +1,8 @@
-"""Algorithm 1 and the NWC sweep: end-to-end behaviour on a trained model."""
+"""Algorithm 1 and the NWC sweep: end-to-end behaviour on a trained model.
+
+The sweep tests drive :func:`~repro.experiments.sweeps.run_method_sweep`
+(the one Monte Carlo sweep) on its scalar path.
+"""
 
 from __future__ import annotations
 
@@ -11,10 +15,9 @@ from repro.core import (
     RandomScorer,
     SwimConfig,
     SwimScorer,
-    WeightSpace,
     selective_write_verify,
-    sweep_nwc,
 )
+from repro.experiments.sweeps import run_method_sweep
 from repro.nn import evaluate_accuracy
 from repro.utils.rng import RngStream
 
@@ -99,71 +102,53 @@ def test_algorithm1_impossible_target_verifies_everything(mapped):
     assert not result.met_target
 
 
-def test_sweep_endpoints_match_apply_none_and_all(mapped):
-    model, data, clean, accelerator = mapped
-    rng = RngStream(13)
-    space = WeightSpace.from_model(model)
-    scorer = SwimScorer(max_batches=1)
-    accelerator.clear()
-    order = scorer.ranking(model, space, data.train_x[:128], data.train_y[:128])
-    accs, nwc = sweep_nwc(
-        model, accelerator, order, space,
-        data.test_x[:200], data.test_y[:200],
-        (0.0, 1.0), rng.child("sweep"),
+def _sweep(mini_zoo, methods, targets, mc_runs, seed, **kwargs):
+    """The scalar Monte Carlo sweep at the ``mapped`` fixture's sigma."""
+    return run_method_sweep(
+        mini_zoo, sigma=0.15, nwc_targets=targets, mc_runs=mc_runs,
+        rng=RngStream(seed).child("sweep"), methods=methods, batched=False,
+        **kwargs,
     )
-    assert nwc[0] == 0.0
-    assert nwc[1] == 1.0
-    # NWC=1.0 must match the fully verified deployment accuracy.
+
+
+def test_sweep_endpoints_match_apply_none_and_all(mini_zoo, mapped):
+    targets = (0.0, 1.0)
+    outcome = _sweep(mini_zoo, ("swim",), targets, mc_runs=3, seed=13,
+                     eval_samples=200, sense_samples=128,
+                     curvature_batches=1)
+    curve = outcome.curve("swim")
+    np.testing.assert_array_equal(curve.achieved_nwc, [0.0, 1.0])
+    # NWC=1.0 must match the fully verified deployment of the same draw.
+    model, data, clean, accelerator = mapped
+    draw = RngStream(13).child("sweep").child("mc", 0)
+    accelerator.program(draw.child("program").generator)
+    accelerator.write_verify_all(draw.child("verify").generator)
     accelerator.apply_all()
     full = evaluate_accuracy(model, data.test_x[:200], data.test_y[:200])
-    assert accs[1] == pytest.approx(full)
+    assert curve.accuracy_runs[0, 1] == pytest.approx(full)
+    # Write-verify must not hurt on average: full verify >= no verify.
+    means = curve.means()
+    assert means[1] >= means[0] - 0.02
 
 
-def test_sweep_achieved_nwc_tracks_targets(mapped):
-    model, data, clean, accelerator = mapped
-    rng = RngStream(14)
-    space = WeightSpace.from_model(model)
-    order = RandomScorer().ranking(
-        model, space, None, None, rng=rng.child("rank")
-    )
+def test_sweep_achieved_nwc_tracks_targets(mini_zoo):
     targets = (0.0, 0.25, 0.5, 0.75, 1.0)
-    _, achieved = sweep_nwc(
-        model, accelerator, order, space,
-        data.test_x[:100], data.test_y[:100],
-        targets, rng.child("sweep"),
-    )
+    outcome = _sweep(mini_zoo, ("random",), targets, mc_runs=1, seed=14,
+                     eval_samples=100)
     # Random selection: cycle share ~ weight share.
-    np.testing.assert_allclose(achieved, targets, atol=0.08)
-
-
-def test_swim_beats_random_at_low_nwc(mapped):
-    """The headline claim, averaged over a few Monte Carlo draws."""
-    model, data, clean, accelerator = mapped
-    space = WeightSpace.from_model(model)
-    root = RngStream(15)
-    accelerator.clear()
-    swim_order = SwimScorer(max_batches=2).ranking(
-        model, space, data.train_x[:256], data.train_y[:256]
+    np.testing.assert_allclose(
+        outcome.curve("random").achieved_nwc, targets, atol=0.08
     )
-    swim_accs = []
-    random_accs = []
-    for run in range(4):
-        random_order = RandomScorer().ranking(
-            model, space, None, None, rng=root.child("rand-order", run)
-        )
-        a_swim, _ = sweep_nwc(
-            model, accelerator, swim_order, space,
-            data.test_x[:200], data.test_y[:200], (0.1,),
-            root.child("swim", run),
-        )
-        a_rand, _ = sweep_nwc(
-            model, accelerator, random_order, space,
-            data.test_x[:200], data.test_y[:200], (0.1,),
-            root.child("rand", run),
-        )
-        swim_accs.append(a_swim[0])
-        random_accs.append(a_rand[0])
-    assert np.mean(swim_accs) > np.mean(random_accs) + 0.01
+
+
+def test_swim_beats_random_at_low_nwc(mini_zoo):
+    """The headline claim, averaged over a few paired Monte Carlo draws."""
+    outcome = _sweep(mini_zoo, ("swim", "random"), (0.1,), mc_runs=4,
+                     seed=15, eval_samples=200, sense_samples=256,
+                     curvature_batches=2)
+    swim = outcome.curve("swim").means()[0]
+    random = outcome.curve("random").means()[0]
+    assert swim > random + 0.01
 
 
 def test_overrides_do_not_touch_ideal_weights(mapped):

@@ -225,64 +225,6 @@ def test_variance_map_reduces_to_mapping_constant(sigma, bits, weight_bits,
     np.testing.assert_array_equal(from_stack, from_mapping)
 
 
-# ------------------------------------------------- scorer-fed sweeps
-
-def test_sweep_nwc_scorer_path_matches_precomputed_order(small_model, rng):
-    """order=None + scorer resolves the same shared ranking once."""
-    from repro.cim import CimAccelerator
-    from repro.core import HeteroSwimScorer, MonteCarloEngine
-    from repro.core.swim import sweep_nwc
-
-    model, space = small_model
-    eval_x = rng.child("x").normal(size=(32, 6))
-    eval_y = rng.child("y").integers(0, 4, size=32)
-    sense_x = rng.child("sx").normal(size=(32, 6))
-    sense_y = rng.child("sy").integers(0, 4, size=32)
-    targets = (0.0, 0.5)
-    scorer = HeteroSwimScorer(technology="fefet", batch_size=32)
-
-    def engine(seed=31):
-        return MonteCarloEngine(2, RngStream(seed).child("sweep"))
-
-    accelerator = CimAccelerator(model, technology="fefet")
-    by_scorer = engine().sweep_nwc(
-        model, accelerator, None, space, eval_x, eval_y, targets,
-        scorer=scorer, sense_x=sense_x, sense_y=sense_y,
-    )
-    order = scorer.ranking(
-        model, space, sense_x, sense_y,
-        rng=RngStream(31).child("sweep").child("scorer"),
-    )
-    by_order = engine().sweep_nwc(
-        model, accelerator, order, space, eval_x, eval_y, targets
-    )
-    np.testing.assert_array_equal(by_scorer[0], by_order[0])
-    np.testing.assert_array_equal(by_scorer[1], by_order[1])
-
-    # The scalar single-draw entry point accepts the same contract.
-    accuracies, achieved = sweep_nwc(
-        model, accelerator, None, space, eval_x, eval_y, targets,
-        RngStream(7).child("scalar"), scorer=scorer,
-        sense_x=sense_x, sense_y=sense_y,
-    )
-    assert accuracies.shape == achieved.shape == (2,)
-
-    with pytest.raises(ValueError, match="precomputed order or a scorer"):
-        engine().sweep_nwc(
-            model, accelerator, None, space, eval_x, eval_y, targets
-        )
-    with pytest.raises(ValueError, match="sense_x"):
-        engine().sweep_nwc(
-            model, accelerator, None, space, eval_x, eval_y, targets,
-            scorer=scorer,
-        )
-    with pytest.raises(ValueError, match="sense_x"):
-        sweep_nwc(
-            model, accelerator, None, space, eval_x, eval_y, targets,
-            RngStream(7).child("scalar"), scorer=scorer,
-        )
-
-
 def test_variance_map_rejects_custom_stages():
     """Unknown stage types fail loudly instead of returning a wrong map."""
     from repro.cim import NonidealityStage
