@@ -15,7 +15,7 @@ Because correlated noise cannot be fought by re-programming alone (all
 nearby devices err together), write-verify still works — the verify loop
 measures each device individually — but *unverified* weights now fail in
 clusters, which stresses selection quality differently than i.i.d. noise
-(see ``benchmarks/bench_spatial.py``).
+(the ``runner spatial`` scenario, :mod:`repro.experiments.spatial`).
 
 The Gaussian smoothing uses :func:`scipy.ndimage.gaussian_filter` when
 SciPy is installed and falls back to a NumPy separable wrap-mode filter

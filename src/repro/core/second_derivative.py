@@ -8,9 +8,10 @@ loss curvature ``d2F/dO^2`` (Eq. 11) and propagated by each layer's
 
 The functions here orchestrate that pass over a model and return the
 curvature per parameter; they also expose gradient collection with the same
-interface so the two passes can be timed against each other (the paper
-claims the second-derivative pass costs about as much as a gradient pass —
-see ``benchmarks/bench_secondderiv_cost.py``).
+interface as a baseline.  The paper claims the second-derivative pass
+costs about as much as a gradient pass; ``tests/test_second_derivative.py``
+counts it: one forward, backward and curvature pass per layer, against two
+forward passes per parameter for finite differencing.
 """
 
 from __future__ import annotations

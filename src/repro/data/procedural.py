@@ -2,7 +2,7 @@
 
 The offline environment has no dataset downloads, so MNIST / CIFAR-10 /
 Tiny ImageNet are replaced by procedurally generated classification tasks
-(see DESIGN.md for why this preserves the experiments).  This module holds
+at the original image sizes.  This module holds
 the shared raster primitives: anti-aliased line segments, filled shapes,
 Gabor textures, blur, and random affine jitter.
 

@@ -1,6 +1,6 @@
 """Ablation studies on SWIM's design choices (beyond the paper's tables).
 
-Each function isolates one choice DESIGN.md calls out:
+Each function isolates one of SWIM's design choices:
 
 - ``ablate_granularity`` — Algorithm 1's group size ``p`` (paper fixes 5%):
   smaller groups stop closer to the minimal NWC but evaluate more often.

@@ -5,11 +5,12 @@ with GPU training; this CPU-only reproduction organizes every knob that
 trades fidelity for time into three presets:
 
 ``smoke``
-    Seconds-scale: tiny models, few trials.  Used by CI and the default
-    pytest-benchmark run gates.
+    Seconds-scale: tiny models, few trials.  Used by CI, the test suite
+    (``tests/test_paper_claims.py`` asserts the paper's claims on its
+    grids) and the pipeline benchmark under ``perfbench/``.
 ``default``
     Minutes-scale: the paper's topologies at reduced width, enough trials
-    for stable means.  This is what EXPERIMENTS.md reports.
+    for stable means.  The runner's default.
 ``full``
     The paper's parameter counts and 3,000 trials.  Provided for
     completeness; expect GPU-days of CPU time.

@@ -1,8 +1,8 @@
 """Rendering and persistence of experiment results.
 
 Keeps the drivers (fig1/table1/fig2/ablations) free of formatting code and
-gives the benchmark harness one place to print paper-style output and save
-CSVs under ``results/``.
+gives the CLI runner one place to print paper-style output and save CSVs
+under ``results/``.
 """
 
 from __future__ import annotations

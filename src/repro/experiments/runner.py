@@ -165,7 +165,7 @@ def _run_ablations(scale, out_dir):
 
 
 def main(argv=None):
-    """CLI entry point (also exposed as the ``repro-experiments`` script)."""
+    """CLI entry point (``python -m repro.experiments.runner``)."""
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "serve":

@@ -59,8 +59,7 @@ def test_convnet_full_width_parameter_count(rng):
     """Full-width VGG-8 layout lands at ~13M mapped weights.
 
     The paper quotes 6.4e6 for its (unspecified) NeuroSim ConvNet; the
-    discrepancy is an architecture-detail difference documented in
-    EXPERIMENTS.md, not a width knob.
+    discrepancy is an architecture-detail difference, not a width knob.
     """
     model = convnet(rng.child("m"), width_mult=1.0)
     mapped = sum(

@@ -13,10 +13,14 @@ elsewhere; these tests pin down both:
   ReLU networks, where the method is approximate by design;
 - structural properties: non-negativity for ReLU+CE networks, additivity
   over accumulation, invariance of ranking under output-preserving
-  transformations.
+  transformations;
+- the cost: one forward, backward and curvature pass per layer, against
+  two forward passes per parameter for finite differencing.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -94,6 +98,41 @@ def test_conv_last_stage_exact(rng):
     )
     np.testing.assert_allclose(got["4.weight"], want["4.weight"], atol=1e-5, rtol=1e-3)
     np.testing.assert_allclose(got["4.bias"], want["4.bias"], atol=1e-5, rtol=1e-3)
+
+
+def test_curvature_pass_is_one_pass_per_layer(rng, monkeypatch):
+    """Sec. 3.3's cost claim as a count: all diagonal second derivatives
+    cost one forward, one backward and one backward_second per weighted
+    layer, where finite differencing (Eq. 6) needs two forward passes
+    per parameter."""
+    model = Sequential(
+        Conv2d(1, 3, 3, padding=1, rng=rng.child("c")),
+        ReLU(),
+        MaxPool2d(2),
+        Flatten(),
+        Linear(3 * 4 * 4, 5, rng=rng.child("fc")),
+    )
+    x = rng.child("x").normal(size=(4, 1, 8, 8))
+    y = rng.child("y").integers(0, 5, size=4)
+    weighted, passes = (0, 4), ("forward", "backward", "backward_second")
+    calls = Counter()
+    for index in weighted:
+        for name in passes:
+            method = getattr(model[index], name)
+
+            def counted(*args, _method=method, _key=(index, name)):
+                calls[_key] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(model[index], name, counted)
+
+    compute_second_derivatives(model, x, y)
+    assert calls == {(index, name): 1 for index in weighted for name in passes}
+
+    calls.clear()
+    fd_diagonal_hessian(model, x, y)
+    assert calls[(0, "forward")] == 2 * model.num_parameters() + 1
+    assert calls[(0, "backward")] == calls[(0, "backward_second")] == 0
 
 
 def test_deep_relu_correlation_with_true_hessian(rng):
