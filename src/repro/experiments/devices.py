@@ -39,7 +39,7 @@ class DevicesResult:
 
 def run_devices(scale, technologies=None, nwc_targets=DEFAULT_NWC_TARGETS,
                 methods=DEVICES_METHODS, workload="lenet-digits", seed=11,
-                use_cache=True, batched=True, workers=None, plan_cache=None,
+                batched=True, workers=None, plan_cache=None,
                 plans_out=None, report_out=None):
     """Run the accuracy-vs-NWC sweep for every registered technology.
 
@@ -76,7 +76,7 @@ def run_devices(scale, technologies=None, nwc_targets=DEFAULT_NWC_TARGETS,
     -------
     DevicesResult
     """
-    zoo = load_workload(scale.workload(workload), use_cache=use_cache)
+    zoo = load_workload(scale.workload(workload))
     names = (
         list(technologies)
         if technologies is not None

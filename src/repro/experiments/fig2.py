@@ -27,8 +27,8 @@ FIG2_WORKLOADS = {
 
 def run_fig2_panel(scale, panel, nwc_targets=DEFAULT_NWC_TARGETS,
                    methods=("swim", "magnitude", "random", "insitu"),
-                   sigma=0.1, seed=2, use_cache=True, batched=True,
-                   workers=None, report_out=None):
+                   sigma=0.1, seed=2, batched=True, workers=None,
+                   report_out=None):
     """Run one Fig. 2 panel (``panel`` in {"a", "b", "c"}).
 
     The panel is a one-cell scenario grid, so it plans through the
@@ -49,8 +49,7 @@ def run_fig2_panel(scale, panel, nwc_targets=DEFAULT_NWC_TARGETS,
     """
     if panel not in FIG2_WORKLOADS:
         raise KeyError(f"panel must be one of {sorted(FIG2_WORKLOADS)}")
-    zoo = load_workload(scale.workload(FIG2_WORKLOADS[panel]),
-                        use_cache=use_cache)
+    zoo = load_workload(scale.workload(FIG2_WORKLOADS[panel]))
     cell = ScenarioCell(
         key=sigma,
         request=PlanRequest(

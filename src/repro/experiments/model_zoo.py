@@ -1,14 +1,19 @@
 """Deterministic train-or-load of the paper's workload models.
 
 Models are trained with quantization-aware training (STE weight fake-quant
-plus ActQuant activation quantization, per the paper's Sec. 4.2) and cached
-on disk keyed by the full workload specification, so repeated benchmark
-invocations skip training.
+plus ActQuant activation quantization, per the paper's Sec. 4.2) and stored
+as ``zoo`` artifacts of the one artifact store,
+:class:`~repro.plan.cache.PlanArtifactCache` (``$REPRO_CACHE_DIR/plan/v<N>/
+zoo-<key>.npz``), keyed by the full workload specification, so repeated
+invocations skip training and a truncated or corrupt model file is
+quarantined and retrained instead of failing the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.data import synthetic_cifar, synthetic_digits, synthetic_tiny_imagenet
 from repro.nn import (
@@ -19,9 +24,9 @@ from repro.nn import (
     evaluate_accuracy,
 )
 from repro.nn.models import convnet, lenet, resnet18
-from repro.utils.cache import ArtifactCache
+from repro.nn.quant import attach_weight_quantizers
+from repro.plan.cache import PlanArtifactCache
 from repro.utils.rng import RngStream
-from repro.utils.serialization import load_state_dict, save_state_dict
 
 __all__ = ["ZooModel", "load_workload", "build_model", "build_data"]
 
@@ -89,12 +94,13 @@ def build_model(spec, rng):
     raise KeyError(f"unknown arch {spec.arch!r}")
 
 
-def load_workload(spec, use_cache=True, log=False):
-    """Train (or load from cache) the model for a workload spec.
+def load_workload(spec):
+    """Train (or load from the artifact store) the model for a workload spec.
 
     Deterministic: the spec's seed drives data generation, weight init,
     and batch shuffling, so cache hits and fresh training produce the
-    same artifact.
+    same artifact.  A miss trains and stores the state dict plus
+    ``clean_accuracy``; hits and misses then load the model the same way.
 
     Returns
     -------
@@ -104,43 +110,33 @@ def load_workload(spec, use_cache=True, log=False):
     data = build_data(spec, root.child("data"))
     model = build_model(spec, root.child("model"))
 
-    cache = ArtifactCache(namespace="model-zoo")
-    cache_cfg = spec.cache_config()
-    path = cache.path_for(cache_cfg)
-
-    if use_cache and cache.has(cache_cfg):
-        state, meta = load_state_dict(path)
-        model.load_state_dict(state)
-        # QAT quantizers are not part of the state dict; re-attach.
-        from repro.nn.quant import attach_weight_quantizers
-
-        attach_weight_quantizers(model, spec.weight_bits)
-        model.eval()
-        return ZooModel(
-            model=model, data=data,
-            clean_accuracy=float(meta["clean_accuracy"]), spec=spec,
+    def train():
+        optimizer = SGD(model.parameters(), lr=spec.lr, momentum=0.9,
+                        weight_decay=1e-4)
+        trainer = Trainer(
+            optimizer,
+            schedule=cosine_schedule(spec.lr, spec.epochs),
+            rng=root.child("train"),
         )
+        trainer.fit(
+            model, data.train_x, data.train_y,
+            config=TrainConfig(
+                epochs=spec.epochs, batch_size=spec.batch_size,
+                weight_bits=spec.weight_bits,
+            ),
+        )
+        accuracy = evaluate_accuracy(model, data.test_x, data.test_y)
+        return dict(model.state_dict(),
+                    clean_accuracy=np.float64(accuracy))
 
-    optimizer = SGD(model.parameters(), lr=spec.lr, momentum=0.9,
-                    weight_decay=1e-4)
-    trainer = Trainer(
-        optimizer,
-        schedule=cosine_schedule(spec.lr, spec.epochs),
-        rng=root.child("train"),
-    )
-    trainer.fit(
-        model, data.train_x, data.train_y,
-        config=TrainConfig(
-            epochs=spec.epochs, batch_size=spec.batch_size,
-            weight_bits=spec.weight_bits,
-            log_every=1 if log else 0,
-        ),
-    )
+    # The memory tier is off: the caller holds the model, and a second
+    # copy of its weights would only grow the process.
+    cache = PlanArtifactCache(memory=False)
+    state = dict(cache.get_or_create("zoo", spec.cache_config(), train))
+    clean_accuracy = float(state.pop("clean_accuracy"))
+    model.load_state_dict(state)
+    # QAT quantizers are not part of the state dict; re-attach.
+    attach_weight_quantizers(model, spec.weight_bits)
     model.eval()
-    clean_accuracy = evaluate_accuracy(model, data.test_x, data.test_y)
-    if use_cache:
-        save_state_dict(path, model.state_dict(),
-                        meta={"clean_accuracy": clean_accuracy,
-                              "spec": cache_cfg})
     return ZooModel(model=model, data=data, clean_accuracy=clean_accuracy,
                     spec=spec)

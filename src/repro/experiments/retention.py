@@ -53,9 +53,9 @@ class RetentionResult:
 
 def run_retention(scale, technologies=RETENTION_TECHNOLOGIES, times=None,
                   nwc_targets=DEFAULT_NWC_TARGETS, methods=RETENTION_METHODS,
-                  workload="lenet-digits", seed=13, use_cache=True,
-                  batched=True, workers=None, plan_cache=None,
-                  plans_out=None, report_out=None):
+                  workload="lenet-digits", seed=13, batched=True,
+                  workers=None, plan_cache=None, plans_out=None,
+                  report_out=None):
     """Run the Table-1-over-time drift study.
 
     Parameters
@@ -88,7 +88,7 @@ def run_retention(scale, technologies=RETENTION_TECHNOLOGIES, times=None,
     RetentionResult
     """
     times = tuple(times) if times is not None else tuple(scale.retention_times)
-    zoo = load_workload(scale.workload(workload), use_cache=use_cache)
+    zoo = load_workload(scale.workload(workload))
     profiles = {
         tech.name: tech
         for tech in (resolve_technology(t) for t in technologies)

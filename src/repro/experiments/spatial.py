@@ -47,9 +47,9 @@ class SpatialResult:
 
 def run_spatial(scale, technology="fefet-spatial", correlation_lengths=None,
                 nwc_targets=DEFAULT_NWC_TARGETS, methods=SPATIAL_METHODS,
-                workload="lenet-digits", seed=17, use_cache=True,
-                batched=True, workers=None, plan_cache=None,
-                plans_out=None, report_out=None):
+                workload="lenet-digits", seed=17, batched=True,
+                workers=None, plan_cache=None, plans_out=None,
+                report_out=None):
     """Run the clustered-failure stress test across correlation lengths.
 
     Parameters
@@ -90,7 +90,7 @@ def run_spatial(scale, technology="fefet-spatial", correlation_lengths=None,
         if correlation_lengths is not None
         else tuple(scale.spatial_correlation_lengths)
     )
-    zoo = load_workload(scale.workload(workload), use_cache=use_cache)
+    zoo = load_workload(scale.workload(workload))
     # One shared stream for every length: the same chips, refabricated
     # with the same draws but a differently structured error field.
     root = RngStream(seed).child("spatial", base.name)

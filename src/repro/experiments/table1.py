@@ -39,7 +39,7 @@ class Table1Result:
 
 def run_table1(scale, sigmas=TABLE1_SIGMAS, nwc_targets=DEFAULT_NWC_TARGETS,
                methods=("swim", "magnitude", "random", "insitu"),
-               seed=1, use_cache=True, batched=True, workers=None,
+               seed=1, batched=True, workers=None,
                plan_cache=None, plans_out=None, report_out=None):
     """Run the Table 1 experiment at a given scale preset.
 
@@ -55,7 +55,7 @@ def run_table1(scale, sigmas=TABLE1_SIGMAS, nwc_targets=DEFAULT_NWC_TARGETS,
     -------
     Table1Result
     """
-    zoo = load_workload(scale.workload("lenet-digits"), use_cache=use_cache)
+    zoo = load_workload(scale.workload("lenet-digits"))
     root = RngStream(seed).child("table1")
     result = Table1Result(
         workload=zoo.spec.key,

@@ -2,7 +2,7 @@
 
 All initializers take an :class:`~repro.utils.rng.RngStream` so model
 construction is reproducible given a seed.  The fan computations follow the
-conventions of He et al. (Kaiming) and Glorot (Xavier).
+conventions of He et al. (Kaiming).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ __all__ = [
     "compute_fans",
     "kaiming_normal",
     "kaiming_uniform",
-    "xavier_uniform",
     "zeros",
     "ones",
 ]
@@ -50,13 +49,6 @@ def kaiming_uniform(shape, rng, gain=np.sqrt(2.0), dtype=np.float32):
     """He-uniform init: bound = gain * sqrt(3 / fan_in)."""
     fan_in, _ = compute_fans(shape)
     bound = gain * np.sqrt(3.0 / max(fan_in, 1))
-    return rng.generator.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def xavier_uniform(shape, rng, gain=1.0, dtype=np.float32):
-    """Glorot-uniform init: bound = gain * sqrt(6 / (fan_in + fan_out))."""
-    fan_in, fan_out = compute_fans(shape)
-    bound = gain * np.sqrt(6.0 / max(fan_in + fan_out, 1))
     return rng.generator.uniform(-bound, bound, size=shape).astype(dtype)
 
 

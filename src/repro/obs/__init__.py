@@ -23,7 +23,6 @@ from repro.obs.trace import (
     enable_tracing,
     span,
     traced,
-    tracing_enabled,
     write_chrome_trace,
     write_spans_jsonl,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "enable_tracing",
     "span",
     "traced",
-    "tracing_enabled",
     "write_chrome_trace",
     "write_spans_jsonl",
 ]

@@ -32,7 +32,6 @@ __all__ = [
     "enable_tracing",
     "span",
     "traced",
-    "tracing_enabled",
     "write_chrome_trace",
     "write_spans_jsonl",
 ]
@@ -213,10 +212,6 @@ def enable_tracing():
 
 def disable_tracing():
     TRACER.disable()
-
-
-def tracing_enabled():
-    return TRACER.enabled
 
 
 def span(name, **attrs):

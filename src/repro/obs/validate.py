@@ -8,8 +8,10 @@ Two subcommands::
 ``spans`` checks every JSONL record against the span schema (name,
 start, dur, pid, parent, plus id/parent referential integrity within
 the file).  ``metrics`` checks Prometheus text exposition line by line.
-Both exit non-zero on the first structural problem, printing every
-violation found.
+A line that is not UTF-8 is a problem on that line.  Both exit 1 when
+any problem is found, printing every violation; a path that cannot be
+read prints one ``error:`` line and exits 74 (the runner's code for
+untyped I/O failures).
 """
 
 from __future__ import annotations
@@ -34,6 +36,15 @@ _TYPE_LINE = re.compile(
 )
 
 
+def _not_utf8(line):
+    """True if ``line`` holds undecodable bytes (``surrogateescape``)."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def validate_spans(lines):
     """Yield ``(line_number, problem)`` for every invalid span record."""
     seen_ids = set()
@@ -41,6 +52,9 @@ def validate_spans(lines):
     for number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
+            continue
+        if _not_utf8(line):
+            yield number, "not UTF-8"
             continue
         try:
             record = json.loads(line)
@@ -82,6 +96,9 @@ def validate_exposition(text):
         if not line:
             yield number, "blank line inside exposition"
             continue
+        if _not_utf8(line):
+            yield number, "not UTF-8"
+            continue
         if line.startswith("# HELP "):
             if not _HELP_LINE.match(line):
                 yield number, "malformed HELP line"
@@ -99,13 +116,21 @@ def _main(argv):
         print("usage: python -m repro.obs.validate {spans|metrics} <path>", file=sys.stderr)
         return 64
     mode, path = argv
-    with open(path, "r", encoding="utf-8") as handle:
-        if mode == "spans":
-            problems = list(validate_spans(handle))
-            checked = "span records"
-        else:
-            problems = list(validate_exposition(handle.read()))
-            checked = "exposition lines"
+    try:
+        # Undecodable bytes survive as lone surrogates, which the
+        # validators report on their line instead of raising here.
+        with open(path, "r", encoding="utf-8",
+                  errors="surrogateescape") as handle:
+            if mode == "spans":
+                problems = list(validate_spans(handle))
+                checked = "span records"
+            else:
+                problems = list(validate_exposition(handle.read()))
+                checked = "exposition lines"
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 74
     for number, problem in problems:
         print(f"{path}:{number}: {problem}", file=sys.stderr)
     if problems:

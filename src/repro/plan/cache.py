@@ -1,15 +1,19 @@
-"""Content-addressed, self-healing artifact cache for selection planning.
+"""Content-addressed, self-healing artifact cache: the repo's one store.
 
 Every scenario grid re-derives the same expensive intermediates —
 curvature flat vectors, stack variance maps, resolved selection orders —
-once per grid point.  This cache makes them first-class artifacts:
+once per grid point, on top of a trained workload model.  This cache
+makes all of them first-class artifacts: the trained models themselves
+(``zoo``, written by :func:`repro.experiments.model_zoo.load_workload`),
+the planning intermediates, plan bytes and evaluation tiles:
 
 - **content-addressed keys**: an artifact's key is the SHA-256 of a
-  canonical JSON description of everything that determines it — the
-  model's weight digest, the sense-set digest, the technology / stack
-  parameter dict, ``read_time`` and the scorer parameters.  Mutating any
-  of them (perturb a weight, change a drift exponent) changes the key,
-  so stale artifacts are unreachable rather than invalidated by fiat.
+  canonical JSON description of everything that determines it — for a
+  model, its workload spec; for a planning artifact, the model's weight
+  digest, the sense-set digest, the technology / stack parameter dict,
+  ``read_time`` and the scorer parameters.  Mutating any of them
+  (perturb a weight, change a drift exponent) changes the key, so stale
+  artifacts are unreachable rather than invalidated by fiat.
 - **memory + on-disk backends**: the in-process dict serves repeated
   lookups within one planning batch; the ``.npz`` store under
   ``$REPRO_CACHE_DIR/plan/v<N>/`` (see
@@ -167,10 +171,11 @@ def _content_checksum(arrays):
 
 
 class PlanArtifactCache:
-    """Two-tier (memory, disk) store of planning artifacts.
+    """Two-tier (memory, disk) store of models and planning artifacts.
 
     Artifacts are ``name -> numpy array`` dicts (a curvature artifact
-    holds ``scores`` and ``tie``; an order artifact holds ``order``).
+    holds ``scores`` and ``tie``; an order artifact holds ``order``; a
+    ``zoo`` artifact holds a model's state dict plus ``clean_accuracy``).
     Cached arrays are returned by reference from the memory tier —
     treat them as immutable.
 

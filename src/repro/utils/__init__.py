@@ -1,46 +1,34 @@
 """Shared infrastructure: deterministic RNG streams, statistics, rendering.
 
 Nothing in this package knows about neural networks or CiM devices; it is
-pure plumbing shared by the substrates and the experiment drivers.
+pure plumbing shared by the substrates and the experiment drivers.  The
+artifact store itself is :class:`repro.plan.cache.PlanArtifactCache`;
+this package only names its root directory.
 """
 
 from repro.utils.ascii_plot import line_plot, scatter_plot
-from repro.utils.cache import ArtifactCache, config_key, default_cache_dir
+from repro.utils.cache import default_cache_dir
 from repro.utils.rng import RngStream, derive_seed
-from repro.utils.serialization import (
-    load_results,
-    load_state_dict,
-    save_results,
-    save_state_dict,
-)
 from repro.utils.stats import (
     MeanStd,
     bootstrap_mean_ci,
     pearson,
-    running_mean_converged,
     spearman,
     summarize,
 )
 from repro.utils.tables import Table, format_markdown, format_table
 
 __all__ = [
-    "ArtifactCache",
     "MeanStd",
     "RngStream",
     "Table",
     "bootstrap_mean_ci",
-    "config_key",
     "default_cache_dir",
     "derive_seed",
     "format_markdown",
     "format_table",
     "line_plot",
-    "load_results",
-    "load_state_dict",
     "pearson",
-    "running_mean_converged",
-    "save_results",
-    "save_state_dict",
     "scatter_plot",
     "spearman",
     "summarize",

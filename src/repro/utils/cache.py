@@ -1,17 +1,14 @@
-"""Content-addressed on-disk cache for expensive artifacts.
+"""Root directory of the on-disk artifact store.
 
-Used by :mod:`repro.experiments.model_zoo` to avoid retraining models across
-benchmark invocations.  Keys are derived from a JSON description of the
-producing configuration, so any configuration change invalidates the entry.
+:class:`repro.plan.cache.PlanArtifactCache` (trained models, plans, eval
+tiles) and the fault-injection ledger both live under it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 
-__all__ = ["ArtifactCache", "default_cache_dir", "config_key"]
+__all__ = ["default_cache_dir"]
 
 
 def default_cache_dir():
@@ -20,46 +17,3 @@ def default_cache_dir():
     if env:
         return env
     return os.path.join(os.path.expanduser("~"), ".cache", "repro")
-
-
-def config_key(config):
-    """Hash a JSON-serializable configuration into a short stable key."""
-    text = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
-class ArtifactCache:
-    """Filesystem cache mapping configuration dicts to ``.npz`` paths."""
-
-    def __init__(self, root=None, namespace="default"):
-        self.root = os.path.join(root or default_cache_dir(), namespace)
-
-    def path_for(self, config, suffix=".npz"):
-        """Return the (possibly not yet existing) path for ``config``."""
-        os.makedirs(self.root, exist_ok=True)
-        return os.path.join(self.root, config_key(config) + suffix)
-
-    def has(self, config, suffix=".npz"):
-        """True if an artifact for ``config`` exists."""
-        return os.path.exists(self.path_for(config, suffix))
-
-    def get_or_create(self, config, producer, loader, saver, suffix=".npz"):
-        """Load the cached artifact or produce, save, and return it.
-
-        Parameters
-        ----------
-        config:
-            JSON-serializable configuration identifying the artifact.
-        producer:
-            Zero-argument callable building the artifact.
-        loader:
-            Callable ``path -> artifact``.
-        saver:
-            Callable ``(path, artifact) -> None``.
-        """
-        path = self.path_for(config, suffix)
-        if os.path.exists(path):
-            return loader(path)
-        artifact = producer()
-        saver(path, artifact)
-        return artifact

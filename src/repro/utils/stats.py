@@ -19,7 +19,6 @@ __all__ = [
     "pearson",
     "spearman",
     "bootstrap_mean_ci",
-    "running_mean_converged",
 ]
 
 
@@ -107,20 +106,3 @@ def bootstrap_mean_ci(values, confidence=0.95, n_resamples=2000, seed=0):
     alpha = (1.0 - confidence) / 2.0
     low, high = np.quantile(means, [alpha, 1.0 - alpha])
     return float(low), float(high)
-
-
-def running_mean_converged(values, rel_tol=0.01, window=10):
-    """Check whether the running mean of a Monte Carlo sequence has settled.
-
-    True when the last ``window`` running-mean values all lie within
-    ``rel_tol`` (relative) of the final mean.  Mirrors the paper's remark
-    that results are reported "with verified convergence".
-    """
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size < window + 1:
-        return False
-    cums = np.cumsum(arr) / np.arange(1, arr.size + 1)
-    final = cums[-1]
-    scale = max(abs(final), 1e-12)
-    tail = cums[-window:]
-    return bool(np.all(np.abs(tail - final) <= rel_tol * scale))

@@ -15,10 +15,11 @@ from repro.utils.rng import RngStream
 def hermetic_cache_dir(tmp_path_factory):
     """Point every on-disk cache at a session-scoped temporary directory.
 
-    Covers the model-zoo artifact cache *and* the selection-plan cache
-    (both resolve through ``REPRO_CACHE_DIR``), so CI and local runs
-    never read stale artifacts from — or leak artifacts into — the
-    user's ``~/.cache/repro``.  Session-scoped: the first test (or
+    Covers the one artifact store, ``PlanArtifactCache`` (trained
+    models, plans, eval tiles), and the fault ledger (both resolve
+    through ``REPRO_CACHE_DIR``), so CI and local runs never read stale
+    artifacts from — or leak artifacts into — the user's
+    ``~/.cache/repro``.  Session-scoped: the first test (or
     runner subprocess, which inherits the environment) trains and
     caches the smoke models once, and the rest of the session reuses
     them.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -41,13 +42,31 @@ def test_build_data_and_model_dispatch():
 
 
 def test_zoo_cache_roundtrip(tmp_path, monkeypatch):
+    """A stored model reloads bit for bit, and a truncated one heals."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    spec = SMOKE.workload("lenet-digits")
+    spec = dataclasses.replace(
+        SMOKE.workload("lenet-digits"), n_train=160, n_test=64, epochs=2,
+    )
     first = load_workload(spec)
     second = load_workload(spec)  # hits cache
-    assert second.clean_accuracy == pytest.approx(first.clean_accuracy)
-    state_a = first.model.state_dict()
-    state_b = second.model.state_dict()
+    assert second.clean_accuracy == first.clean_accuracy
+    _assert_same_state(first.model, second.model)
+
+    # What a writer killed mid-flush leaves: the file cut to half.
+    (path,) = (tmp_path / "plan" / "v2").glob("zoo-*.npz")
+    with open(path, "r+b") as handle:
+        handle.truncate(path.stat().st_size // 2)
+    with pytest.warns(RuntimeWarning, match="quarantined"):
+        healed = load_workload(spec)
+    assert (tmp_path / "plan" / "v2" / f"{path.name}.corrupt").exists()
+    assert healed.clean_accuracy == first.clean_accuracy
+    _assert_same_state(first.model, healed.model)
+
+
+def _assert_same_state(model_a, model_b):
+    state_a = model_a.state_dict()
+    state_b = model_b.state_dict()
+    assert state_a.keys() == state_b.keys()
     for name in state_a:
         np.testing.assert_array_equal(state_a[name], state_b[name])
 

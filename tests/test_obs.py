@@ -28,7 +28,7 @@ from repro.obs import (
     render_prometheus,
     span,
 )
-from repro.obs.validate import validate_exposition, validate_spans
+from repro.obs.validate import _main, validate_exposition, validate_spans
 
 
 @pytest.fixture(autouse=True)
@@ -211,6 +211,29 @@ class TestValidators:
                                         "a_total 3\n")) == []
         bad = list(validate_exposition("not a metric line!\n"))
         assert bad and bad[0][0] == 1
+
+    @pytest.mark.parametrize("mode", ["spans", "metrics"])
+    def test_unreadable_path_is_one_error_line(self, mode, tmp_path, capsys):
+        for path in (tmp_path / "missing", tmp_path):  # absent; a directory
+            assert _main([mode, str(path)]) == 74
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot read ")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode, good", [
+        ("spans", json.dumps({"name": "a", "id": "1", "parent": None,
+                              "start": 0.0, "dur": 0.1, "pid": 1})),
+        ("metrics", "a_total 3"),
+    ])
+    def test_undecodable_bytes_are_a_problem_on_their_line(
+            self, mode, good, tmp_path, capsys):
+        path = tmp_path / "input"
+        path.write_bytes(good.encode() + b"\n\xff\xfe bad\n")
+        assert _main([mode, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"{path}:2: not UTF-8", f"FAIL: 1 problem(s) in {path}",
+        ]
 
 
 # ------------------------------------------- tripwire: bytes unperturbed

@@ -1,8 +1,11 @@
-"""Utilities: RNG streams, statistics, tables, plots, serialization, cache."""
+"""Utilities: RNG streams, statistics, tables, plots.
+
+The artifact store under :func:`repro.utils.cache.default_cache_dir` is
+:class:`repro.plan.cache.PlanArtifactCache`; ``tests/test_plan_cache.py``
+and ``tests/test_robustness.py`` test it.
+"""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -10,13 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.ascii_plot import line_plot, scatter_plot
-from repro.utils.cache import ArtifactCache, config_key
 from repro.utils.rng import RngStream, derive_seed
-from repro.utils.serialization import load_state_dict, save_state_dict
 from repro.utils.stats import (
     bootstrap_mean_ci,
     pearson,
-    running_mean_converged,
     spearman,
     summarize,
 )
@@ -88,13 +88,6 @@ def test_bootstrap_ci_contains_mean():
     assert high - low < 1.0
 
 
-def test_running_mean_convergence_detects():
-    steady = np.concatenate([np.random.default_rng(0).normal(1, 0.5, 20),
-                             np.full(80, 1.0)])
-    assert running_mean_converged(steady, rel_tol=0.05)
-    assert not running_mean_converged(np.arange(100.0), rel_tol=0.01)
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10000))
 def test_pearson_bounds_property(seed):
@@ -158,49 +151,3 @@ def test_scatter_plot_runs():
 def test_line_plot_rejects_empty():
     with pytest.raises(ValueError):
         line_plot({})
-
-
-# --------------------------------------------------------- serialization
-
-def test_state_dict_roundtrip(tmp_path):
-    path = os.path.join(tmp_path, "model.npz")
-    state = {"w": np.arange(6).reshape(2, 3), "b": np.zeros(3)}
-    save_state_dict(path, state, meta={"accuracy": 0.93})
-    loaded, meta = load_state_dict(path)
-    np.testing.assert_array_equal(loaded["w"], state["w"])
-    assert meta["accuracy"] == 0.93
-
-
-def test_reserved_key_rejected(tmp_path):
-    with pytest.raises(ValueError, match="reserved"):
-        save_state_dict(os.path.join(tmp_path, "x.npz"),
-                        {"__meta_json__": np.zeros(1)})
-
-
-# ----------------------------------------------------------------- cache
-
-def test_cache_get_or_create(tmp_path):
-    cache = ArtifactCache(root=str(tmp_path), namespace="t")
-    calls = []
-
-    def producer():
-        calls.append(1)
-        return {"v": np.ones(3)}
-
-    def saver(path, artifact):
-        save_state_dict(path, artifact)
-
-    def loader(path):
-        return load_state_dict(path)[0]
-
-    config = {"a": 1}
-    first = cache.get_or_create(config, producer, loader, saver)
-    second = cache.get_or_create(config, producer, loader, saver)
-    assert len(calls) == 1
-    np.testing.assert_array_equal(first["v"], second["v"])
-    assert cache.has(config)
-
-
-def test_config_key_stable_and_distinct():
-    assert config_key({"a": 1, "b": 2}) == config_key({"b": 2, "a": 1})
-    assert config_key({"a": 1}) != config_key({"a": 2})
