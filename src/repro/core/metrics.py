@@ -35,10 +35,10 @@ def _forward_trials(model, batch, n_trials):
 
     The input is identical for every trial — only the deployed weights
     differ — so when the model's first weighted layer carries the trial
-    axis, its input unfolding (the conv im2col, the dominant cost of a
-    small-CNN forward) is computed once via ``forward_multi`` instead of
-    ``n_trials`` times on a tiled batch.  Falls back to plain tiling for
-    non-Sequential models or shared-weight leading layers.
+    axis, its input unfolding (the conv im2col) is computed once via
+    ``forward_multi`` instead of ``n_trials`` times on a tiled batch, and
+    the tiled copy of the batch is never built.  Falls back to plain
+    tiling for non-Sequential models or shared-weight leading layers.
     """
     from repro.nn.layers.base import WeightedLayer
     from repro.nn.module import Sequential

@@ -53,25 +53,6 @@ def unpad2d(x, padding):
     return x[:, :, padding:-padding, padding:-padding]
 
 
-def _window_indices(channels, height, width, kernel, stride):
-    """Row/col gather indices for im2col on a padded (C, H, W) volume."""
-    kh, kw = kernel
-    out_h = (height - kh) // stride + 1
-    out_w = (width - kw) // stride + 1
-
-    # Index arrays of shape (C*kh*kw, out_h*out_w).
-    c_idx = np.repeat(np.arange(channels), kh * kw).reshape(-1, 1)
-    kh_idx = np.tile(np.repeat(np.arange(kh), kw), channels).reshape(-1, 1)
-    kw_idx = np.tile(np.arange(kw), channels * kh).reshape(-1, 1)
-
-    oh_idx = stride * np.repeat(np.arange(out_h), out_w).reshape(1, -1)
-    ow_idx = stride * np.tile(np.arange(out_w), out_h).reshape(1, -1)
-
-    rows = kh_idx + oh_idx
-    cols = kw_idx + ow_idx
-    return c_idx, rows, cols, out_h, out_w
-
-
 def im2col(x, kernel, stride=1, padding=0):
     """Unfold NCHW input into a column matrix.
 
@@ -90,13 +71,25 @@ def im2col(x, kernel, stride=1, padding=0):
         ``(cols, out_h, out_w)`` where ``cols`` has shape
         ``(C*kh*kw, N*out_h*out_w)``; column ``n*out_h*out_w + p`` holds the
         receptive field of output pixel ``p`` of sample ``n``.
+
+    Raises
+    ------
+    ValueError
+        If the kernel does not fit the padded input (see
+        :func:`conv_output_size`).
     """
-    x = pad2d(x, padding)
     n, c, h, w = x.shape
-    c_idx, rows, cols_idx, out_h, out_w = _window_indices(c, h, w, kernel, stride)
-    patches = x[:, c_idx, rows, cols_idx]  # (N, C*kh*kw, out_h*out_w)
-    cols = patches.transpose(1, 0, 2).reshape(patches.shape[1], -1)
-    return np.ascontiguousarray(cols), out_h, out_w
+    kh, kw = kernel
+    out_h = conv_output_size(h, kh, stride, padding)
+    out_w = conv_output_size(w, kw, stride, padding)
+    x = pad2d(x, padding).transpose(1, 0, 2, 3)  # (C, N, Hp, Wp) view
+    cols = np.empty((c, kh, kw, n, out_h, out_w), dtype=x.dtype)
+    # One strided copy per kernel offset: offset (i, j) of every window.
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = x[:, :, i : i + stride * out_h : stride,
+                              j : j + stride * out_w : stride]
+    return cols.reshape(c * kh * kw, n * out_h * out_w), out_h, out_w
 
 
 def col2im(cols, x_shape, kernel, stride=1, padding=0):
@@ -106,14 +99,27 @@ def col2im(cols, x_shape, kernel, stride=1, padding=0):
     pixel accumulates contributions from every window that covered it,
     which is exactly what both the gradient and the diagonal-curvature
     backward passes require.
+
+    The sum runs as one strided slice add per kernel offset, in (kh, kw)
+    order, into a zeroed padded image.  So every pixel adds its
+    contributions one at a time in (kh, kw) order starting from +0.0,
+    the order an ``np.add.at`` scatter over im2col's window indices
+    uses, and the result is bit-identical to that scatter
+    (``tests/test_functional.py`` keeps it as the reference).  The
+    result is a view into a C-contiguous ``(N, C, H+2p, W+2p)`` buffer;
+    keep that layout, because the reductions and BLAS calls downstream
+    may sum in an order that depends on it.
     """
     n, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    c_idx, rows, cols_idx, out_h, out_w = _window_indices(c, hp, wp, kernel, stride)
-    patches = cols.reshape(cols.shape[0], n, out_h * out_w).transpose(1, 0, 2)
-    out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    # Scatter-add each window position back onto the padded image.
-    np.add.at(out, (slice(None), c_idx, rows, cols_idx), patches)
+    kh, kw = kernel
+    out_h = conv_output_size(h, kh, stride, padding)
+    out_w = conv_output_size(w, kw, stride, padding)
+    patches = cols.reshape(c, kh, kw, n, out_h, out_w).transpose(3, 0, 1, 2, 4, 5)
+    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i : i + stride * out_h : stride,
+                j : j + stride * out_w : stride] += patches[:, :, i, j]
     return unpad2d(out, padding)
 
 

@@ -5,7 +5,7 @@ as FC layers" for the second-derivative recursion.  im2col makes this
 literal: with ``cols`` the unfolded input patches and ``W`` the flattened
 filter bank, the forward pass is ``O = W @ cols``.  The backward passes are
 then the Linear-layer rules applied to the column matrix, with ``col2im``
-scatter-adding per-patch input derivatives back to pixels:
+summing per-patch input derivatives back onto the pixels they came from:
 
 - weight gradient:   ``dW = dO @ cols.T``
 - weight curvature:  ``hW = hO @ (cols^2).T``          (Eq. 8)

@@ -35,13 +35,10 @@ class MaxPool2d(Module):
 
     def forward(self, x):
         n, c, h, w = x.shape
-        kh, kw = self.kernel_size
-        out_h = F.conv_output_size(h, kh, self.stride, 0)
-        out_w = F.conv_output_size(w, kw, self.stride, 0)
         # View each channel independently: reshape to (N*C, 1, H, W) and
         # unfold so columns are pooling windows.
         flat = x.reshape(n * c, 1, h, w)
-        cols, _, _ = F.im2col(flat, self.kernel_size, stride=self.stride)
+        cols, out_h, out_w = F.im2col(flat, self.kernel_size, stride=self.stride)
         # cols: (kh*kw, N*C*out_h*out_w)
         argmax = np.argmax(cols, axis=0)
         out = cols[argmax, np.arange(cols.shape[1])]
@@ -87,11 +84,8 @@ class AvgPool2d(Module):
 
     def forward(self, x):
         n, c, h, w = x.shape
-        kh, kw = self.kernel_size
-        out_h = F.conv_output_size(h, kh, self.stride, 0)
-        out_w = F.conv_output_size(w, kw, self.stride, 0)
         flat = x.reshape(n * c, 1, h, w)
-        cols, _, _ = F.im2col(flat, self.kernel_size, stride=self.stride)
+        cols, out_h, out_w = F.im2col(flat, self.kernel_size, stride=self.stride)
         out = cols.mean(axis=0).reshape(n, c, out_h, out_w)
         self._cache = {"x_shape": x.shape, "cols_shape": cols.shape}
         return out

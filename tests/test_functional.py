@@ -2,12 +2,88 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import functional as F
+from repro.nn.layers import Conv2d, MaxPool2d
+
+
+def _window_indices(channels, height, width, kernel, stride):
+    """Row/col gather indices for the reference kernels on a padded volume."""
+    kh, kw = kernel
+    out_h = (height - kh) // stride + 1
+    out_w = (width - kw) // stride + 1
+    c_idx = np.repeat(np.arange(channels), kh * kw).reshape(-1, 1)
+    kh_idx = np.tile(np.repeat(np.arange(kh), kw), channels).reshape(-1, 1)
+    kw_idx = np.tile(np.arange(kw), channels * kh).reshape(-1, 1)
+    oh_idx = stride * np.repeat(np.arange(out_h), out_w).reshape(1, -1)
+    ow_idx = stride * np.tile(np.arange(out_w), out_h).reshape(1, -1)
+    return c_idx, kh_idx + oh_idx, kw_idx + ow_idx, out_h, out_w
+
+
+def im2col_reference(x, kernel, stride=1, padding=0):
+    """im2col as one fancy-index gather: the reference for ``F.im2col``."""
+    x = F.pad2d(x, padding)
+    n, c, h, w = x.shape
+    c_idx, rows, cols_idx, out_h, out_w = _window_indices(c, h, w, kernel, stride)
+    patches = x[:, c_idx, rows, cols_idx]  # (N, C*kh*kw, out_h*out_w)
+    cols = patches.transpose(1, 0, 2).reshape(patches.shape[1], -1)
+    return np.ascontiguousarray(cols), out_h, out_w
+
+
+def col2im_reference(cols, x_shape, kernel, stride=1, padding=0):
+    """col2im as one ``np.add.at`` scatter: the reference for ``F.col2im``."""
+    n, c, h, w = x_shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    c_idx, rows, cols_idx, out_h, out_w = _window_indices(c, hp, wp, kernel, stride)
+    patches = cols.reshape(cols.shape[0], n, out_h * out_w).transpose(1, 0, 2)
+    out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    np.add.at(out, (slice(None), c_idx, rows, cols_idx), patches)
+    return F.unpad2d(out, padding)
+
+
+# (input shape, kernel, stride, padding).  The zoo's conv and pool
+# geometries at small sizes, plus ragged ones where the last window
+# stops short of the padded edge: (H + 2p - k) % s != 0.
+KERNEL_CASES = {
+    "lenet-5x5-p2": ((3, 1, 12, 11), (5, 5), 1, 2),
+    "lenet-5x5-p0": ((3, 6, 9, 10), (5, 5), 1, 0),
+    "convnet-3x3-p1": ((2, 4, 8, 7), (3, 3), 1, 1),
+    "resnet-3x3-s2-p1": ((2, 4, 8, 9), (3, 3), 2, 1),
+    "resnet-1x1-s2": ((2, 4, 8, 8), (1, 1), 2, 0),
+    "pool-2x2-s2": ((6, 1, 8, 10), (2, 2), 2, 0),
+    "pool-3x3-s2-overlapping": ((6, 1, 9, 7), (3, 3), 2, 0),
+    "ragged-3x2-s2": ((2, 3, 8, 10), (3, 2), 2, 0),
+}
+
+
+def _planted(shape, dtype, seed):
+    """Values over 16 decades with ties, +0.0 and -0.0 planted.
+
+    The spread of magnitudes makes a sum taken in another order round
+    differently, so a byte comparison catches a reordered kernel.
+    """
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=shape) * 10.0 ** gen.integers(-8, 8, size=shape)
+    flat = x.reshape(-1)
+    slots = np.array_split(gen.permutation(flat.size), 5)
+    flat[slots[0]] = 0.0
+    flat[slots[1]] = -0.0
+    flat[slots[2]] = 1.5
+    flat[slots[3]] = -1.5
+    return x.astype(dtype)
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
 
 
 def test_conv_output_size():
@@ -15,6 +91,71 @@ def test_conv_output_size():
     assert F.conv_output_size(28, 2, 2, 0) == 14
     with pytest.raises(ValueError):
         F.conv_output_size(3, 5, 1, 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+def test_kernels_byte_identical_to_reference(case, dtype):
+    """im2col and col2im reproduce the gather and ``np.add.at`` bytes."""
+    shape, kernel, stride, padding = KERNEL_CASES[case]
+    seed = zlib.crc32(case.encode())
+    x = _planted(shape, dtype, seed)
+    cols, out_h, out_w = F.im2col(x, kernel, stride=stride, padding=padding)
+    want, want_h, want_w = im2col_reference(x, kernel, stride, padding)
+    assert (out_h, out_w) == (want_h, want_w)
+    _assert_same_bytes(cols, want)
+
+    y = _planted(want.shape, dtype, seed + 1)
+    _assert_same_bytes(
+        F.col2im(y, shape, kernel, stride=stride, padding=padding),
+        col2im_reference(y, shape, kernel, stride, padding),
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel, stride", [(2, 2), (3, 2)])
+def test_maxpool_byte_identical_to_im2col_reference(kernel, stride, dtype):
+    """Forward, backward and curvature match the reference-kernel pool.
+
+    Ties go to the first window element, and overlapping windows (3x3,
+    stride 2) sum their routed derivatives in the reference's order.
+    """
+    shape = n, c, h, w = (2, 3, 9, 8)
+    x = _planted(shape, dtype, 7)
+    flat = x.reshape(n * c, 1, h, w)
+    cols, out_h, out_w = im2col_reference(flat, (kernel, kernel), stride)
+    argmax = np.argmax(cols, axis=0)
+    picked = np.arange(cols.shape[1])
+    grad = _planted((n, c, out_h, out_w), dtype, 8)
+    curv = np.abs(_planted(grad.shape, dtype, 9))
+
+    def route(values):
+        routed = np.zeros_like(cols)
+        routed[argmax, picked] = values.reshape(-1)
+        back = col2im_reference(routed, flat.shape, (kernel, kernel), stride)
+        return back.reshape(shape)
+
+    pool = MaxPool2d(kernel, stride=stride)
+    _assert_same_bytes(pool.forward(x), cols[argmax, picked].reshape(grad.shape))
+    _assert_same_bytes(pool.backward(grad), route(grad))
+    _assert_same_bytes(pool.backward_second(curv), route(curv))
+
+
+def test_oversized_kernel_raises_value_error(rng):
+    """A kernel larger than the padded input is a geometry error."""
+    x = np.zeros((2, 1, 3, 3))
+    with pytest.raises(ValueError, match="non-positive output size"):
+        F.im2col(x, (5, 5))
+    with pytest.raises(ValueError, match="non-positive output size"):
+        F.col2im(np.zeros((25, 0)), x.shape, (5, 5))
+    conv = Conv2d(1, 2, 5, rng=rng.child("conv"), dtype=np.float64)
+    with pytest.raises(ValueError, match="non-positive output size"):
+        conv.forward(x)
+    with pytest.raises(ValueError, match="non-positive output size"):
+        MaxPool2d(5).forward(x)
+    # One pixel of padding on each side is still one pixel short.
+    with pytest.raises(ValueError, match="non-positive output size"):
+        F.im2col(x, (6, 6), padding=1)
 
 
 def test_im2col_matches_naive_convolution(rng):
