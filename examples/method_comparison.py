@@ -12,6 +12,7 @@ import sys
 from repro.experiments.config import SMOKE
 from repro.experiments.model_zoo import load_workload
 from repro.experiments.sweeps import run_method_sweep
+from repro.plan import PlanEngine, PlanRequest
 from repro.utils.ascii_plot import line_plot
 from repro.utils.rng import RngStream
 
@@ -22,14 +23,16 @@ def main(sigma=0.15):
     print(f"model: {zoo.spec.arch}, {zoo.model.num_parameters()} parameters, "
           f"clean accuracy {100 * zoo.clean_accuracy:.2f}%")
 
-    outcome = run_method_sweep(
-        zoo,
-        sigma=sigma,
+    # One curvature pass ranks the weights for every Monte Carlo draw.
+    plan = PlanEngine.from_zoo(zoo, sense_samples=256).plan(PlanRequest(
+        methods=("swim", "magnitude", "random", "insitu"),
         nwc_targets=(0.0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0),
-        mc_runs=3,
-        rng=RngStream(7).child("compare"),
+        sigma=sigma,
+        weight_bits=zoo.spec.weight_bits,
+    ))
+    outcome = run_method_sweep(
+        zoo, plan, mc_runs=3, rng=RngStream(7).child("compare"),
         eval_samples=200,
-        sense_samples=256,
     )
 
     series = {

@@ -395,14 +395,13 @@ class CimAccelerator:
         self._n_trials = len(trial_rngs)
         return self._programmed_trials
 
-    def write_verify_trials(self, rng=None, trial_rngs=None, batched=True):
+    def write_verify_trials(self, rng=None):
         """Verify-loop every device of every trial.
 
-        ``batched=True`` (default) advances all trials through one masked
-        pulse loop per tensor slice, drawing pulse noise from ``rng``.
-        ``batched=False`` runs the reference scalar path: trial ``i``
-        re-uses ``trial_rngs[i]`` so its result is bit-identical to a
-        scalar :meth:`write_verify_all` call for that trial.
+        All trials advance through one masked pulse loop per tensor
+        slice, drawing pulse noise from ``rng``; the scalar reference is
+        :func:`repro.cim.write_verify.write_verify_trials` with
+        ``batched=False``.
 
         Returns
         -------
@@ -432,10 +431,8 @@ class CimAccelerator:
                     mapping.device,
                     self.wv_config,
                     rng=rng,
-                    trial_rngs=trial_rngs,
                     tolerance_levels=tolerances[i],
                     full_scale=full_scales[i],
-                    batched=batched,
                 )
                 slice_results.append(result)
             self._verified_trials[name] = WriteVerifyResult(
@@ -463,8 +460,8 @@ class CimAccelerator:
             total += per_weight.reshape(self._n_trials, -1).sum(axis=1)
         return total
 
-    def apply_selection_trials(self, selection_masks, trial_indices=None,
-                               read_time=None, read_streams=None):
+    def apply_selection_trials(self, selection_masks, read_time=None,
+                               read_streams=None):
         """Deploy trial-batched weights: verified where selected, raw else.
 
         Parameters
@@ -474,66 +471,48 @@ class CimAccelerator:
             selection for every trial) or ``(n_trials,) + weight_shape``
             (per-trial selections, e.g. the random baseline).  Missing
             names mean "nothing selected in this tensor".
-        trial_indices:
-            Optional integer index array restricting deployment to a
-            subset of trials (the active-trial mask of Algorithm 1); the
-            returned NWC vector then has that subset's length.
         read_time:
             Optional read time (seconds since programming) for the
             stack's read stages (retention drift).
         read_streams:
-            One :class:`~repro.utils.rng.RngStream` per trial of the
-            *full* trial set (``trial_indices`` subsets them); trial
+            One :class:`~repro.utils.rng.RngStream` per trial; trial
             ``i`` drifts bitwise-identically to a scalar
             :meth:`apply_selection` call with ``read_streams[i]``.
 
         Returns
         -------
         numpy.ndarray
-            Achieved NWC per deployed trial.
+            Achieved NWC per trial.
         """
         if self._verified_trials is None:
             raise RuntimeError("write_verify_trials() must run first")
-        n_deploy = (
-            self._n_trials if trial_indices is None else len(trial_indices)
-        )
+        n_trials = self._n_trials
         drifting = read_time is not None and self.stack.has_read_stages
         if drifting:
             if read_streams is None:
                 raise ValueError("read_time requires read_streams")
-            deploy_streams = (
-                list(read_streams)
-                if trial_indices is None
-                else [read_streams[int(i)] for i in trial_indices]
-            )
-            if len(deploy_streams) != n_deploy:
+            read_streams = list(read_streams)
+            if len(read_streams) != n_trials:
                 raise ValueError(
-                    f"need {n_deploy} read_streams, got {len(deploy_streams)}"
+                    f"need {n_trials} read_streams, got {len(read_streams)}"
                 )
-        spent = np.zeros(n_deploy, dtype=np.int64)
-        total = np.zeros(n_deploy, dtype=np.int64)
+        spent = np.zeros(n_trials, dtype=np.int64)
+        total = np.zeros(n_trials, dtype=np.int64)
         for name, mapped in self._mapped.items():
             verified = self._verified_trials[name]
             programmed = self._programmed_trials[name]
-            if trial_indices is not None:
-                verified_levels = verified.levels[:, trial_indices]
-                cycles = verified.cycles[:, trial_indices].sum(axis=0)
-                programmed = programmed[:, trial_indices]
-            else:
-                verified_levels = verified.levels
-                cycles = verified.cycles.sum(axis=0)
-            total += cycles.reshape(n_deploy, -1).sum(axis=1)
+            verified_levels = verified.levels
+            cycles = verified.cycles.sum(axis=0)
+            total += cycles.reshape(n_trials, -1).sum(axis=1)
             mask = selection_masks.get(name)
             if mask is None:
                 mask = np.zeros(mapped.codes.shape, dtype=bool)
             else:
                 mask = np.asarray(mask, dtype=bool)
             if mask.shape == mapped.codes.shape:
-                trial_mask = np.broadcast_to(mask, (n_deploy,) + mask.shape)
+                trial_mask = np.broadcast_to(mask, (n_trials,) + mask.shape)
             elif mask.shape[1:] == mapped.codes.shape:
-                trial_mask = (
-                    mask if trial_indices is None else mask[trial_indices]
-                )
+                trial_mask = mask
             else:
                 raise ValueError(
                     f"mask shape {mask.shape} matches neither the weight "
@@ -543,13 +522,13 @@ class CimAccelerator:
             if drifting:
                 verified_levels, programmed = self._drifted_trials(
                     name, verified_levels, programmed, read_time,
-                    deploy_streams,
+                    read_streams,
                 )
             levels = np.where(trial_mask[None, ...], verified_levels, programmed)
             weights = self.mapper.readout_weights(mapped, levels)
             layer = self._layers[name]
             layer.set_weight_override(weights.astype(layer.weight.data.dtype))
-            spent += np.where(trial_mask, cycles, 0).reshape(n_deploy, -1).sum(axis=1)
+            spent += np.where(trial_mask, cycles, 0).reshape(n_trials, -1).sum(axis=1)
         return np.where(total > 0, spent / np.maximum(total, 1), 0.0)
 
     def _drifted_trials(self, name, verified_levels, programmed, read_time,

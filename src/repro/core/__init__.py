@@ -1,11 +1,6 @@
 """SWIM core: sensitivity analysis, Algorithm 1, and the paper's baselines."""
 
-from repro.core.extensions import (
-    HeteroSwimScorer,
-    expected_loss_increase,
-    variance_map_from_mapping,
-    variance_map_from_stack,
-)
+from repro.core.extensions import expected_loss_increase, variance_map_from_mapping
 from repro.core.hessian_fd import fd_diagonal_hessian, fd_diagonal_hessian_sampled
 from repro.core.insitu import InSituConfig, InSituHistory, InSituTrainer
 from repro.core.mc import MonteCarloEngine
@@ -37,7 +32,6 @@ __all__ = [
     "DEFAULT_NWC_TARGETS",
     "FisherScorer",
     "GradientScorer",
-    "HeteroSwimScorer",
     "HessianFDScorer",
     "InSituConfig",
     "InSituHistory",
@@ -66,5 +60,4 @@ __all__ = [
     "speedup_at_iso_accuracy",
     "speedup_table",
     "variance_map_from_mapping",
-    "variance_map_from_stack",
 ]

@@ -7,9 +7,12 @@ Eq. 5 of the paper is more general than the experiments use it:
 The paper's device model makes ``E[dw_i^2]`` identical for every weight,
 so ranking by ``H_ii`` alone is optimal.  Real platforms are messier —
 different layers may sit on different arrays (different sigma), devices
-age, bit-slice counts differ per layer.  :class:`HeteroSwimScorer` ranks by
-the full product ``H_ii * var_i``, which reduces exactly to SWIM when the
-variance map is constant.
+age, bit-slice counts differ per layer.  The ``hetero_swim`` method ranks
+by the full product ``H_ii * var_i``, which reduces exactly to SWIM when
+the variance map is constant; :class:`~repro.plan.PlanEngine` resolves
+it, pairing its cached curvature with the per-tensor Eq. 16 variance of
+:func:`variance_map_from_mapping` or, for a technology, the stack's
+:meth:`~repro.cim.devices.NonidealityStack.variance_map`.
 
 ``expected_loss_increase`` exposes the Eq. 5 estimate itself, which the
 tests validate against Monte Carlo measurements of the true loss — a
@@ -21,14 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.second_derivative import accumulate_second_derivatives
-from repro.core.sensitivity import SensitivityScorer
-
 __all__ = [
     "expected_loss_increase",
     "variance_map_from_mapping",
-    "variance_map_from_stack",
-    "HeteroSwimScorer",
 ]
 
 
@@ -72,148 +70,3 @@ def variance_map_from_mapping(space, model, mapping_config):
         std_w = code_std * scale
         variances[name] = np.full(space.shape_of(name), std_w ** 2)
     return space.flatten(variances)
-
-
-def variance_map_from_stack(space, model, mapping_config, stack,
-                            read_time=None, wear_inflation=1.0, wear=None):
-    """Per-weight ``E[dw_i^2]`` from the device physics stack, weight units.
-
-    The closure of the selection loop: the
-    :meth:`~repro.cim.devices.NonidealityStack.variance_map` analytic
-    composition (write noise through per-tensor quantization scales,
-    spatial marginal variance, drift at ``read_time``, compensation) is
-    what Eq. 5 should pair with the curvature when the platform is more
-    heterogeneous than the paper's i.i.d. model.  ``wear`` (an endurance
-    observer summary or consumed fraction) derives the programming-noise
-    inflation from the technology's sigma-growth curve; the manual
-    ``wear_inflation`` knob overrides it.
-    """
-    return stack.variance_map(
-        mapping_config,
-        read_time=read_time,
-        space=space,
-        model=model,
-        wear_inflation=wear_inflation,
-        wear=wear,
-    )
-
-
-class HeteroSwimScorer(SensitivityScorer):
-    """SWIM generalized to heterogeneous per-weight noise variance.
-
-    Parameters
-    ----------
-    variance_provider:
-        Callable ``(model, space) -> per-weight variance`` giving
-        ``E[dw_i^2]`` — either a flat vector over the space or a
-        ``name -> weight-shaped array`` dict.
-    mapping_config:
-        Without a provider/stack: the per-tensor Eq. 16 variance via
-        :func:`variance_map_from_mapping`.
-    technology / stack / read_time / wear_inflation / wear:
-        The physics-fed path: a registered
-        :class:`~repro.cim.DeviceTechnology` name (or instance) — or an
-        explicit :class:`~repro.cim.NonidealityStack` plus
-        ``mapping_config`` — feeds :func:`variance_map_from_stack`, so
-        the ranking sees the same drift/spatial/wear variance the
-        deployment will, evaluated at the target ``read_time``.
-        ``wear`` (an endurance observer summary or consumed fraction)
-        derives the cycling inflation from the technology's
-        sigma-growth curve; the manual ``wear_inflation`` overrides it.
-    weight_bits:
-        Quantization bits M of the workload when deriving the mapping
-        from ``technology`` (default: the registry's 4-bit convention).
-        Must match the accelerator's mapping — a 6-bit workload scored
-        under a 4-bit map would rank against the wrong scales.
-    """
-
-    name = "hetero_swim"
-
-    def __init__(self, variance_provider=None, mapping_config=None,
-                 technology=None, stack=None, read_time=None,
-                 wear_inflation=1.0, wear=None, weight_bits=None, loss=None,
-                 batch_size=256, max_batches=None):
-        if technology is not None:
-            from repro.cim.devices import resolve_technology
-
-            tech = resolve_technology(technology)
-            if mapping_config is None:
-                mapping_config = (
-                    tech.mapping_config()
-                    if weight_bits is None
-                    else tech.mapping_config(weight_bits=weight_bits)
-                )
-            if stack is None:
-                stack = tech.build_stack()
-        if stack is not None and mapping_config is None:
-            raise ValueError(
-                "stack= needs a mapping_config= (or pass technology= to "
-                "derive both)"
-            )
-        if variance_provider is None:
-            if stack is not None:
-                def variance_provider(model, space):
-                    return variance_map_from_stack(
-                        space, model, mapping_config, stack,
-                        read_time=read_time, wear_inflation=wear_inflation,
-                        wear=wear,
-                    )
-            elif mapping_config is not None:
-                def variance_provider(model, space):
-                    return variance_map_from_mapping(
-                        space, model, mapping_config
-                    )
-            else:
-                raise ValueError(
-                    "provide a variance_provider, mapping_config, stack "
-                    "or technology"
-                )
-        self.variance_provider = variance_provider
-        self.mapping_config = mapping_config
-        self.stack = stack
-        self.read_time = read_time
-        self.loss = loss
-        self.batch_size = batch_size
-        self.max_batches = max_batches
-
-    def _flat_variance(self, model, space):
-        """Validate the provider's output against the weight space."""
-        variance = self.variance_provider(model, space)
-        if isinstance(variance, dict):
-            missing = sorted(set(space.names) - set(variance))
-            if missing:
-                raise ValueError(
-                    f"variance map is missing tensors {missing}; the "
-                    f"weight space covers {space.names}"
-                )
-            for name in space.names:
-                got = np.asarray(variance[name]).shape
-                want = space.shape_of(name)
-                if got != want:
-                    raise ValueError(
-                        f"variance map for tensor {name!r} has shape "
-                        f"{got}, but the weight tensor has shape {want}"
-                    )
-            return space.flatten(variance)
-        variance = np.asarray(variance, dtype=np.float64)
-        if variance.shape != (space.total_size,):
-            per_tensor = ", ".join(
-                f"{name}{space.shape_of(name)}" for name in space.names
-            )
-            raise ValueError(
-                f"variance map shape {variance.shape} does not match the "
-                f"weight space: expected a flat ({space.total_size},) "
-                f"vector over tensors [{per_tensor}]"
-            )
-        return variance
-
-    def scores(self, model, space, x, y, rng=None):
-        curvature = accumulate_second_derivatives(
-            model, x, y, loss=self.loss,
-            batch_size=self.batch_size, max_batches=self.max_batches,
-        )
-        flat_curv = space.flatten({n: curvature[n] for n in space.names})
-        return flat_curv * self._flat_variance(model, space)
-
-    def tie_break(self, model, space):
-        return np.abs(space.gather_from_model(model, "data"))

@@ -204,17 +204,10 @@ _SCORERS = {
 def build_scorer(name, **kwargs):
     """Construct a scorer by registry name (see ``_SCORERS`` keys).
 
-    ``hetero_swim`` resolves to
-    :class:`~repro.core.extensions.HeteroSwimScorer` (imported lazily —
-    extensions builds on this module); pass its variance source
-    (``technology=`` / ``stack=`` / ``mapping_config=`` /
-    ``variance_provider=``) through ``kwargs``.
+    The ablations rank through this registry.  ``hetero_swim`` is not
+    a scorer: :class:`~repro.plan.PlanEngine` resolves it, with ``swim``
+    and ``magnitude``, for every Monte Carlo sweep.
     """
-    if name == "hetero_swim":
-        from repro.core.extensions import HeteroSwimScorer
-
-        return HeteroSwimScorer(**kwargs)
     if name not in _SCORERS:
-        known = sorted(_SCORERS) + ["hetero_swim"]
-        raise KeyError(f"unknown scorer {name!r}; known: {known}")
+        raise KeyError(f"unknown scorer {name!r}; known: {sorted(_SCORERS)}")
     return _SCORERS[name](**kwargs)

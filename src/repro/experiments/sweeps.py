@@ -7,15 +7,21 @@ the paper's "who wins at fixed NWC" claims.
 
 :func:`run_method_sweep` is the repo's one Monte Carlo sweep: every
 scenario (Table 1, Fig. 2, devices, retention, spatial) runs through it,
-one trial window (tile) at a time under the scenario orchestrator.  By
-default each block of trials shares one masked verify loop and one
-folded forward pass per (method, target) cell.  Pass ``batched=False``
-for the scalar reference loop (the path for workloads too large to
-batch in memory; the orchestrator's ``workers=`` pool parallelizes it
-across trial windows).  Trial ``i`` draws its programming noise from the
-same named substream (:class:`~repro.core.mc.MonteCarloEngine`) in
-every mode, so the paired design — and the per-trial noise draw itself
-— is identical across paths.
+one trial window (tile) at a time under the scenario orchestrator.  It
+deploys a :class:`~repro.plan.SelectionPlan` and ranks nothing itself:
+the plan carries the cell's physics, methods, NWC grid, selection counts
+and the ``swim`` / ``hetero_swim`` / ``magnitude`` orders, all resolved
+once per grid by :class:`~repro.plan.PlanEngine` (Sec. 3.3's one
+sensitivity pass per model); only ``random`` re-draws its order per
+trial.  By default each block of trials shares one masked verify loop
+and one folded forward pass per (method, target) cell.  Pass
+``batched=False`` for the scalar reference loop (the path for workloads
+too large to batch in memory; the orchestrator's ``workers=`` pool
+parallelizes it across trial windows).  Trial ``i`` draws its
+programming noise from the same named substream
+(:class:`~repro.core.mc.MonteCarloEngine`) in every mode, so the paired
+design — and the per-trial noise draw itself — is identical across
+paths.
 """
 
 from __future__ import annotations
@@ -24,26 +30,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cim import (
-    CimAccelerator,
-    DeviceConfig,
-    MappingConfig,
-    resolve_technology,
-)
+from repro.cim import CimAccelerator
 from repro.core import (
     InSituConfig,
     InSituTrainer,
-    MagnitudeScorer,
     MonteCarloEngine,
     RandomScorer,
-    SwimScorer,
     WeightSpace,
     evaluate_accuracy,
-    rank_descending,
-    variance_map_from_mapping,
-    variance_map_from_stack,
 )
 from repro.core.metrics import evaluate_accuracy_trials
+from repro.robustness.errors import ScenarioConfigError
 from repro.utils.stats import summarize
 
 __all__ = ["MethodCurve", "SweepOutcome", "run_method_sweep", "WRITE_VERIFY_METHODS"]
@@ -101,7 +98,7 @@ class SweepOutcome:
 
 
 def _insitu_row(zoo, accelerator, nwc_targets, run_rng, eval_x, eval_y,
-                insitu_lr, eval_batch_size=256):
+                insitu_lr):
     """Accuracy at each NWC target for one in-situ training run."""
     trainer = InSituTrainer(
         zoo.model, accelerator, InSituConfig(lr=insitu_lr)
@@ -117,7 +114,7 @@ def _insitu_row(zoo, accelerator, nwc_targets, run_rng, eval_x, eval_y,
     positive = sorted({v for v in checkpoint_iters.values() if v > 0})
 
     # NWC = 0: the freshly programmed, unverified network.
-    baseline = evaluate_accuracy(zoo.model, eval_x, eval_y, eval_batch_size)
+    baseline = evaluate_accuracy(zoo.model, eval_x, eval_y)
 
     history = None
     if positive:
@@ -125,7 +122,6 @@ def _insitu_row(zoo, accelerator, nwc_targets, run_rng, eval_x, eval_y,
             zoo.data.train_x, zoo.data.train_y, positive[-1],
             run_rng.child("train"),
             eval_x=eval_x, eval_y=eval_y, eval_at=set(positive),
-            eval_batch_size=eval_batch_size,
         )
     recorded = (
         dict(zip(history.iterations, zip(history.accuracy, history.nwc)))
@@ -252,55 +248,35 @@ def _scalar_sweep_trial(run_rng, zoo, accelerator, space, orders, methods,
     return rows
 
 
-def run_method_sweep(
-    zoo,
-    sigma,
-    nwc_targets,
-    mc_runs,
-    rng,
-    eval_samples=400,
-    sense_samples=512,
-    methods=("swim", "magnitude", "random", "insitu"),
-    insitu_lr=0.03,
-    device_bits=4,
-    curvature_batches=2,
-    batched=True,
-    trial_range=None,
-    technology=None,
-    read_time=None,
-    orders=None,
-):
-    """Run the full paired Monte Carlo sweep for one workload and sigma.
+def run_method_sweep(zoo, plan, mc_runs, rng, eval_samples=400,
+                     insitu_lr=0.03, batched=True, trial_range=None):
+    """Run the full paired Monte Carlo sweep of one planned cell.
 
     Parameters
     ----------
     zoo:
         A :class:`~repro.experiments.model_zoo.ZooModel`.
-    sigma:
-        Device programming noise (fraction of full-scale) before verify.
-        May be None when ``technology`` is given (the profile's sigma).
-    nwc_targets:
-        NWC grid, e.g. the paper's ``(0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)``.
+    plan:
+        The cell's :class:`~repro.plan.SelectionPlan`, resolved by a
+        :class:`~repro.plan.PlanEngine` over ``zoo.model`` at the
+        workload's ``weight_bits`` (or loaded with
+        :func:`~repro.plan.load_plans`); the sweep refuses a plan
+        resolved for another model or bit width.  It supplies everything
+        but the Monte Carlo envelope: the physics (technology, sigma,
+        bits, and the ``read_time`` at which deployments are read), the
+        methods, the NWC grid with its selection counts, and the orders
+        of the planned methods.  ``random`` re-draws its order per trial
+        and ``insitu`` trains on-chip; the in-situ baseline has no
+        deployment-time read, so a plan with a ``read_time`` cannot
+        carry it.
     mc_runs:
         Monte Carlo trials (paper: 3000).
     rng:
         Root :class:`~repro.utils.rng.RngStream` for this sweep.
-    eval_samples / sense_samples:
-        Test subset for accuracy, train subset for sensitivity.
-    methods:
-        Subset of {swim, hetero_swim, magnitude, random, insitu}.
-        ``hetero_swim`` is the Eq. 5 ranking with the per-weight variance
-        map supplied by the technology's nonideality stack at this
-        sweep's ``read_time`` (falling back to the per-tensor Eq. 16
-        variance when no technology is given); it shares the curvature
-        pass with ``swim``, so requesting both costs one extra ranking,
-        not one extra sensitivity analysis.
+    eval_samples:
+        Test subset for accuracy.
     insitu_lr:
         On-chip learning rate of the in-situ baseline.
-    device_bits:
-        K (paper: 4).  Ignored when ``technology`` supplies the cell.
-    curvature_batches:
-        Batches accumulated in SWIM's curvature pass.
     batched:
         Run the write-verify methods a block of trials at a time
         (default).  ``False`` selects the scalar reference loop, one
@@ -318,91 +294,47 @@ def run_method_sweep(
         slice rather than the across-trial mean, so adjacent windows
         merge exactly (:func:`repro.robustness.checkpoint.
         merge_outcomes`) into the full sweep's bits.
-    technology:
-        Registered :class:`~repro.cim.DeviceTechnology` name (or
-        instance): derives the device config and the full nonideality
-        stack (drift, spatial correlation, endurance) from the profile.
-    read_time:
-        Seconds since programming at which the deployed weights are
-        read; only meaningful when the technology's stack models drift.
-        The in-situ baseline has no deployment-time read, so it is not
-        supported together with ``read_time``.
-    orders:
-        Precomputed ``method -> flat index ranking`` (a
-        :class:`~repro.plan.SelectionPlan`'s ``orders``): methods found
-        here skip their in-sweep scoring entirely — in particular, no
-        curvature pass runs when both ``swim`` and ``hetero_swim``
-        arrive planned.  Missing methods are scored inline as before,
-        so partial plans compose.
 
     Returns
     -------
     SweepOutcome
     """
-    model, data, spec = zoo.model, zoo.data, zoo.spec
+    methods, nwc_targets, read_time = (
+        plan.methods, plan.nwc_targets, plan.read_time
+    )
     if read_time is not None and "insitu" in methods:
-        raise ValueError("the insitu baseline does not support read_time")
-    stack = None
-    tech_name = ""
-    if technology is not None:
-        tech = resolve_technology(technology)
-        tech_name = tech.name
-        device = tech.device_config()
-        if sigma is not None:
-            device = device.with_sigma(sigma)
-        stack = tech.build_stack()
-    else:
-        device = DeviceConfig(bits=device_bits, sigma=sigma)
-    mapping = MappingConfig(weight_bits=spec.weight_bits, device=device)
-    accelerator = CimAccelerator(model, mapping_config=mapping, stack=stack)
+        # PlanRequest refuses this pair; a plan loaded from JSON may not.
+        raise ScenarioConfigError(
+            "the insitu baseline does not support read_time"
+        )
+    model, data = zoo.model, zoo.data
     space = WeightSpace.from_model(model)
+    if space.total_size != plan.total_weights:
+        raise ValueError(
+            f"plan was resolved over {plan.total_weights} weights but "
+            f"the model has {space.total_size}"
+        )
+    if plan.weight_bits != zoo.spec.weight_bits:
+        raise ValueError(
+            f"plan maps {plan.weight_bits}-bit weights but workload "
+            f"{zoo.spec.key!r} quantizes to {zoo.spec.weight_bits} bits"
+        )
+    tech, device, mapping, stack = plan.resolve()
+    accelerator = CimAccelerator(model, mapping_config=mapping, stack=stack)
+    orders = {
+        method: plan.order(method)
+        for method in methods
+        if method not in ("random", "insitu")
+    }
+    counts = plan.counts
 
     eval_x = data.test_x[:eval_samples]
     eval_y = data.test_y[:eval_samples]
-    sense_x = data.train_x[:sense_samples]
-    sense_y = data.train_y[:sense_samples]
-
-    # Deterministic rankings are computed once (they do not depend on the
-    # noise draw); random gets a fresh permutation per run.  swim and
-    # hetero_swim share one curvature accumulation — they differ only in
-    # the variance map multiplied in before ranking.  Methods arriving
-    # in ``orders`` (planned by a PlanEngine, typically shared across a
-    # whole scenario grid) skip their scoring here.
-    accelerator.clear()
-    orders = (
-        {m: np.asarray(o, dtype=np.int64) for m, o in orders.items()
-         if m in methods}
-        if orders is not None
-        else {}
-    )
-    if any(m in methods and m not in orders
-           for m in ("swim", "hetero_swim")):
-        curvature_scorer = SwimScorer(
-            batch_size=min(256, sense_samples), max_batches=curvature_batches
-        )
-        curvature = curvature_scorer.scores(model, space, sense_x, sense_y)
-        tie = curvature_scorer.tie_break(model, space)
-    if "swim" in methods and "swim" not in orders:
-        orders["swim"] = rank_descending(curvature, tie)
-    if "hetero_swim" in methods and "hetero_swim" not in orders:
-        variance = (
-            variance_map_from_stack(
-                space, model, mapping, stack, read_time=read_time
-            )
-            if stack is not None
-            else variance_map_from_mapping(space, model, mapping)
-        )
-        orders["hetero_swim"] = rank_descending(curvature * variance, tie)
-    if "magnitude" in methods and "magnitude" not in orders:
-        orders["magnitude"] = MagnitudeScorer().ranking(
-            model, space, sense_x, sense_y
-        )
 
     n_targets = len(nwc_targets)
     acc_store = {m: np.empty((mc_runs, n_targets)) for m in methods}
     nwc_store = {m: np.zeros((mc_runs, n_targets)) for m in methods}
 
-    counts = [int(round(t * space.total_size)) for t in nwc_targets]
     engine = MonteCarloEngine(mc_runs, rng, trial_range=trial_range)
     if trial_range is not None and batched:
         block = engine.block_size()
@@ -435,11 +367,11 @@ def run_method_sweep(
     wear = accelerator.wear_summary()
     accelerator.clear()
     outcome = SweepOutcome(
-        workload=spec.key,
+        workload=zoo.spec.key,
         sigma=device.sigma,
         clean_accuracy=zoo.clean_accuracy,
         nwc_targets=tuple(nwc_targets),
-        technology=tech_name,
+        technology=tech.name if tech is not None else "",
         read_time=read_time,
         wear=wear,
     )

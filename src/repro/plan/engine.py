@@ -21,10 +21,14 @@ handful of disk reads, and a batch of :class:`PlanRequest`\\ s
 deduplicates shared stages naturally: planning N read times costs one
 curvature pass, N variance passes, and N rankings.
 
-The resolved :class:`SelectionPlan` is a standalone artifact: it can be
-applied to any accelerator hosting the same model
-(:meth:`SelectionPlan.apply`) and round-trips through JSON for offline
-reuse (:func:`save_plans` / :func:`load_plans`).
+The resolved :class:`SelectionPlan` is a standalone artifact and the
+sweep's one input besides its Monte Carlo envelope:
+:func:`~repro.experiments.sweeps.run_method_sweep` deploys it, so this
+engine is the only producer of ``swim``, ``hetero_swim`` and
+``magnitude`` orders.  A plan can also be applied to any accelerator
+hosting the same model (:meth:`SelectionPlan.apply`) and round-trips
+through JSON for offline reuse (:func:`save_plans` /
+:func:`load_plans`).
 """
 
 from __future__ import annotations
@@ -34,10 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.extensions import (
-    variance_map_from_mapping,
-    variance_map_from_stack,
-)
+from repro.core.extensions import variance_map_from_mapping
 from repro.core.metrics import DEFAULT_NWC_TARGETS
 from repro.obs.trace import span
 from repro.core.selection import WeightSpace, rank_descending
@@ -48,6 +49,7 @@ from repro.plan.cache import (
     data_digest,
     model_digest,
 )
+from repro.robustness.errors import ScenarioConfigError
 
 __all__ = [
     "PLANNED_METHODS",
@@ -56,6 +58,7 @@ __all__ = [
     "SelectionPlan",
     "build_engine",
     "load_plans",
+    "resolve_physics",
     "save_plans",
 ]
 
@@ -63,6 +66,33 @@ __all__ = [
 #: set, physics) and therefore plannable/cacheable.  ``random`` re-draws
 #: per trial and ``insitu`` trains on-chip; neither has a plan.
 PLANNED_METHODS = ("swim", "hetero_swim", "magnitude")
+
+
+def resolve_physics(technology, sigma, weight_bits, device_bits):
+    """``(technology, device, mapping, stack)`` of one physics point.
+
+    The one derivation behind :meth:`PlanRequest.resolve` (the physics
+    a plan ranks under) and :meth:`SelectionPlan.resolve` (the physics
+    the sweep deploys under).  A registered technology name or instance
+    supplies the cell and its full nonideality stack, ``sigma``
+    overriding its programming noise; without one, a plain
+    ``device_bits``-bit cell at ``sigma`` and no stack (the
+    accelerator's paper-default i.i.d. stack).
+    """
+    from repro.cim import DeviceConfig, MappingConfig, resolve_technology
+
+    if technology is not None:
+        tech = resolve_technology(technology)
+        device = tech.device_config()
+        if sigma is not None:
+            device = device.with_sigma(sigma)
+        stack = tech.build_stack()
+    else:
+        tech = None
+        device = DeviceConfig(bits=device_bits, sigma=sigma)
+        stack = None
+    mapping = MappingConfig(weight_bits=weight_bits, device=device)
+    return tech, device, mapping, stack
 
 
 @dataclass(frozen=True)
@@ -113,25 +143,45 @@ class PlanRequest:
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "nwc_targets", tuple(self.nwc_targets))
+        if self.read_time is not None and "insitu" in self.methods:
+            # In-situ training has no deployment-time read; refusing here
+            # makes the combination a usage error before any planning.
+            raise ScenarioConfigError(
+                "the insitu baseline does not support read_time"
+            )
 
     def resolve(self):
-        """``(technology, device, mapping, stack)`` exactly as the sweep
-        machinery derives them, so planned orders match inline ones
-        bit for bit."""
-        from repro.cim import DeviceConfig, MappingConfig, resolve_technology
+        """``(technology, device, mapping, stack)`` through
+        :func:`resolve_physics`, the derivation the sweep deploys
+        the resolved plan under."""
+        return resolve_physics(
+            self.technology, self.sigma, self.weight_bits, self.device_bits
+        )
 
-        if self.technology is not None:
-            tech = resolve_technology(self.technology)
-            device = tech.device_config()
-            if self.sigma is not None:
-                device = device.with_sigma(self.sigma)
-            stack = tech.build_stack()
-        else:
-            tech = None
-            device = DeviceConfig(bits=self.device_bits, sigma=self.sigma)
-            stack = None
-        mapping = MappingConfig(weight_bits=self.weight_bits, device=device)
-        return tech, device, mapping, stack
+    def config(self):
+        """The request's canonical JSON form, for content addresses.
+
+        Technology instances enter through their ``to_dict`` form and
+        budgets as floats, so a scenario's eval tiles and the plan
+        service key the same request identically.
+        """
+        technology = self.technology
+        if technology is not None:
+            from repro.cim import resolve_technology
+
+            technology = resolve_technology(technology).to_dict()
+        return {
+            "methods": list(self.methods),
+            "nwc_targets": [float(t) for t in self.nwc_targets],
+            "technology": technology,
+            "sigma": self.sigma,
+            "read_time": self.read_time,
+            "weight_bits": int(self.weight_bits),
+            "device_bits": int(self.device_bits),
+            "curvature_batches": int(self.curvature_batches),
+            "wear_inflation": float(self.wear_inflation),
+            "wear_consumed": self.wear_consumed,
+        }
 
     def effective_wear_inflation(self, technology=None):
         """The variance multiplier this request plans for.
@@ -174,6 +224,14 @@ class SelectionPlan:
     wear_inflation: float = 1.0
     model: str = ""
     cache_version: int = PLAN_CACHE_VERSION
+
+    def resolve(self):
+        """``(technology, device, mapping, stack)`` the plan deploys
+        under, through :func:`resolve_physics` like the request it was
+        resolved from."""
+        return resolve_physics(
+            self.technology, self.sigma, self.weight_bits, self.device_bits
+        )
 
     def order(self, method):
         """The resolved descending ranking of one method."""
@@ -331,7 +389,7 @@ class PlanEngine:
         shared on-disk cache under ``$REPRO_CACHE_DIR``).
     curvature_batch_size:
         Batch size of the curvature accumulation (default
-        ``min(256, len(sense_x))`` — the sweep machinery's choice).
+        ``min(256, len(sense_x))``, as :meth:`from_zoo` sets it).
 
     Attributes
     ----------
@@ -363,6 +421,21 @@ class PlanEngine:
         self._model_digest = model_digest(model)
         self._sense_digest = data_digest(
             np.asarray(sense_x), np.asarray(sense_y)
+        )
+
+    @classmethod
+    def from_zoo(cls, zoo, sense_samples=512, cache=None):
+        """An engine over a zoo workload: its model, and its first
+        ``sense_samples`` training examples as the sense set, with the
+        curvature batch size capped at 256 — the one construction
+        behind every scenario and the plan service."""
+        return cls(
+            zoo.model,
+            zoo.data.train_x[:sense_samples],
+            zoo.data.train_y[:sense_samples],
+            workload=zoo.spec.key,
+            cache=cache,
+            curvature_batch_size=min(256, int(sense_samples)),
         )
 
     # ---------------------------------------------------------- stage configs
@@ -426,9 +499,11 @@ class PlanEngine:
             with span("plan.variance", read_time=request.read_time):
                 self.stats["variance_passes"] += 1
                 if stack is not None:
-                    variance = variance_map_from_stack(
-                        self.space, self.model, mapping, stack,
+                    variance = stack.variance_map(
+                        mapping,
                         read_time=request.read_time,
+                        space=self.space,
+                        model=self.model,
                         wear_inflation=config["wear_inflation"],
                     )
                 else:
@@ -543,10 +618,10 @@ def build_engine(workload="lenet-digits", scale=None, cache=None):
     """Load a zoo workload and wire a :class:`PlanEngine` over it.
 
     The one shared construction path behind the serving layer's engine
-    registry and the serving benchmark.  Mirrors the orchestrator's
-    engine construction (sense set = the scale's training-subset slice,
-    curvature batch size capped at 256) so engine-resolved plans are the
-    ones a scenario run would compute.
+    registry and the serving benchmark.  It builds the engine with
+    :meth:`PlanEngine.from_zoo` at the scale's ``sense_samples``, as the
+    scenario orchestrator does, so engine-resolved plans are the ones a
+    scenario run would compute.
 
     Parameters
     ----------
@@ -575,12 +650,6 @@ def build_engine(workload="lenet-digits", scale=None, cache=None):
             f"unknown workload {workload!r}; available: "
             f"{sorted(scale.workloads)}"
         ) from exc
-    zoo = load_workload(spec)
-    return PlanEngine(
-        zoo.model,
-        zoo.data.train_x[:scale.sense_samples],
-        zoo.data.train_y[:scale.sense_samples],
-        workload=zoo.spec.key,
-        cache=cache if cache is not None else PlanArtifactCache(),
-        curvature_batch_size=min(256, int(scale.sense_samples)),
+    return PlanEngine.from_zoo(
+        load_workload(spec), scale.sense_samples, cache=cache
     )

@@ -132,9 +132,8 @@ class ScenarioOrchestrator:
         engine (default: the shared on-disk cache).
     engine:
         Optional pre-built :class:`~repro.plan.engine.PlanEngine`
-        (overrides ``cache``); the orchestrator otherwise builds one on
-        the zoo's training subset, mirroring the sweep machinery's
-        sense-set slicing.
+        (overrides ``cache``); the orchestrator otherwise builds one
+        with :meth:`~repro.plan.engine.PlanEngine.from_zoo`.
 
     Attributes
     ----------
@@ -153,14 +152,7 @@ class ScenarioOrchestrator:
         self.eval_samples = int(eval_samples)
         self.sense_samples = int(sense_samples)
         if engine is None:
-            engine = PlanEngine(
-                zoo.model,
-                zoo.data.train_x[:sense_samples],
-                zoo.data.train_y[:sense_samples],
-                workload=zoo.spec.key,
-                cache=cache,
-                curvature_batch_size=min(256, int(sense_samples)),
-            )
+            engine = PlanEngine.from_zoo(zoo, sense_samples, cache=cache)
         self.engine = engine
         self.plans = {}
         self.report = RunReport()
@@ -200,12 +192,6 @@ class ScenarioOrchestrator:
         change what a cell computes, only whether it completes.  Each
         tile's ``eval`` key adds its trial window to this dict.
         """
-        request = cell.request
-        technology = request.technology
-        if technology is not None:
-            from repro.cim import resolve_technology
-
-            technology = resolve_technology(technology).to_dict()
         if self._eval_digest is None:
             data = self.zoo.data
             self._eval_digest = data_digest(data.test_x, data.test_y)
@@ -214,18 +200,7 @@ class ScenarioOrchestrator:
             "sense": self.engine._sense_digest,
             "eval": self._eval_digest,
             "workload": self.zoo.spec.key,
-            "request": {
-                "methods": list(request.methods),
-                "nwc_targets": [float(t) for t in request.nwc_targets],
-                "technology": technology,
-                "sigma": request.sigma,
-                "read_time": request.read_time,
-                "weight_bits": int(request.weight_bits),
-                "device_bits": int(request.device_bits),
-                "curvature_batches": int(request.curvature_batches),
-                "wear_inflation": float(request.wear_inflation),
-                "wear_consumed": request.wear_consumed,
-            },
+            "request": cell.request.config(),
             "rng_seed": int(cell.rng.seed),
             "mc_runs": int(cell.mc_runs),
             "sweep_kwargs": {
@@ -325,27 +300,18 @@ class ScenarioOrchestrator:
                 # the pre-rectangle contract REPRO_FAULTS schedules use.
                 schedule.fire("cell", tile.cell)
             cell = cells[tile.cell]
-            request = cell.request
             with span(
                 "scenario.tile",
                 cell=tile.cell, start=tile.start, stop=tile.stop,
             ):
                 return run_method_sweep(
                     self.zoo,
-                    sigma=request.sigma,
-                    technology=request.technology,
-                    read_time=request.read_time,
-                    nwc_targets=request.nwc_targets,
+                    plans[cell.key],
                     mc_runs=cell.mc_runs,
                     rng=cell.rng,
                     eval_samples=self.eval_samples,
-                    sense_samples=self.sense_samples,
-                    methods=request.methods,
-                    device_bits=request.device_bits,
-                    curvature_batches=request.curvature_batches,
                     batched=batched,
                     trial_range=(tile.start, tile.stop),
-                    orders=plans[cell.key].orders,
                     **cell.sweep_kwargs,
                 )
 

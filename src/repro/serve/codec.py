@@ -236,34 +236,17 @@ def parse_plan_request(body):
 def plan_config(engine, request):
     """The canonical content address of one served plan.
 
-    Mirrors the request canonicalization of :meth:`~repro.plan.
-    orchestrator.ScenarioOrchestrator._cell_config` (technology through
-    ``to_dict``, budgets as floats) plus the engine parameters that
-    shape the result (model/sense digests, curvature batch size), so
-    two servers over the same model agree on every key.
+    The request's canonical form (:meth:`~repro.plan.engine.PlanRequest.
+    config`, which a scenario's eval tiles key on too) plus the engine
+    parameters that shape the result (model/sense digests, curvature
+    batch size), so two servers over the same model agree on every key.
     """
-    technology = request.technology
-    if technology is not None:
-        from repro.cim import resolve_technology
-
-        technology = resolve_technology(technology).to_dict()
     return {
         "model": engine._model_digest,
         "sense": engine._sense_digest,
         "workload": engine.workload,
         "curvature_batch_size": int(engine.curvature_batch_size),
-        "request": {
-            "methods": list(request.methods),
-            "nwc_targets": [float(t) for t in request.nwc_targets],
-            "technology": technology,
-            "sigma": request.sigma,
-            "read_time": request.read_time,
-            "weight_bits": int(request.weight_bits),
-            "device_bits": int(request.device_bits),
-            "curvature_batches": int(request.curvature_batches),
-            "wear_inflation": float(request.wear_inflation),
-            "wear_consumed": request.wear_consumed,
-        },
+        "request": request.config(),
     }
 
 

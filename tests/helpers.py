@@ -75,3 +75,20 @@ def analytic_curvature(model, loss, x, y):
 def default_loss():
     """The loss used by most checks."""
     return CrossEntropyLoss()
+
+
+def plan_for(zoo, sense_samples=512, **request):
+    """One cell's ``SelectionPlan``, resolved as a scenario resolves it.
+
+    A ``PlanEngine`` over ``zoo`` (sense set: its first
+    ``sense_samples`` training examples) with an in-memory cache plans
+    ``PlanRequest(**request)``; the workload's quantization bits are
+    the default ``weight_bits``.
+    """
+    from repro.plan import PlanArtifactCache, PlanEngine, PlanRequest
+
+    request.setdefault("weight_bits", zoo.spec.weight_bits)
+    engine = PlanEngine.from_zoo(
+        zoo, sense_samples, cache=PlanArtifactCache(disk=False)
+    )
+    return engine.plan(PlanRequest(**request))

@@ -33,6 +33,8 @@ from repro.cim.devices.registry import _REGISTRY
 from repro.nn.models import mlp
 from repro.utils.rng import RngStream
 
+from .helpers import plan_for
+
 
 @pytest.fixture
 def ctx():
@@ -300,16 +302,17 @@ def test_sweep_batched_matches_scalar_for_every_technology():
     zoo = load_workload(get_scale("smoke").workload("lenet-digits"))
     for tech in technology_names():
         read_time = 3600.0 if get_technology(tech).has_drift else None
-        kwargs = dict(
-            sigma=None, technology=tech, read_time=read_time,
-            nwc_targets=(0.0, 0.5, 1.0), mc_runs=2,
-            eval_samples=96, sense_samples=96, methods=("swim", "random"),
-        )
+        plan = plan_for(zoo, sense_samples=96, technology=tech,
+                        read_time=read_time, nwc_targets=(0.0, 0.5, 1.0),
+                        methods=("swim", "random"))
+        kwargs = dict(mc_runs=2, eval_samples=96)
         batched = run_method_sweep(
-            zoo, rng=RngStream(5).child("eq", tech), batched=True, **kwargs
+            zoo, plan, rng=RngStream(5).child("eq", tech), batched=True,
+            **kwargs
         )
         scalar = run_method_sweep(
-            zoo, rng=RngStream(5).child("eq", tech), batched=False, **kwargs
+            zoo, plan, rng=RngStream(5).child("eq", tech), batched=False,
+            **kwargs
         )
         assert batched.technology == tech
         for method in ("swim", "random"):

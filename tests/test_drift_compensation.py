@@ -14,7 +14,7 @@ from repro.cim import (
 from repro.nn.models import mlp
 from repro.utils.rng import RngStream
 
-from .helpers import to_float64
+from .helpers import plan_for, to_float64
 
 ONE_MONTH = 2.592e6
 
@@ -110,11 +110,12 @@ def test_compensated_pcm_beats_uncompensated_at_one_month():
     zoo = load_workload(SMOKE.workload("lenet-digits"))
     curves = {}
     for technology in ("pcm", "pcm-comp"):
+        plan = plan_for(zoo, sense_samples=128, technology=technology,
+                        read_time=ONE_MONTH, nwc_targets=(0.0, 0.5, 1.0),
+                        methods=("swim",))
         outcome = run_method_sweep(
-            zoo, sigma=None, technology=technology, read_time=ONE_MONTH,
-            nwc_targets=(0.0, 0.5, 1.0), mc_runs=2,
-            rng=RngStream(13).child("comp"),
-            eval_samples=160, sense_samples=128, methods=("swim",),
+            zoo, plan, mc_runs=2, rng=RngStream(13).child("comp"),
+            eval_samples=160,
         )
         curves[technology] = outcome.curves["swim"].means()
     assert np.all(curves["pcm-comp"] > curves["pcm"] + 0.2), curves

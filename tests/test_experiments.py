@@ -16,6 +16,8 @@ from repro.experiments.sweeps import run_method_sweep
 from repro.experiments.table1 import render_table1
 from repro.utils.rng import RngStream
 
+from .helpers import plan_for
+
 
 def test_get_scale_resolution(monkeypatch):
     assert get_scale("smoke").name == "smoke"
@@ -78,10 +80,11 @@ def smoke_zoo():
 
 def test_method_sweep_shapes_and_endpoints(smoke_zoo):
     targets = (0.0, 0.2, 1.0)
+    plan = plan_for(smoke_zoo, sense_samples=128, sigma=0.15,
+                    nwc_targets=targets, methods=("swim", "random"))
     outcome = run_method_sweep(
-        smoke_zoo, sigma=0.15, nwc_targets=targets, mc_runs=2,
-        rng=RngStream(3).child("sweep"), eval_samples=120, sense_samples=128,
-        methods=("swim", "random"),
+        smoke_zoo, plan, mc_runs=2, rng=RngStream(3).child("sweep"),
+        eval_samples=120,
     )
     assert set(outcome.curves) == {"swim", "random"}
     for curve in outcome.curves.values():
@@ -97,10 +100,11 @@ def test_method_sweep_shapes_and_endpoints(smoke_zoo):
 
 
 def test_method_sweep_insitu_row(smoke_zoo):
+    plan = plan_for(smoke_zoo, sense_samples=128, sigma=0.15,
+                    nwc_targets=(0.0, 0.3), methods=("insitu",))
     outcome = run_method_sweep(
-        smoke_zoo, sigma=0.15, nwc_targets=(0.0, 0.3), mc_runs=1,
-        rng=RngStream(4).child("sweep"), eval_samples=100, sense_samples=128,
-        methods=("insitu",), insitu_lr=0.01,
+        smoke_zoo, plan, mc_runs=1, rng=RngStream(4).child("sweep"),
+        eval_samples=100, insitu_lr=0.01,
     )
     curve = outcome.curve("insitu")
     assert curve.accuracy_runs.shape == (1, 2)
@@ -108,10 +112,11 @@ def test_method_sweep_insitu_row(smoke_zoo):
 
 
 def test_sweep_csv_round_trip(smoke_zoo, tmp_path):
+    plan = plan_for(smoke_zoo, sense_samples=128, sigma=0.1,
+                    nwc_targets=(0.0, 1.0), methods=("swim",))
     outcome = run_method_sweep(
-        smoke_zoo, sigma=0.1, nwc_targets=(0.0, 1.0), mc_runs=1,
-        rng=RngStream(5).child("sweep"), eval_samples=80, sense_samples=128,
-        methods=("swim",),
+        smoke_zoo, plan, mc_runs=1, rng=RngStream(5).child("sweep"),
+        eval_samples=80,
     )
     path = save_sweep_csv(outcome, os.path.join(tmp_path, "out.csv"))
     with open(path, encoding="utf-8") as handle:
@@ -123,10 +128,12 @@ def test_sweep_csv_round_trip(smoke_zoo, tmp_path):
 def test_render_table1_layout(smoke_zoo):
     from repro.experiments.table1 import Table1Result
 
+    plan = plan_for(smoke_zoo, sense_samples=128, sigma=0.1,
+                    nwc_targets=DEFAULT_NWC_TARGETS,
+                    methods=("swim", "magnitude"))
     outcome = run_method_sweep(
-        smoke_zoo, sigma=0.1, nwc_targets=DEFAULT_NWC_TARGETS, mc_runs=1,
-        rng=RngStream(6).child("sweep"), eval_samples=80, sense_samples=128,
-        methods=("swim", "magnitude"),
+        smoke_zoo, plan, mc_runs=1, rng=RngStream(6).child("sweep"),
+        eval_samples=80,
     )
     result = Table1Result(
         workload=smoke_zoo.spec.key,

@@ -12,16 +12,17 @@ from repro.cim import (
     RetentionModel,
     SpatialVariationModel,
     format_duration,
+    get_technology,
 )
 from repro.core import (
-    HeteroSwimScorer,
     SwimScorer,
     WeightSpace,
     expected_loss_increase,
+    rank_descending,
     variance_map_from_mapping,
 )
-from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import mlp
+from repro.plan import PlanArtifactCache, PlanEngine, PlanRequest
 
 from .helpers import to_float64
 
@@ -149,6 +150,9 @@ def test_cost_model_validation():
 
 
 # ---------------------------------------------------------- hetero-SWIM
+# ``hetero_swim`` is planned by PlanEngine: the shared curvature pass
+# times the request's per-weight variance map, ranked with SWIM's
+# magnitude tie-break.
 
 @pytest.fixture
 def setup(rng):
@@ -159,103 +163,63 @@ def setup(rng):
     return model, space, x, y
 
 
-def test_hetero_reduces_to_swim_with_constant_variance(setup):
+def _engine(setup, variance=None, monkeypatch=None):
+    """A PlanEngine over the setup model; ``variance`` pins its
+    variance stage to a fixed flat map."""
     model, space, x, y = setup
-    plain = SwimScorer(batch_size=24).scores(model, space, x, y)
-    hetero = HeteroSwimScorer(
-        variance_provider=lambda m, s: np.ones(s.total_size),
-        batch_size=24,
-    ).scores(model, space, x, y)
-    np.testing.assert_allclose(hetero, plain, rtol=1e-10)
+    engine = PlanEngine(model, x, y, cache=PlanArtifactCache(disk=False),
+                        curvature_batch_size=24)
+    if variance is not None:
+        monkeypatch.setattr(engine, "variance",
+                            lambda request, resolved=None: variance)
+    return engine
 
 
-def test_hetero_variance_reweights_ranking(setup):
+def test_hetero_reduces_to_swim_with_constant_variance(setup, monkeypatch):
+    model, space, x, y = setup
+    engine = _engine(setup, np.ones(space.total_size), monkeypatch)
+    plan = engine.plan(PlanRequest(methods=("swim", "hetero_swim"),
+                                   sigma=0.1))
+    np.testing.assert_array_equal(plan.order("hetero_swim"),
+                                  plan.order("swim"))
+
+
+def test_hetero_variance_reweights_ranking(setup, monkeypatch):
     model, space, x, y = setup
     variance = np.ones(space.total_size)
     variance[: space.total_size // 2] = 100.0  # first tensor much noisier
-    scorer = HeteroSwimScorer(
-        variance_provider=lambda m, s: variance, batch_size=24
-    )
-    scores = scorer.scores(model, space, x, y)
-    plain = SwimScorer(batch_size=24).scores(model, space, x, y)
-    np.testing.assert_allclose(
-        scores[: space.total_size // 2],
-        100.0 * plain[: space.total_size // 2],
-        rtol=1e-10,
-    )
-
-
-def test_hetero_requires_some_variance_source():
-    with pytest.raises(ValueError, match="variance_provider"):
-        HeteroSwimScorer()
-
-
-def test_hetero_shape_mismatch_names_the_tensors(setup):
-    """A bad flat variance map fails with the space's tensors spelled out."""
-    model, space, x, y = setup
-    scorer = HeteroSwimScorer(
-        variance_provider=lambda m, s: np.ones(s.total_size + 3),
-        batch_size=24,
-    )
-    with pytest.raises(ValueError) as err:
-        scorer.scores(model, space, x, y)
-    message = str(err.value)
-    assert f"({space.total_size},)" in message
-    for name in space.names:
-        assert f"{name}{space.shape_of(name)}" in message
-
-
-def test_hetero_dict_variance_validates_per_tensor(setup):
-    """Dict providers work, and a wrong tensor shape is named in the error."""
-    model, space, x, y = setup
-    good = {name: np.ones(space.shape_of(name)) for name in space.names}
-    scores = HeteroSwimScorer(
-        variance_provider=lambda m, s: good, batch_size=24
-    ).scores(model, space, x, y)
-    plain = SwimScorer(batch_size=24).scores(model, space, x, y)
-    np.testing.assert_allclose(scores, plain, rtol=1e-10)
-
-    bad_name = space.names[1]
-    bad = dict(good)
-    bad[bad_name] = np.ones((2, 2))
-    with pytest.raises(ValueError, match=bad_name):
-        HeteroSwimScorer(
-            variance_provider=lambda m, s: bad, batch_size=24
-        ).scores(model, space, x, y)
-    with pytest.raises(ValueError, match="missing tensors"):
-        HeteroSwimScorer(
-            variance_provider=lambda m, s: {space.names[0]: good[space.names[0]]},
-            batch_size=24,
-        ).scores(model, space, x, y)
+    engine = _engine(setup, variance, monkeypatch)
+    order = engine.plan(
+        PlanRequest(methods=("hetero_swim",), sigma=0.1)
+    ).order("hetero_swim")
+    scorer = SwimScorer(batch_size=24)
+    plain = scorer.scores(model, space, x, y)
+    tie = scorer.tie_break(model, space)
+    np.testing.assert_array_equal(order, rank_descending(plain * variance, tie))
+    assert not np.array_equal(order, rank_descending(plain, tie))
 
 
 def test_hetero_technology_constructor_path(setup):
-    """technology= derives mapping + stack; without drift or spatial it
-    reduces exactly to the mapping-config variance."""
-    model, space, x, y = setup
-    by_tech = HeteroSwimScorer(technology="fefet", batch_size=24)
-    assert by_tech.mapping_config is not None and by_tech.stack is not None
-    from repro.cim import get_technology
-
-    by_mapping = HeteroSwimScorer(
-        mapping_config=get_technology("fefet").mapping_config(), batch_size=24
-    )
+    """technology= derives mapping + stack; without a read time the
+    stack's map reduces exactly to the mapping-config variance."""
+    engine = _engine(setup)
+    fefet = get_technology("fefet")
+    by_tech = PlanRequest(methods=("hetero_swim",), technology="fefet")
+    _, device, mapping, stack = by_tech.resolve()
+    assert device == fefet.device_config() and stack is not None
+    by_mapping = PlanRequest(methods=("hetero_swim",), sigma=fefet.sigma,
+                             device_bits=fefet.bits)
+    np.testing.assert_array_equal(engine.variance(by_tech),
+                                  engine.variance(by_mapping))
     np.testing.assert_array_equal(
-        by_tech.scores(model, space, x, y),
-        by_mapping.scores(model, space, x, y),
+        engine.plan(by_tech).order("hetero_swim"),
+        engine.plan(by_mapping).order("hetero_swim"),
     )
     # At a drifted read time the stack path diverges from the constant map.
-    drifted = HeteroSwimScorer(
-        technology="pcm", read_time=2.592e6, batch_size=24
-    ).scores(model, space, x, y)
-    assert not np.allclose(drifted, by_tech.scores(model, space, x, y))
-
-
-def test_hetero_stack_requires_mapping():
-    from repro.cim import NonidealityStack
-
-    with pytest.raises(ValueError, match="mapping_config"):
-        HeteroSwimScorer(stack=NonidealityStack.default())
+    drifted = PlanRequest(methods=("hetero_swim",), technology="pcm",
+                          read_time=2.592e6)
+    assert not np.allclose(engine.variance(drifted),
+                           engine.variance(by_tech))
 
 
 def test_variance_map_uses_per_tensor_scales(setup):

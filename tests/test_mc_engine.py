@@ -237,10 +237,6 @@ def test_apply_selection_trials_subset_and_per_trial_masks(small_setup):
     shared = space.masks_from_indices(order[:count])
     nwc_all = accelerator.apply_selection_trials(shared)
     assert nwc_all.shape == (4,)
-    nwc_subset = accelerator.apply_selection_trials(
-        shared, trial_indices=np.array([1, 3])
-    )
-    np.testing.assert_allclose(nwc_subset, nwc_all[[1, 3]])
 
     per_trial = space.masks_from_indices_trials(
         [order[:count], order[:0], order[:count], order[: space.total_size]]

@@ -1,11 +1,12 @@
 """The selection-planning engine and scenario orchestration.
 
 Pins the subsystem's contracts: planned orders are exactly what the
-inline sweep machinery would compute, a whole grid shares one curvature
-pass (the ROADMAP's dominant-rank-cost item), warm caches reproduce cold
-plans bitwise without running any pass, plans round-trip through JSON
-and deploy onto accelerators, and parallel scenario execution is
-byte-identical to serial.
+scorers and the stack's variance map compose, a whole grid shares one
+curvature pass (the ROADMAP's dominant-rank-cost item), warm caches
+reproduce cold plans bitwise without running any pass, plans round-trip
+through JSON, deploy onto accelerators and replay their scenario cell
+through the sweep, and parallel scenario execution is byte-identical to
+serial.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ import numpy as np
 import pytest
 
 from repro.cim import CimAccelerator, MappingConfig, resolve_technology
-from repro.core import (
-    MagnitudeScorer,
-    SwimScorer,
-    WeightSpace,
-    rank_descending,
-    variance_map_from_stack,
-)
+from repro.core import MagnitudeScorer, SwimScorer, WeightSpace, rank_descending
 from repro.plan import (
     PlanArtifactCache,
     PlanEngine,
@@ -29,7 +24,10 @@ from repro.plan import (
     load_plans,
     save_plans,
 )
+from repro.robustness import ScenarioConfigError
 from repro.utils.rng import RngStream
+
+from .helpers import plan_for
 
 ONE_HOUR = 3.6e3
 ONE_MONTH = 2.592e6
@@ -49,7 +47,8 @@ def _engine(mini_zoo, sense=128, **cache_kwargs):
 
 class TestPlanResolution:
     def test_orders_match_inline_scoring(self, mini_zoo):
-        """A planned grid point ranks exactly as the sweep machinery."""
+        """A planned grid point ranks exactly as the scorers and the
+        stack's variance map compose Eq. 5."""
         engine = _engine(mini_zoo)
         tech = resolve_technology("pcm")
         request = PlanRequest(
@@ -69,8 +68,8 @@ class TestPlanResolution:
         curvature = scorer.scores(model, space, sense_x, sense_y)
         tie = scorer.tie_break(model, space)
         mapping = MappingConfig(weight_bits=4, device=tech.device_config())
-        variance = variance_map_from_stack(
-            space, model, mapping, tech.build_stack(), read_time=ONE_MONTH
+        variance = tech.build_stack().variance_map(
+            mapping, read_time=ONE_MONTH, space=space, model=model
         )
         assert np.array_equal(plan.order("swim"),
                               rank_descending(curvature, tie))
@@ -103,6 +102,8 @@ class TestPlanResolution:
         # The swim ranking is drift-independent and shared; hetero_swim
         # responds to the read time.
         assert np.array_equal(plans[0].order("swim"), plans[2].order("swim"))
+        assert not np.array_equal(plans[0].order("hetero_swim"),
+                                  plans[2].order("hetero_swim"))
 
     def test_warm_cache_is_bitwise_and_passless(self, mini_zoo, tmp_path):
         """Cold and warm plans are bitwise-equal; warm runs zero passes."""
@@ -139,6 +140,39 @@ class TestPlanResolution:
                 assert np.array_equal(before.order(method),
                                       after.order(method))
 
+    @pytest.mark.slow
+    def test_insitu_with_read_time_is_a_usage_error(self, mini_zoo,
+                                                     monkeypatch):
+        """In-situ training has no deployment-time read.  The request
+        refuses the pair, so a scenario asking for it fails as a usage
+        error (exit 64) before any planning, instead of as a failed cell
+        (exit 75, "retries exhausted"); the sweep still refuses a plan
+        that carries the pair, e.g. one edited in its JSON."""
+        from repro.experiments.config import get_scale
+        from repro.experiments.retention import run_retention
+        from repro.experiments.sweeps import run_method_sweep
+
+        with pytest.raises(ScenarioConfigError, match="read_time"):
+            PlanRequest(methods=("swim", "insitu"), technology="pcm",
+                        read_time=1.0)
+
+        def plan_batch(self, requests):
+            raise AssertionError("planned a grid that cannot run")
+
+        monkeypatch.setattr(PlanEngine, "plan_batch", plan_batch)
+        with pytest.raises(ScenarioConfigError, match="insitu"):
+            run_retention(
+                get_scale("smoke"), technologies=("pcm",), times=(1.0,),
+                methods=("swim", "insitu"),
+                plan_cache=PlanArtifactCache(disk=False),
+            )
+
+        plan = plan_for(mini_zoo, sense_samples=64, methods=("swim",),
+                        nwc_targets=(0.0,), technology="pcm", read_time=1.0)
+        plan.methods = ("swim", "insitu")
+        with pytest.raises(ScenarioConfigError, match="read_time"):
+            run_method_sweep(mini_zoo, plan, mc_runs=2, rng=RngStream(0))
+
     def test_wear_consumed_feeds_the_curve(self, mini_zoo):
         request = PlanRequest(technology="rram", wear_consumed=0.5)
         tech = resolve_technology("rram")
@@ -174,6 +208,57 @@ class TestSelectionPlanArtifact:
             assert np.array_equal(loaded.order(method), plan.order(method))
             assert loaded.order(method).dtype == np.int64
 
+    @pytest.mark.slow
+    def test_saved_plan_replays_its_retention_cell(self, tmp_path,
+                                                   monkeypatch):
+        """A pcm-comp retention cell's plan, written with save_plans and
+        read back, replays the scenario's rows bit for bit through the
+        sweep: the JSON physics (technology dict -> DeviceTechnology ->
+        stack) deploys exactly what the planned request did."""
+        from repro.experiments.config import get_scale
+        from repro.experiments.model_zoo import load_workload
+        from repro.experiments.retention import run_retention
+        from repro.experiments.sweeps import run_method_sweep
+        from repro.plan import ScenarioOrchestrator
+
+        cells = {}
+        real_run = ScenarioOrchestrator.run
+
+        def run(self, grid, **kwargs):
+            grid = list(grid)
+            cells.update((cell.key, cell) for cell in grid)
+            return real_run(self, grid, **kwargs)
+
+        monkeypatch.setattr(ScenarioOrchestrator, "run", run)
+        scale = get_scale("smoke")
+        plans = {}
+        result = run_retention(
+            scale, technologies=("pcm-comp",), times=(ONE_MONTH,),
+            plans_out=plans, plan_cache=PlanArtifactCache(disk=False),
+        )
+        key = ("pcm-comp", ONE_MONTH)
+        path = save_plans(str(tmp_path / "retention_plans.json"), plans)
+        plan = load_plans(path)[repr(key)]
+        assert plan.technology.name == "pcm-comp"
+        assert plan.technology.drift_compensated
+
+        replay = run_method_sweep(
+            load_workload(scale.workload("lenet-digits")), plan,
+            mc_runs=cells[key].mc_runs, rng=cells[key].rng,
+            eval_samples=scale.eval_samples,
+        )
+        expected = result.outcomes[key]
+        assert list(replay.curves) == list(expected.curves)
+        for method, curve in expected.curves.items():
+            assert np.array_equal(replay.curves[method].accuracy_runs,
+                                  curve.accuracy_runs)
+            assert np.array_equal(replay.curves[method].achieved_nwc,
+                                  curve.achieved_nwc)
+        assert (replay.technology, replay.sigma, replay.read_time) == (
+            expected.technology, expected.sigma, expected.read_time
+        )
+        assert replay.wear == expected.wear
+
     def test_apply_deploys_the_planned_selection(self, mini_zoo):
         plan = self._plan(mini_zoo)
         accelerator = CimAccelerator(mini_zoo.model, technology="fefet")
@@ -192,6 +277,9 @@ class TestSelectionPlanArtifact:
 
     def test_apply_rejects_foreign_model(self, mini_zoo):
         plan = self._plan(mini_zoo)
+        from types import SimpleNamespace
+
+        from repro.experiments.sweeps import run_method_sweep
         from repro.nn.models import mlp
 
         other = mlp(RngStream(3).child("mlp"), (64, 16, 4))
@@ -200,6 +288,16 @@ class TestSelectionPlanArtifact:
         accelerator.write_verify_all(RngStream(5).generator)
         with pytest.raises(ValueError, match="weights"):
             plan.apply(accelerator, method="swim", nwc_target=0.3)
+        foreign = SimpleNamespace(model=other, data=mini_zoo.data,
+                                  spec=mini_zoo.spec, clean_accuracy=0.0)
+        with pytest.raises(ValueError, match="weights"):
+            run_method_sweep(foreign, plan, mc_runs=1, rng=RngStream(6))
+        # A plan mapped at other quantization bits than the workload's.
+        six_bit = plan_for(mini_zoo, sense_samples=64, methods=("swim",),
+                           nwc_targets=(0.3,), technology="fefet",
+                           weight_bits=6)
+        with pytest.raises(ValueError, match="bits"):
+            run_method_sweep(mini_zoo, six_bit, mc_runs=1, rng=RngStream(6))
 
     def test_off_grid_budget_is_an_error(self, mini_zoo):
         plan = self._plan(mini_zoo)
@@ -218,9 +316,10 @@ class TestScenarioIntegration:
         methods = ("swim", "magnitude", "random", "insitu")
         targets = (0.0, 0.5)
         rng = RngStream(2).child("fig2", "test")
+        plan = plan_for(mini_zoo, sense_samples=64, sigma=0.1,
+                        nwc_targets=targets, methods=methods)
         direct = run_method_sweep(
-            mini_zoo, sigma=0.1, nwc_targets=targets, mc_runs=4, rng=rng,
-            eval_samples=32, sense_samples=64, methods=methods,
+            mini_zoo, plan, mc_runs=4, rng=rng, eval_samples=32,
             batched=False,
         )
         orchestrator = ScenarioOrchestrator(
@@ -251,22 +350,14 @@ class TestScenarioIntegration:
         """Regression for the ROADMAP item: scenarios must not recompute
         the curvature flat vector per grid point.
 
-        The sweep-side scorer is replaced with a tripwire (any use means
-        a cell scored inline) and the engine-side scorer with a counter:
-        a 2-read-time pcm grid with swim + hetero_swim must cost exactly
-        one sensitivity pass for the whole scenario.
+        The engine's scorer (the only curvature pass: the sweep ranks
+        nothing) is replaced with a counter: a 2-read-time pcm grid with
+        swim + hetero_swim must cost exactly one sensitivity pass for
+        the whole scenario.
         """
-        import repro.experiments.sweeps as sweeps
         import repro.plan.engine as plan_engine
         from repro.experiments.config import get_scale
         from repro.experiments.retention import run_retention
-
-        class TripwireScorer:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError(
-                    "run_method_sweep computed a curvature pass despite "
-                    "planned orders"
-                )
 
         passes = []
 
@@ -275,7 +366,6 @@ class TestScenarioIntegration:
                 passes.append(1)
                 return super().scores(*args, **kwargs)
 
-        monkeypatch.setattr(sweeps, "SwimScorer", TripwireScorer)
         monkeypatch.setattr(plan_engine, "SwimScorer", CountingScorer)
 
         result = run_retention(

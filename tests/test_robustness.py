@@ -49,6 +49,8 @@ from repro.robustness import (
 from repro.robustness.faults import FaultSchedule
 from repro.utils.rng import RngStream
 
+from .helpers import plan_for
+
 needs_fork = pytest.mark.skipif(
     not has_fork(), reason="supervised pool needs the fork start method"
 )
@@ -584,10 +586,10 @@ class TestOrchestratorRobustness:
 
         real = sweeps.run_method_sweep
 
-        def sabotage(zoo, **kwargs):
-            if kwargs.get("sigma") == 0.1:
+        def sabotage(zoo, plan, **kwargs):
+            if plan.sigma == 0.1:
                 raise RuntimeError("cell exploded")
-            return real(zoo, **kwargs)
+            return real(zoo, plan, **kwargs)
 
         monkeypatch.setattr(sweeps, "run_method_sweep", sabotage)
         outcomes = orchestrator.run(_grid(), scenario="t")
@@ -648,7 +650,7 @@ def test_config_error_in_a_serial_tile_propagates(mini_zoo, monkeypatch):
     raises it (the runner exits 64) instead of failing cells."""
     import repro.experiments.sweeps as sweeps
 
-    def misconfigured(zoo, **kwargs):
+    def misconfigured(zoo, plan, **kwargs):
         raise ScenarioConfigError("bad knob")
 
     monkeypatch.setattr(sweeps, "run_method_sweep", misconfigured)
@@ -760,16 +762,16 @@ class TestTileMerge:
         from repro.experiments.sweeps import run_method_sweep
         from repro.robustness import merge_outcomes
 
-        kwargs = dict(
-            sigma=None, technology="fefet", nwc_targets=(0.0, 0.5),
-            mc_runs=4, eval_samples=32, sense_samples=64,
-            methods=("magnitude",),
-        )
+        plan = plan_for(mini_zoo, sense_samples=64, technology="fefet",
+                        nwc_targets=(0.0, 0.5), methods=("magnitude",))
+        kwargs = dict(mc_runs=4, eval_samples=32)
         rng = RngStream(7).child("merge")
-        full = run_method_sweep(mini_zoo, rng=rng, **kwargs)
+        full = run_method_sweep(mini_zoo, plan, rng=rng, **kwargs)
         parts = [
-            run_method_sweep(mini_zoo, rng=rng, trial_range=(0, 2), **kwargs),
-            run_method_sweep(mini_zoo, rng=rng, trial_range=(2, 4), **kwargs),
+            run_method_sweep(mini_zoo, plan, rng=rng, trial_range=(0, 2),
+                             **kwargs),
+            run_method_sweep(mini_zoo, plan, rng=rng, trial_range=(2, 4),
+                             **kwargs),
         ]
         merged = merge_outcomes(parts)
         curve, expected = merged.curves["magnitude"], full.curves["magnitude"]
@@ -781,11 +783,12 @@ class TestTileMerge:
     def test_misaligned_window_is_rejected(self, mini_zoo):
         from repro.experiments.sweeps import run_method_sweep
 
+        plan = plan_for(mini_zoo, sense_samples=64, sigma=0.1,
+                        nwc_targets=(0.0,), methods=("magnitude",))
         with pytest.raises(ValueError, match="block grid"):
             run_method_sweep(
-                mini_zoo, sigma=0.1, nwc_targets=(0.0,), mc_runs=4,
-                rng=RngStream(7), eval_samples=32, sense_samples=64,
-                methods=("magnitude",), trial_range=(1, 3),
+                mini_zoo, plan, mc_runs=4, rng=RngStream(7),
+                eval_samples=32, trial_range=(1, 3),
             )
 
     def test_tile_height_changes_schedule_not_results(self, mini_zoo):

@@ -1,7 +1,8 @@
 """Algorithm 1 and the NWC sweep: end-to-end behaviour on a trained model.
 
 The sweep tests drive :func:`~repro.experiments.sweeps.run_method_sweep`
-(the one Monte Carlo sweep) on its scalar path.
+(the one Monte Carlo sweep) on its scalar path, with plans resolved by a
+:class:`~repro.plan.PlanEngine`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from repro.core import (
 from repro.experiments.sweeps import run_method_sweep
 from repro.nn import evaluate_accuracy
 from repro.utils.rng import RngStream
+
+from .helpers import plan_for
 
 
 @pytest.fixture
@@ -102,12 +105,15 @@ def test_algorithm1_impossible_target_verifies_everything(mapped):
     assert not result.met_target
 
 
-def _sweep(mini_zoo, methods, targets, mc_runs, seed, **kwargs):
+def _sweep(mini_zoo, methods, targets, mc_runs, seed, eval_samples=400,
+           sense_samples=512, curvature_batches=2):
     """The scalar Monte Carlo sweep at the ``mapped`` fixture's sigma."""
+    plan = plan_for(mini_zoo, sense_samples=sense_samples, sigma=0.15,
+                    nwc_targets=targets, methods=methods,
+                    curvature_batches=curvature_batches)
     return run_method_sweep(
-        mini_zoo, sigma=0.15, nwc_targets=targets, mc_runs=mc_runs,
-        rng=RngStream(seed).child("sweep"), methods=methods, batched=False,
-        **kwargs,
+        mini_zoo, plan, mc_runs=mc_runs, rng=RngStream(seed).child("sweep"),
+        eval_samples=eval_samples, batched=False,
     )
 
 

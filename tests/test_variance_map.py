@@ -30,7 +30,7 @@ from repro.core import WeightSpace, variance_map_from_mapping
 from repro.nn.models import mlp
 from repro.utils.rng import RngStream
 
-from .helpers import to_float64
+from .helpers import plan_for, to_float64
 
 ONE_MONTH = 2.592e6
 
@@ -302,11 +302,12 @@ def test_stack_fed_hetero_swim_beats_swim_under_drift():
     convs[0].bias.data *= c
     convs[1].weight.data /= c
 
+    plan = plan_for(zoo, sense_samples=128, technology="pcm-comp",
+                    read_time=ONE_MONTH, nwc_targets=(0.3,),
+                    methods=("swim", "hetero_swim"))
     outcome = run_method_sweep(
-        zoo, sigma=None, technology="pcm-comp", read_time=ONE_MONTH,
-        nwc_targets=(0.3,), mc_runs=12, rng=RngStream(23).child("demo"),
-        eval_samples=200, sense_samples=128,
-        methods=("swim", "hetero_swim"),
+        zoo, plan, mc_runs=12, rng=RngStream(23).child("demo"),
+        eval_samples=200,
     )
     swim = float(outcome.curves["swim"].means()[0])
     hetero = float(outcome.curves["hetero_swim"].means()[0])
