@@ -12,6 +12,8 @@ given an :class:`~repro.utils.rng.RngStream`.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import ndimage
 
@@ -36,9 +38,19 @@ def blank_canvas(size, channels=None):
     return np.zeros((channels, size, size), dtype=np.float64)
 
 
+@functools.lru_cache(maxsize=8)
 def _grid(size):
+    """Pixel coordinates ``(xs, ys)`` of a square canvas.
+
+    Every primitive call needs them, so they are built once per size and
+    shared; the arrays are read-only so that no caller can change them
+    for the next.
+    """
     ys, xs = np.mgrid[0:size, 0:size]
-    return xs.astype(np.float64), ys.astype(np.float64)
+    grids = xs.astype(np.float64), ys.astype(np.float64)
+    for grid in grids:
+        grid.flags.writeable = False
+    return grids
 
 
 def draw_segment(canvas, x0, y0, x1, y1, thickness=1.5, value=1.0):

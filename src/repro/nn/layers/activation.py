@@ -59,15 +59,22 @@ class _Activation(Module):
 
 
 class ReLU(_Activation):
-    """Rectified linear unit."""
+    """Rectified linear unit.
+
+    ``forward`` computes values only: ``fmax(x, 0)`` (NaN and every
+    non-positive input map to +0.0) and caches the output.  The
+    derivative mask is ``out > 0``, derived when a backward pass runs; it
+    equals ``x > 0`` for every input, NaN included.
+    """
 
     def forward(self, x):
-        mask = x > 0
-        self._cache = {"mask": mask}
-        return np.where(mask, x, 0.0)
+        out = np.fmax(x, 0)
+        out += 0  # -0.0 -> +0.0: fmax may return either zero on a tie.
+        self._cache = {"out": out}
+        return out
 
     def _derivatives(self, cache):
-        return cache["mask"].astype(np.float32), None
+        return (cache["out"] > 0).astype(np.float32), None
 
 
 class LeakyReLU(_Activation):

@@ -17,6 +17,20 @@ from repro.nn.module import Module
 __all__ = ["MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
 
 
+def _select(hit, values):
+    """``np.where(hit, values, 0)``, bit for bit, as an AND with a bit mask.
+
+    np.where branches per element, which mispredicts on a max-pool's
+    scattered hits; the mask is all ones where ``hit`` and zero (the bits
+    of +0.0) elsewhere.
+    """
+    bits = values.view(f"i{values.itemsize}")
+    mask = hit.astype(bits.dtype)
+    np.negative(mask, out=mask)
+    mask &= bits
+    return mask.view(values.dtype)
+
+
 def _pair(value):
     if isinstance(value, (tuple, list)):
         a, b = value
@@ -25,7 +39,21 @@ def _pair(value):
 
 
 class MaxPool2d(Module):
-    """Max pooling over NCHW inputs."""
+    """Max pooling over NCHW inputs.
+
+    Each window routes its derivatives to its first element, in (kh, kw)
+    order, that equals the window's maximum, or to its first NaN: the
+    element ``np.argmax`` over the window's column picks.  ``forward``
+    computes values only, as a fold of ``np.maximum`` over the kh*kw
+    strided window views, and caches its input and output.  ``backward``
+    and ``backward_second`` derive the routing from that cache when they
+    run, one kernel offset at a time: an element is hit when it equals
+    the output (or is NaN) and no earlier offset took its window, and the
+    hits' values are added into strided slices of a zeroed input-shaped
+    buffer, so every pixel sums its windows in (kh, kw) order from +0.0,
+    as ``col2im`` does.  A window holding several NaNs outputs the last
+    of them; they route to the first.
+    """
 
     def __init__(self, kernel_size, stride=None):
         super().__init__()
@@ -33,34 +61,42 @@ class MaxPool2d(Module):
         self.stride = int(stride) if stride is not None else self.kernel_size[0]
         self._cache = None
 
+    def _offsets(self, out_h, out_w):
+        """Yield the ``(rows, cols)`` slices of each kernel offset's view."""
+        kh, kw = self.kernel_size
+        s = self.stride
+        for i in range(kh):
+            for j in range(kw):
+                yield slice(i, i + s * out_h, s), slice(j, j + s * out_w, s)
+
     def forward(self, x):
         n, c, h, w = x.shape
-        # View each channel independently: reshape to (N*C, 1, H, W) and
-        # unfold so columns are pooling windows.
-        flat = x.reshape(n * c, 1, h, w)
-        cols, out_h, out_w = F.im2col(flat, self.kernel_size, stride=self.stride)
-        # cols: (kh*kw, N*C*out_h*out_w)
-        argmax = np.argmax(cols, axis=0)
-        out = cols[argmax, np.arange(cols.shape[1])]
-        out = out.reshape(n * c, out_h, out_w).reshape(n, c, out_h, out_w)
-        self._cache = {
-            "x_shape": x.shape,
-            "argmax": argmax,
-            "cols_shape": cols.shape,
-            "out_hw": (out_h, out_w),
-        }
+        out_h = F.conv_output_size(h, self.kernel_size[0], self.stride, 0)
+        out_w = F.conv_output_size(w, self.kernel_size[1], self.stride, 0)
+        offsets = self._offsets(out_h, out_w)
+        rows, cols = next(offsets)
+        out = x[:, :, rows, cols].copy()
+        for rows, cols in offsets:
+            # On a +0.0/-0.0 tie np.maximum returns its second argument,
+            # the earlier zero (tests/test_functional.py pins this).
+            np.maximum(x[:, :, rows, cols], out, out=out)
+        self._cache = {"x": x, "out": out}
         return out
 
     def _scatter(self, values):
-        """Scatter per-window values back through the argmax selections."""
-        n, c, h, w = self._cache["x_shape"]
-        cols = np.zeros(self._cache["cols_shape"], dtype=values.dtype)
-        flat_vals = values.reshape(-1)
-        cols[self._cache["argmax"], np.arange(cols.shape[1])] = flat_vals
-        out = F.col2im(
-            cols, (n * c, 1, h, w), self.kernel_size, stride=self.stride
-        )
-        return out.reshape(n, c, h, w)
+        """Route per-window values to each window's first maximum."""
+        x, out = self._cache["x"], self._cache["out"]
+        values = values.reshape(out.shape)
+        routed = np.zeros(x.shape, dtype=values.dtype)
+        taken = np.zeros(out.shape, dtype=bool)
+        for rows, cols in self._offsets(*out.shape[2:]):
+            view = x[:, :, rows, cols]
+            hit = view == out
+            hit |= np.isnan(view)
+            np.greater(hit, taken, out=hit)  # hit & ~taken
+            taken |= hit
+            routed[:, :, rows, cols] += _select(hit, values)
+        return routed
 
     def backward(self, grad_out):
         if self._cache is None:

@@ -16,6 +16,13 @@ to run three passes over a cached forward activation,
 ``backward_second`` must be called after ``backward`` for the same forward
 pass: activations with non-zero second derivative (tanh, sigmoid) need the
 first-order gradient term of Eq. 9, which ``backward`` caches for them.
+
+No pass writes into its argument.  A forward pass computes output values
+only and caches references to what its backward passes need (often its
+input or its output, which is the next layer's input); the backward
+passes derive masks and routing from that cache when they run.  A layer
+that wrote into its input would therefore corrupt the backward of the
+layer before it.
 """
 
 from __future__ import annotations

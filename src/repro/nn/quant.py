@@ -149,6 +149,12 @@ class ActQuant(Module):
     inference mode the frozen range is used.  Placed after each activation
     in the quantized model definitions, mirroring the paper's "weights and
     activation are quantized" setting.
+
+    ``forward`` computes values only (clip, divide, round, multiply, in
+    place on clip's fresh buffer) and caches its input with the peak it
+    used; ``backward`` and ``backward_second`` derive the STE mask
+    ``|x| <= peak`` from that cache when they run.  With no range yet
+    (peak 0) the layer passes its input through and the mask is all ones.
     """
 
     def __init__(self, bits, momentum=0.1):
@@ -169,25 +175,33 @@ class ActQuant(Module):
                     (1 - self.momentum) * self.running_peak + self.momentum * peak
                 )
         peak = self.running_peak
+        self._cache = {"x": x, "peak": peak}
         if peak <= 0.0:
-            self._cache = {"mask": np.ones_like(x, dtype=bool)}
             return x
         qmax = (1 << self.bits) - 1
         scale = peak / qmax
-        clipped = np.clip(x, -peak, peak)
-        out = np.rint(clipped / scale) * scale
-        self._cache = {"mask": np.abs(x) <= peak}
-        return out.astype(x.dtype)
+        out = np.clip(x, -peak, peak)
+        np.divide(out, scale, out=out)
+        np.rint(out, out=out)
+        np.multiply(out, scale, out=out)
+        return out
+
+    def _mask(self):
+        """STE mask: the inputs inside the peak the last forward used."""
+        x, peak = self._cache["x"], self._cache["peak"]
+        if peak <= 0.0:
+            return np.ones_like(x, dtype=bool)
+        return np.abs(x) <= peak
 
     def backward(self, grad_out):
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        return grad_out * self._cache["mask"]
+        return grad_out * self._mask()
 
     def backward_second(self, curv_out):
         if self._cache is None:
             raise RuntimeError("backward_second called before forward")
-        return curv_out * self._cache["mask"]
+        return curv_out * self._mask()
 
     def __repr__(self):
         return f"ActQuant(bits={self.bits}, peak={self.running_peak:.4g})"

@@ -16,6 +16,7 @@ from repro.data import (
 from repro.data.cifar import class_recipes
 from repro.data.procedural import (
     SHAPES,
+    _grid,
     draw_segment,
     gabor_texture,
     shape_mask,
@@ -122,6 +123,15 @@ def test_draw_segment_marks_line():
     draw_segment(canvas, 2, 8, 13, 8, thickness=2.0)
     assert canvas[8, 2:13].min() > 0.5
     assert canvas[2, 2] == 0.0
+
+
+def test_coordinate_grid_is_shared_and_read_only():
+    """One grid per canvas size, which no primitive call can change."""
+    xs, ys = _grid(5)
+    assert _grid(5)[0] is xs
+    assert not xs.flags.writeable and not ys.flags.writeable
+    np.testing.assert_array_equal(xs, np.tile(np.arange(5.0), (5, 1)))
+    np.testing.assert_array_equal(ys, xs.T)
 
 
 def test_gabor_texture_range():

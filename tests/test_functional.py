@@ -1,7 +1,9 @@
-"""Array-level building blocks: im2col/col2im, softmax, one-hot."""
+"""Array-level building blocks: im2col/col2im, max-pool, ReLU and
+activation quantization kernels, softmax, one-hot."""
 
 from __future__ import annotations
 
+import copy
 import zlib
 
 import numpy as np
@@ -9,8 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.metrics import _forward_trials
+from repro.core.second_derivative import accumulate_second_derivatives
 from repro.nn import functional as F
-from repro.nn.layers import Conv2d, MaxPool2d
+from repro.nn.layers import Conv2d, MaxPool2d, ReLU
+from repro.nn.layers.activation import _Activation
+from repro.nn.layers.base import WeightedLayer
+from repro.nn.models import convnet, lenet
+from repro.nn.quant import ActQuant
+from repro.utils.rng import RngStream
 
 
 def _window_indices(channels, height, width, kernel, stride):
@@ -47,6 +56,99 @@ def col2im_reference(cols, x_shape, kernel, stride=1, padding=0):
     return F.unpad2d(out, padding)
 
 
+class MaxPool2dReference(MaxPool2d):
+    """Max pooling as im2col, ``np.argmax`` and a gather; derivatives
+    scattered back through the argmax with col2im: the reference for
+    ``MaxPool2d`` (on the reference kernels above)."""
+
+    def forward(self, x):
+        n, c, h, w = x.shape
+        flat = x.reshape(n * c, 1, h, w)
+        cols, out_h, out_w = im2col_reference(flat, self.kernel_size, self.stride)
+        argmax = np.argmax(cols, axis=0)
+        out = cols[argmax, np.arange(cols.shape[1])]
+        self._cache = {"x_shape": x.shape, "argmax": argmax,
+                       "cols_shape": cols.shape}
+        return out.reshape(n, c, out_h, out_w)
+
+    def _scatter(self, values):
+        n, c, h, w = self._cache["x_shape"]
+        cols = np.zeros(self._cache["cols_shape"], dtype=values.dtype)
+        cols[self._cache["argmax"], np.arange(cols.shape[1])] = values.reshape(-1)
+        out = col2im_reference(cols, (n * c, 1, h, w), self.kernel_size,
+                               self.stride)
+        return out.reshape(n, c, h, w)
+
+
+class ReLUReference(_Activation):
+    """ReLU with its mask computed in the forward pass: the reference."""
+
+    def forward(self, x):
+        mask = x > 0
+        self._cache = {"mask": mask}
+        return np.where(mask, x, 0.0)
+
+    def _derivatives(self, cache):
+        return cache["mask"].astype(np.float32), None
+
+
+class ActQuantReference(ActQuant):
+    """ActQuant with its STE mask computed in the forward pass: the
+    reference."""
+
+    def forward(self, x):
+        if self.training:
+            peak = float(np.max(np.abs(x), initial=0.0))
+            if self.running_peak == 0.0:
+                self.running_peak = peak
+            else:
+                self.running_peak = (
+                    (1 - self.momentum) * self.running_peak + self.momentum * peak
+                )
+        peak = self.running_peak
+        if peak <= 0.0:
+            self._cache = {"mask": np.ones_like(x, dtype=bool)}
+            return x
+        qmax = (1 << self.bits) - 1
+        scale = peak / qmax
+        clipped = np.clip(x, -peak, peak)
+        out = np.rint(clipped / scale) * scale
+        self._cache = {"mask": np.abs(x) <= peak}
+        return out.astype(x.dtype)
+
+    def backward(self, grad_out):
+        return grad_out * self._cache["mask"]
+
+    def backward_second(self, curv_out):
+        return curv_out * self._cache["mask"]
+
+
+def _reference_layer(layer):
+    """The reference twin of a max-pool, ReLU or ActQuant layer, else None."""
+    if type(layer) is MaxPool2d:
+        twin = MaxPool2dReference(layer.kernel_size, stride=layer.stride)
+    elif type(layer) is ReLU:
+        twin = ReLUReference()
+    elif type(layer) is ActQuant:
+        twin = ActQuantReference(layer.bits, momentum=layer.momentum)
+        twin.running_peak = layer.running_peak
+    else:
+        return None
+    twin.training = layer.training
+    return twin
+
+
+def _with_reference_layers(model):
+    """A deep copy of a Sequential model that runs the reference layers."""
+    twin = copy.deepcopy(model)
+    for index, layer in enumerate(twin):
+        reference = _reference_layer(layer)
+        if reference is not None:
+            twin._layers[index] = reference
+            twin._modules[str(index)] = reference
+    return twin
+
+
 # (input shape, kernel, stride, padding).  The zoo's conv and pool
 # geometries at small sizes, plus ragged ones where the last window
 # stops short of the padded edge: (H + 2p - k) % s != 0.
@@ -62,20 +164,22 @@ KERNEL_CASES = {
 }
 
 
-def _planted(shape, dtype, seed):
-    """Values over 16 decades with ties, +0.0 and -0.0 planted.
+def _planted(shape, dtype, seed, finite=False):
+    """Values over 16 decades with ties, +0.0, -0.0, NaN and +-inf planted.
 
     The spread of magnitudes makes a sum taken in another order round
-    differently, so a byte comparison catches a reordered kernel.
+    differently, so a byte comparison catches a reordered kernel; the
+    ties, signed zeros and NaNs catch a max-pool that routes to another
+    window element than ``np.argmax`` does.  ``finite`` leaves out NaN and
+    +-inf.
     """
     gen = np.random.default_rng(seed)
     x = gen.normal(size=shape) * 10.0 ** gen.integers(-8, 8, size=shape)
     flat = x.reshape(-1)
-    slots = np.array_split(gen.permutation(flat.size), 5)
-    flat[slots[0]] = 0.0
-    flat[slots[1]] = -0.0
-    flat[slots[2]] = 1.5
-    flat[slots[3]] = -1.5
+    planted = [0.0, -0.0, 1.5, -1.5] + ([] if finite else [np.nan, np.inf, -np.inf])
+    slots = np.array_split(gen.permutation(flat.size), len(planted) + 1)
+    for slot, value in zip(slots, planted):
+        flat[slot] = value
     return x.astype(dtype)
 
 
@@ -84,6 +188,18 @@ def _assert_same_bytes(got, want):
     assert got.shape == want.shape
     assert got.strides == want.strides
     assert got.tobytes() == want.tobytes()
+
+
+def _assert_same_passes(layer, reference, x, seed):
+    """Forward, backward and backward_second of both layers match bytes."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = layer.forward(x)
+        _assert_same_bytes(out, reference.forward(x))
+        grad = _planted(out.shape, out.dtype, seed)
+        _assert_same_bytes(layer.backward(grad), reference.backward(grad))
+        curv = np.abs(_planted(out.shape, out.dtype, seed + 1))
+        _assert_same_bytes(layer.backward_second(curv),
+                           reference.backward_second(curv))
 
 
 def test_conv_output_size():
@@ -99,13 +215,16 @@ def test_kernels_byte_identical_to_reference(case, dtype):
     """im2col and col2im reproduce the gather and ``np.add.at`` bytes."""
     shape, kernel, stride, padding = KERNEL_CASES[case]
     seed = zlib.crc32(case.encode())
-    x = _planted(shape, dtype, seed)
+    # Finite values: where NaNs of both signs meet in a sum, np.add returns
+    # either operand's NaN depending on the loop it runs, so the sign of a
+    # NaN sum is not the kernels' to pin.
+    x = _planted(shape, dtype, seed, finite=True)
     cols, out_h, out_w = F.im2col(x, kernel, stride=stride, padding=padding)
     want, want_h, want_w = im2col_reference(x, kernel, stride, padding)
     assert (out_h, out_w) == (want_h, want_w)
     _assert_same_bytes(cols, want)
 
-    y = _planted(want.shape, dtype, seed + 1)
+    y = _planted(want.shape, dtype, seed + 1, finite=True)
     _assert_same_bytes(
         F.col2im(y, shape, kernel, stride=stride, padding=padding),
         col2im_reference(y, shape, kernel, stride, padding),
@@ -113,32 +232,115 @@ def test_kernels_byte_identical_to_reference(case, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("kernel, stride", [(2, 2), (3, 2)])
+@pytest.mark.parametrize(
+    "kernel, stride",
+    [
+        (2, 2),
+        (3, 2),  # overlapping windows
+        pytest.param(1, 1, id="1x1"),
+        pytest.param((2, 3), 2, id="ragged-2x3-s2"),
+        pytest.param(2, 3, id="stride-over-kernel"),
+    ],
+)
 def test_maxpool_byte_identical_to_im2col_reference(kernel, stride, dtype):
-    """Forward, backward and curvature match the reference-kernel pool.
+    """Forward, backward and curvature match the argmax reference pool.
 
-    Ties go to the first window element, and overlapping windows (3x3,
-    stride 2) sum their routed derivatives in the reference's order.
+    Ties, +-0.0 and NaN go to the first window element ``np.argmax``
+    picks, overlapping windows sum their routed derivatives in the
+    reference's order, and pixels no window covers (ragged edges, stride
+    over kernel) get +0.0.  The input is (2, 3, 9, 8), so the 2x2, 3x3
+    and 2x3 windows stop short of an edge.
     """
-    shape = n, c, h, w = (2, 3, 9, 8)
-    x = _planted(shape, dtype, 7)
-    flat = x.reshape(n * c, 1, h, w)
-    cols, out_h, out_w = im2col_reference(flat, (kernel, kernel), stride)
-    argmax = np.argmax(cols, axis=0)
-    picked = np.arange(cols.shape[1])
-    grad = _planted((n, c, out_h, out_w), dtype, 8)
-    curv = np.abs(_planted(grad.shape, dtype, 9))
+    x = _planted((2, 3, 9, 8), dtype, 7)
+    _assert_same_passes(MaxPool2d(kernel, stride=stride),
+                        MaxPool2dReference(kernel, stride=stride), x, 8)
 
-    def route(values):
-        routed = np.zeros_like(cols)
-        routed[argmax, picked] = values.reshape(-1)
-        back = col2im_reference(routed, flat.shape, (kernel, kernel), stride)
-        return back.reshape(shape)
 
-    pool = MaxPool2d(kernel, stride=stride)
-    _assert_same_bytes(pool.forward(x), cols[argmax, picked].reshape(grad.shape))
-    _assert_same_bytes(pool.backward(grad), route(grad))
-    _assert_same_bytes(pool.backward_second(curv), route(curv))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_byte_identical_to_reference(dtype):
+    """NaN, -0.0 and -inf map to +0.0; the mask ``out > 0`` is ``x > 0``.
+
+    The transposed input pins the output layout too, and nine -0.0s reach
+    a NumPy float64 loop whose ``fmax(-0.0, 0)`` returns -0.0.
+    """
+    x = _planted((3, 3, 5, 7), dtype, 11)
+    _assert_same_passes(ReLU(), ReLUReference(), x, 12)
+    _assert_same_passes(ReLU(), ReLUReference(), x.transpose(0, 2, 1, 3), 13)
+    _assert_same_passes(ReLU(), ReLUReference(),
+                        np.full((1, 1, 3, 3), -0.0, dtype), 14)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_actquant_byte_identical_to_reference(dtype):
+    """Training, eval and uncalibrated ActQuant match the reference.
+
+    In training mode two forwards move the running peak, and the backward
+    passes must use the peak of the second.
+    """
+    layer, reference = ActQuant(4), ActQuantReference(4)
+    x1, x2 = (_planted((4, 3, 6, 5), dtype, seed, finite=True)
+              for seed in (21, 22))
+    _assert_same_bytes(layer.forward(x1), reference.forward(x1))
+    _assert_same_passes(layer, reference, x2, 23)
+    assert layer.running_peak == reference.running_peak
+
+    layer.eval()
+    reference.eval()
+    x = _planted((4, 3, 6, 5), dtype, 24)
+    _assert_same_passes(layer, reference, x, 25)
+    _assert_same_passes(layer, reference, x.transpose(0, 2, 1, 3), 26)
+
+    # The mask belongs to the forward pass: a later change of the range
+    # (the Fig. 1 study zeroes it) does not reach a pending backward.
+    layer.forward(x)
+    reference.forward(x)
+    assert layer.running_peak > 1.5
+    layer.running_peak = reference.running_peak = 1.0  # now +-1.5 would clip
+    grad = _planted(x.shape, dtype, 28)
+    with np.errstate(invalid="ignore"):
+        _assert_same_bytes(layer.backward(grad), reference.backward(grad))
+
+    layer.running_peak = reference.running_peak = 0.0
+    assert layer.forward(x) is x
+    _assert_same_passes(layer, reference, x, 27)
+
+
+@pytest.mark.parametrize(
+    "build, shape",
+    [
+        pytest.param(lambda rng: lenet(rng, act_bits=4), (24, 1, 28, 28),
+                     id="lenet"),
+        pytest.param(lambda rng: convnet(rng, width_mult=0.1, act_bits=6),
+                     (24, 3, 32, 32), id="convnet"),
+    ],
+)
+def test_models_byte_identical_with_reference_layers(build, shape):
+    """Smoke-size LeNet and ConvNet: trial-batched eval logits and the
+    curvature pass equal a copy of the model built from the reference
+    max-pool, ReLU and ActQuant layers."""
+    model = build(RngStream(31).child("model"))
+    x = np.random.default_rng(5).random(shape).astype(np.float32)
+    y = np.arange(shape[0]) % 10
+    model.train()
+    model(x)  # calibrate the activation quantizers and batch norms
+    model.eval()
+    twin = _with_reference_layers(model)
+    assert {MaxPool2dReference, ReLUReference, ActQuantReference} <= set(
+        map(type, twin))
+
+    curvature = accumulate_second_derivatives(model, x, y, batch_size=12)
+    want = accumulate_second_derivatives(twin, x, y, batch_size=12)
+    assert curvature.keys() == want.keys()
+    for name in want:
+        _assert_same_bytes(curvature[name], want[name])
+
+    for layers in (model, twin):
+        for layer in layers:
+            if isinstance(layer, WeightedLayer):
+                w = layer.effective_weight()
+                noise = np.random.default_rng(6).normal(0, 0.05, (2,) + w.shape)
+                layer.set_weight_override((w + noise).astype(w.dtype))
+    _assert_same_bytes(_forward_trials(model, x, 2), _forward_trials(twin, x, 2))
 
 
 def test_oversized_kernel_raises_value_error(rng):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.nn import BatchNorm2d, Conv2d, Linear, ReLU, Sequential
-from repro.nn.models import lenet, resnet18
+from repro.nn import layers as L
+from repro.nn.models import convnet, lenet, resnet18
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 from repro.nn.quant import ActQuant
@@ -138,3 +139,70 @@ def test_parameter_copy_shape_checked():
     param = Parameter(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="shape"):
         param.copy_(np.zeros((3, 2)))
+
+
+# name -> (factory(rng), input shape): every layer in repro.nn.layers, the
+# activation quantizer and the three zoo architectures at small sizes.
+PASS_CASES = {
+    "AvgPool2d": (lambda rng: L.AvgPool2d(2), (2, 3, 6, 6)),
+    "BatchNorm1d": (lambda rng: L.BatchNorm1d(5), (4, 5)),
+    "BatchNorm2d": (lambda rng: L.BatchNorm2d(3), (2, 3, 4, 4)),
+    "Conv2d": (lambda rng: L.Conv2d(3, 4, 3, padding=1, rng=rng), (2, 3, 5, 5)),
+    "Dropout": (lambda rng: L.Dropout(0.5, rng=rng), (4, 5)),
+    "Flatten": (lambda rng: L.Flatten(), (2, 3, 2, 2)),
+    "GlobalAvgPool2d": (lambda rng: L.GlobalAvgPool2d(), (2, 3, 4, 4)),
+    "Identity": (lambda rng: L.Identity(), (4, 5)),
+    "LeakyReLU": (lambda rng: L.LeakyReLU(0.1), (4, 5)),
+    "Linear": (lambda rng: L.Linear(5, 3, rng=rng), (4, 5)),
+    "MaxPool2d": (lambda rng: L.MaxPool2d(3, stride=2), (2, 3, 7, 7)),
+    "ReLU": (lambda rng: L.ReLU(), (4, 5)),
+    "Sigmoid": (lambda rng: L.Sigmoid(), (4, 5)),
+    "Tanh": (lambda rng: L.Tanh(), (4, 5)),
+    "ActQuant": (lambda rng: ActQuant(4), (4, 5)),
+    "lenet": (lambda rng: lenet(rng, act_bits=4), (2, 1, 28, 28)),
+    "convnet": (lambda rng: convnet(rng, width_mult=0.1, act_bits=6),
+                (2, 3, 32, 32)),
+    "resnet18": (lambda rng: resnet18(rng, width_mult=0.1, act_bits=6),
+                 (2, 3, 32, 32)),
+}
+
+
+def test_pass_cases_cover_every_layer():
+    assert set(L.__all__) - {"WeightedLayer"} <= set(PASS_CASES)
+
+
+def _frozen(array):
+    array.flags.writeable = False
+    return array
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("case", sorted(PASS_CASES))
+def test_passes_leave_their_argument_unchanged(case, mode, rng):
+    """forward, backward and backward_second never write into their argument.
+
+    Forward caches hold references to layer inputs, so a write would
+    corrupt the backward of the layer that produced the array (the rule
+    in ``repro.nn.module``).  The arguments are read-only, so a write
+    raises, and their bytes must not move.
+    """
+    factory, shape = PASS_CASES[case]
+    layer = factory(rng.child(case))
+    gen = np.random.default_rng(0)
+    x = gen.normal(size=shape).astype(np.float32)
+    layer.train()
+    layer.forward(x.copy())  # calibrate quantizer ranges and norm statistics
+    layer.train(mode == "train")
+
+    x = _frozen(x)
+    want = x.tobytes()
+    out = layer.forward(x)
+    assert x.tobytes() == want
+    grad = _frozen(gen.normal(size=out.shape).astype(np.float32))
+    want = grad.tobytes()
+    layer.backward(grad)
+    assert grad.tobytes() == want
+    curv = _frozen(np.abs(gen.normal(size=out.shape)).astype(np.float32))
+    want = curv.tobytes()
+    layer.backward_second(curv)
+    assert curv.tobytes() == want
