@@ -10,7 +10,7 @@ Subpackages
     Tiny ImageNet (offline environment).
 ``repro.cim``
     Non-volatile CiM substrate: device variation model (Eqs. 14-16),
-    bit-sliced weight mapping, iterative write-verify, crossbar MVM.
+    bit-sliced weight mapping, iterative write-verify, the accelerator.
 ``repro.core``
     SWIM itself: sensitivity analysis, weight selection, Algorithm 1,
     and the Random / Magnitude / In-situ baselines.

@@ -1,4 +1,4 @@
-"""nvCiM substrate: devices, mapping, write-verify, crossbars, accelerator.
+"""nvCiM substrate: devices, mapping, write-verify, accelerator.
 
 Device physics lives in the composable :mod:`repro.cim.devices`
 subsystem: a trial-batched :class:`NonidealityStack` (programming noise →
@@ -9,12 +9,6 @@ registry (``fefet`` — the paper's default — plus ``rram``, ``pcm``,
 """
 
 from repro.cim.accelerator import CimAccelerator, weighted_layer_names
-from repro.cim.crossbar import (
-    ConverterConfig,
-    CrossbarConfig,
-    CrossbarLinear,
-    uniform_quantize_midrise,
-)
 from repro.cim.devices import (
     DEFAULT_TECHNOLOGY,
     DeviceConfig,
@@ -25,7 +19,6 @@ from repro.cim.devices import (
     NonidealityStack,
     NonidealityStage,
     ProgrammingNoiseStage,
-    ResidualModel,
     RetentionDriftStage,
     RetentionModel,
     SpatialCorrelationStage,
@@ -33,13 +26,10 @@ from repro.cim.devices import (
     StageContext,
     WearReport,
     get_technology,
-    inject_code_noise,
-    inject_weight_noise,
     register_technology,
     resolve_technology,
     technology_names,
 )
-from repro.cim.energy import CostModel, format_duration
 from repro.cim.mapping import MappedTensor, MappingConfig, WeightMapper
 from repro.cim.write_verify import (
     WriteVerifyConfig,
@@ -51,10 +41,6 @@ from repro.cim.write_verify import (
 
 __all__ = [
     "CimAccelerator",
-    "CostModel",
-    "ConverterConfig",
-    "CrossbarConfig",
-    "CrossbarLinear",
     "DEFAULT_TECHNOLOGY",
     "DeviceConfig",
     "DeviceTechnology",
@@ -66,7 +52,6 @@ __all__ = [
     "NonidealityStack",
     "NonidealityStage",
     "ProgrammingNoiseStage",
-    "ResidualModel",
     "RetentionDriftStage",
     "RetentionModel",
     "SpatialCorrelationStage",
@@ -77,14 +62,10 @@ __all__ = [
     "WriteVerifyConfig",
     "WriteVerifyResult",
     "calibrate_alpha",
-    "format_duration",
     "get_technology",
-    "inject_code_noise",
-    "inject_weight_noise",
     "register_technology",
     "resolve_technology",
     "technology_names",
-    "uniform_quantize_midrise",
     "weighted_layer_names",
     "write_verify",
     "write_verify_trials",

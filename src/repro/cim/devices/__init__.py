@@ -19,11 +19,6 @@ reference path stay bitwise-equivalent.
 
 from repro.cim.devices.device import DeviceConfig
 from repro.cim.devices.endurance import EnduranceModel, EnduranceObserver, WearReport
-from repro.cim.devices.noise import (
-    ResidualModel,
-    inject_code_noise,
-    inject_weight_noise,
-)
 from repro.cim.devices.registry import (
     DEFAULT_TECHNOLOGY,
     DeviceTechnology,
@@ -54,7 +49,6 @@ __all__ = [
     "NonidealityStack",
     "NonidealityStage",
     "ProgrammingNoiseStage",
-    "ResidualModel",
     "RetentionDriftStage",
     "RetentionModel",
     "SpatialCorrelationStage",
@@ -62,8 +56,6 @@ __all__ = [
     "StageContext",
     "WearReport",
     "get_technology",
-    "inject_code_noise",
-    "inject_weight_noise",
     "register_technology",
     "resolve_technology",
     "technology_names",

@@ -128,36 +128,6 @@ class EnduranceModel:
             deployments_to_failure=self.endurance_cycles / max(worst, 1),
         )
 
-    def compare_selection(self, cycles, selection_mask):
-        """Wear of selective vs full write-verify on the same cycle draw.
-
-        Parameters
-        ----------
-        cycles:
-            Per-device verify cycles a full write-verify would spend.
-        selection_mask:
-            Boolean array: devices whose weights are selected for verify.
-
-        Returns
-        -------
-        dict
-            ``{"full": WearReport, "selective": WearReport,
-            "lifetime_gain": float}`` — the lifetime multiplier is in
-            expected re-deployments of the *average* device.
-        """
-        cycles = np.asarray(cycles, dtype=np.int64)
-        mask = np.asarray(selection_mask, dtype=bool)
-        if mask.shape != cycles.shape:
-            raise ValueError("selection mask must match cycles shape")
-        full = self.wear_report(cycles)
-        selective = self.wear_report(np.where(mask, cycles, 0))
-        gain = (
-            full.mean_pulses_per_device / selective.mean_pulses_per_device
-            if selective.mean_pulses_per_device > 0
-            else float("inf")
-        )
-        return {"full": full, "selective": selective, "lifetime_gain": gain}
-
 
 class EnduranceObserver:
     """Accumulates verify-cycle arrays as a nonideality-stack observer.
@@ -195,11 +165,6 @@ class EnduranceObserver:
     def observe(self, name, cycles):
         """Record one tensor's verify-cycle array for this session."""
         self._cycles[name] = np.asarray(cycles, dtype=np.int64)
-
-    @property
-    def has_data(self):
-        """True once at least one write-verify session was observed."""
-        return bool(self._cycles) or self._agg_devices > 0
 
     def summary(self, initial_writes=1):
         """Wear statistics over every device-trial observed so far.

@@ -3,9 +3,9 @@
 Write-verify guarantees precision *at programming time*; NVM conductances
 then drift (prominently in PCM, and as random telegraph/relaxation noise in
 RRAM — the read-noise concern of Shim et al. [8], the paper's calibration
-source).  This module models post-programming drift so the benchmark suite
-can ask a question the paper leaves open: *does a selectively verified
-network lose its advantage over time?*
+source).  This module models post-programming drift so ``runner
+retention`` can ask a question the paper leaves open: *does a selectively
+verified network lose its advantage over time?*
 
 Model
 -----
@@ -69,11 +69,6 @@ class RetentionModel:
             raise ValueError("drift parameters must be >= 0")
         if self.t0 <= 0:
             raise ValueError("t0 must be > 0")
-
-    @property
-    def is_null(self):
-        """True when this model never changes any level."""
-        return self.nu == 0 and self.sigma_nu == 0 and self.relaxation_sigma == 0
 
     def apply(self, levels, t, rng, device_max_level=15):
         """Drift programmed ``levels`` to time ``t``.

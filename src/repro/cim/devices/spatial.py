@@ -159,8 +159,8 @@ class SpatialVariationModel:
     def correlation_at_lag(self, lag, size=8192, seed=0, device_max_level=15):
         """Empirical autocorrelation of the field at a given row lag.
 
-        Diagnostic used by tests and the spatial bench to demonstrate the
-        difference from i.i.d. noise.
+        Diagnostic used by the tests to demonstrate the difference from
+        i.i.d. noise.
         """
         rng = np.random.default_rng(seed)
         field = self.sample_field(size, rng, device_max_level)

@@ -1,9 +1,8 @@
 """Composable, trial-batched nonideality stack.
 
-Before this subsystem the repository's device physics lived in five silos
-(programming noise, closed-form noise, retention, spatial correlation,
-endurance) that only the benchmarks wired together.  The stack composes
-them into one ordered pipeline the accelerator runs for every tensor:
+The stack composes the device physics (programming noise, spatial
+correlation, retention, endurance) into one ordered pipeline the
+accelerator runs for every tensor:
 
 - **write stages** run at programming time, in order (programming noise,
   then spatially correlated variation);

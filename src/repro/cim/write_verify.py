@@ -293,8 +293,10 @@ def calibrate_alpha(
 
     Smaller ``alpha`` means weaker pulses and more cycles, so mean cycles
     is monotonically decreasing in ``alpha``; bisection converges quickly.
-    Used to document the Shim-et-al.-matching claim (Sec. 4.1) and by the
-    write-verify calibration bench.
+    It documents the Shim-et-al.-matching claim (Sec. 4.1): at the
+    paper's operating point (4-bit device, sigma 0.1) a 10-cycle target
+    fits ``alpha`` = 0.0334, the default ``WriteVerifyConfig.alpha =
+    0.033``.  ``examples/custom_device.py`` fits a custom device with it.
 
     Returns
     -------

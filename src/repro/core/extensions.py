@@ -13,43 +13,13 @@ the variance map is constant; :class:`~repro.plan.PlanEngine` resolves
 it, pairing its cached curvature with the per-tensor Eq. 16 variance of
 :func:`variance_map_from_mapping` or, for a technology, the stack's
 :meth:`~repro.cim.devices.NonidealityStack.variance_map`.
-
-``expected_loss_increase`` exposes the Eq. 5 estimate itself, which the
-tests validate against Monte Carlo measurements of the true loss — a
-quantitative check of the paper's central approximation (the independence
-assumption that drops the Hessian cross terms).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "expected_loss_increase",
-    "variance_map_from_mapping",
-]
-
-
-def expected_loss_increase(curvature_flat, variance_flat):
-    """Eq. 5: predicted mean loss increase under independent perturbation.
-
-    Parameters
-    ----------
-    curvature_flat:
-        Diagonal second derivatives, flat over the weight space.
-    variance_flat:
-        Per-weight perturbation variance ``E[dw_i^2]`` (scalar broadcasts).
-
-    Returns
-    -------
-    float
-        ``0.5 * sum_i H_ii * var_i``.
-    """
-    curvature = np.asarray(curvature_flat, dtype=np.float64)
-    variance = np.broadcast_to(
-        np.asarray(variance_flat, dtype=np.float64), curvature.shape
-    )
-    return float(0.5 * (curvature * variance).sum())
+__all__ = ["variance_map_from_mapping"]
 
 
 def variance_map_from_mapping(space, model, mapping_config):

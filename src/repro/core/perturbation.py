@@ -7,7 +7,7 @@ of its work: a single-weight change leaves every activation before the
 perturbed layer untouched, and — for convolution and linear layers —
 perturbs only **one output channel / unit** of that layer.  The
 nonlinearities between weighted layers act channel-by-channel (ReLU,
-activation quantizers, max/avg pooling, flatten), so the perturbation
+activation quantizers, max pooling, flatten), so the perturbation
 stays confined to that channel until the *next* weighted layer mixes it.
 
 :class:`PerturbationEvaluator` exploits all three structure levels, each
@@ -32,14 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.layers import (
-    AvgPool2d,
-    Conv2d,
-    Dropout,
-    Flatten,
-    Linear,
-    MaxPool2d,
-)
+from repro.nn.layers import Conv2d, Flatten, Linear, MaxPool2d
 from repro.nn.layers.activation import _Activation, Identity
 from repro.nn.layers.base import WeightedLayer
 from repro.nn.module import Sequential
@@ -50,12 +43,9 @@ __all__ = ["PerturbationEvaluator"]
 
 def _is_channelwise(module):
     """Layers that process channels independently (exact slice-ability)."""
-    if isinstance(module, (_Activation, Identity, ActQuant, MaxPool2d,
-                           AvgPool2d, Flatten)):
-        return True
-    if isinstance(module, Dropout) and not module.training:
-        return True  # identity at inference time
-    return False
+    return isinstance(
+        module, (_Activation, Identity, ActQuant, MaxPool2d, Flatten)
+    )
 
 
 class PerturbationEvaluator:

@@ -6,57 +6,21 @@ obtained with *one* forward and one backward-style pass, seeded with the
 loss curvature ``d2F/dO^2`` (Eq. 11) and propagated by each layer's
 ``backward_second`` (Eqs. 8 and 10).
 
-The functions here orchestrate that pass over a model and return the
-curvature per parameter; they also expose gradient collection with the same
-interface as a baseline.  The paper claims the second-derivative pass
-costs about as much as a gradient pass; ``tests/test_second_derivative.py``
-counts it: one forward, backward and curvature pass per layer, against two
-forward passes per parameter for finite differencing.
+:func:`accumulate_second_derivatives` orchestrates that pass over a model
+and returns the curvature per parameter; :func:`compute_gradients` collects
+first derivatives with the same interface for the gradient and Fisher
+baselines.  The paper claims the second-derivative pass costs about as
+much as a gradient pass; ``tests/test_second_derivative.py`` counts it:
+one forward, backward and curvature pass per layer, against two forward
+passes per parameter for finite differencing.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.trainer import iterate_batches
 
-__all__ = [
-    "compute_second_derivatives",
-    "compute_gradients",
-    "accumulate_second_derivatives",
-]
-
-
-def compute_second_derivatives(model, x, y, loss=None):
-    """Diagonal second derivatives of the loss w.r.t. every parameter.
-
-    Runs one forward pass, one gradient backward pass, and one curvature
-    backward pass (the gradient pass supplies the first-order term of
-    Eq. 9 needed by smooth activations).
-
-    Parameters
-    ----------
-    model:
-        Any :class:`repro.nn.Module` implementing the three passes.
-    x, y:
-        One evaluation batch.
-    loss:
-        Loss object with ``forward/backward/second`` (default
-        cross-entropy, matching the paper's classifiers).
-
-    Returns
-    -------
-    dict
-        ``parameter name -> curvature array`` (copies).
-    """
-    loss = loss if loss is not None else CrossEntropyLoss()
-    model.zero_grad()
-    model.zero_curvature()
-    loss(model(x), y)
-    model.backward(loss.backward())
-    model.backward_second(loss.second())
-    return {name: p.curvature.copy() for name, p in model.named_parameters()}
+__all__ = ["compute_gradients", "accumulate_second_derivatives"]
 
 
 def compute_gradients(model, x, y, loss=None):
@@ -77,7 +41,9 @@ def accumulate_second_derivatives(
     line 3).  Averaging over batches keeps memory bounded on large inputs;
     because each batch's loss carries a ``1/batch`` factor, summing batch
     curvatures and dividing by the number of batches estimates the
-    full-dataset curvature.
+    full-dataset curvature.  Each batch runs one forward pass, one
+    gradient backward pass (it supplies the first-order term of Eq. 9
+    that smooth activations need) and one curvature backward pass.
 
     Returns
     -------

@@ -10,15 +10,14 @@ magnitude tie-breaker the paper specifies.
 
 Scorers beyond the paper's three (gradient magnitude and the Fisher/
 squared-gradient proxy) are included as natural ablations: they are the
-usual cheap curvature surrogates, and the ablation bench shows where they
-fall between Magnitude and SWIM.
+usual cheap curvature surrogates, and ``runner ablations`` shows where
+they fall between Magnitude and SWIM.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.hessian_fd import fd_diagonal_hessian
 from repro.core.second_derivative import (
     accumulate_second_derivatives,
     compute_gradients,
@@ -31,7 +30,6 @@ __all__ = [
     "RandomScorer",
     "GradientScorer",
     "FisherScorer",
-    "HessianFDScorer",
     "build_scorer",
 ]
 
@@ -71,8 +69,8 @@ class SwimScorer(SensitivityScorer):
         Curvature is accumulated over up to ``max_batches`` training
         batches; one large batch matches the paper's single pass.
     use_magnitude_tie_break:
-        The Sec. 3.2 tie-breaking rule (on by default; the ablation bench
-        measures its effect).
+        The Sec. 3.2 tie-breaking rule (on by default; ``runner
+        ablations`` measures its effect).
     """
 
     name = "swim"
@@ -164,30 +162,6 @@ class FisherScorer(SensitivityScorer):
         return total
 
 
-class HessianFDScorer(SensitivityScorer):
-    """Reference: finite-difference diagonal Hessian (Eq. 6; tiny models).
-
-    Exists to validate SWIM's single-pass scores and for the Fig. 1 study;
-    cost grows with two forward passes per weight.
-    """
-
-    name = "hessian_fd"
-
-    def __init__(self, loss=None, eps=1e-3):
-        self.loss = loss
-        self.eps = eps
-
-    def scores(self, model, space, x, y, rng=None):
-        curv = fd_diagonal_hessian(
-            model, x, y, loss=self.loss, eps=self.eps,
-            param_names=space.names,
-        )
-        return space.flatten({n: curv[n] for n in space.names})
-
-    def tie_break(self, model, space):
-        return np.abs(space.gather_from_model(model, "data"))
-
-
 _SCORERS = {
     cls.name: cls
     for cls in (
@@ -196,7 +170,6 @@ _SCORERS = {
         RandomScorer,
         GradientScorer,
         FisherScorer,
-        HessianFDScorer,
     )
 }
 

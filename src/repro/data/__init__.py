@@ -1,7 +1,7 @@
 """Procedural synthetic datasets (offline stand-ins for the paper's data)."""
 
 from repro.data.cifar import class_recipes, render_class_sample, synthetic_cifar
-from repro.data.dataset import DataSplit, normalize_images, subsample
+from repro.data.dataset import DataSplit, normalize_images
 from repro.data.digits import (
     DIGIT_SEGMENTS,
     DigitDifficulty,
@@ -20,7 +20,6 @@ __all__ = [
     "normalize_images",
     "render_class_sample",
     "render_digit",
-    "subsample",
     "synthetic_cifar",
     "synthetic_digits",
     "synthetic_tiny_imagenet",

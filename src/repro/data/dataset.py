@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DataSplit", "normalize_images", "subsample"]
+__all__ = ["DataSplit", "normalize_images"]
 
 
 @dataclass(frozen=True)
@@ -46,28 +46,3 @@ class DataSplit:
 def normalize_images(images):
     """Map [0, 1] images to zero-centred float32 in [-1, 1]."""
     return ((np.asarray(images) - 0.5) / 0.5).astype(np.float32)
-
-
-def subsample(split, n_train=None, n_test=None, rng=None):
-    """Return a smaller :class:`DataSplit` (stratified-ish by shuffling).
-
-    Useful for smoke-scale experiments and the accuracy-evaluation batches
-    of Algorithm 1, which the paper runs on (a subset of) training data.
-    """
-    train_idx = np.arange(split.train_x.shape[0])
-    test_idx = np.arange(split.test_x.shape[0])
-    if rng is not None:
-        train_idx = rng.permutation(train_idx)
-        test_idx = rng.permutation(test_idx)
-    if n_train is not None:
-        train_idx = train_idx[:n_train]
-    if n_test is not None:
-        test_idx = test_idx[:n_test]
-    return DataSplit(
-        train_x=split.train_x[train_idx],
-        train_y=split.train_y[train_idx],
-        test_x=split.test_x[test_idx],
-        test_y=split.test_y[test_idx],
-        num_classes=split.num_classes,
-        name=split.name,
-    )

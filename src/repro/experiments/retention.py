@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cim import format_duration, resolve_technology
+from repro.cim import resolve_technology
 from repro.core.metrics import DEFAULT_NWC_TARGETS
 from repro.experiments.model_zoo import load_workload
 from repro.plan import PlanRequest, ScenarioCell, ScenarioOrchestrator
 from repro.utils.rng import RngStream
-from repro.utils.tables import Table
+from repro.utils.tables import Table, format_duration
 
 __all__ = ["RetentionResult", "run_retention", "render_retention"]
 

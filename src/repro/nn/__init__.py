@@ -12,15 +12,11 @@ implements three passes:
 
 from repro.nn import functional, init
 from repro.nn.layers import (
-    AvgPool2d,
-    BatchNorm1d,
     BatchNorm2d,
     Conv2d,
-    Dropout,
     Flatten,
     GlobalAvgPool2d,
     Identity,
-    LeakyReLU,
     Linear,
     MaxPool2d,
     ReLU,
@@ -28,16 +24,14 @@ from repro.nn.layers import (
     Tanh,
     WeightedLayer,
 )
-from repro.nn.losses import CrossEntropyLoss, MSELoss
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module, Sequential
-from repro.nn.optim import SGD, Adam, constant_schedule, cosine_schedule, step_schedule
+from repro.nn.optim import SGD, cosine_schedule
 from repro.nn.parameter import Parameter
 from repro.nn.quant import (
     ActQuant,
-    QuantConfig,
     attach_weight_quantizers,
     dequantize,
-    detach_weight_quantizers,
     fake_quantize,
     quantize_symmetric,
 )
@@ -51,23 +45,16 @@ from repro.nn.trainer import (
 
 __all__ = [
     "ActQuant",
-    "Adam",
-    "AvgPool2d",
-    "BatchNorm1d",
     "BatchNorm2d",
     "Conv2d",
     "CrossEntropyLoss",
-    "Dropout",
     "Flatten",
     "GlobalAvgPool2d",
     "Identity",
-    "LeakyReLU",
     "Linear",
-    "MSELoss",
     "MaxPool2d",
     "Module",
     "Parameter",
-    "QuantConfig",
     "ReLU",
     "SGD",
     "Sequential",
@@ -78,15 +65,12 @@ __all__ = [
     "Trainer",
     "WeightedLayer",
     "attach_weight_quantizers",
-    "constant_schedule",
     "cosine_schedule",
     "dequantize",
-    "detach_weight_quantizers",
     "evaluate_accuracy",
     "fake_quantize",
     "functional",
     "init",
     "iterate_batches",
     "quantize_symmetric",
-    "step_schedule",
 ]

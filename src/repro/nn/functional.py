@@ -1,4 +1,4 @@
-"""Array-level building blocks: im2col/col2im, softmax, one-hot.
+"""Array-level building blocks: im2col/col2im, log-softmax, one-hot.
 
 ``im2col`` turns convolution into one big matrix multiply, which is both the
 fastest way to run convolutions in NumPy and — more importantly here — makes
@@ -18,7 +18,6 @@ __all__ = [
     "im2col",
     "col2im",
     "conv_output_size",
-    "softmax",
     "log_softmax",
     "one_hot",
 ]
@@ -121,13 +120,6 @@ def col2im(cols, x_shape, kernel, stride=1, padding=0):
             out[:, :, i : i + stride * out_h : stride,
                 j : j + stride * out_w : stride] += patches[:, :, i, j]
     return unpad2d(out, padding)
-
-
-def softmax(logits, axis=-1):
-    """Numerically stable softmax."""
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
 
 
 def log_softmax(logits, axis=-1):

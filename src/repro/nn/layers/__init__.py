@@ -1,24 +1,19 @@
 """Layer library: every layer implements forward / backward / backward_second."""
 
-from repro.nn.layers.activation import Identity, LeakyReLU, ReLU, Sigmoid, Tanh
+from repro.nn.layers.activation import Identity, ReLU, Sigmoid, Tanh
 from repro.nn.layers.base import WeightedLayer
 from repro.nn.layers.conv import Conv2d
-from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.linear import Linear
-from repro.nn.layers.norm import BatchNorm1d, BatchNorm2d
-from repro.nn.layers.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
+from repro.nn.layers.norm import BatchNorm2d
+from repro.nn.layers.pooling import GlobalAvgPool2d, MaxPool2d
 from repro.nn.layers.reshape import Flatten
 
 __all__ = [
-    "AvgPool2d",
-    "BatchNorm1d",
     "BatchNorm2d",
     "Conv2d",
-    "Dropout",
     "Flatten",
     "GlobalAvgPool2d",
     "Identity",
-    "LeakyReLU",
     "Linear",
     "MaxPool2d",
     "ReLU",

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.nn.module import Module
 
-__all__ = ["ReLU", "LeakyReLU", "Tanh", "Sigmoid", "Identity"]
+__all__ = ["ReLU", "Tanh", "Sigmoid", "Identity"]
 
 
 class _Activation(Module):
@@ -75,23 +75,6 @@ class ReLU(_Activation):
 
     def _derivatives(self, cache):
         return (cache["out"] > 0).astype(np.float32), None
-
-
-class LeakyReLU(_Activation):
-    """Leaky ReLU with negative slope ``alpha``."""
-
-    def __init__(self, alpha=0.01):
-        super().__init__()
-        self.alpha = float(alpha)
-
-    def forward(self, x):
-        mask = x > 0
-        self._cache = {"mask": mask}
-        return np.where(mask, x, self.alpha * x)
-
-    def _derivatives(self, cache):
-        g_prime = np.where(cache["mask"], 1.0, self.alpha).astype(np.float32)
-        return g_prime, None
 
 
 class Tanh(_Activation):

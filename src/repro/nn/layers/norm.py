@@ -22,11 +22,12 @@ import numpy as np
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 
-__all__ = ["BatchNorm2d", "BatchNorm1d"]
+__all__ = ["BatchNorm2d"]
 
 
 class _BatchNorm(Module):
-    """Shared logic for 1-D and 2-D batch norm."""
+    """Batch-norm logic; a subclass names the reduction axes and the
+    parameter broadcast shape."""
 
     def __init__(self, num_features, eps=1e-5, momentum=0.1, dtype=np.float32):
         super().__init__()
@@ -123,13 +124,3 @@ class BatchNorm2d(_BatchNorm):
 
     def _shape_param(self, p):
         return np.asarray(p).reshape(1, -1, 1, 1)
-
-
-class BatchNorm1d(_BatchNorm):
-    """Batch norm over (N, F) inputs (per-feature statistics)."""
-
-    def _reduce_axes(self):
-        return (0,)
-
-    def _shape_param(self, p):
-        return np.asarray(p).reshape(1, -1)

@@ -2,7 +2,7 @@
 
 Max pooling routes both derivatives to the argmax input — the paper states
 "the backpropagation process of max pooling layers cancels derivatives of
-the deactivated inputs" (Sec. 3.3).  Average pooling is linear with
+the deactivated inputs" (Sec. 3.3).  Global average pooling is linear with
 coefficient ``1/area``, so gradients scale by ``1/area`` and diagonal
 curvature by ``1/area^2``.
 """
@@ -14,7 +14,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.module import Module
 
-__all__ = ["MaxPool2d", "AvgPool2d", "GlobalAvgPool2d"]
+__all__ = ["MaxPool2d", "GlobalAvgPool2d"]
 
 
 def _select(hit, values):
@@ -107,50 +107,6 @@ class MaxPool2d(Module):
         if self._cache is None:
             raise RuntimeError("backward_second called before forward")
         return self._scatter(curv_out)
-
-
-class AvgPool2d(Module):
-    """Average pooling over NCHW inputs."""
-
-    def __init__(self, kernel_size, stride=None):
-        super().__init__()
-        self.kernel_size = _pair(kernel_size)
-        self.stride = int(stride) if stride is not None else self.kernel_size[0]
-        self._cache = None
-
-    def forward(self, x):
-        n, c, h, w = x.shape
-        flat = x.reshape(n * c, 1, h, w)
-        cols, out_h, out_w = F.im2col(flat, self.kernel_size, stride=self.stride)
-        out = cols.mean(axis=0).reshape(n, c, out_h, out_w)
-        self._cache = {"x_shape": x.shape, "cols_shape": cols.shape}
-        return out
-
-    def _spread(self, values, power):
-        n, c, h, w = self._cache["x_shape"]
-        kh, kw = self.kernel_size
-        area = kh * kw
-        coeff = (1.0 / area) ** power
-        cols = np.broadcast_to(
-            values.reshape(1, -1) * coeff, self._cache["cols_shape"]
-        ).astype(values.dtype)
-        out = F.col2im(
-            np.ascontiguousarray(cols),
-            (n * c, 1, h, w),
-            self.kernel_size,
-            stride=self.stride,
-        )
-        return out.reshape(n, c, h, w)
-
-    def backward(self, grad_out):
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        return self._spread(grad_out, power=1)
-
-    def backward_second(self, curv_out):
-        if self._cache is None:
-            raise RuntimeError("backward_second called before forward")
-        return self._spread(curv_out, power=2)
 
 
 class GlobalAvgPool2d(Module):

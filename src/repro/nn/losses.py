@@ -4,6 +4,8 @@ The paper's curvature recursion starts from ``d2F/dO_j^2``, the diagonal
 second derivative of the loss w.r.t. the network output (Sec. 3.3):
 
 - L2 loss: ``d2F/dO_j^2 = 2`` (per sample; ``2/N`` under a batch mean).
+  No zoo model trains on it; ``tests/helpers.py`` keeps an ``MSELoss``
+  for the recursion's exactness tests.
 - Cross-entropy with softmax: ``p_j (1 - p_j)`` with
   ``p_j = exp(O_j) / sum_k exp(O_k)``.
 
@@ -12,9 +14,9 @@ the correct softmax probability uses ``exp(O_j)`` in the numerator.  We
 implement the correct expression (validated against finite differences in
 ``tests/test_losses.py``).
 
-Losses reduce with a batch mean, so both derivative seeds carry a ``1/N``
-factor: the loss is a *sum* of per-sample terms scaled by ``1/N``, and both
-d/dO and d2/dO2 are linear in that scaling.
+The loss reduces with a batch mean, so both derivative seeds carry a
+``1/N`` factor: the loss is a *sum* of per-sample terms scaled by
+``1/N``, and both d/dO and d2/dO2 are linear in that scaling.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from repro.nn import functional as F
 
-__all__ = ["CrossEntropyLoss", "MSELoss"]
+__all__ = ["CrossEntropyLoss"]
 
 
 class CrossEntropyLoss:
@@ -74,40 +76,3 @@ class CrossEntropyLoss:
             raise RuntimeError("second called before forward")
         probs = self._cache["probs"]
         return probs * (1.0 - probs) / self._cache["n"]
-
-
-class MSELoss:
-    """Mean over the batch of the sum of squared errors per sample."""
-
-    def __init__(self):
-        self._cache = None
-
-    def forward(self, outputs, targets):
-        """Return ``mean_n sum_c (o - y)^2`` and cache derivative state."""
-        outputs = np.asarray(outputs)
-        targets = np.asarray(targets)
-        if outputs.shape != targets.shape:
-            raise ValueError(
-                f"shape mismatch: outputs {outputs.shape} vs targets "
-                f"{targets.shape}"
-            )
-        diff = outputs - targets
-        n = outputs.shape[0]
-        self._cache = {"diff": diff, "n": n}
-        return float(np.square(diff).sum() / n)
-
-    def __call__(self, outputs, targets):
-        return self.forward(outputs, targets)
-
-    def backward(self):
-        """Gradient: ``2 (o - y) / N``."""
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        return 2.0 * self._cache["diff"] / self._cache["n"]
-
-    def second(self):
-        """Diagonal curvature: the constant ``2 / N`` (paper Sec. 3.3)."""
-        if self._cache is None:
-            raise RuntimeError("second called before forward")
-        diff = self._cache["diff"]
-        return np.full_like(diff, 2.0 / self._cache["n"])

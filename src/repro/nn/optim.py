@@ -2,15 +2,15 @@
 
 The models mapped to the CiM simulator are trained off-chip first (paper
 Sec. 4.2: "all models ... trained to converge on GPU before mapping").  SGD
-with momentum and Adam cover everything the model zoo needs; schedules are
-simple callables ``epoch -> lr`` so the trainer stays decoupled.
+with momentum covers everything the model zoo needs; schedules are simple
+callables ``epoch -> lr`` so the trainer stays decoupled.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SGD", "Adam", "cosine_schedule", "step_schedule", "constant_schedule"]
+__all__ = ["SGD", "cosine_schedule"]
 
 
 class Optimizer:
@@ -53,62 +53,11 @@ class SGD(Optimizer):
             p.data = p.data - self.lr * update.astype(p.data.dtype)
 
 
-class Adam(Optimizer):
-    """Adam with bias correction."""
-
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
-        super().__init__(params, lr)
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        self._t = 0
-
-    def step(self):
-        self._t += 1
-        bc1 = 1.0 - self.beta1 ** self._t
-        bc2 = 1.0 - self.beta2 ** self._t
-        for p, m, v in zip(self.params, self._m, self._v):
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            m *= self.beta1
-            m += (1 - self.beta1) * grad
-            v *= self.beta2
-            v += (1 - self.beta2) * np.square(grad)
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p.data = p.data - (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(
-                p.data.dtype
-            )
-
-
 def cosine_schedule(base_lr, total_epochs, min_lr=0.0):
     """Cosine decay from ``base_lr`` to ``min_lr`` over ``total_epochs``."""
 
     def schedule(epoch):
         frac = min(max(epoch, 0), total_epochs) / max(total_epochs, 1)
         return min_lr + 0.5 * (base_lr - min_lr) * (1 + np.cos(np.pi * frac))
-
-    return schedule
-
-
-def step_schedule(base_lr, milestones, gamma=0.1):
-    """Multiply the LR by ``gamma`` at each epoch in ``milestones``."""
-    milestones = sorted(int(m) for m in milestones)
-
-    def schedule(epoch):
-        factor = sum(1 for m in milestones if epoch >= m)
-        return base_lr * (gamma ** factor)
-
-    return schedule
-
-
-def constant_schedule(base_lr):
-    """A constant learning rate."""
-
-    def schedule(epoch):
-        return base_lr
 
     return schedule

@@ -19,49 +19,18 @@ Conventions implemented here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.nn.layers.base import WeightedLayer
 from repro.nn.module import Module
 
 __all__ = [
-    "QuantConfig",
     "quantize_symmetric",
     "dequantize",
     "fake_quantize",
     "ActQuant",
     "attach_weight_quantizers",
-    "detach_weight_quantizers",
 ]
-
-
-@dataclass(frozen=True)
-class QuantConfig:
-    """Bit widths used when preparing a model for CiM mapping.
-
-    Attributes
-    ----------
-    weight_bits:
-        Magnitude bits M of Eq. 14 (sign is differential, not a bit).
-    act_bits:
-        Activation bits; ``None`` disables activation quantization.
-    """
-
-    weight_bits: int = 4
-    act_bits: int | None = 4
-
-    def __post_init__(self):
-        if self.weight_bits < 1:
-            raise ValueError("weight_bits must be >= 1")
-        if self.act_bits is not None and self.act_bits < 1:
-            raise ValueError("act_bits must be >= 1 or None")
-
-    @property
-    def qmax(self):
-        """Largest magnitude code, ``2^M - 1``."""
-        return (1 << self.weight_bits) - 1
 
 
 def quantize_symmetric(values, bits, scale=None):
@@ -126,17 +95,6 @@ def attach_weight_quantizers(model, bits):
         if isinstance(module, WeightedLayer):
             module.weight_quantizer = _WeightFakeQuant(bits)
             count += 1
-    return count
-
-
-def detach_weight_quantizers(model):
-    """Remove weight fake-quantization from every weighted layer."""
-    count = 0
-    for module in model.modules():
-        if isinstance(module, WeightedLayer):
-            if module.weight_quantizer is not None:
-                count += 1
-            module.weight_quantizer = None
     return count
 
 

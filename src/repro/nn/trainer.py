@@ -47,7 +47,6 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 64
     weight_bits: int | None = None  # enable STE weight fake-quant when set
-    log_every: int = 0  # print every N epochs; 0 = silent
 
 
 @dataclass
@@ -122,16 +121,5 @@ class Trainer:
                 acc = evaluate_accuracy(model, test_x, test_y, config.batch_size)
                 history.test_accuracy.append(acc)
                 model.train()
-            if config.log_every and (epoch + 1) % config.log_every == 0:
-                test_part = (
-                    f", test acc {history.test_accuracy[-1]:.4f}"
-                    if history.test_accuracy
-                    else ""
-                )
-                print(
-                    f"epoch {epoch + 1}/{config.epochs}: "
-                    f"loss {history.train_loss[-1]:.4f}, "
-                    f"train acc {history.train_accuracy[-1]:.4f}{test_part}"
-                )
         model.eval()
         return history

@@ -43,7 +43,9 @@ from dataclasses import dataclass, field
 from repro.obs.metrics import get_registry
 from repro.obs.trace import TRACER
 from repro.robustness.errors import (
+    CellTimeoutError,
     ScenarioConfigError,
+    WorkerCrashError,
     is_retryable,
 )
 
@@ -444,12 +446,12 @@ def supervised_map(fn, items, workers, timeout=None, retries=None,
                     proc.join()
                     running.pop(item)
                     metrics["timeouts"].inc()
-                    fail_attempt(
-                        item, attempt,
-                        f"CellTimeoutError: task exceeded {timeout:g}s "
-                        f"wall-clock budget and was killed",
-                        True,
+                    error = CellTimeoutError(
+                        f"task exceeded {timeout:g}s wall-clock budget "
+                        "and was killed"
                     )
+                    fail_attempt(item, attempt, _describe(error),
+                                 is_retryable(error))
                 elif not proc.is_alive():
                     if dead_since is None:
                         running[item][4] = now
@@ -460,13 +462,14 @@ def supervised_map(fn, items, workers, timeout=None, retries=None,
                         running.pop(item)
                         code = proc.exitcode
                         metrics["crashes"].inc()
-                        fail_attempt(
-                            item, attempt,
-                            "WorkerCrashError: worker exited with "
-                            f"{'signal ' + str(-code) if code and code < 0 else f'status {code}'}"
-                            " before reporting a result",
-                            True,
+                        cause = (f"signal {-code}" if code and code < 0
+                                 else f"status {code}")
+                        error = WorkerCrashError(
+                            f"worker exited with {cause} before reporting "
+                            "a result"
                         )
+                        fail_attempt(item, attempt, _describe(error),
+                                     is_retryable(error))
     finally:
         for proc, *_ in running.values():
             if proc.is_alive():

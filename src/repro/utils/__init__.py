@@ -9,22 +9,16 @@ this package only names its root directory.
 from repro.utils.ascii_plot import line_plot, scatter_plot
 from repro.utils.cache import default_cache_dir
 from repro.utils.rng import RngStream, derive_seed
-from repro.utils.stats import (
-    MeanStd,
-    bootstrap_mean_ci,
-    pearson,
-    spearman,
-    summarize,
-)
-from repro.utils.tables import Table, format_markdown, format_table
+from repro.utils.stats import MeanStd, pearson, spearman, summarize
+from repro.utils.tables import Table, format_duration, format_markdown, format_table
 
 __all__ = [
     "MeanStd",
     "RngStream",
     "Table",
-    "bootstrap_mean_ci",
     "default_cache_dir",
     "derive_seed",
+    "format_duration",
     "format_markdown",
     "format_table",
     "line_plot",

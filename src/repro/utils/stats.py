@@ -2,9 +2,8 @@
 
 These are deliberately small, dependency-light implementations of the
 aggregate statistics reported in the paper: mean +/- std over Monte Carlo
-runs (Table 1, Fig. 2 shading), Pearson correlation (Fig. 1b quotes a
-coefficient of 0.83), and bootstrap confidence intervals used by the
-integration tests to make stochastic assertions robust.
+runs (Table 1, Fig. 2 shading) and Pearson correlation (Fig. 1b quotes a
+coefficient of 0.83), with its rank form.
 """
 
 from __future__ import annotations
@@ -13,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "MeanStd",
-    "summarize",
-    "pearson",
-    "spearman",
-    "bootstrap_mean_ci",
-]
+__all__ = ["MeanStd", "summarize", "pearson", "spearman"]
 
 
 @dataclass(frozen=True)
@@ -32,10 +25,6 @@ class MeanStd:
 
     def __str__(self):
         return f"{self.mean:.2f} ± {self.std:.2f}"
-
-    def as_tuple(self):
-        """Return ``(mean, std)``."""
-        return (self.mean, self.std)
 
 
 def summarize(values):
@@ -88,21 +77,3 @@ def _rankdata(values):
 def spearman(x, y):
     """Spearman rank correlation (Pearson on average-tie ranks)."""
     return pearson(_rankdata(x), _rankdata(y))
-
-
-def bootstrap_mean_ci(values, confidence=0.95, n_resamples=2000, seed=0):
-    """Bootstrap confidence interval for the mean of ``values``.
-
-    Returns ``(low, high)``.  Used by statistical integration tests so that
-    assertions like "SWIM beats Random at NWC=0.1" tolerate Monte Carlo
-    noise without being vacuous.
-    """
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("cannot bootstrap an empty sequence")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, arr.size, size=(n_resamples, arr.size))
-    means = arr[idx].mean(axis=1)
-    alpha = (1.0 - confidence) / 2.0
-    low, high = np.quantile(means, [alpha, 1.0 - alpha])
-    return float(low), float(high)

@@ -2,12 +2,15 @@
 
 The experiment drivers print their results in the same row/column layout as
 the paper's Table 1 so that a reader can compare side by side.  Tables are
-rendered as plain text (terminal) and GitHub-flavoured markdown (reports).
+rendered as plain text (terminal) and GitHub-flavoured markdown (reports);
+:func:`format_duration` renders the retention scenario's read times.
 """
 
 from __future__ import annotations
 
-__all__ = ["Table", "format_table", "format_markdown"]
+__all__ = ["Table", "format_table", "format_markdown", "format_duration"]
+
+_SECONDS = (("d", 86400.0), ("h", 3600.0), ("min", 60.0), ("s", 1.0))
 
 
 class Table:
@@ -101,3 +104,19 @@ def format_markdown(headers, rows, title=None):
             continue
         lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines)
+
+
+def format_duration(seconds):
+    """Human-readable duration, two leading units (e.g. ``6d 14h``)."""
+    if seconds < 1.0:
+        return f"{1000 * seconds:.1f} ms"
+    parts = []
+    rest = float(seconds)
+    for name, unit in _SECONDS:
+        count = int(rest // unit)
+        if count > 0 or (name == "s" and not parts):
+            parts.append(f"{count}{name}")
+            rest -= count * unit
+        if len(parts) == 2:
+            break
+    return " ".join(parts)

@@ -1,4 +1,9 @@
-"""Numerical helpers shared by the test suite (finite differences etc.)."""
+"""Numerical helpers shared by the test suite (finite differences etc.).
+
+``fd_diagonal_hessian`` (the paper's Eq. 6) and ``MSELoss`` are the
+oracles of the curvature recursion's exactness tests; no scenario runs
+either, so they live here rather than in ``repro``.
+"""
 
 from __future__ import annotations
 
@@ -37,21 +42,75 @@ def fd_gradient(model, loss, x, y, param, eps=1e-5):
     return grad
 
 
-def fd_second_derivative(model, loss, x, y, param, eps=1e-4):
-    """Central-difference diagonal second derivative (paper Eq. 6)."""
-    curv = np.zeros_like(param.data)
-    flat = param.data.reshape(-1)
-    curv_flat = curv.reshape(-1)
+def fd_diagonal_hessian(model, x, y, loss=None, eps=1e-4, param_names=None):
+    """Central-difference diagonal Hessian (paper Eq. 6), exact to O(eps^2).
+
+    ``d2F/dw_i^2 ~= (F(w_i + eps) - 2 F(w_i) + F(w_i - eps)) / eps^2``
+    costs two forward passes per parameter plus one for ``F(w)``.
+    Returns ``parameter name -> float64 array`` for ``param_names``
+    (default: every parameter); ``loss`` defaults to cross-entropy.
+    """
+    loss = loss if loss is not None else CrossEntropyLoss()
+    names = set(param_names) if param_names is not None else None
     f_zero = loss_of(model, loss, x, y)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        f_plus = loss_of(model, loss, x, y)
-        flat[i] = orig - eps
-        f_minus = loss_of(model, loss, x, y)
-        flat[i] = orig
-        curv_flat[i] = (f_plus - 2 * f_zero + f_minus) / (eps * eps)
-    return curv
+    result = {}
+    for name, param in model.named_parameters():
+        if names is not None and name not in names:
+            continue
+        curv = np.zeros_like(param.data, dtype=np.float64)
+        flat = param.data.reshape(-1)
+        curv_flat = curv.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = loss_of(model, loss, x, y)
+            flat[i] = orig - eps
+            f_minus = loss_of(model, loss, x, y)
+            flat[i] = orig
+            curv_flat[i] = (f_plus - 2.0 * f_zero + f_minus) / (eps * eps)
+        result[name] = curv
+    return result
+
+
+class MSELoss:
+    """Mean over the batch of the sum of squared errors per sample.
+
+    Its curvature seed is the constant ``2 / N`` (paper Sec. 3.3), which
+    makes the recursion exact on a two-layer network.
+    """
+
+    def __init__(self):
+        self._cache = None
+
+    def forward(self, outputs, targets):
+        """Return ``mean_n sum_c (o - y)^2`` and cache derivative state."""
+        outputs = np.asarray(outputs)
+        targets = np.asarray(targets)
+        if outputs.shape != targets.shape:
+            raise ValueError(
+                f"shape mismatch: outputs {outputs.shape} vs targets "
+                f"{targets.shape}"
+            )
+        diff = outputs - targets
+        n = outputs.shape[0]
+        self._cache = {"diff": diff, "n": n}
+        return float(np.square(diff).sum() / n)
+
+    def __call__(self, outputs, targets):
+        return self.forward(outputs, targets)
+
+    def backward(self):
+        """Gradient: ``2 (o - y) / N``."""
+        if self._cache is None:
+            raise RuntimeError("backward called before forward")
+        return 2.0 * self._cache["diff"] / self._cache["n"]
+
+    def second(self):
+        """Diagonal curvature: the constant ``2 / N``."""
+        if self._cache is None:
+            raise RuntimeError("second called before forward")
+        diff = self._cache["diff"]
+        return np.full_like(diff, 2.0 / self._cache["n"])
 
 
 def analytic_grads(model, loss, x, y):
@@ -60,21 +119,6 @@ def analytic_grads(model, loss, x, y):
     value = loss(model(x), y)
     model.backward(loss.backward())
     return value
-
-
-def analytic_curvature(model, loss, x, y):
-    """Run forward + backward + backward_second; returns the scalar loss."""
-    model.zero_grad()
-    model.zero_curvature()
-    value = loss(model(x), y)
-    model.backward(loss.backward())
-    model.backward_second(loss.second())
-    return value
-
-
-def default_loss():
-    """The loss used by most checks."""
-    return CrossEntropyLoss()
 
 
 def plan_for(zoo, sense_samples=512, **request):

@@ -8,7 +8,6 @@ import pytest
 from repro.data import (
     DataSplit,
     render_digit,
-    subsample,
     synthetic_cifar,
     synthetic_digits,
     synthetic_tiny_imagenet,
@@ -100,14 +99,6 @@ def test_within_class_similarity_exceeds_between(rng):
         for c in range(10) for d in range(10) if c != d
     ])
     assert between > within * 0.5
-
-
-def test_subsample_respects_sizes(rng):
-    data = synthetic_digits(n_train=100, n_test=40, rng=rng.child("d"))
-    small = subsample(data, n_train=30, n_test=10, rng=rng.child("s"))
-    assert small.train_x.shape[0] == 30
-    assert small.test_x.shape[0] == 10
-    assert small.num_classes == data.num_classes
 
 
 def test_shape_masks_nonempty_and_distinct():

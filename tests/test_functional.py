@@ -1,5 +1,5 @@
 """Array-level building blocks: im2col/col2im, max-pool, ReLU and
-activation quantization kernels, softmax, one-hot."""
+activation quantization kernels, log-softmax, one-hot."""
 
 from __future__ import annotations
 
@@ -417,24 +417,28 @@ def test_pad_unpad_roundtrip(rng):
 
 
 def test_softmax_rows_sum_to_one(rng):
+    """The probabilities cross-entropy uses, ``exp(log_softmax)``."""
     logits = rng.child("l").normal(size=(6, 9)) * 10
-    probs = F.softmax(logits, axis=1)
+    probs = np.exp(F.log_softmax(logits, axis=1))
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-10)
     assert probs.min() >= 0
 
 
 def test_log_softmax_consistent_with_softmax(rng):
     logits = rng.child("l").normal(size=(4, 5))
+    exp = np.exp(logits)
     np.testing.assert_allclose(
-        np.exp(F.log_softmax(logits)), F.softmax(logits), rtol=1e-10
+        np.exp(F.log_softmax(logits)),
+        exp / exp.sum(axis=-1, keepdims=True),
+        rtol=1e-10,
     )
 
 
 def test_softmax_extreme_values_stable():
     logits = np.array([[1e4, 0.0, -1e4]])
-    probs = F.softmax(logits)
-    assert np.all(np.isfinite(probs))
-    assert probs[0, 0] == pytest.approx(1.0)
+    log_probs = F.log_softmax(logits)
+    assert np.all(np.isfinite(log_probs))
+    assert np.exp(log_probs[0, 0]) == pytest.approx(1.0)
 
 
 def test_one_hot_basics():

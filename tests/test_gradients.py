@@ -12,24 +12,21 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import (
-    AvgPool2d,
-    BatchNorm1d,
     BatchNorm2d,
     Conv2d,
     Flatten,
     GlobalAvgPool2d,
-    LeakyReLU,
     Linear,
     MaxPool2d,
     ReLU,
     Sigmoid,
     Tanh,
 )
-from repro.nn.losses import CrossEntropyLoss, MSELoss
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import BasicBlock
 from repro.nn.module import Sequential
 
-from .helpers import analytic_grads, fd_gradient, to_float64
+from .helpers import MSELoss, analytic_grads, fd_gradient, to_float64
 
 ATOL = 1e-7
 RTOL = 1e-5
@@ -109,7 +106,7 @@ def test_conv_input_grad(rng):
     _check_input_grad(model, CrossEntropyLoss(), x, y)
 
 
-@pytest.mark.parametrize("act_cls", [ReLU, LeakyReLU, Tanh, Sigmoid])
+@pytest.mark.parametrize("act_cls", [ReLU, Tanh, Sigmoid])
 def test_activation_grads(rng, act_cls):
     model = to_float64(
         Sequential(
@@ -123,7 +120,7 @@ def test_activation_grads(rng, act_cls):
     _check_param_grads(model, CrossEntropyLoss(), x, y)
 
 
-@pytest.mark.parametrize("pool_cls", [MaxPool2d, AvgPool2d])
+@pytest.mark.parametrize("pool_cls", [MaxPool2d])
 def test_pooling_grads(rng, pool_cls):
     model = to_float64(
         Sequential(
@@ -184,16 +181,6 @@ def test_batchnorm2d_eval_grads(rng):
     y = rng.child("y").integers(0, out.shape[1], size=4)
     _check_param_grads(model, CrossEntropyLoss(), x, y)
     _check_input_grad(model, CrossEntropyLoss(), x, y)
-
-
-def test_batchnorm1d_train_grads(rng):
-    model = to_float64(
-        Sequential(Linear(5, 6, rng=rng.child("l")), BatchNorm1d(6))
-    )
-    model.train()
-    x = rng.child("x").normal(size=(6, 5))
-    y = rng.child("y").integers(0, 6, size=6)
-    _check_param_grads(model, CrossEntropyLoss(), x, y)
 
 
 def test_basic_block_grads(rng):

@@ -10,13 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cim import (
-    CimAccelerator,
-    CostModel,
-    DeviceConfig,
-    EnduranceModel,
-    MappingConfig,
-)
+from repro.cim import CimAccelerator, DeviceConfig, EnduranceModel, MappingConfig
 from repro.core import (
     SwimConfig,
     SwimScorer,
@@ -57,16 +51,15 @@ def test_full_pipeline(trained_lenet):
                          clean - 0.03)
     assert reach is not None and reach <= result.achieved_nwc + 1e-9
 
-    # 4. Physical cost and wear reports are finite and sensible.
-    report = CostModel().speedup_report(
-        accelerator.num_weights(), max(result.achieved_nwc, 1e-3)
-    )
-    assert report["saved_seconds"] >= 0
+    # 4. Wear reports are finite and sensible: selecting a subset never
+    #    wears the average device more than verifying everything.
     flat_cycles = np.concatenate([c.reshape(-1) for c in cycles.values()])
     mask = np.zeros(flat_cycles.size, dtype=bool)
     mask[: int(result.selected_fraction * flat_cycles.size)] = True
-    wear = EnduranceModel().compare_selection(flat_cycles, mask)
-    assert wear["lifetime_gain"] >= 1.0
+    endurance = EnduranceModel()
+    full = endurance.wear_report(flat_cycles)
+    selective = endurance.wear_report(np.where(mask, flat_cycles, 0))
+    assert full.mean_pulses_per_device >= selective.mean_pulses_per_device
 
     # 5. Deployed accuracy ordering: none <= partial (SWIM) <= all, up to
     #    noise slack on a single draw.

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.losses import CrossEntropyLoss, MSELoss
+from repro.nn.losses import CrossEntropyLoss
+
+from .helpers import MSELoss
 
 
 def _fd_on_logits(loss_fn, logits, targets, eps=1e-6):

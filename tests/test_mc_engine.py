@@ -13,13 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cim import (
-    CimAccelerator,
-    DeviceConfig,
-    MappingConfig,
-    ResidualModel,
-    inject_code_noise,
-)
+from repro.cim import CimAccelerator, DeviceConfig, MappingConfig
 from repro.cim.write_verify import (
     WriteVerifyConfig,
     write_verify,
@@ -114,36 +108,6 @@ def test_write_verify_trials_validates_inputs(device):
             targets, initial, device, WriteVerifyConfig(), batched=False,
             trial_rngs=[np.random.default_rng(0)],
         )
-
-
-# ------------------------------------------------------- noise batching
-
-
-def test_inject_code_noise_trial_axis():
-    config = MappingConfig(weight_bits=4, device=DeviceConfig(bits=4, sigma=0.1))
-    codes = np.arange(12).reshape(3, 4)
-    out = inject_code_noise(codes, config, np.random.default_rng(0), n_trials=6)
-    assert out.shape == (6, 3, 4)
-    # Trials are independent draws around the same codes.
-    spread = out.std(axis=0)
-    assert (spread > 0).all()
-    noise_free = MappingConfig(
-        weight_bits=4, device=DeviceConfig(bits=4, sigma=0.0)
-    )
-    silent = inject_code_noise(
-        codes, noise_free, np.random.default_rng(0), n_trials=2
-    )
-    np.testing.assert_array_equal(silent[0], codes)
-    np.testing.assert_array_equal(silent[1], codes)
-
-
-def test_residual_model_trial_axis(device):
-    model = ResidualModel.from_simulation(device, n_devices=2048)
-    config = MappingConfig(weight_bits=4, device=device)
-    codes = np.arange(6).reshape(2, 3)
-    out = model.apply_to_codes(codes, config, np.random.default_rng(1), n_trials=4)
-    assert out.shape == (4, 2, 3)
-    assert (out.std(axis=0) > 0).all()
 
 
 # ------------------------------------------------------- engine streams

@@ -144,15 +144,11 @@ def test_parameter_copy_shape_checked():
 # name -> (factory(rng), input shape): every layer in repro.nn.layers, the
 # activation quantizer and the three zoo architectures at small sizes.
 PASS_CASES = {
-    "AvgPool2d": (lambda rng: L.AvgPool2d(2), (2, 3, 6, 6)),
-    "BatchNorm1d": (lambda rng: L.BatchNorm1d(5), (4, 5)),
     "BatchNorm2d": (lambda rng: L.BatchNorm2d(3), (2, 3, 4, 4)),
     "Conv2d": (lambda rng: L.Conv2d(3, 4, 3, padding=1, rng=rng), (2, 3, 5, 5)),
-    "Dropout": (lambda rng: L.Dropout(0.5, rng=rng), (4, 5)),
     "Flatten": (lambda rng: L.Flatten(), (2, 3, 2, 2)),
     "GlobalAvgPool2d": (lambda rng: L.GlobalAvgPool2d(), (2, 3, 4, 4)),
     "Identity": (lambda rng: L.Identity(), (4, 5)),
-    "LeakyReLU": (lambda rng: L.LeakyReLU(0.1), (4, 5)),
     "Linear": (lambda rng: L.Linear(5, 3, rng=rng), (4, 5)),
     "MaxPool2d": (lambda rng: L.MaxPool2d(3, stride=2), (2, 3, 7, 7)),
     "ReLU": (lambda rng: L.ReLU(), (4, 5)),

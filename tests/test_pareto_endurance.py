@@ -79,24 +79,6 @@ def test_wear_report_counts_initial_write():
     assert report.deployments_to_failure == pytest.approx(1000 / 21)
 
 
-def test_compare_selection_lifetime_gain():
-    model = EnduranceModel()
-    cycles = np.full(100, 10)
-    mask = np.zeros(100, dtype=bool)
-    mask[:10] = True  # verify only 10%
-    result = model.compare_selection(cycles, mask)
-    # Full: 11 pulses/device mean; selective: 1 + 10*0.1 = 2.
-    assert result["full"].mean_pulses_per_device == pytest.approx(11.0)
-    assert result["selective"].mean_pulses_per_device == pytest.approx(2.0)
-    assert result["lifetime_gain"] == pytest.approx(5.5)
-
-
-def test_compare_selection_validates_shapes():
-    model = EnduranceModel()
-    with pytest.raises(ValueError):
-        model.compare_selection(np.zeros(3), np.zeros(4, dtype=bool))
-
-
 def test_endurance_validation():
     with pytest.raises(ValueError):
         EnduranceModel(endurance_cycles=0)
@@ -121,6 +103,11 @@ def test_wear_from_accelerator_cycles(trained_lenet):
     ])
     mask = np.zeros(cycles.size, dtype=bool)
     mask[: cycles.size // 10] = True
-    result = EnduranceModel().compare_selection(cycles, mask)
-    assert result["lifetime_gain"] > 2.0
+    endurance = EnduranceModel()
+    full = endurance.wear_report(cycles)
+    selective = endurance.wear_report(np.where(mask, cycles, 0))
+    lifetime_gain = (
+        full.mean_pulses_per_device / selective.mean_pulses_per_device
+    )
+    assert lifetime_gain > 2.0
     accelerator.clear()

@@ -15,19 +15,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.layers import (
-    AvgPool2d,
-    BatchNorm2d,
-    Conv2d,
-    Flatten,
-    LeakyReLU,
-    Linear,
-    MaxPool2d,
-    ReLU,
-)
-from repro.nn.losses import CrossEntropyLoss, MSELoss
+from repro.nn.layers import BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Sequential
 from repro.utils.rng import RngStream
+
+from .helpers import MSELoss
 
 
 def _random_conv_stack(seed, depth):
@@ -45,9 +38,9 @@ def _random_conv_stack(seed, depth):
                                  rng=rng.child("conv", index)))
             channels = out_ch
         elif choice == 1:
-            layers.append(ReLU() if gen.integers(0, 2) else LeakyReLU(0.1))
+            layers.append(ReLU())
         elif choice == 2 and size >= 4:
-            layers.append(MaxPool2d(2) if gen.integers(0, 2) else AvgPool2d(2))
+            layers.append(MaxPool2d(2))
             size //= 2
         else:
             layers.append(BatchNorm2d(channels))

@@ -25,19 +25,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core.hessian_fd import fd_diagonal_hessian, fd_diagonal_hessian_sampled
 from repro.core.second_derivative import (
     accumulate_second_derivatives,
     compute_gradients,
-    compute_second_derivatives,
 )
-from repro.nn.layers import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sigmoid, Tanh
-from repro.nn.losses import CrossEntropyLoss, MSELoss
+from repro.nn.layers import Conv2d, Flatten, Linear, MaxPool2d, ReLU
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import mlp
 from repro.nn.module import Sequential
 from repro.utils.stats import pearson
 
-from .helpers import to_float64
+from .helpers import MSELoss, fd_diagonal_hessian, to_float64
 
 
 def _last_layer_names(model):
@@ -51,7 +49,7 @@ def test_last_layer_exact_cross_entropy(rng):
     x = rng.child("x").normal(size=(8, 6))
     y = rng.child("y").integers(0, 5, size=8)
     loss = CrossEntropyLoss()
-    got = compute_second_derivatives(model, x, y, loss=loss)
+    got = accumulate_second_derivatives(model, x, y, loss=loss)
     last = _last_layer_names(model)
     want = fd_diagonal_hessian(model, x, y, loss=loss, param_names=last, eps=1e-4)
     for name in last:
@@ -69,7 +67,7 @@ def test_two_layer_mse_exact_everywhere(rng, activation):
     x = rng.child("x").normal(size=(6, 5))
     targets = rng.child("t").normal(size=(6, 4))
     loss = MSELoss()
-    got = compute_second_derivatives(model, x, targets, loss=loss)
+    got = accumulate_second_derivatives(model, x, targets, loss=loss)
     want = fd_diagonal_hessian(model, x, targets, loss=loss, eps=1e-4)
     for name in want:
         np.testing.assert_allclose(
@@ -92,7 +90,7 @@ def test_conv_last_stage_exact(rng):
     x = rng.child("x").normal(size=(4, 1, 8, 8))
     y = rng.child("y").integers(0, 5, size=4)
     loss = CrossEntropyLoss()
-    got = compute_second_derivatives(model, x, y, loss=loss)
+    got = accumulate_second_derivatives(model, x, y, loss=loss)
     want = fd_diagonal_hessian(
         model, x, y, loss=loss, param_names=["4.weight", "4.bias"], eps=1e-4
     )
@@ -126,7 +124,7 @@ def test_curvature_pass_is_one_pass_per_layer(rng, monkeypatch):
 
             monkeypatch.setattr(model[index], name, counted)
 
-    compute_second_derivatives(model, x, y)
+    accumulate_second_derivatives(model, x, y)
     assert calls == {(index, name): 1 for index in weighted for name in passes}
 
     calls.clear()
@@ -141,7 +139,7 @@ def test_deep_relu_correlation_with_true_hessian(rng):
     x = rng.child("x").normal(size=(16, 6))
     y = rng.child("y").integers(0, 4, size=16)
     loss = CrossEntropyLoss()
-    got = compute_second_derivatives(model, x, y, loss=loss)
+    got = accumulate_second_derivatives(model, x, y, loss=loss)
     want = fd_diagonal_hessian(model, x, y, loss=loss, eps=1e-3)
     got_flat = np.concatenate([got[n].ravel() for n in sorted(got)])
     want_flat = np.concatenate([want[n].ravel() for n in sorted(want)])
@@ -154,27 +152,9 @@ def test_relu_cross_entropy_curvature_nonnegative(rng):
     model = to_float64(mlp(rng.child("m"), (8, 16, 16, 5), activation="relu"))
     x = rng.child("x").normal(size=(12, 8))
     y = rng.child("y").integers(0, 5, size=12)
-    curv = compute_second_derivatives(model, x, y)
+    curv = accumulate_second_derivatives(model, x, y)
     for name, values in curv.items():
         assert np.all(values >= 0.0), f"negative curvature in {name}"
-
-
-def test_sampled_fd_matches_dense_fd(rng):
-    model = to_float64(mlp(rng.child("m"), (4, 6, 3), activation="relu"))
-    x = rng.child("x").normal(size=(5, 4))
-    y = rng.child("y").integers(0, 3, size=5)
-    loss = CrossEntropyLoss()
-    dense = fd_diagonal_hessian(model, x, y, loss=loss, eps=1e-4)
-    entries = [("0.weight", 0), ("0.weight", 5), ("2.weight", 7)]
-    sampled = fd_diagonal_hessian_sampled(model, x, y, entries, loss=loss, eps=1e-4)
-    want = np.array(
-        [
-            dense["0.weight"].ravel()[0],
-            dense["0.weight"].ravel()[5],
-            dense["2.weight"].ravel()[7],
-        ]
-    )
-    np.testing.assert_allclose(sampled, want, rtol=1e-8)
 
 
 def test_accumulate_averages_batches(rng):
@@ -182,8 +162,8 @@ def test_accumulate_averages_batches(rng):
     x = rng.child("x").normal(size=(8, 5))
     y = rng.child("y").integers(0, 3, size=8)
     acc = accumulate_second_derivatives(model, x, y, batch_size=4)
-    first = compute_second_derivatives(model, x[:4], y[:4])
-    second = compute_second_derivatives(model, x[4:], y[4:])
+    first = accumulate_second_derivatives(model, x[:4], y[:4])
+    second = accumulate_second_derivatives(model, x[4:], y[4:])
     for name in acc:
         np.testing.assert_allclose(
             acc[name], 0.5 * (first[name] + second[name]), rtol=1e-10
@@ -203,8 +183,8 @@ def test_curvature_zeroed_between_calls(rng):
     model = to_float64(mlp(rng.child("m"), (5, 8, 3), activation="relu"))
     x = rng.child("x").normal(size=(8, 5))
     y = rng.child("y").integers(0, 3, size=8)
-    first = compute_second_derivatives(model, x, y)
-    second = compute_second_derivatives(model, x, y)
+    first = accumulate_second_derivatives(model, x, y)
+    second = accumulate_second_derivatives(model, x, y)
     for name in first:
         np.testing.assert_allclose(first[name], second[name], rtol=1e-12)
 
@@ -236,7 +216,7 @@ def test_curvature_scales_with_loss_scale(rng):
     model = to_float64(mlp(rng.child("m"), (5, 7, 3), activation="relu"))
     x = rng.child("x").normal(size=(6, 5))
     y = rng.child("y").integers(0, 3, size=6)
-    base = compute_second_derivatives(model, x, y, loss=CrossEntropyLoss())
-    scaled = compute_second_derivatives(model, x, y, loss=ScaledCE())
+    base = accumulate_second_derivatives(model, x, y, loss=CrossEntropyLoss())
+    scaled = accumulate_second_derivatives(model, x, y, loss=ScaledCE())
     for name in base:
         np.testing.assert_allclose(scaled[name], 3.0 * base[name], rtol=1e-10)

@@ -14,12 +14,7 @@ from hypothesis import strategies as st
 
 from repro.utils.ascii_plot import line_plot, scatter_plot
 from repro.utils.rng import RngStream, derive_seed
-from repro.utils.stats import (
-    bootstrap_mean_ci,
-    pearson,
-    spearman,
-    summarize,
-)
+from repro.utils.stats import pearson, spearman, summarize
 from repro.utils.tables import Table, format_markdown, format_table
 
 
@@ -79,13 +74,6 @@ def test_pearson_known_values():
 def test_spearman_monotone_invariance():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     assert spearman(x, np.exp(x)) == pytest.approx(1.0)
-
-
-def test_bootstrap_ci_contains_mean():
-    values = np.random.default_rng(0).normal(5.0, 1.0, size=200)
-    low, high = bootstrap_mean_ci(values, seed=1)
-    assert low < values.mean() < high
-    assert high - low < 1.0
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,13 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cim import DeviceConfig, ResidualModel
+from repro.cim import DeviceConfig, MappingConfig, WeightMapper
 from repro.cim.write_verify import WriteVerifyConfig, calibrate_alpha, write_verify
 
 
 @pytest.fixture
 def device():
     return DeviceConfig(bits=4, sigma=0.1)
+
+
+@pytest.fixture
+def mapping():
+    return MappingConfig(weight_bits=8, device=DeviceConfig(bits=4, sigma=0.1))
 
 
 def _run(device, config, n=20000, seed=0):
@@ -99,16 +104,6 @@ def test_deterministic_given_seed(device):
     res_b = write_verify(targets, initial, device, config, gen_b)
     np.testing.assert_array_equal(res_a.levels, res_b.levels)
     np.testing.assert_array_equal(res_a.cycles, res_b.cycles)
-
-
-def test_residual_model_matches_simulation(device):
-    """Fast-path residual sampler reproduces the honest loop's std."""
-    model = ResidualModel.from_simulation(device, n_devices=8192)
-    gen = np.random.default_rng(11)
-    samples = model.sample_levels(50000, gen)
-    assert samples.std() == pytest.approx(model.residual_std_levels(), rel=0.05)
-    tol_levels = WriteVerifyConfig().tolerance * device.max_level
-    assert np.abs(samples).max() <= tol_levels * 1.01
 
 
 @settings(max_examples=20, deadline=None)
@@ -225,3 +220,26 @@ def test_trial_batched_loop_matches_per_trial_properties(tolerance, alpha, seed)
     assert (result.cycles[~result.converged] == config.max_pulses).all()
     # Trials are independent: identical targets, different noise draws.
     assert not np.allclose(result.levels[0], result.levels[1])
+
+
+def test_verified_weights_much_closer_than_unverified(mapping, rng):
+    """End-to-end: the verified error is several times smaller (the whole
+    point of write-verify)."""
+    device = mapping.device
+    gen = rng.child("e2e").generator
+    mapper = WeightMapper(mapping)
+    weights = gen.normal(size=5000) * 0.2
+    mapped = mapper.map_tensor(weights)
+    programmed = mapper.program_levels(mapped, gen)
+    unverified_err = np.abs(
+        mapper.readout_weights(mapped, programmed)
+        - mapper.ideal_weights(mapped)
+    )
+    result = write_verify(
+        mapped.levels, programmed, device, WriteVerifyConfig(), gen
+    )
+    verified_err = np.abs(
+        mapper.readout_weights(mapped, result.levels)
+        - mapper.ideal_weights(mapped)
+    )
+    assert verified_err.mean() < unverified_err.mean() * 0.6
