@@ -21,7 +21,6 @@ from repro.core.sensitivity import (
     RandomScorer,
     SensitivityScorer,
     SwimScorer,
-    build_scorer,
 )
 from repro.core.swim import SwimConfig, SwimResult, selective_write_verify
 
@@ -41,7 +40,6 @@ __all__ = [
     "SwimScorer",
     "WeightSpace",
     "accumulate_second_derivatives",
-    "build_scorer",
     "compute_gradients",
     "cumulative_groups",
     "evaluate_accuracy",

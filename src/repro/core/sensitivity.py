@@ -9,9 +9,10 @@ trained model to a flat score vector (higher = write-verify first) over a
 magnitude tie-breaker the paper specifies.
 
 Scorers beyond the paper's three (gradient magnitude and the Fisher/
-squared-gradient proxy) are included as natural ablations: they are the
-usual cheap curvature surrogates, and ``runner ablations`` shows where
-they fall between Magnitude and SWIM.
+squared-gradient proxy) are the usual cheap curvature surrogates.  The
+deterministic scorers are ranked through
+:class:`~repro.plan.PlanEngine`, which caches each order per model and
+sense set; ``random`` re-draws its order per Monte Carlo trial.
 """
 
 from __future__ import annotations
@@ -30,15 +31,11 @@ __all__ = [
     "RandomScorer",
     "GradientScorer",
     "FisherScorer",
-    "build_scorer",
 ]
 
 
 class SensitivityScorer:
     """Base interface: produce flat scores (and optional tie-breaker)."""
-
-    #: Registry name, also used as the display label in result tables.
-    name = "base"
 
     def scores(self, model, space, x, y, rng=None):
         """Return a flat score vector aligned with ``space``."""
@@ -68,19 +65,14 @@ class SwimScorer(SensitivityScorer):
     batch_size, max_batches:
         Curvature is accumulated over up to ``max_batches`` training
         batches; one large batch matches the paper's single pass.
-    use_magnitude_tie_break:
-        The Sec. 3.2 tie-breaking rule (on by default; ``runner
-        ablations`` measures its effect).
+
+    The tie-breaker is the Sec. 3.2 rule: the larger magnitude first.
     """
 
-    name = "swim"
-
-    def __init__(self, loss=None, batch_size=256, max_batches=None,
-                 use_magnitude_tie_break=True):
+    def __init__(self, loss=None, batch_size=256, max_batches=None):
         self.loss = loss
         self.batch_size = batch_size
         self.max_batches = max_batches
-        self.use_magnitude_tie_break = use_magnitude_tie_break
 
     def scores(self, model, space, x, y, rng=None):
         curvature = accumulate_second_derivatives(
@@ -90,15 +82,11 @@ class SwimScorer(SensitivityScorer):
         return space.flatten({name: curvature[name] for name in space.names})
 
     def tie_break(self, model, space):
-        if not self.use_magnitude_tie_break:
-            return None
         return np.abs(space.gather_from_model(model, "data"))
 
 
 class MagnitudeScorer(SensitivityScorer):
     """Baseline: larger |w| first (shown weak in Fig. 1a)."""
-
-    name = "magnitude"
 
     def scores(self, model, space, x, y, rng=None):
         return np.abs(space.gather_from_model(model, "data"))
@@ -106,8 +94,6 @@ class MagnitudeScorer(SensitivityScorer):
 
 class RandomScorer(SensitivityScorer):
     """Baseline: a fresh uniformly random order per call."""
-
-    name = "random"
 
     def scores(self, model, space, x, y, rng=None):
         if rng is None:
@@ -123,8 +109,6 @@ class GradientScorer(SensitivityScorer):
     reaches for second derivatives; this scorer quantifies that argument.
     """
 
-    name = "gradient"
-
     def __init__(self, loss=None):
         self.loss = loss
 
@@ -139,8 +123,6 @@ class FisherScorer(SensitivityScorer):
     A common Hessian surrogate; cheaper than exact curvature but blind to
     curvature directions where the gradient vanishes.
     """
-
-    name = "fisher"
 
     def __init__(self, loss=None, batch_size=64, max_batches=8):
         self.loss = loss
@@ -160,27 +142,3 @@ class FisherScorer(SensitivityScorer):
             if self.max_batches is not None and n_batches >= self.max_batches:
                 break
         return total
-
-
-_SCORERS = {
-    cls.name: cls
-    for cls in (
-        SwimScorer,
-        MagnitudeScorer,
-        RandomScorer,
-        GradientScorer,
-        FisherScorer,
-    )
-}
-
-
-def build_scorer(name, **kwargs):
-    """Construct a scorer by registry name (see ``_SCORERS`` keys).
-
-    The ablations rank through this registry.  ``hetero_swim`` is not
-    a scorer: :class:`~repro.plan.PlanEngine` resolves it, with ``swim``
-    and ``magnitude``, for every Monte Carlo sweep.
-    """
-    if name not in _SCORERS:
-        raise KeyError(f"unknown scorer {name!r}; known: {sorted(_SCORERS)}")
-    return _SCORERS[name](**kwargs)

@@ -3,9 +3,12 @@
 :func:`selective_write_verify` is the literal Algorithm 1 for one Monte
 Carlo draw: program, rank by sensitivity, write-verify group after group
 (granularity ``p``) until the measured accuracy drop is within
-``delta_a``.  The Table 1 / Fig. 2 accuracy-vs-NWC sweeps deploy fixed
-top-k budgets instead; they run through
-:func:`repro.experiments.sweeps.run_method_sweep`.
+``delta_a``.  It is the library form that ``examples/quickstart.py``
+runs.  The scenarios deploy fixed top-k budgets through
+:func:`repro.experiments.sweeps.run_method_sweep` instead; Algorithm 1
+deploys exactly the prefixes of :func:`~repro.core.selection.
+cumulative_groups`, so a sweep over those budgets evaluates the same
+deployments, and the stopping point can be read off its curve.
 """
 
 from __future__ import annotations

@@ -1,17 +1,31 @@
 """Ablation studies on SWIM's design choices (beyond the paper's tables).
 
-Each function isolates one of SWIM's design choices:
+Each study is one or more :class:`~repro.plan.ScenarioCell`\\ s that
+:class:`~repro.plan.ScenarioOrchestrator` runs through
+:func:`~repro.experiments.sweeps.run_method_sweep`, like every grid
+scenario: the orders come from :class:`~repro.plan.PlanEngine`, every
+deployment runs on the sweep's own accelerator, and the cells get tile
+caching, ``--workers``, ``--scalar`` and spans.  A study's cells share
+one RNG stream, so its settings compare on the same device draws:
 
-- ``ablate_granularity`` — Algorithm 1's group size ``p`` (paper fixes 5%):
-  smaller groups stop closer to the minimal NWC but evaluate more often.
-- ``ablate_device_bits`` — bits-per-device K (paper fixes 4): more slices
-  of lower-precision devices change the Eq. 16 noise composition.
-- ``ablate_tie_break`` — the magnitude tie-breaker of Sec. 3.2.
-- ``ablate_curvature_batches`` — how much data the single-pass curvature
-  needs before the ranking stabilizes.
-- ``ablate_scorers`` — the extension scorers (gradient, Fisher) between
-  Magnitude and SWIM.
-- ``ablate_differential`` — differential-column noise (2x devices/weight).
+- ``granularity`` — Algorithm 1's group size ``p`` (paper fixes 5%).
+  Algorithm 1 deploys exactly the prefixes that
+  :func:`~repro.core.selection.cumulative_groups` yields, so each ``p``
+  sweeps those budgets on one paired draw and the stopping point is the
+  first budget whose accuracy drop is within :data:`DELTA_A`.  Smaller
+  groups stop closer to the minimal NWC but evaluate more often.
+- ``device_bits`` — bits-per-device K (paper fixes 4): more slices of
+  lower-precision devices change the Eq. 16 noise composition.
+- ``tie_break`` — the Sec. 3.2 magnitude tie-breaker: ``swim`` against
+  ``untied_swim`` on every draw.  The tie-break only reorders weights
+  whose curvature is tied, so at a budget where both orders select the
+  same set the two arms deploy the same weights and score the same.
+- ``curvature_batches`` — how much data the single-pass curvature needs
+  before the ranking stabilizes: Spearman against the curvature of the
+  whole 512-sample sense set (all eight of its 64-sample batches).
+- ``scorers`` — the cheap curvature surrogates (gradient, Fisher)
+  between Magnitude and SWIM, every method on every draw.
+- ``differential`` — differential-column noise (2x devices/weight).
 """
 
 from __future__ import annotations
@@ -20,27 +34,38 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cim import CimAccelerator, DeviceConfig, MappingConfig
-from repro.core import (
-    MagnitudeScorer,
-    SwimConfig,
-    SwimScorer,
-    WeightSpace,
-    build_scorer,
-    evaluate_accuracy,
-    selective_write_verify,
+from repro.core.selection import WeightSpace, cumulative_groups
+from repro.plan import (
+    PlanEngine,
+    PlanRequest,
+    ScenarioCell,
+    ScenarioOrchestrator,
 )
-from repro.utils.stats import spearman, summarize
+from repro.utils.rng import RngStream
+from repro.utils.stats import spearman
 
 __all__ = [
     "AblationRow",
-    "ablate_granularity",
-    "ablate_device_bits",
-    "ablate_tie_break",
-    "ablate_curvature_batches",
-    "ablate_scorers",
-    "ablate_differential",
+    "DELTA_A",
+    "ablation_cells",
+    "algorithm1_stop",
+    "run_ablations",
 ]
+
+#: Test images every deployment is scored on.
+EVAL_SAMPLES = 300
+#: Sense set of every study but ``curvature_batches``, curved in one batch.
+SENSE_SAMPLES = 256
+#: The curvature study's sense set and batch size (eight batches in all).
+CURVATURE_SENSE_SAMPLES = 512
+CURVATURE_BATCH_SIZE = 64
+#: Monte Carlo trials per cell; Algorithm 1's study runs one paired draw.
+TRIALS = 3
+GRANULARITY_TRIALS = 1
+#: Algorithm 1's accepted accuracy drop in the granularity study.
+DELTA_A = 0.01
+#: Root seed of the studies' streams.
+SEED = 404
 
 
 @dataclass
@@ -51,220 +76,203 @@ class AblationRow:
     metrics: dict = field(default_factory=dict)
 
 
-def _mapping(zoo, sigma=0.1, device_bits=4, differential=False):
-    return MappingConfig(
-        weight_bits=zoo.spec.weight_bits,
-        device=DeviceConfig(bits=device_bits, sigma=sigma),
-        differential=differential,
-    )
+def algorithm1_stop(accuracies, baseline, delta_a=DELTA_A):
+    """Index at which Algorithm 1 stops on a curve over its prefixes: the
+    first budget whose accuracy drop is within ``delta_a``, else the last."""
+    within = np.nonzero(baseline - np.asarray(accuracies) <= delta_a)[0]
+    return int(within[0]) if within.size else len(accuracies) - 1
 
 
-def _accuracy_at_fraction(zoo, accelerator, order, space, fraction,
-                          eval_x, eval_y, run_rng):
-    accelerator.program(run_rng.child("program").generator)
-    accelerator.write_verify_all(run_rng.child("verify").generator)
-    count = int(round(fraction * space.total_size))
-    masks = space.masks_from_indices(order[:count])
-    nwc = accelerator.apply_selection(masks)
-    accuracy = evaluate_accuracy(zoo.model, eval_x, eval_y)
-    return accuracy, nwc
+def ablation_cells(zoo):
+    """The ablation grid: ``study -> [ScenarioCell]``, in render order.
 
+    A cell's key is ``(study, setting)``, or the study name alone for the
+    one-cell studies whose methods are the arms.
+    """
+    root = RngStream(SEED).child("ablations")
+    total = WeightSpace.from_model(zoo.model).total_size
 
-def ablate_granularity(zoo, rng, granularities=(0.01, 0.05, 0.1, 0.25),
-                       sigma=0.1, delta_a=0.01, eval_samples=300,
-                       sense_samples=256):
-    """Algorithm 1 under different group sizes p."""
-    accelerator = CimAccelerator(zoo.model, mapping_config=_mapping(zoo, sigma))
-    data = zoo.data
-    eval_x, eval_y = data.test_x[:eval_samples], data.test_y[:eval_samples]
-    rows = []
-    for p in granularities:
-        result = selective_write_verify(
-            zoo.model, accelerator, SwimScorer(max_batches=2),
-            eval_x, eval_y,
-            baseline_accuracy=zoo.clean_accuracy,
-            config=SwimConfig(delta_a=delta_a, granularity=p),
-            rng=rng.child("p", str(p)),
-            sense_x=data.train_x[:sense_samples],
-            sense_y=data.train_y[:sense_samples],
+    def cell(study, setting, sigma, nwc_targets, methods=("swim",),
+             mc_runs=TRIALS, **physics):
+        return ScenarioCell(
+            key=study if setting is None else (study, setting),
+            request=PlanRequest(
+                methods=methods,
+                nwc_targets=nwc_targets,
+                sigma=sigma,
+                weight_bits=zoo.spec.weight_bits,
+                **physics,
+            ),
+            rng=root.child(study),
+            mc_runs=mc_runs,
         )
-        rows.append(AblationRow(
-            label=f"p={p:g}",
-            metrics={
-                "achieved_nwc": result.achieved_nwc,
-                "selected_fraction": result.selected_fraction,
-                "accuracy": result.achieved_accuracy,
-                "evaluations": len(result.accuracy_history),
-                "met_target": float(result.met_target),
-            },
-        ))
-    accelerator.clear()
-    return rows
 
-
-def ablate_device_bits(zoo, rng, bit_options=(1, 2, 4), sigma=0.1,
-                       fraction=0.1, mc_runs=3, eval_samples=300,
-                       sense_samples=256):
-    """K-bit devices: slice count changes the mapped-noise composition."""
-    data = zoo.data
-    space = WeightSpace.from_model(zoo.model)
-    eval_x, eval_y = data.test_x[:eval_samples], data.test_y[:eval_samples]
-    order = SwimScorer(max_batches=2).ranking(
-        zoo.model, space, data.train_x[:sense_samples],
-        data.train_y[:sense_samples],
-    )
-    rows = []
-    for bits in bit_options:
-        mapping = _mapping(zoo, sigma=sigma, device_bits=bits)
-        accelerator = CimAccelerator(zoo.model, mapping_config=mapping)
-        accs = []
-        nwcs = []
-        for run in range(mc_runs):
-            accuracy, nwc = _accuracy_at_fraction(
-                zoo, accelerator, order, space, fraction, eval_x, eval_y,
-                rng.child("k", str(bits), run),
-            )
-            accs.append(accuracy)
-            nwcs.append(nwc)
-        accelerator.clear()
-        rows.append(AblationRow(
-            label=f"K={bits}",
-            metrics={
-                "slices_per_weight": mapping.num_slices,
-                "relative_noise_std": mapping.relative_noise_std(),
-                "accuracy_mean": summarize(accs).mean,
-                "accuracy_std": summarize(accs).std,
-                "nwc": float(np.mean(nwcs)),
-            },
-        ))
-    return rows
-
-
-def ablate_tie_break(zoo, rng, sigma=0.15, fractions=(0.05, 0.1), mc_runs=3,
-                     eval_samples=300, sense_samples=256):
-    """Magnitude tie-breaking on vs off at low NWC."""
-    data = zoo.data
-    space = WeightSpace.from_model(zoo.model)
-    eval_x, eval_y = data.test_x[:eval_samples], data.test_y[:eval_samples]
-    accelerator = CimAccelerator(zoo.model, mapping_config=_mapping(zoo, sigma))
-    rows = []
-    for use_tb in (True, False):
-        order = SwimScorer(max_batches=2, use_magnitude_tie_break=use_tb).ranking(
-            zoo.model, space, data.train_x[:sense_samples],
-            data.train_y[:sense_samples],
+    def prefixes(p):
+        # NWC = 0, then the budgets of Algorithm 1's k * round(p * N)
+        # prefixes, which round(k * p * N) would miss.
+        order = np.arange(total)
+        return (0.0,) + tuple(
+            prefix.size / total for prefix in cumulative_groups(order, p)
         )
-        metrics = {}
-        for fraction in fractions:
-            accs = [
-                _accuracy_at_fraction(
-                    zoo, accelerator, order, space, fraction, eval_x, eval_y,
-                    rng.child("tb", str(use_tb), str(fraction), run),
-                )[0]
-                for run in range(mc_runs)
-            ]
-            metrics[f"accuracy@{fraction:g}"] = summarize(accs).mean
-        rows.append(AblationRow(
-            label="tie-break on" if use_tb else "tie-break off",
-            metrics=metrics,
-        ))
-    accelerator.clear()
+
+    return {
+        "granularity": [
+            cell("granularity", p, 0.1, prefixes(p),
+                 mc_runs=GRANULARITY_TRIALS)
+            for p in (0.01, 0.05, 0.1, 0.25)
+        ],
+        "device_bits": [
+            cell("device_bits", bits, 0.1, (0.1,), device_bits=bits)
+            for bits in (1, 2, 4)
+        ],
+        "tie_break": [
+            cell("tie_break", None, 0.15, (0.05, 0.1),
+                 methods=("swim", "untied_swim")),
+        ],
+        "curvature_batches": [
+            cell("curvature_batches", count, 0.15, (0.1,),
+                 curvature_batches=count)
+            for count in (1, 2, 8)
+        ],
+        "scorers": [
+            cell("scorers", None, 0.15, (0.1,), methods=(
+                "swim", "fisher", "gradient", "magnitude", "random")),
+        ],
+        "differential": [
+            cell("differential", flag, 0.1, (0.0,), differential=flag)
+            for flag in (False, True)
+        ],
+    }
+
+
+def _granularity(cells, outcomes, orchestrator):
+    baseline = orchestrator.zoo.clean_accuracy
+    rows = []
+    for cell in cells:
+        curve = outcomes[cell.key].curve("swim")
+        stops = [algorithm1_stop(run, baseline) for run in curve.accuracy_runs]
+        accuracy = curve.accuracy_runs[np.arange(len(stops)), stops]
+        rows.append(AblationRow(f"p={cell.key[1]:g}", {
+            "achieved_nwc": float(curve.achieved_nwc[stops].mean()),
+            "selected_fraction":
+                float(np.take(curve.nwc_targets, stops).mean()),
+            "accuracy": float(accuracy.mean()),
+            "evaluations": float(np.mean(stops)) + 1,
+            "met_target": float(np.mean(baseline - accuracy <= DELTA_A)),
+        }))
     return rows
 
 
-def ablate_curvature_batches(zoo, rng, batch_counts=(1, 2, 8), sigma=0.15,
-                             fraction=0.1, mc_runs=3, eval_samples=300,
-                             sense_samples=512):
-    """Ranking stability vs amount of data in the curvature pass."""
-    data = zoo.data
-    space = WeightSpace.from_model(zoo.model)
-    eval_x, eval_y = data.test_x[:eval_samples], data.test_y[:eval_samples]
-    accelerator = CimAccelerator(zoo.model, mapping_config=_mapping(zoo, sigma))
-    sense_x = data.train_x[:sense_samples]
-    sense_y = data.train_y[:sense_samples]
+def _device_bits(cells, outcomes, orchestrator):
+    rows = []
+    for cell in cells:
+        mapping = orchestrator.plans[cell.key].resolve()[2]
+        curve = outcomes[cell.key].curve("swim")
+        rows.append(AblationRow(f"K={cell.key[1]}", {
+            "slices_per_weight": mapping.num_slices,
+            "relative_noise_std": mapping.relative_noise_std(),
+            "accuracy_mean": curve.mean_std(0).mean,
+            "accuracy_std": curve.mean_std(0).std,
+            "nwc": float(curve.achieved_nwc[0]),
+        }))
+    return rows
 
-    reference_scores = SwimScorer(batch_size=64, max_batches=None).scores(
-        zoo.model, space, sense_x, sense_y
+
+def _tie_break(cells, outcomes, orchestrator):
+    outcome = outcomes[cells[0].key]
+    return [
+        AblationRow(label, {
+            f"accuracy@{target:g}": outcome.curve(method).mean_std(i).mean
+            for i, target in enumerate(outcome.nwc_targets)
+        })
+        for method, label in (("swim", "tie-break on"),
+                              ("untied_swim", "tie-break off"))
+    ]
+
+
+def _curvature_batches(cells, outcomes, orchestrator):
+    curvature = orchestrator.engine.curvature
+    full = curvature(CURVATURE_SENSE_SAMPLES // CURVATURE_BATCH_SIZE)[0]
+    return [
+        AblationRow(f"{cell.key[1]} batch(es)", {
+            "spearman_vs_full": spearman(curvature(cell.key[1])[0], full),
+            "accuracy_mean": outcomes[cell.key].curve("swim").mean_std(0).mean,
+        })
+        for cell in cells
+    ]
+
+
+def _scorers(cells, outcomes, orchestrator):
+    return [
+        AblationRow(method, {
+            "accuracy_mean": curve.mean_std(0).mean,
+            "accuracy_std": curve.mean_std(0).std,
+        })
+        for method, curve in outcomes[cells[0].key].curves.items()
+    ]
+
+
+def _differential(cells, outcomes, orchestrator):
+    return [
+        AblationRow("differential" if cell.key[1] else "single-column", {
+            "relative_noise_std":
+                orchestrator.plans[cell.key].resolve()[2].relative_noise_std(),
+            "unverified_accuracy_mean":
+                outcomes[cell.key].curve("swim").mean_std(0).mean,
+        })
+        for cell in cells
+    ]
+
+
+_ROWS = {
+    "granularity": _granularity,
+    "device_bits": _device_bits,
+    "tie_break": _tie_break,
+    "curvature_batches": _curvature_batches,
+    "scorers": _scorers,
+    "differential": _differential,
+}
+
+
+def run_ablations(zoo, batched=True, workers=None, report_out=None):
+    """Run every study of :func:`ablation_cells` on ``zoo``.
+
+    The curvature study plans over its own 512-sample sense set, so it
+    runs as a second orchestrator grid after the 256-sample one.
+    ``batched`` and ``workers`` act as in every scenario; ``report_out``
+    (a list, when given) collects both grids'
+    :class:`~repro.robustness.report.RunReport`\\ s.
+
+    Returns
+    -------
+    dict
+        ``study -> [AblationRow]`` in :func:`ablation_cells` order.  A
+        study with a failed cell is absent (its report records the
+        failure).
+    """
+    studies = ablation_cells(zoo)
+    grids = (
+        ("ablations", SENSE_SAMPLES, SENSE_SAMPLES,
+         [name for name in studies if name != "curvature_batches"]),
+        ("ablations/curvature_batches", CURVATURE_SENSE_SAMPLES,
+         CURVATURE_BATCH_SIZE, ["curvature_batches"]),
     )
-    rows = []
-    for count in batch_counts:
-        scorer = SwimScorer(batch_size=64, max_batches=count)
-        scores = scorer.scores(zoo.model, space, sense_x, sense_y)
-        order = scorer.ranking(zoo.model, space, sense_x, sense_y)
-        accs = [
-            _accuracy_at_fraction(
-                zoo, accelerator, order, space, fraction, eval_x, eval_y,
-                rng.child("cb", str(count), run),
-            )[0]
-            for run in range(mc_runs)
-        ]
-        rows.append(AblationRow(
-            label=f"{count} batch(es)",
-            metrics={
-                "spearman_vs_full": spearman(scores, reference_scores),
-                "accuracy_mean": summarize(accs).mean,
-            },
-        ))
-    accelerator.clear()
-    return rows
-
-
-def ablate_scorers(zoo, rng, scorer_names=("swim", "fisher", "gradient",
-                                           "magnitude", "random"),
-                   sigma=0.15, fraction=0.1, mc_runs=3, eval_samples=300,
-                   sense_samples=256):
-    """Where do the cheap curvature surrogates land?"""
-    data = zoo.data
-    space = WeightSpace.from_model(zoo.model)
-    eval_x, eval_y = data.test_x[:eval_samples], data.test_y[:eval_samples]
-    accelerator = CimAccelerator(zoo.model, mapping_config=_mapping(zoo, sigma))
-    rows = []
-    for name in scorer_names:
-        scorer = build_scorer(name)
-        accs = []
-        for run in range(mc_runs):
-            order = scorer.ranking(
-                zoo.model, space, data.train_x[:sense_samples],
-                data.train_y[:sense_samples],
-                rng=rng.child("scorer-rng", name, run),
-            )
-            accs.append(
-                _accuracy_at_fraction(
-                    zoo, accelerator, order, space, fraction, eval_x, eval_y,
-                    rng.child("scorer", name, run),
-                )[0]
-            )
-        rows.append(AblationRow(
-            label=name,
-            metrics={
-                "accuracy_mean": summarize(accs).mean,
-                "accuracy_std": summarize(accs).std,
-            },
-        ))
-    accelerator.clear()
-    return rows
-
-
-def ablate_differential(zoo, rng, sigma=0.1, mc_runs=3, eval_samples=300):
-    """Differential column pairs double the device count and the variance."""
-    data = zoo.data
-    eval_x, eval_y = data.test_x[:eval_samples], data.test_y[:eval_samples]
-    rows = []
-    for differential in (False, True):
-        mapping = _mapping(zoo, sigma=sigma, differential=differential)
-        accelerator = CimAccelerator(zoo.model, mapping_config=mapping)
-        accs = []
-        for run in range(mc_runs):
-            run_rng = rng.child("diff", str(differential), run)
-            accelerator.program(run_rng.child("program").generator)
-            accelerator.write_verify_all(run_rng.child("verify").generator)
-            accelerator.apply_none()
-            accs.append(evaluate_accuracy(zoo.model, eval_x, eval_y))
-        accelerator.clear()
-        rows.append(AblationRow(
-            label="differential" if differential else "single-column",
-            metrics={
-                "relative_noise_std": mapping.relative_noise_std(),
-                "unverified_accuracy_mean": summarize(accs).mean,
-            },
-        ))
-    return rows
+    rows = {}
+    for scenario, sense, batch_size, names in grids:
+        engine = PlanEngine(
+            zoo.model, zoo.data.train_x[:sense], zoo.data.train_y[:sense],
+            workload=zoo.spec.key, curvature_batch_size=batch_size,
+        )
+        orchestrator = ScenarioOrchestrator(
+            zoo, eval_samples=EVAL_SAMPLES, sense_samples=sense, engine=engine,
+        )
+        outcomes = orchestrator.run(
+            [cell for name in names for cell in studies[name]],
+            batched=batched, workers=workers, scenario=scenario,
+        )
+        if report_out is not None:
+            report_out.append(orchestrator.report)
+        for name in names:
+            if all(cell.key in outcomes for cell in studies[name]):
+                rows[name] = _ROWS[name](studies[name], outcomes, orchestrator)
+    return {name: rows[name] for name in studies if name in rows}

@@ -21,7 +21,7 @@ Select with the ``REPRO_SCALE`` environment variable or pass explicitly.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from repro.robustness.errors import ScenarioConfigError
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from repro.utils.ascii_plot import scatter_plot
 from repro.utils.tables import Table
 

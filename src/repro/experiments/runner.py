@@ -24,11 +24,11 @@ import os
 import sys
 import time
 
-from repro.experiments import ablations as ablation_mod
+from repro.experiments.ablations import run_ablations
 from repro.experiments.config import resolve_scale
 from repro.experiments.devices import render_devices, run_devices
 from repro.experiments.fig1 import Fig1Config, run_fig1
-from repro.experiments.fig2 import FIG2_WORKLOADS, render_fig2_panel, run_fig2_panel
+from repro.experiments.fig2 import render_fig2_panel, run_fig2_panel
 from repro.experiments.model_zoo import load_workload
 from repro.experiments.reporting import (
     render_ablation,
@@ -73,11 +73,12 @@ def _save_plans(plans, out_dir, name):
 
 
 def _report_back(reports):
-    """Print a scenario's robustness summary when anything happened."""
-    report = reports[-1] if reports else None
-    if report is not None and report.eventful:
-        print(report.render())
-    return report
+    """Print each of a scenario's robustness summaries in which anything
+    happened; returns the reports."""
+    for report in reports:
+        if report.eventful:
+            print(report.render())
+    return reports
 
 
 def _run_table1(scale, out_dir, batched=True, workers=None, save_plans=False):
@@ -147,21 +148,15 @@ def _run_spatial(scale, out_dir, batched=True, workers=None, save_plans=False):
     return _report_back(reports)
 
 
-def _run_ablations(scale, out_dir):
-    zoo = load_workload(scale.workload("lenet-digits"))
-    rng = RngStream(404).child("ablations")
-    studies = (
-        ("granularity", ablation_mod.ablate_granularity),
-        ("device_bits", ablation_mod.ablate_device_bits),
-        ("tie_break", ablation_mod.ablate_tie_break),
-        ("curvature_batches", ablation_mod.ablate_curvature_batches),
-        ("scorers", ablation_mod.ablate_scorers),
-        ("differential", ablation_mod.ablate_differential),
-    )
-    for name, fn in studies:
-        rows = fn(zoo, rng.child(name))
+def _run_ablations(scale, batched=True, workers=None):
+    reports = []
+    studies = run_ablations(load_workload(scale.workload("lenet-digits")),
+                            batched=batched, workers=workers,
+                            report_out=reports)
+    for name, rows in studies.items():
         print(render_ablation(rows, title=f"Ablation — {name}"))
         print()
+    return _report_back(reports)
 
 
 def main(argv=None):
@@ -189,13 +184,17 @@ def main(argv=None):
                         help="directory for CSV artifacts")
     parser.add_argument("--scalar", action="store_true",
                         help="use the scalar per-trial Monte Carlo loop "
-                             "instead of the trial-batched engine")
+                             "instead of the trial-batched engine (fig1, "
+                             "table1, fig2a|b|c, ablations, devices, "
+                             "retention, spatial)")
     parser.add_argument("--workers", type=int, default=None,
                         help="size the work-rectangle scheduler's fork "
                              "pool over a scenario's (cells x trial-"
-                             "blocks) tiles; 0 = auto-size to the "
-                             "detected core count; bitwise-identical to "
-                             "serial (or REPRO_WORKERS)")
+                             "blocks) tiles (table1, fig2a|b|c, "
+                             "ablations, devices, retention, spatial); "
+                             "0 = auto-size to the detected core count; "
+                             "bitwise-identical to serial (or "
+                             "REPRO_WORKERS)")
     parser.add_argument("--save-plans", action="store_true",
                         help="also write each scenario's resolved "
                              "selection plans as <scenario>_plans.json "
@@ -229,7 +228,7 @@ def main(argv=None):
 
     failed = [
         (report.scenario, cell)
-        for report in reports if report is not None
+        for report in reports
         for cell in report.failed
     ]
     if failed:
@@ -247,9 +246,10 @@ def _run_one(name, scale, out_dir, args, batched, reports):
     if name == "fig1":
         _run_fig1(scale, out_dir, batched=batched)
     elif name == "ablations":
-        _run_ablations(scale, out_dir)
+        reports.extend(_run_ablations(scale, batched=batched,
+                                      workers=args.workers))
     elif name.startswith("fig2"):
-        reports.append(_run_fig2(scale, out_dir, name[-1], batched=batched,
+        reports.extend(_run_fig2(scale, out_dir, name[-1], batched=batched,
                                  workers=args.workers))
     else:
         scenario = {
@@ -258,7 +258,7 @@ def _run_one(name, scale, out_dir, args, batched, reports):
             "retention": _run_retention,
             "spatial": _run_spatial,
         }[name]
-        reports.append(scenario(scale, out_dir, batched=batched,
+        reports.extend(scenario(scale, out_dir, batched=batched,
                                 workers=args.workers,
                                 save_plans=args.save_plans))
 

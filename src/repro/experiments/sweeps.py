@@ -347,25 +347,28 @@ def run_method_sweep(zoo, plan, mc_runs, rng, eval_samples=400,
                 "misaligned window would not reproduce the full run"
             )
 
-    if batched:
-        _batched_sweep(
-            engine, zoo, accelerator, space, orders, methods, counts,
-            nwc_targets, eval_x, eval_y, insitu_lr, acc_store, nwc_store,
-            read_time=read_time,
-        )
-    else:
-        for run in range(*engine.span):
-            rows = _scalar_sweep_trial(
-                engine.substream(run), zoo, accelerator, space, orders,
-                methods, counts, nwc_targets, eval_x, eval_y, insitu_lr,
+    try:
+        if batched:
+            _batched_sweep(
+                engine, zoo, accelerator, space, orders, methods, counts,
+                nwc_targets, eval_x, eval_y, insitu_lr, acc_store, nwc_store,
                 read_time=read_time,
             )
-            for method, (accuracies, achieved) in rows.items():
-                acc_store[method][run] = accuracies
-                nwc_store[method][run] = achieved
-
+        else:
+            for run in range(*engine.span):
+                rows = _scalar_sweep_trial(
+                    engine.substream(run), zoo, accelerator, space, orders,
+                    methods, counts, nwc_targets, eval_x, eval_y, insitu_lr,
+                    read_time=read_time,
+                )
+                for method, (accuracies, achieved) in rows.items():
+                    acc_store[method][run] = accuracies
+                    nwc_store[method][run] = achieved
+    finally:
+        # A failed tile must not leave its noisy weights deployed on the
+        # model that the next plan ranks.
+        accelerator.clear()
     wear = accelerator.wear_summary()
-    accelerator.clear()
     outcome = SweepOutcome(
         workload=zoo.spec.key,
         sigma=device.sigma,

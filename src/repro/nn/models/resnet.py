@@ -16,7 +16,6 @@ from __future__ import annotations
 from repro.nn.layers import (
     BatchNorm2d,
     Conv2d,
-    Flatten,
     GlobalAvgPool2d,
     Identity,
     Linear,

@@ -13,7 +13,9 @@ sensitivity pass even though the curvature diagonal depends only on
 - **variance** (model, technology/stack dict, read time, wear) — the
   analytic per-weight ``E[dw^2]`` map, one per distinct physics point;
 - **order** (curvature x variance x method) — the resolved descending
-  ranking, which is what a deployment actually consumes.
+  ranking, which is what a deployment actually consumes (the ablations
+  add ``untied_swim``, ``fisher`` and ``gradient`` to the sweeps'
+  ``swim``, ``hetero_swim`` and ``magnitude``).
 
 Each stage is content-addressed in a :class:`~repro.plan.cache.
 PlanArtifactCache`, so a warm re-plan of a whole retention grid is a
@@ -24,10 +26,9 @@ curvature pass, N variance passes, and N rankings.
 The resolved :class:`SelectionPlan` is a standalone artifact and the
 sweep's one input besides its Monte Carlo envelope:
 :func:`~repro.experiments.sweeps.run_method_sweep` deploys it, so this
-engine is the only producer of ``swim``, ``hetero_swim`` and
-``magnitude`` orders.  A plan can also be applied to any accelerator
-hosting the same model (:meth:`SelectionPlan.apply`) and round-trips
-through JSON for offline reuse (:func:`save_plans` /
+engine is the only producer of orders.  A plan can also be applied to
+any accelerator hosting the same model (:meth:`SelectionPlan.apply`)
+and round-trips through JSON for offline reuse (:func:`save_plans` /
 :func:`load_plans`).
 """
 
@@ -42,7 +43,12 @@ from repro.core.extensions import variance_map_from_mapping
 from repro.core.metrics import DEFAULT_NWC_TARGETS
 from repro.obs.trace import span
 from repro.core.selection import WeightSpace, rank_descending
-from repro.core.sensitivity import MagnitudeScorer, SwimScorer
+from repro.core.sensitivity import (
+    FisherScorer,
+    GradientScorer,
+    MagnitudeScorer,
+    SwimScorer,
+)
 from repro.plan.cache import (
     PLAN_CACHE_VERSION,
     PlanArtifactCache,
@@ -62,13 +68,15 @@ __all__ = [
     "save_plans",
 ]
 
-#: Methods whose rankings are deterministic functions of (model, sense
-#: set, physics) and therefore plannable/cacheable.  ``random`` re-draws
-#: per trial and ``insitu`` trains on-chip; neither has a plan.
+#: The methods a request plans by default and the plan service serves.
+#: ``random`` re-draws per trial and ``insitu`` trains on-chip; neither
+#: has a plan.
 PLANNED_METHODS = ("swim", "hetero_swim", "magnitude")
+_RANKED_METHODS = PLANNED_METHODS + ("untied_swim", "fisher", "gradient")
 
 
-def resolve_physics(technology, sigma, weight_bits, device_bits):
+def resolve_physics(technology, sigma, weight_bits, device_bits,
+                    differential=False):
     """``(technology, device, mapping, stack)`` of one physics point.
 
     The one derivation behind :meth:`PlanRequest.resolve` (the physics
@@ -91,7 +99,8 @@ def resolve_physics(technology, sigma, weight_bits, device_bits):
         tech = None
         device = DeviceConfig(bits=device_bits, sigma=sigma)
         stack = None
-    mapping = MappingConfig(weight_bits=weight_bits, device=device)
+    mapping = MappingConfig(weight_bits=weight_bits, device=device,
+                            differential=differential)
     return tech, device, mapping, stack
 
 
@@ -102,8 +111,8 @@ class PlanRequest:
     Attributes
     ----------
     methods:
-        Sweep methods; only those in :data:`PLANNED_METHODS` are
-        resolved into orders (the rest ride through unplanned).
+        Sweep methods; all but ``random`` and ``insitu`` are resolved
+        into orders.
     nwc_targets:
         The NWC budget grid; the plan resolves one selection count per
         budget.
@@ -127,6 +136,8 @@ class PlanRequest:
         is left at 1.0) the inflation is derived from the technology's
         sigma-growth-vs-cycling curve — see
         :meth:`~repro.cim.devices.EnduranceModel.wear_inflation`.
+    differential:
+        Map each weight onto a differential column pair.
     """
 
     methods: tuple = PLANNED_METHODS
@@ -139,6 +150,7 @@ class PlanRequest:
     curvature_batches: int = 2
     wear_inflation: float = 1.0
     wear_consumed: float = None
+    differential: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -155,7 +167,8 @@ class PlanRequest:
         :func:`resolve_physics`, the derivation the sweep deploys
         the resolved plan under."""
         return resolve_physics(
-            self.technology, self.sigma, self.weight_bits, self.device_bits
+            self.technology, self.sigma, self.weight_bits, self.device_bits,
+            self.differential,
         )
 
     def config(self):
@@ -163,14 +176,15 @@ class PlanRequest:
 
         Technology instances enter through their ``to_dict`` form and
         budgets as floats, so a scenario's eval tiles and the plan
-        service key the same request identically.
+        service key the same request identically; ``differential``
+        enters only when set, so no earlier key moves.
         """
         technology = self.technology
         if technology is not None:
             from repro.cim import resolve_technology
 
             technology = resolve_technology(technology).to_dict()
-        return {
+        config = {
             "methods": list(self.methods),
             "nwc_targets": [float(t) for t in self.nwc_targets],
             "technology": technology,
@@ -182,6 +196,9 @@ class PlanRequest:
             "wear_inflation": float(self.wear_inflation),
             "wear_consumed": self.wear_consumed,
         }
+        if self.differential:
+            config["differential"] = True
+        return config
 
     def effective_wear_inflation(self, technology=None):
         """The variance multiplier this request plans for.
@@ -224,13 +241,15 @@ class SelectionPlan:
     wear_inflation: float = 1.0
     model: str = ""
     cache_version: int = PLAN_CACHE_VERSION
+    differential: bool = False
 
     def resolve(self):
         """``(technology, device, mapping, stack)`` the plan deploys
         under, through :func:`resolve_physics` like the request it was
         resolved from."""
         return resolve_physics(
-            self.technology, self.sigma, self.weight_bits, self.device_bits
+            self.technology, self.sigma, self.weight_bits, self.device_bits,
+            self.differential,
         )
 
     def order(self, method):
@@ -295,7 +314,7 @@ class SelectionPlan:
         technology = self.technology
         if technology is not None and not isinstance(technology, str):
             technology = technology.to_dict()
-        return {
+        data = {
             "workload": self.workload,
             "methods": list(self.methods),
             "nwc_targets": list(self.nwc_targets),
@@ -314,6 +333,9 @@ class SelectionPlan:
             "model": self.model,
             "cache_version": int(self.cache_version),
         }
+        if self.differential:
+            data["differential"] = True
+        return data
 
     @classmethod
     def from_json(cls, data):
@@ -341,6 +363,7 @@ class SelectionPlan:
             wear_inflation=float(data.get("wear_inflation", 1.0)),
             model=data.get("model", ""),
             cache_version=int(data.get("cache_version", PLAN_CACHE_VERSION)),
+            differential=bool(data.get("differential", False)),
         )
 
 
@@ -524,51 +547,45 @@ class PlanEngine:
         the curvature or variance stages at all.
         """
         technology, _, mapping, stack = resolved
-        if method == "swim":
-            config = {
-                "method": "swim",
-                "curvature": self._curvature_config(request.curvature_batches),
-            }
-
-            def produce():
-                self.stats["ranking_passes"] += 1
-                scores, tie = self.curvature(request.curvature_batches)
-                return {"order": rank_descending(scores, tie)}
-
-        elif method == "hetero_swim":
-            config = {
-                "method": "hetero_swim",
-                "curvature": self._curvature_config(request.curvature_batches),
-                "variance": self._variance_config(
+        batches = request.curvature_batches
+        if method in ("swim", "untied_swim", "hetero_swim"):
+            config = {"method": method,
+                      "curvature": self._curvature_config(batches)}
+            if method == "hetero_swim":
+                config["variance"] = self._variance_config(
                     request, technology, mapping, stack
-                ),
-            }
+                )
 
-            def produce():
-                self.stats["ranking_passes"] += 1
-                scores, tie = self.curvature(request.curvature_batches)
-                return {
-                    "order": rank_descending(
-                        scores * self.variance(request, resolved), tie
-                    )
-                }
+            def rank():
+                scores, tie = self.curvature(batches)
+                if method == "hetero_swim":
+                    scores = scores * self.variance(request, resolved)
+                return rank_descending(
+                    scores, None if method == "untied_swim" else tie
+                )
 
-        elif method == "magnitude":
-            config = {"method": "magnitude", "model": self._model_digest}
+        elif method in ("magnitude", "fisher", "gradient"):
+            scorer = {"magnitude": MagnitudeScorer, "fisher": FisherScorer,
+                      "gradient": GradientScorer}[method]()
+            config = {"method": method, "model": self._model_digest}
+            if method != "magnitude":  # the first-order scorers read data
+                config["sense"] = self._sense_digest
 
-            def produce():
-                self.stats["ranking_passes"] += 1
-                return {
-                    "order": MagnitudeScorer().ranking(
-                        self.model, self.space, None, None
-                    )
-                }
+            def rank():
+                return scorer.ranking(
+                    self.model, self.space, self.sense_x, self.sense_y
+                )
 
         else:
             raise KeyError(
                 f"method {method!r} has no deterministic plan; plannable: "
-                f"{PLANNED_METHODS}"
+                f"{_RANKED_METHODS}"
             )
+
+        def produce():
+            self.stats["ranking_passes"] += 1
+            return {"order": rank()}
+
         with span("plan.order", method=method):
             return self.cache.get_or_create("order", config, produce)["order"]
 
@@ -580,7 +597,7 @@ class PlanEngine:
             orders = {
                 method: self._order(method, request, resolved)
                 for method in request.methods
-                if method in PLANNED_METHODS
+                if method in _RANKED_METHODS
             }
         self.stats["plans"] += 1
         return SelectionPlan(
@@ -601,6 +618,7 @@ class PlanEngine:
             wear_inflation=request.effective_wear_inflation(technology),
             model=self._model_digest,
             cache_version=self.cache.version,
+            differential=request.differential,
         )
 
     def plan_batch(self, requests):

@@ -195,7 +195,7 @@ class ScenarioOrchestrator:
         if self._eval_digest is None:
             data = self.zoo.data
             self._eval_digest = data_digest(data.test_x, data.test_y)
-        return {
+        config = {
             "model": self.engine._model_digest,
             "sense": self.engine._sense_digest,
             "eval": self._eval_digest,
@@ -210,6 +210,12 @@ class ScenarioOrchestrator:
             "sense_samples": self.sense_samples,
             "batched": bool(batched),
         }
+        batch_size = self.engine.curvature_batch_size
+        if batch_size != min(256, self.sense_samples):
+            # Only an engine built outside from_zoo curves its sense set
+            # in other batches; the default stays out of existing keys.
+            config["curvature_batch_size"] = batch_size
+        return config
 
     # -------------------------------------------------------------- execution
 

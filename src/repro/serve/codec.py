@@ -159,7 +159,7 @@ def parse_plan_request(body):
     """A ``POST /v1/plan`` JSON body as a validated :class:`PlanRequest`.
 
     Every failure mode — non-JSON body, unknown fields, wrong types,
-    unplannable methods, unregistered technology, missing physics —
+    unserved methods, unregistered technology, missing physics —
     raises :class:`PlanRequestError` with a single-line message.
     """
     try:
@@ -185,7 +185,7 @@ def parse_plan_request(body):
     unplanned = sorted(set(methods) - set(PLANNED_METHODS))
     if unplanned:
         raise PlanRequestError(
-            f"method(s) {unplanned} have no deterministic plan; plannable: "
+            f"method(s) {unplanned} are not served; served: "
             f"{list(PLANNED_METHODS)}"
         )
 

@@ -15,6 +15,11 @@ reaches, each with the reason it stays; they are live roots too.  A
 public definition that is neither reached nor kept fails the test, and
 so does a kept name that the program now reaches or that no longer
 exists.
+
+The same holds for imports: a module-level import that its module never
+names (as an ``ast.Name``, or in its ``__all__``) fails the test unless
+``UNUSED_IMPORTS`` lists it with its reason.  ``__init__`` modules are
+exempt; their imports are the package's surface.
 """
 
 from __future__ import annotations
@@ -47,6 +52,18 @@ KEEP = {
               "spans into the program (ROADMAP item 2)",
     "disable_tracing": "benchmarks/bench_obs.py and the tests switch "
                        "tracing off with it",
+    "selective_write_verify": "the library form of Algorithm 1 that "
+                              "examples/quickstart.py runs; the "
+                              "granularity ablation reads the same "
+                              "stopping point off a sweep",
+}
+
+#: ``(module, name)`` imports that their module never names, each with
+#: the reason it stays.
+UNUSED_IMPORTS = {
+    ("repro.core.mc", "evaluate_accuracy_trials"):
+        "perfbench/layers.py rebinds this module's name to time it "
+        "(ROADMAP item 2)",
 }
 
 
@@ -112,3 +129,42 @@ def test_keep_list_is_not_stale(scan):
     called = sorted(name for name in KEEP if name in reached)
     assert not missing, f"KEEP names definitions that no longer exist: {missing}"
     assert not called, f"KEEP names definitions the program now reaches: {called}"
+
+
+def _unused_imports():
+    """``(module, name)`` of every module-level import of a non-``__init__``
+    module that the module never names."""
+    unused = set()
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0]
+                             for a in node.names}
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                named |= {c.value for c in ast.walk(node.value)
+                          if isinstance(c, ast.Constant)}
+        module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+        unused |= {(module, name) for name in imported - named}
+    return unused
+
+
+def test_every_import_is_named():
+    unused = _unused_imports()
+    unexplained = sorted(unused - set(UNUSED_IMPORTS))
+    stale = sorted(set(UNUSED_IMPORTS) - unused)
+    assert not unexplained, (
+        "these modules import names they never use; delete the imports "
+        "or add each to UNUSED_IMPORTS with its reason:\n"
+        + "\n".join(f"{module}: {name}" for module, name in unexplained)
+    )
+    assert not stale, f"UNUSED_IMPORTS lists imports now used or gone: {stale}"

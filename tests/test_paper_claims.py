@@ -27,7 +27,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.experiments import ablations as ab
+from repro.experiments.ablations import (
+    EVAL_SAMPLES,
+    SENSE_SAMPLES,
+    ablation_cells,
+    run_ablations,
+)
 from repro.experiments.config import get_scale
 from repro.experiments.fig1 import Fig1Config, run_fig1
 from repro.experiments.model_zoo import load_workload
@@ -35,12 +40,12 @@ from repro.experiments.retention import run_retention
 from repro.experiments.spatial import run_spatial
 from repro.experiments.sweeps import WRITE_VERIFY_METHODS
 from repro.experiments.table1 import run_table1
+from repro.plan import ScenarioOrchestrator
 from repro.utils.rng import RngStream
 
 SMOKE = get_scale("smoke")
 ALPHA = 0.05
 ONE_MONTH = SMOKE.retention_times[-1]
-ABLATIONS = RngStream(404).child("ablations")
 
 
 def sign_test(differences):
@@ -188,57 +193,70 @@ def ablation_zoo():
     return load_workload(SMOKE.workload("lenet-digits"))
 
 
-def test_ablation_finer_granularity_stops_earlier(ablation_zoo):
+@pytest.fixture(scope="module")
+def ablations(ablation_zoo):
+    """The studies ``runner ablations --scale smoke`` computes."""
+    return run_ablations(ablation_zoo)
+
+
+def _metric(rows, name):
+    return {row.label: row.metrics[name] for row in rows}
+
+
+def test_ablation_finer_granularity_stops_earlier(ablations):
     """Algorithm 1: a finer group size p stops at no larger selected
     fraction, at the price of more accuracy evaluations."""
-    rows = ab.ablate_granularity(
-        ablation_zoo, ABLATIONS.child("granularity"),
-        granularities=(0.01, 0.25),
-    )
-    fine, coarse = (row.metrics for row in rows)
-    assert fine["selected_fraction"] <= coarse["selected_fraction"] + 1e-9
-    assert fine["evaluations"] >= coarse["evaluations"]
+    selected = _metric(ablations["granularity"], "selected_fraction")
+    evaluations = _metric(ablations["granularity"], "evaluations")
+    assert selected["p=0.01"] <= selected["p=0.25"] + 1e-9, selected
+    assert evaluations["p=0.01"] >= evaluations["p=0.25"], evaluations
 
 
-def test_ablation_device_bits_keep_relative_noise_near_sigma(ablation_zoo):
+def test_ablation_device_bits_keep_relative_noise_near_sigma(ablations):
     """Eq. 16: the MSB slice dominates, keeping relative noise ~ sigma
     for every bits-per-device K."""
-    rows = ab.ablate_device_bits(ablation_zoo, ABLATIONS.child("bits"),
-                                 mc_runs=1)
-    for row in rows:
+    for row in ablations["device_bits"]:
         assert 0.05 <= row.metrics["relative_noise_std"] <= 0.2, row
 
 
-def test_ablation_curvature_ranking_stabilizes(ablation_zoo):
+def test_ablation_curvature_ranking_stabilizes(ablations):
     """More data in the curvature pass moves the ranking toward the
-    full-data reference."""
-    # One call per batch count: within a call, every count after the
-    # first is scored on the weights the previous count's accuracy runs
-    # left deployed, not on the trained weights.
-    rhos = [
-        ab.ablate_curvature_batches(
-            ablation_zoo, ABLATIONS.child("cb"), batch_counts=(count,),
-            mc_runs=1,
-        )[0].metrics["spearman_vs_full"]
-        for count in (1, 2, 4)
-    ]
+    full-data reference, and all eight batches are that reference."""
+    rhos = list(_metric(ablations["curvature_batches"],
+                        "spearman_vs_full").values())
     assert np.all(np.diff(rhos) > 0), rhos
-    assert rhos[-1] > 0.9, rhos
+    assert rhos[-1] == 1.0, rhos
 
 
-def test_ablation_swim_leads_the_scorers(ablation_zoo):
+def test_ablation_swim_leads_the_scorers(ablations):
     """At NWC = 0.1, SWIM's ranking is no worse than Magnitude's or
     Random's."""
-    rows = ab.ablate_scorers(
-        ablation_zoo, ABLATIONS.child("scorers"),
-        scorer_names=("swim", "magnitude", "random"),
-    )
-    accuracy = {row.label: row.metrics["accuracy_mean"] for row in rows}
+    accuracy = _metric(ablations["scorers"], "accuracy_mean")
     assert accuracy["swim"] >= accuracy["random"] - 0.005
     assert accuracy["swim"] >= accuracy["magnitude"] - 0.005
 
 
-def test_ablation_tie_break_reports_both_arms(ablation_zoo):
-    rows = ab.ablate_tie_break(ablation_zoo, ABLATIONS.child("tb"),
-                               fractions=(0.1,), mc_runs=1)
-    assert [row.label for row in rows] == ["tie-break on", "tie-break off"]
+def test_ablation_tie_break_arms_agree_where_selections_agree(
+        ablation_zoo, ablations):
+    """The magnitude tie-break only reorders weights with tied
+    curvature: at every budget where both orders select the same set,
+    the two arms deploy the same weights on the same draw, so their
+    per-trial accuracies are equal."""
+    cells = ablation_cells(ablation_zoo)["tie_break"]
+    orchestrator = ScenarioOrchestrator(
+        ablation_zoo, eval_samples=EVAL_SAMPLES, sense_samples=SENSE_SAMPLES,
+    )
+    outcome = orchestrator.run(cells)[cells[0].key]
+    plan = orchestrator.plans[cells[0].key]
+    assert orchestrator.report.tiles_computed == 0  # the runner's tiles
+    same = []
+    for i, count in enumerate(plan.counts):
+        tied, untied = (np.sort(plan.order(method)[:count])
+                        for method in ("swim", "untied_swim"))
+        if np.array_equal(tied, untied):
+            same.append(plan.nwc_targets[i])
+            np.testing.assert_array_equal(
+                _column(outcome, "swim", plan.nwc_targets[i]),
+                _column(outcome, "untied_swim", plan.nwc_targets[i]),
+            )
+    assert same, "no budget where the two orders select the same set"

@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 from repro.cim import CimAccelerator, MappingConfig, resolve_technology
-from repro.core import MagnitudeScorer, SwimScorer, WeightSpace, rank_descending
+from repro.core import (
+    FisherScorer,
+    GradientScorer,
+    MagnitudeScorer,
+    SwimScorer,
+    WeightSpace,
+    rank_descending,
+)
 from repro.plan import (
     PlanArtifactCache,
     PlanEngine,
@@ -52,7 +59,8 @@ class TestPlanResolution:
         engine = _engine(mini_zoo)
         tech = resolve_technology("pcm")
         request = PlanRequest(
-            methods=("swim", "hetero_swim", "magnitude", "random"),
+            methods=("swim", "hetero_swim", "magnitude", "random",
+                     "untied_swim", "fisher", "gradient"),
             nwc_targets=(0.0, 0.3, 1.0),
             technology=tech,
             read_time=ONE_MONTH,
@@ -79,6 +87,18 @@ class TestPlanResolution:
             plan.order("magnitude"),
             MagnitudeScorer().ranking(model, space, None, None),
         )
+        # The ablations' orders: SWIM without the magnitude tie-break, and
+        # the first-order scorers on the engine's sense set.
+        assert np.array_equal(plan.order("untied_swim"),
+                              rank_descending(curvature))
+        assert not np.array_equal(plan.order("untied_swim"),
+                                  plan.order("swim"))
+        for method, scorer in (("fisher", FisherScorer()),
+                               ("gradient", GradientScorer())):
+            assert np.array_equal(
+                plan.order(method),
+                scorer.ranking(model, space, sense_x, sense_y),
+            )
         assert "random" not in plan.orders  # re-drawn per trial, unplannable
         assert plan.counts == (0, round(0.3 * space.total_size),
                                space.total_size)
@@ -207,6 +227,24 @@ class TestSelectionPlanArtifact:
         for method in plan.orders:
             assert np.array_equal(loaded.order(method), plan.order(method))
             assert loaded.order(method).dtype == np.int64
+
+    def test_differential_is_one_field_that_keys_only_when_set(
+            self, mini_zoo):
+        """Differential mapping reaches the deployed mapping and
+        round-trips through JSON; a single-column request keeps the
+        request key and plan JSON it had before the field existed."""
+        engine = _engine(mini_zoo)
+        single = PlanRequest(methods=("swim",), sigma=0.1)
+        pair = PlanRequest(methods=("swim",), sigma=0.1, differential=True)
+        assert "differential" not in single.config()
+        assert pair.config() == {**single.config(), "differential": True}
+        plain, paired = engine.plan(single), engine.plan(pair)
+        assert "differential" not in plain.to_json()
+        assert not plain.resolve()[2].differential
+        loaded = SelectionPlan.from_json(paired.to_json())
+        assert loaded.differential and loaded.resolve()[2].differential
+        assert (loaded.resolve()[2].relative_noise_std()
+                > plain.resolve()[2].relative_noise_std())
 
     @pytest.mark.slow
     def test_saved_plan_replays_its_retention_cell(self, tmp_path,

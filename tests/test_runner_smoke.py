@@ -50,6 +50,29 @@ def test_runner_table1_smoke_writes_csvs(tmp_path):
 
 
 @pytest.mark.slow
+def test_runner_ablations_smoke_is_a_cached_grid(tmp_path):
+    """`runner ablations` prints all six studies, and a rerun over the
+    same cache reads every tile of both of its grids and prints the
+    same tables."""
+    def tables(stdout):
+        return [line for line in stdout.splitlines()
+                if not line.startswith(("[", "  cell"))]
+
+    first = _run_runner(tmp_path / "results", "ablations")
+    assert first.returncode == 0, first.stderr[-2000:]
+    for study in ("granularity", "device_bits", "tie_break",
+                  "curvature_batches", "scorers", "differential"):
+        assert f"Ablation — {study}" in first.stdout
+    rerun = _run_runner(tmp_path / "results", "ablations")
+    assert rerun.returncode == 0, rerun.stderr[-2000:]
+    robustness = [line for line in rerun.stdout.splitlines()
+                  if line.startswith("[robustness]")]
+    assert len(robustness) == 2, rerun.stdout
+    assert all("computed=0" in line for line in robustness), robustness
+    assert tables(rerun.stdout) == tables(first.stdout)
+
+
+@pytest.mark.slow
 def test_runner_devices_retention_smoke_writes_csvs(tmp_path):
     """The device-stack scenarios run green end to end from the CLI."""
     results = tmp_path / "results"

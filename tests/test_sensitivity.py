@@ -1,4 +1,4 @@
-"""Sensitivity scorers: registry, determinism, and discriminative power."""
+"""Sensitivity scorers: determinism and discriminative power."""
 
 from __future__ import annotations
 
@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.second_derivative import accumulate_second_derivatives
-from repro.core.selection import WeightSpace
+from repro.core.selection import WeightSpace, rank_descending
 from repro.core.sensitivity import (
     FisherScorer,
     GradientScorer,
     MagnitudeScorer,
     RandomScorer,
     SwimScorer,
-    build_scorer,
 )
 from repro.nn.models import mlp
 from repro.utils.stats import spearman
@@ -28,14 +27,6 @@ def setup(rng):
     x = rng.child("x").normal(size=(32, 8))
     y = rng.child("y").integers(0, 4, size=32)
     return model, space, x, y
-
-
-def test_build_scorer_registry():
-    for name in ("swim", "magnitude", "random", "gradient", "fisher"):
-        scorer = build_scorer(name)
-        assert scorer.name == name
-    with pytest.raises(KeyError, match="unknown"):
-        build_scorer("nope")
 
 
 def test_swim_scores_match_direct_curvature(setup):
@@ -56,11 +47,26 @@ def test_swim_ranking_is_deterministic(setup):
 
 
 def test_swim_tie_break_toggle(setup):
+    """Sec. 3.2's tie-break (``swim``) vs none (``untied_swim``): both
+    orders walk the same scores, and the tie-break only reorders ties."""
     model, space, x, y = setup
-    with_tb = SwimScorer(use_magnitude_tie_break=True)
-    without_tb = SwimScorer(use_magnitude_tie_break=False)
-    assert with_tb.tie_break(model, space) is not None
-    assert without_tb.tie_break(model, space) is None
+    scorer = SwimScorer(batch_size=x.shape[0])
+    scores = scorer.scores(model, space, x, y)
+    tie = scorer.tie_break(model, space)
+    np.testing.assert_array_equal(
+        tie, np.abs(space.gather_from_model(model, "data"))
+    )
+    tied = rank_descending(scores, tie)
+    untied = rank_descending(scores)
+    np.testing.assert_array_equal(tied, scorer.ranking(model, space, x, y))
+    np.testing.assert_array_equal(scores[tied], scores[untied])
+    # Where every score ties, the larger magnitude goes first; untied,
+    # the order stays the index order.
+    flat = np.zeros_like(scores)
+    np.testing.assert_array_equal(rank_descending(flat, tie),
+                                  np.argsort(-tie, kind="stable"))
+    np.testing.assert_array_equal(rank_descending(flat),
+                                  np.arange(scores.size))
 
 
 def test_magnitude_scores_are_absolute_weights(setup):

@@ -18,8 +18,16 @@ from repro.core import (
     SwimScorer,
     selective_write_verify,
 )
+from repro.experiments.ablations import (
+    DELTA_A,
+    EVAL_SAMPLES,
+    SENSE_SAMPLES,
+    ablation_cells,
+    algorithm1_stop,
+)
 from repro.experiments.sweeps import run_method_sweep
 from repro.nn import evaluate_accuracy
+from repro.plan import PlanArtifactCache, PlanEngine
 from repro.utils.rng import RngStream
 
 from .helpers import plan_for
@@ -157,6 +165,25 @@ def test_swim_beats_random_at_low_nwc(mini_zoo):
     assert swim > random + 0.01
 
 
+def test_failed_sweep_leaves_no_weights_deployed(mini_zoo, monkeypatch):
+    """A tile that fails mid-sweep must not leave its noisy weights on
+    the model that the next plan ranks."""
+    import repro.experiments.sweeps as sweeps
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("tile failed")
+
+    monkeypatch.setattr(sweeps, "evaluate_accuracy", fail)
+    plan = plan_for(mini_zoo, sense_samples=128, sigma=0.1,
+                    methods=("swim",), nwc_targets=(0.1,),
+                    curvature_batches=1)
+    with pytest.raises(RuntimeError, match="tile failed"):
+        run_method_sweep(mini_zoo, plan, mc_runs=1, rng=RngStream(17),
+                         eval_samples=50, batched=False)
+    deployed = CimAccelerator(mini_zoo.model).deployed_weights()
+    assert all(weights is None for weights in deployed.values())
+
+
 def test_overrides_do_not_touch_ideal_weights(mapped):
     model, data, clean, accelerator = mapped
     before = {n: p.data.copy() for n, p in model.named_parameters()}
@@ -171,3 +198,46 @@ def test_overrides_do_not_touch_ideal_weights(mapped):
     accelerator.clear()
     for name, param in model.named_parameters():
         np.testing.assert_array_equal(param.data, before[name])
+
+
+def test_granularity_cell_is_algorithm1(mini_zoo):
+    """Algorithm 1 deploys exactly the budgets of a granularity cell, so
+    on the scalar path the cell's curve, up to the point where it stops,
+    is Algorithm 1's accuracy and NWC history on the same trial stream.
+
+    The target is the draw's fully verified accuracy (this 4-bit LeNet
+    never comes within 0.01 of its float accuracy), so both the study's
+    delta_a and delta_a = 0 stop partway."""
+    model, data = mini_zoo.model, mini_zoo.data
+    engine = PlanEngine.from_zoo(
+        mini_zoo, SENSE_SAMPLES, cache=PlanArtifactCache(disk=False)
+    )
+    stops = set()
+    for cell in ablation_cells(mini_zoo)["granularity"]:
+        plan = engine.plan(cell.request)
+        curve = run_method_sweep(
+            mini_zoo, plan, cell.mc_runs, cell.rng,
+            eval_samples=EVAL_SAMPLES, batched=False,
+        ).curve("swim")
+        accuracies = curve.accuracy_runs[0]
+        accelerator = CimAccelerator(model, mapping_config=plan.resolve()[2])
+        for delta_a in (DELTA_A, 0.0):
+            result = selective_write_verify(
+                model, accelerator,
+                SwimScorer(batch_size=SENSE_SAMPLES, max_batches=2),
+                data.test_x[:EVAL_SAMPLES], data.test_y[:EVAL_SAMPLES],
+                baseline_accuracy=accuracies[-1],
+                config=SwimConfig(delta_a=delta_a, granularity=cell.key[1]),
+                rng=cell.rng.child("mc", 0),
+                sense_x=data.train_x[:SENSE_SAMPLES],
+                sense_y=data.train_y[:SENSE_SAMPLES],
+            )
+            stop = algorithm1_stop(accuracies, accuracies[-1], delta_a)
+            assert result.accuracy_history == list(accuracies[:stop + 1]), (
+                cell.key, delta_a
+            )
+            assert result.nwc_history == list(curve.achieved_nwc[:stop + 1])
+            assert result.selected_fraction == plan.nwc_targets[stop]
+            stops.add(stop / (len(accuracies) - 1))
+        accelerator.clear()
+    assert any(0 < stop < 1 for stop in stops), stops
