@@ -17,10 +17,9 @@ measures each device individually — but *unverified* weights now fail in
 clusters, which stresses selection quality differently than i.i.d. noise
 (the ``runner spatial`` scenario, :mod:`repro.experiments.spatial`).
 
-The Gaussian smoothing uses :func:`scipy.ndimage.gaussian_filter` when
-SciPy is installed and falls back to a NumPy separable wrap-mode filter
-otherwise, so the module works in minimal environments; the field is
-re-normalized to the marginal sigma either way.
+The local component is white noise smoothed by
+:func:`scipy.ndimage.gaussian_filter` (wrap mode), then re-normalized to
+the marginal sigma.
 """
 
 from __future__ import annotations
@@ -28,42 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-try:  # SciPy is optional: only the smoothing kernel comes from it.
-    from scipy import ndimage as _ndimage
-except ImportError:  # pragma: no cover - exercised via _gaussian_filter_wrap
-    _ndimage = None
+from scipy import ndimage
 
 __all__ = ["SpatialVariationModel"]
-
-
-def _gaussian_filter_wrap(array, sigma):
-    """Separable wrap-mode Gaussian smoothing (NumPy fallback for SciPy).
-
-    Matches scipy.ndimage.gaussian_filter's kernel radius convention
-    (truncate at 4 sigma); small numerical differences to SciPy are
-    irrelevant because the caller re-normalizes the field's std.
-    """
-    radius = max(1, int(4.0 * sigma + 0.5))
-    offsets = np.arange(-radius, radius + 1)
-    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
-    kernel /= kernel.sum()
-    out = np.asarray(array, dtype=np.float64)
-    for axis in range(out.ndim):
-        moved = np.moveaxis(out, axis, 0)
-        n = moved.shape[0]
-        idx = (np.arange(n)[:, None] + offsets[None, :]) % n
-        gathered = moved[idx]  # (n, kernel) + rest
-        kshape = (1, kernel.size) + (1,) * (moved.ndim - 1)
-        moved = (gathered * kernel.reshape(kshape)).sum(axis=1)
-        out = np.moveaxis(moved, 0, axis)
-    return out
-
-
-def _smooth(white, correlation_length):
-    if _ndimage is not None:
-        return _ndimage.gaussian_filter(white, correlation_length, mode="wrap")
-    return _gaussian_filter_wrap(white, correlation_length)
 
 
 @dataclass(frozen=True)
@@ -130,7 +96,9 @@ class SpatialVariationModel:
         rows, cols = self._layout(size)
         white = rng.normal(0.0, 1.0, size=(rows, cols))
         if self.correlation_length > 0:
-            local = _smooth(white, self.correlation_length)
+            local = ndimage.gaussian_filter(
+                white, self.correlation_length, mode="wrap"
+            )
             std = local.std()
             local = local / std if std > 0 else white
         else:

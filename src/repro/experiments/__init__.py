@@ -1,50 +1,38 @@
 """Experiment drivers regenerating every table and figure of the paper."""
 
 from repro.experiments.config import SCALES, ScalePreset, WorkloadSpec, get_scale
-from repro.experiments.devices import DevicesResult, render_devices, run_devices
+from repro.experiments.devices import render_devices, run_devices
 from repro.experiments.fig1 import Fig1Config, Fig1Result, run_fig1
 from repro.experiments.fig2 import FIG2_WORKLOADS, render_fig2_panel, run_fig2_panel
 from repro.experiments.model_zoo import ZooModel, build_data, build_model, load_workload
 from repro.experiments.retention import (
     RETENTION_TECHNOLOGIES,
-    RetentionResult,
     render_retention,
     run_retention,
 )
-from repro.experiments.spatial import (
-    SPATIAL_METHODS,
-    SpatialResult,
-    render_spatial,
-    run_spatial,
-)
+from repro.experiments.spatial import SPATIAL_METHODS, render_spatial, run_spatial
 from repro.experiments.sweeps import (
+    GridResult,
     MethodCurve,
     SweepOutcome,
     WRITE_VERIFY_METHODS,
+    run_grid,
     run_method_sweep,
 )
-from repro.experiments.table1 import (
-    TABLE1_SIGMAS,
-    Table1Result,
-    render_table1,
-    run_table1,
-)
+from repro.experiments.table1 import TABLE1_SIGMAS, render_table1, run_table1
 
 __all__ = [
-    "DevicesResult",
     "FIG2_WORKLOADS",
     "Fig1Config",
     "Fig1Result",
+    "GridResult",
     "MethodCurve",
     "RETENTION_TECHNOLOGIES",
-    "RetentionResult",
     "SCALES",
     "SPATIAL_METHODS",
     "ScalePreset",
-    "SpatialResult",
     "SweepOutcome",
     "TABLE1_SIGMAS",
-    "Table1Result",
     "WRITE_VERIFY_METHODS",
     "WorkloadSpec",
     "ZooModel",
@@ -60,6 +48,7 @@ __all__ = [
     "run_devices",
     "run_fig1",
     "run_fig2_panel",
+    "run_grid",
     "run_method_sweep",
     "run_retention",
     "run_spatial",

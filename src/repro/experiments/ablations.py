@@ -245,10 +245,11 @@ def run_ablations(zoo, batched=True, workers=None, report_out=None):
 
     Returns
     -------
-    dict
-        ``study -> [AblationRow]`` in :func:`ablation_cells` order.  A
-        study with a failed cell is absent (its report records the
-        failure).
+    (dict, dict)
+        ``study -> [AblationRow]`` in :func:`ablation_cells` order (a
+        study with a failed cell is absent; its report records the
+        failure), and ``cell key -> SelectionPlan`` over both grids,
+        whose cell keys are distinct.
     """
     studies = ablation_cells(zoo)
     grids = (
@@ -257,7 +258,7 @@ def run_ablations(zoo, batched=True, workers=None, report_out=None):
         ("ablations/curvature_batches", CURVATURE_SENSE_SAMPLES,
          CURVATURE_BATCH_SIZE, ["curvature_batches"]),
     )
-    rows = {}
+    rows, plans = {}, {}
     for scenario, sense, batch_size, names in grids:
         engine = PlanEngine(
             zoo.model, zoo.data.train_x[:sense], zoo.data.train_y[:sense],
@@ -272,7 +273,8 @@ def run_ablations(zoo, batched=True, workers=None, report_out=None):
         )
         if report_out is not None:
             report_out.append(orchestrator.report)
+        plans.update(orchestrator.plans)
         for name in names:
             if all(cell.key in outcomes for cell in studies[name]):
                 rows[name] = _ROWS[name](studies[name], outcomes, orchestrator)
-    return {name: rows[name] for name in studies if name in rows}
+    return {name: rows[name] for name in studies if name in rows}, plans

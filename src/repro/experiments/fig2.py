@@ -8,12 +8,12 @@ line plots (mean accuracy) plus a mean +/- std table.
 
 from __future__ import annotations
 
-from repro.core.metrics import DEFAULT_NWC_TARGETS
 from repro.experiments.model_zoo import load_workload
-from repro.plan import PlanRequest, ScenarioCell, ScenarioOrchestrator
+from repro.experiments.reporting import method_table
+from repro.experiments.sweeps import PAPER_METHODS, run_grid
+from repro.plan import PlanRequest, ScenarioCell
 from repro.utils.ascii_plot import line_plot
 from repro.utils.rng import RngStream
-from repro.utils.tables import Table
 
 __all__ = ["FIG2_WORKLOADS", "run_fig2_panel", "render_fig2_panel"]
 
@@ -23,58 +23,52 @@ FIG2_WORKLOADS = {
     "b": "resnet18-cifar",
     "c": "resnet18-tiny",
 }
+#: Device sigma of every panel.
+FIG2_SIGMA = 0.1
+#: Root seed of the panels' streams.
+FIG2_SEED = 2
 
 
-def run_fig2_panel(scale, panel, nwc_targets=DEFAULT_NWC_TARGETS,
-                   methods=("swim", "magnitude", "random", "insitu"),
-                   sigma=0.1, seed=2, batched=True, workers=None,
+def run_fig2_panel(scale, panel, batched=True, workers=None,
                    report_out=None):
     """Run one Fig. 2 panel (``panel`` in {"a", "b", "c"}).
 
-    The panel is a one-cell scenario grid, so it plans through the
-    shared plan cache and reruns warm from the eval-tile cache like
-    every other scenario.  ``batched`` selects the trial-batched Monte
-    Carlo engine (default); ``batched=False`` is the scalar per-trial
-    path — the escape hatch for the ResNet panels when the trial-folded
-    activations would not fit in memory.  ``workers`` sizes the
-    work-rectangle fork pool over the cell's trial tiles (or
-    ``REPRO_WORKERS``; results bitwise-equal to serial), and
-    ``report_out`` (a list, when given) collects the orchestrator's
-    :class:`~repro.robustness.report.RunReport`.
+    The panel is a one-cell scenario grid (keyed by its sigma), so it
+    plans through the shared plan cache and reruns warm from the
+    eval-tile cache like every other scenario.  ``batched=False`` is
+    the scalar per-trial path — the escape hatch for the ResNet panels
+    when the trial-folded activations would not fit in memory; it and
+    ``workers`` and ``report_out`` act as in :func:`~repro.experiments.
+    sweeps.run_grid`.
 
     Returns
     -------
-    repro.experiments.sweeps.SweepOutcome
-        Or None when the cell failed permanently (see the report).
+    repro.experiments.sweeps.GridResult
+        With no outcome when the cell failed permanently (see the
+        report).
     """
     if panel not in FIG2_WORKLOADS:
         raise KeyError(f"panel must be one of {sorted(FIG2_WORKLOADS)}")
     zoo = load_workload(scale.workload(FIG2_WORKLOADS[panel]))
     cell = ScenarioCell(
-        key=sigma,
+        key=FIG2_SIGMA,
         request=PlanRequest(
-            methods=tuple(methods),
-            nwc_targets=tuple(nwc_targets),
-            sigma=sigma,
+            methods=PAPER_METHODS,
+            sigma=FIG2_SIGMA,
             weight_bits=zoo.spec.weight_bits,
         ),
-        rng=RngStream(seed).child("fig2", panel),
+        rng=RngStream(FIG2_SEED).child("fig2", panel),
         mc_runs=scale.mc_runs_fig2,
         sweep_kwargs={"insitu_lr": scale.insitu_lr},
     )
-    orchestrator = ScenarioOrchestrator(
-        zoo, eval_samples=scale.eval_samples,
-        sense_samples=scale.sense_samples,
-    )
-    outcomes = orchestrator.run([cell], batched=batched, workers=workers,
-                                scenario=f"fig2{panel}")
-    if report_out is not None:
-        report_out.append(orchestrator.report)
-    return outcomes.get(cell.key)
+    return run_grid(f"fig2{panel}", zoo, [cell], scale, batched=batched,
+                    workers=workers, report_out=report_out)
 
 
-def render_fig2_panel(outcome, panel):
-    """ASCII figure + stats table for one panel's SweepOutcome."""
+def render_fig2_panel(result):
+    """ASCII figure + stats table for one panel's grid."""
+    panel = result.scenario[len("fig2"):]
+    (outcome,) = result.outcomes.values()
     series = {
         method: (curve.achieved_nwc, 100.0 * curve.means())
         for method, curve in outcome.curves.items()
@@ -88,14 +82,9 @@ def render_fig2_panel(outcome, panel):
         xlabel="Normalized Write Cycles",
         ylabel="accuracy %",
     )
-    table = Table(
-        ["Method"] + [f"NWC={t:g}" for t in outcome.nwc_targets],
-        title=f"Fig. 2{panel} data (accuracy % mean ± std)",
+    table = method_table(
+        f"Fig. 2{panel} data (accuracy % mean ± std)",
+        result.nwc_targets,
+        [(None, outcome)],
     )
-    for method, curve in outcome.curves.items():
-        cells = [method]
-        for i in range(len(outcome.nwc_targets)):
-            stat = curve.mean_std(i)
-            cells.append(f"{100 * stat.mean:.2f} ± {100 * stat.std:.2f}")
-        table.add_row(cells)
-    return plot + "\n\n" + table.render()
+    return plot + "\n\n" + table

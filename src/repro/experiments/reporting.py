@@ -1,8 +1,9 @@
 """Rendering and persistence of experiment results.
 
-Keeps the drivers (fig1/table1/fig2/ablations) free of formatting code and
-gives the CLI runner one place to print paper-style output and save CSVs
-under ``results/``.
+Keeps the drivers free of formatting code and gives the CLI runner one
+place to print paper-style output and save CSVs under ``results/``:
+:func:`method_table` renders every grid's mean ± std blocks and
+:func:`save_grid_csv` writes every sweep CSV.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ from repro.utils.ascii_plot import scatter_plot
 from repro.utils.tables import Table
 
 __all__ = [
+    "method_table",
     "results_dir",
     "render_ablation",
     "render_fig1",
-    "save_sweep_csv",
     "save_fig1_csv",
-    "save_devices_csv",
+    "save_grid_csv",
     "save_retention_csv",
-    "save_spatial_csv",
+    "save_sweep_csv",
 ]
 
 
@@ -83,72 +84,90 @@ def render_fig1(result, workload="lenet-digits"):
     return "\n\n".join(parts)
 
 
-def save_sweep_csv(outcome, path):
-    """Persist a SweepOutcome as CSV (one row per method x target)."""
-    lines = ["workload,sigma,method,nwc_target,achieved_nwc,accuracy_mean,accuracy_std,runs"]
-    lines.extend(_sweep_rows(outcome))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-    return path
+def method_table(title, nwc_targets, groups, column=None, labels=None):
+    """A mean ± std accuracy (%) table: one row per method, one column
+    per NWC target.
 
-
-def _sweep_rows(outcome, prefix=None):
-    """CSV rows (method x target) of one SweepOutcome.
-
-    ``prefix`` prepends an extra key column (technology, read time) for
-    the multi-sweep scenario CSVs.
+    ``groups`` is a sequence of ``(label, SweepOutcome)``.  With a
+    ``column`` header, each group's first row carries its label in that
+    leading column and a separator closes the group; without one, the
+    groups' rows follow each other unlabeled.  ``labels`` renames
+    methods.
     """
-    lead = "" if prefix is None else f"{prefix},"
-    lines = []
-    for method, curve in outcome.curves.items():
-        means = curve.means()
-        stds = curve.stds()
-        for i, target in enumerate(curve.nwc_targets):
-            lines.append(
-                f"{lead}{outcome.workload},{outcome.sigma},{method},"
-                f"{target},{curve.achieved_nwc[i]:.6f},{means[i]:.6f},"
-                f"{stds[i]:.6f},{curve.accuracy_runs.shape[0]}"
+    lead = [column] if column else []
+    table = Table(
+        lead + ["Method"] + [f"NWC={t:g}" for t in nwc_targets], title=title,
+    )
+    labels = labels or {}
+    for label, outcome in groups:
+        for row, (method, curve) in enumerate(outcome.curves.items()):
+            cells = [label if row == 0 else ""] if column else []
+            cells.append(labels.get(method, method))
+            for i in range(len(nwc_targets)):
+                stat = curve.mean_std(i)
+                cells.append(f"{100 * stat.mean:.2f} ± {100 * stat.std:.2f}")
+            table.add_row(cells)
+        if column:
+            table.add_separator()
+    return table.render()
+
+
+def _technology(key, outcome):
+    return outcome.technology
+
+
+#: The key columns that lead each multi-cell grid CSV's rows, by
+#: scenario: column name -> its text for ``(cell key, SweepOutcome)``.
+_KEY_COLUMNS = {
+    "devices": {"technology": _technology},
+    "retention": {
+        "read_time_s": lambda key, outcome: f"{outcome.read_time:g}",
+        "technology": _technology,
+    },
+    "spatial": {
+        "correlation_length": lambda key, outcome: f"{key:g}",
+        "technology": _technology,
+    },
+}
+
+
+def _write_csv(path, outcomes, key_columns):
+    lines = [",".join((*key_columns, "workload,sigma,method,nwc_target,"
+                       "achieved_nwc,accuracy_mean,accuracy_std,runs"))]
+    for key, outcome in outcomes.items():
+        lead = "".join(
+            f"{text(key, outcome)}," for text in key_columns.values()
+        )
+        for method, curve in outcome.curves.items():
+            achieved, means, stds = (
+                curve.achieved_nwc, curve.means(), curve.stds()
             )
-    return lines
-
-
-def save_devices_csv(result, path):
-    """Persist a DevicesResult: one row per technology x method x target."""
-    lines = [
-        "technology,workload,sigma,method,nwc_target,achieved_nwc,"
-        "accuracy_mean,accuracy_std,runs"
-    ]
-    for name, outcome in result.outcomes.items():
-        lines.extend(_sweep_rows(outcome, name))
+            for i, target in enumerate(curve.nwc_targets):
+                lines.append(
+                    f"{lead}{outcome.workload},{outcome.sigma},{method},"
+                    f"{target},{achieved[i]:.6f},{means[i]:.6f},"
+                    f"{stds[i]:.6f},{curve.accuracy_runs.shape[0]}"
+                )
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
     return path
 
 
-def save_retention_csv(result, path):
-    """Persist a RetentionResult: one row per technology x time x method x target."""
-    lines = [
-        "read_time_s,technology,workload,sigma,method,nwc_target,"
-        "achieved_nwc,accuracy_mean,accuracy_std,runs"
-    ]
-    for (technology, t), outcome in sorted(result.outcomes.items()):
-        lines.extend(_sweep_rows(outcome, f"{t:g},{technology}"))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-    return path
+def save_grid_csv(result, path):
+    """Persist a :class:`~repro.experiments.sweeps.GridResult` as CSV:
+    one row per cell x method x NWC target, in cell order, each led by
+    the scenario's key columns (none for a Fig. 2 panel)."""
+    return _write_csv(path, result.outcomes,
+                      _KEY_COLUMNS.get(result.scenario, {}))
 
 
-def save_spatial_csv(result, path):
-    """Persist a SpatialResult: one row per correlation length x method x target."""
-    lines = [
-        "correlation_length,technology,workload,sigma,method,nwc_target,"
-        "achieved_nwc,accuracy_mean,accuracy_std,runs"
-    ]
-    for length, outcome in sorted(result.outcomes.items()):
-        lines.extend(_sweep_rows(outcome, f"{length:g},{result.technology}"))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-    return path
+#: The retention grid's writer, under the name perfbench calls.
+save_retention_csv = save_grid_csv
+
+
+def save_sweep_csv(outcome, path):
+    """Persist one SweepOutcome as CSV (one row per method x target)."""
+    return _write_csv(path, {None: outcome}, {})
 
 
 def save_fig1_csv(result, path):

@@ -20,42 +20,23 @@ against plain SWIM on every row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.cim import resolve_technology
-from repro.core.metrics import DEFAULT_NWC_TARGETS
 from repro.experiments.model_zoo import load_workload
-from repro.plan import PlanRequest, ScenarioCell, ScenarioOrchestrator
+from repro.experiments.reporting import method_table
+from repro.experiments.sweeps import run_grid
+from repro.plan import PlanRequest, ScenarioCell
 from repro.utils.rng import RngStream
-from repro.utils.tables import Table, format_duration
+from repro.utils.tables import format_duration
 
-__all__ = ["RetentionResult", "run_retention", "render_retention"]
+__all__ = ["run_retention", "render_retention"]
 
 RETENTION_METHODS = ("swim", "hetero_swim", "magnitude", "random")
 RETENTION_TECHNOLOGIES = ("pcm", "pcm-comp")
 
 
-@dataclass
-class RetentionResult:
-    """Sweep outcomes keyed by (technology, read time), plus metadata."""
-
-    workload: str
-    technologies: tuple
-    clean_accuracy: float
-    nwc_targets: tuple
-    outcomes: dict = field(default_factory=dict)  # (tech, time) -> SweepOutcome
-    profiles: dict = field(default_factory=dict)  # tech name -> DeviceTechnology
-
-    def times(self, technology):
-        """Sorted read times available for one technology."""
-        return sorted(t for tech, t in self.outcomes if tech == technology)
-
-
 def run_retention(scale, technologies=RETENTION_TECHNOLOGIES, times=None,
-                  nwc_targets=DEFAULT_NWC_TARGETS, methods=RETENTION_METHODS,
-                  workload="lenet-digits", seed=13, batched=True,
-                  workers=None, plan_cache=None, plans_out=None,
-                  report_out=None):
+                  methods=RETENTION_METHODS, seed=13, batched=True,
+                  workers=None, plan_cache=None, report_out=None):
     """Run the Table-1-over-time drift study.
 
     Parameters
@@ -72,36 +53,25 @@ def run_retention(scale, technologies=RETENTION_TECHNOLOGIES, times=None,
     times:
         Read-time grid in seconds (default: the preset's).  Must be
         >= the retention model's ``t0`` (1 s).
-    workers:
-        Size the work-rectangle fork pool over the (technology, read
-        time) cells' tiles (or ``REPRO_WORKERS``); results are
-        bitwise-equal to serial.
-    plan_cache / plans_out:
-        Planner cache override, and an optional dict collecting the
-        resolved ``(technology, time) -> SelectionPlan`` mapping.
-    report_out:
-        Optional list collecting the orchestrator's
-        :class:`~repro.robustness.report.RunReport`.
+    batched / workers / plan_cache / report_out:
+        As in :func:`~repro.experiments.sweeps.run_grid`.
 
     Returns
     -------
-    RetentionResult
+    repro.experiments.sweeps.GridResult
+        Keyed by ``(technology name, read time)``, in sorted order.
     """
-    times = tuple(times) if times is not None else tuple(scale.retention_times)
-    zoo = load_workload(scale.workload(workload))
+    zoo = load_workload(scale.workload("lenet-digits"))
     profiles = {
         tech.name: tech
         for tech in (resolve_technology(t) for t in technologies)
     }
-    result = RetentionResult(
-        workload=zoo.spec.key,
-        technologies=tuple(profiles),
-        clean_accuracy=zoo.clean_accuracy,
-        nwc_targets=tuple(nwc_targets),
-        profiles=profiles,
-    )
+    times = sorted(float(t) for t in (
+        scale.retention_times if times is None else times
+    ))
     cells = []
-    for tech in profiles.values():
+    for name in sorted(profiles):
+        tech = profiles[name]
         # One shared stream for every read time: the same devices,
         # programmed and verified with the same draws, observed later and
         # later.  The stream is keyed by the *physical* device parameters
@@ -115,62 +85,37 @@ def run_retention(scale, technologies=RETENTION_TECHNOLOGIES, times=None,
         root = RngStream(seed).child("retention", device_key)
         for t in times:
             cells.append(ScenarioCell(
-                key=(tech.name, float(t)),
+                key=(name, t),
                 request=PlanRequest(
                     methods=tuple(methods),
-                    nwc_targets=tuple(nwc_targets),
                     technology=tech,
-                    read_time=float(t),
+                    read_time=t,
                     weight_bits=zoo.spec.weight_bits,
                 ),
                 rng=root,
                 mc_runs=scale.mc_runs_retention,
             ))
-    orchestrator = ScenarioOrchestrator(
-        zoo, eval_samples=scale.eval_samples,
-        sense_samples=scale.sense_samples, cache=plan_cache,
-    )
-    result.outcomes.update(
-        orchestrator.run(cells, batched=batched, workers=workers,
-                         scenario="retention")
-    )
-    if plans_out is not None:
-        plans_out.update(orchestrator.plans)
-    if report_out is not None:
-        report_out.append(orchestrator.report)
-    return result
+    return run_grid("retention", zoo, cells, scale, batched=batched,
+                    workers=workers, plan_cache=plan_cache,
+                    report_out=report_out)
 
 
 def render_retention(result):
     """Table-1-over-time layout per technology: rows (time, method)."""
+    profiles = {
+        name: plan.technology for (name, _), plan in result.plans.items()
+    }
     parts = []
-    for technology in result.technologies:
-        tech = result.profiles[technology]
+    for name, tech in profiles.items():
+        times = [t for tech_name, t in result.outcomes if tech_name == name]
+        parts.append(method_table(
+            f"Retention — {name} ({result.workload}, "
+            f"clean {100 * result.clean_accuracy:.2f}%)",
+            result.nwc_targets,
+            [(format_duration(t), result.outcomes[(name, t)]) for t in times],
+            column="read time",
+        ))
         retention = tech.retention_model()
-        headers = ["read time", "Method"] + [
-            f"NWC={t:g}" for t in result.nwc_targets
-        ]
-        table = Table(
-            headers,
-            title=(
-                f"Retention — {technology} ({result.workload}, "
-                f"clean {100 * result.clean_accuracy:.2f}%)"
-            ),
-        )
-        for t in result.times(technology):
-            outcome = result.outcomes[(technology, t)]
-            first = True
-            for method, curve in outcome.curves.items():
-                cells = [format_duration(t) if first else "", method]
-                for i in range(len(result.nwc_targets)):
-                    stat = curve.mean_std(i)
-                    cells.append(
-                        f"{100 * stat.mean:.2f} ± {100 * stat.std:.2f}"
-                    )
-                table.add_row(cells)
-                first = False
-            table.add_separator()
-        parts.append(table.render())
         if retention is not None:
             label = (
                 "residual mean shift after compensation — none (rescaled)"
@@ -178,7 +123,7 @@ def render_retention(result):
                 else "mean conductance loss — " + ", ".join(
                     f"{format_duration(t)}: "
                     f"{100 * retention.mean_relative_shift(t):.1f}%"
-                    for t in result.times(technology)
+                    for t in times
                 )
             )
             parts.append(f"({label})")

@@ -23,32 +23,67 @@ import argparse
 import os
 import sys
 import time
+from functools import partial
 
 from repro.experiments.ablations import run_ablations
 from repro.experiments.config import resolve_scale
 from repro.experiments.devices import render_devices, run_devices
 from repro.experiments.fig1 import Fig1Config, run_fig1
-from repro.experiments.fig2 import render_fig2_panel, run_fig2_panel
+from repro.experiments.fig2 import (
+    FIG2_WORKLOADS,
+    render_fig2_panel,
+    run_fig2_panel,
+)
 from repro.experiments.model_zoo import load_workload
 from repro.experiments.reporting import (
     render_ablation,
     render_fig1,
     results_dir,
-    save_devices_csv,
     save_fig1_csv,
-    save_retention_csv,
-    save_spatial_csv,
+    save_grid_csv,
     save_sweep_csv,
 )
 from repro.experiments.retention import render_retention, run_retention
 from repro.experiments.spatial import render_spatial, run_spatial
 from repro.experiments.table1 import render_table1, run_table1
 from repro.obs import TRACER
+from repro.plan import save_plans
 from repro.robustness import PartialGridError, ReproError
 from repro.utils.rng import RngStream
 
 EXPERIMENTS = ("fig1", "table1", "fig2a", "fig2b", "fig2c", "ablations",
                "devices", "retention", "spatial")
+
+
+def _table1_csvs(result, out_dir):
+    return [
+        save_sweep_csv(
+            outcome, os.path.join(out_dir, f"table1_sigma{sigma:g}.csv")
+        )
+        for sigma, outcome in result.outcomes.items()
+    ]
+
+
+def _grid_csv(result, out_dir):
+    path = os.path.join(out_dir, f"{result.scenario}.csv")
+    return [save_grid_csv(result, path)]
+
+
+#: Grid scenario -> (run, render, save).  ``run(scale, batched=,
+#: workers=, report_out=)`` returns a :class:`~repro.experiments.sweeps.
+#: GridResult`, ``render`` its paper-style text, and ``save(result,
+#: out_dir)`` writes its CSVs and returns their paths.
+GRIDS = {
+    "table1": (run_table1, render_table1, _table1_csvs),
+    **{
+        f"fig2{panel}": (partial(run_fig2_panel, panel=panel),
+                         render_fig2_panel, _grid_csv)
+        for panel in FIG2_WORKLOADS
+    },
+    "devices": (run_devices, render_devices, _grid_csv),
+    "retention": (run_retention, render_retention, _grid_csv),
+    "spatial": (run_spatial, render_spatial, _grid_csv),
+}
 
 
 def _run_fig1(scale, out_dir, batched=True):
@@ -62,101 +97,6 @@ def _run_fig1(scale, out_dir, batched=True):
     print(render_fig1(result, workload=zoo.spec.key))
     path = save_fig1_csv(result, os.path.join(out_dir, "fig1.csv"))
     print(f"[saved {path}]")
-
-
-def _save_plans(plans, out_dir, name):
-    """Persist a scenario's resolved plans for offline reuse."""
-    from repro.plan import save_plans
-
-    path = save_plans(os.path.join(out_dir, f"{name}_plans.json"), plans)
-    print(f"[saved {path}]")
-
-
-def _report_back(reports):
-    """Print each of a scenario's robustness summaries in which anything
-    happened; returns the reports."""
-    for report in reports:
-        if report.eventful:
-            print(report.render())
-    return reports
-
-
-def _run_table1(scale, out_dir, batched=True, workers=None, save_plans=False):
-    plans = {} if save_plans else None
-    reports = []
-    result = run_table1(scale, batched=batched, workers=workers,
-                        plans_out=plans, report_out=reports)
-    print(render_table1(result))
-    for sigma, outcome in result.outcomes.items():
-        path = save_sweep_csv(
-            outcome, os.path.join(out_dir, f"table1_sigma{sigma:g}.csv")
-        )
-        print(f"[saved {path}]")
-    if plans is not None:
-        _save_plans(plans, out_dir, "table1")
-    return _report_back(reports)
-
-
-def _run_fig2(scale, out_dir, panel, batched=True, workers=None):
-    reports = []
-    outcome = run_fig2_panel(scale, panel, batched=batched, workers=workers,
-                             report_out=reports)
-    if outcome is not None:
-        print(render_fig2_panel(outcome, panel))
-        path = save_sweep_csv(outcome, os.path.join(out_dir, f"fig2{panel}.csv"))
-        print(f"[saved {path}]")
-    return _report_back(reports)
-
-
-def _run_devices(scale, out_dir, batched=True, workers=None, save_plans=False):
-    plans = {} if save_plans else None
-    reports = []
-    result = run_devices(scale, batched=batched, workers=workers,
-                         plans_out=plans, report_out=reports)
-    print(render_devices(result))
-    path = save_devices_csv(result, os.path.join(out_dir, "devices.csv"))
-    print(f"[saved {path}]")
-    if plans is not None:
-        _save_plans(plans, out_dir, "devices")
-    return _report_back(reports)
-
-
-def _run_retention(scale, out_dir, batched=True, workers=None,
-                   save_plans=False):
-    plans = {} if save_plans else None
-    reports = []
-    result = run_retention(scale, batched=batched, workers=workers,
-                           plans_out=plans, report_out=reports)
-    print(render_retention(result))
-    path = save_retention_csv(result, os.path.join(out_dir, "retention.csv"))
-    print(f"[saved {path}]")
-    if plans is not None:
-        _save_plans(plans, out_dir, "retention")
-    return _report_back(reports)
-
-
-def _run_spatial(scale, out_dir, batched=True, workers=None, save_plans=False):
-    plans = {} if save_plans else None
-    reports = []
-    result = run_spatial(scale, batched=batched, workers=workers,
-                         plans_out=plans, report_out=reports)
-    print(render_spatial(result))
-    path = save_spatial_csv(result, os.path.join(out_dir, "spatial.csv"))
-    print(f"[saved {path}]")
-    if plans is not None:
-        _save_plans(plans, out_dir, "spatial")
-    return _report_back(reports)
-
-
-def _run_ablations(scale, batched=True, workers=None):
-    reports = []
-    studies = run_ablations(load_workload(scale.workload("lenet-digits")),
-                            batched=batched, workers=workers,
-                            report_out=reports)
-    for name, rows in studies.items():
-        print(render_ablation(rows, title=f"Ablation — {name}"))
-        print()
-    return _report_back(reports)
 
 
 def main(argv=None):
@@ -198,7 +138,8 @@ def main(argv=None):
     parser.add_argument("--save-plans", action="store_true",
                         help="also write each scenario's resolved "
                              "selection plans as <scenario>_plans.json "
-                             "for offline reuse")
+                             "for offline reuse (every scenario but "
+                             "fig1, which plans nothing)")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="record trace spans and write them as JSONL "
                              "to PATH (plus a chrome://tracing twin next "
@@ -242,25 +183,36 @@ def main(argv=None):
 
 
 def _run_one(name, scale, out_dir, args, batched, reports):
-    """Dispatch one experiment name (traced as ``runner.<name>``)."""
+    """Run one experiment (traced as ``runner.<name>``): print its
+    tables, save its CSVs (and plans), and collect its run reports."""
     if name == "fig1":
         _run_fig1(scale, out_dir, batched=batched)
-    elif name == "ablations":
-        reports.extend(_run_ablations(scale, batched=batched,
-                                      workers=args.workers))
-    elif name.startswith("fig2"):
-        reports.extend(_run_fig2(scale, out_dir, name[-1], batched=batched,
-                                 workers=args.workers))
+        return
+    grid_reports = []
+    if name == "ablations":
+        studies, plans = run_ablations(
+            load_workload(scale.workload("lenet-digits")),
+            batched=batched, workers=args.workers, report_out=grid_reports,
+        )
+        for study, rows in studies.items():
+            print(render_ablation(rows, title=f"Ablation — {study}"))
+            print()
     else:
-        scenario = {
-            "table1": _run_table1,
-            "devices": _run_devices,
-            "retention": _run_retention,
-            "spatial": _run_spatial,
-        }[name]
-        reports.extend(scenario(scale, out_dir, batched=batched,
-                                workers=args.workers,
-                                save_plans=args.save_plans))
+        run, render, save = GRIDS[name]
+        result = run(scale, batched=batched, workers=args.workers,
+                     report_out=grid_reports)
+        plans = result.plans
+        if result.outcomes:
+            print(render(result))
+            for path in save(result, out_dir):
+                print(f"[saved {path}]")
+    if args.save_plans:
+        path = save_plans(os.path.join(out_dir, f"{name}_plans.json"), plans)
+        print(f"[saved {path}]")
+    for report in grid_reports:
+        if report.eventful:
+            print(report.render())
+    reports.extend(grid_reports)
 
 
 def _write_trace(path):

@@ -1,13 +1,15 @@
-"""Shared accuracy-vs-NWC sweep machinery for Table 1 and Figure 2.
+"""Shared accuracy-vs-NWC sweep machinery for every scenario grid.
 
 One Monte Carlo run programs the devices once and evaluates *every*
 (method, NWC-target) pair against that same noise draw — a paired design
 that reduces the variance of method comparisons, exactly what matters for
 the paper's "who wins at fixed NWC" claims.
 
-:func:`run_method_sweep` is the repo's one Monte Carlo sweep: every
-scenario (Table 1, Fig. 2, devices, retention, spatial) runs through it,
-one trial window (tile) at a time under the scenario orchestrator.  It
+A scenario (Table 1, a Fig. 2 panel, devices, retention, spatial) is a
+grid of :class:`~repro.plan.ScenarioCell`\\ s; :func:`run_grid` plans and
+runs one and returns its :class:`GridResult`.  :func:`run_method_sweep`
+is the repo's one Monte Carlo sweep: every cell runs through it, one
+trial window (tile) at a time under the scenario orchestrator.  It
 deploys a :class:`~repro.plan.SelectionPlan` and ranks nothing itself:
 the plan carries the cell's physics, methods, NWC grid, selection counts
 and the ``swim`` / ``hetero_swim`` / ``magnitude`` orders, all resolved
@@ -40,26 +42,43 @@ from repro.core import (
     evaluate_accuracy,
 )
 from repro.core.metrics import evaluate_accuracy_trials
+from repro.plan import ScenarioOrchestrator
 from repro.robustness.errors import ScenarioConfigError
 from repro.utils.stats import summarize
 
-__all__ = ["MethodCurve", "SweepOutcome", "run_method_sweep", "WRITE_VERIFY_METHODS"]
+__all__ = [
+    "GridResult",
+    "MethodCurve",
+    "PAPER_METHODS",
+    "SweepOutcome",
+    "WRITE_VERIFY_METHODS",
+    "run_grid",
+    "run_method_sweep",
+]
 
 WRITE_VERIFY_METHODS = ("swim", "magnitude", "random")
+#: Table 1's and Fig. 2's methods: the write-verify ones plus in-situ.
+PAPER_METHODS = WRITE_VERIFY_METHODS + ("insitu",)
 
 
 @dataclass
 class MethodCurve:
     """Accuracy-vs-NWC samples for one method.
 
-    ``accuracy_runs`` has shape ``(mc_runs, n_targets)``; ``achieved_nwc``
-    is averaged over runs (it is nearly deterministic).
+    ``accuracy_runs`` and ``nwc_runs`` have one row per Monte Carlo
+    trial and one column per NWC target; ``achieved_nwc`` is the
+    across-trial mean of ``nwc_runs`` (it is nearly deterministic).
     """
 
     method: str
     nwc_targets: tuple
     accuracy_runs: np.ndarray
-    achieved_nwc: np.ndarray
+    nwc_runs: np.ndarray
+
+    @property
+    def achieved_nwc(self):
+        """Mean achieved NWC per target."""
+        return self.nwc_runs.mean(axis=0)
 
     def mean_std(self, target_index):
         """Paper-style mean +/- std at one NWC target."""
@@ -288,12 +307,9 @@ def run_method_sweep(zoo, plan, mc_runs, rng, eval_samples=400,
         per-trial substreams — the work-rectangle scheduler's tile
         unit.  ``start`` must sit on a trial-block boundary in batched
         mode (the shared verify stream is keyed per block).  The
-        returned curves then hold *raw per-trial rows*:
-        ``accuracy_runs`` has ``stop - start`` rows and
-        ``achieved_nwc`` is the per-trial ``(stop - start, n_targets)``
-        slice rather than the across-trial mean, so adjacent windows
-        merge exactly (:func:`repro.robustness.checkpoint.
-        merge_outcomes`) into the full sweep's bits.
+        returned curves then hold the window's ``stop - start`` trial
+        rows, so adjacent windows stack exactly (:func:`repro.
+        robustness.checkpoint.merge_outcomes`) into the full sweep.
 
     Returns
     -------
@@ -378,21 +394,64 @@ def run_method_sweep(zoo, plan, mc_runs, rng, eval_samples=400,
         read_time=read_time,
         wear=wear,
     )
-    start, stop = engine.span
+    window = slice(*engine.span)
     for method in methods:
-        if trial_range is None:
-            accuracy_runs = acc_store[method]
-            achieved_nwc = nwc_store[method].mean(axis=0)
-        else:
-            # Tile mode: return the window's raw rows (no mean) so the
-            # scheduler can vstack adjacent tiles and reproduce the
-            # full-run reduction bit for bit.
-            accuracy_runs = acc_store[method][start:stop].copy()
-            achieved_nwc = nwc_store[method][start:stop].copy()
         outcome.curves[method] = MethodCurve(
             method=method,
             nwc_targets=tuple(nwc_targets),
-            accuracy_runs=accuracy_runs,
-            achieved_nwc=achieved_nwc,
+            accuracy_runs=acc_store[method][window],
+            nwc_runs=nwc_store[method][window],
         )
     return outcome
+
+
+@dataclass
+class GridResult:
+    """One scenario grid's sweep outcomes and selection plans.
+
+    ``outcomes`` and ``plans`` are keyed by cell key, in cell order; a
+    cell that failed permanently has a plan but no outcome (the run
+    report says why).
+    """
+
+    scenario: str
+    workload: str
+    clean_accuracy: float
+    nwc_targets: tuple
+    outcomes: dict
+    plans: dict
+
+
+def run_grid(scenario, zoo, cells, scale, batched=True, workers=None,
+             plan_cache=None, report_out=None):
+    """Plan and run a scenario's cells on ``zoo``; returns the
+    :class:`GridResult`.
+
+    ``scale`` supplies the evaluation and sensitivity subset sizes.
+    ``batched`` selects the Monte Carlo path (as in
+    :func:`run_method_sweep`); ``workers`` sizes the work-rectangle
+    fork pool over the grid's (cells x trial-blocks) tiles (or
+    ``REPRO_WORKERS``; results are bitwise-equal to serial);
+    ``plan_cache`` overrides the shared on-disk
+    :class:`~repro.plan.PlanArtifactCache`; and ``report_out`` (a
+    list, when given) collects the orchestrator's
+    :class:`~repro.robustness.report.RunReport`.  The cells share one
+    NWC grid, the result's ``nwc_targets`` (empty for an empty grid).
+    """
+    cells = list(cells)
+    orchestrator = ScenarioOrchestrator(
+        zoo, eval_samples=scale.eval_samples,
+        sense_samples=scale.sense_samples, cache=plan_cache,
+    )
+    outcomes = orchestrator.run(cells, batched=batched, workers=workers,
+                                scenario=scenario)
+    if report_out is not None:
+        report_out.append(orchestrator.report)
+    return GridResult(
+        scenario=scenario,
+        workload=zoo.spec.key,
+        clean_accuracy=zoo.clean_accuracy,
+        nwc_targets=cells[0].request.nwc_targets if cells else (),
+        outcomes=outcomes,
+        plans=orchestrator.plans,
+    )

@@ -8,15 +8,13 @@ explicit values here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.core.metrics import DEFAULT_NWC_TARGETS
 from repro.experiments.model_zoo import load_workload
-from repro.plan import PlanRequest, ScenarioCell, ScenarioOrchestrator
+from repro.experiments.reporting import method_table
+from repro.experiments.sweeps import PAPER_METHODS, run_grid
+from repro.plan import PlanRequest, ScenarioCell
 from repro.utils.rng import RngStream
-from repro.utils.tables import Table
 
-__all__ = ["Table1Result", "run_table1", "render_table1", "TABLE1_SIGMAS"]
+__all__ = ["run_table1", "render_table1", "TABLE1_SIGMAS"]
 
 TABLE1_SIGMAS = (0.1, 0.15, 0.2)
 _METHOD_LABELS = {
@@ -27,47 +25,27 @@ _METHOD_LABELS = {
 }
 
 
-@dataclass
-class Table1Result:
-    """Sweep outcomes keyed by sigma, plus workload metadata."""
+def run_table1(scale, seed=1, batched=True, workers=None, plan_cache=None,
+               report_out=None):
+    """Run the Table 1 grid (one cell per sigma) at a scale preset.
 
-    workload: str
-    clean_accuracy: float
-    nwc_targets: tuple
-    outcomes: dict = field(default_factory=dict)  # sigma -> SweepOutcome
-
-
-def run_table1(scale, sigmas=TABLE1_SIGMAS, nwc_targets=DEFAULT_NWC_TARGETS,
-               methods=("swim", "magnitude", "random", "insitu"),
-               seed=1, batched=True, workers=None,
-               plan_cache=None, plans_out=None, report_out=None):
-    """Run the Table 1 experiment at a given scale preset.
-
-    ``batched`` selects the trial-batched Monte Carlo engine (default).
-    ``workers`` sizes the work-rectangle scheduler's fork pool over the
-    (cells x trial-blocks) tiles (results bitwise-equal to serial); the
-    deterministic selections themselves are planned once for all sigmas
-    — the curvature ranking does not depend on the device noise level.
-    ``report_out`` (a list, when given) collects the orchestrator's
-    :class:`~repro.robustness.report.RunReport`.
+    The deterministic selections are planned once for all sigmas — the
+    curvature ranking does not depend on the device noise level.
+    ``batched``, ``workers``, ``plan_cache`` and ``report_out`` act as
+    in :func:`~repro.experiments.sweeps.run_grid`.
 
     Returns
     -------
-    Table1Result
+    repro.experiments.sweeps.GridResult
+        Keyed by sigma.
     """
     zoo = load_workload(scale.workload("lenet-digits"))
     root = RngStream(seed).child("table1")
-    result = Table1Result(
-        workload=zoo.spec.key,
-        clean_accuracy=zoo.clean_accuracy,
-        nwc_targets=tuple(nwc_targets),
-    )
     cells = [
         ScenarioCell(
             key=sigma,
             request=PlanRequest(
-                methods=tuple(methods),
-                nwc_targets=tuple(nwc_targets),
+                methods=PAPER_METHODS,
                 sigma=sigma,
                 weight_bits=zoo.spec.weight_bits,
             ),
@@ -75,41 +53,21 @@ def run_table1(scale, sigmas=TABLE1_SIGMAS, nwc_targets=DEFAULT_NWC_TARGETS,
             mc_runs=scale.mc_runs_table1,
             sweep_kwargs={"insitu_lr": scale.insitu_lr},
         )
-        for sigma in sigmas
+        for sigma in TABLE1_SIGMAS
     ]
-    orchestrator = ScenarioOrchestrator(
-        zoo, eval_samples=scale.eval_samples,
-        sense_samples=scale.sense_samples, cache=plan_cache,
-    )
-    result.outcomes.update(
-        orchestrator.run(cells, batched=batched, workers=workers,
-                         scenario="table1")
-    )
-    if plans_out is not None:
-        plans_out.update(orchestrator.plans)
-    if report_out is not None:
-        report_out.append(orchestrator.report)
-    return result
+    return run_grid("table1", zoo, cells, scale, batched=batched,
+                    workers=workers, plan_cache=plan_cache,
+                    report_out=report_out)
 
 
-def render_table1(result, as_markdown=False):
-    """Render a Table1Result in the paper's row/column layout."""
-    headers = ["sigma", "Method"] + [f"NWC={t:g}" for t in result.nwc_targets]
-    table = Table(
-        headers,
-        title=(
-            f"Table 1 — {result.workload}: accuracy (%) vs NWC "
-            f"(clean accuracy {100 * result.clean_accuracy:.2f}%)"
-        ),
+def render_table1(result):
+    """Render the Table 1 grid in the paper's row/column layout."""
+    return method_table(
+        f"Table 1 — {result.workload}: accuracy (%) vs NWC "
+        f"(clean accuracy {100 * result.clean_accuracy:.2f}%)",
+        result.nwc_targets,
+        [(f"{sigma:g}", outcome)
+         for sigma, outcome in result.outcomes.items()],
+        column="sigma",
+        labels=_METHOD_LABELS,
     )
-    for sigma, outcome in sorted(result.outcomes.items()):
-        first = True
-        for method, curve in outcome.curves.items():
-            cells = [f"{sigma:g}" if first else "", _METHOD_LABELS[method]]
-            for i in range(len(result.nwc_targets)):
-                stat = curve.mean_std(i)
-                cells.append(f"{100 * stat.mean:.2f} ± {100 * stat.std:.2f}")
-            table.add_row(cells)
-            first = False
-        table.add_separator()
-    return table.render_markdown() if as_markdown else table.render()

@@ -2,13 +2,12 @@
 
 A scenario grid's unit of loss is one work-rectangle *tile* — a
 partial :class:`~repro.experiments.sweeps.SweepOutcome` over a
-``trial_range`` window, where ``achieved_nwc`` holds raw per-trial rows
-instead of the across-trial mean; minutes of Monte Carlo work at real
-scales.  These helpers round-trip an outcome through the
-``name -> array`` dict shape the :class:`~repro.plan.cache.
-PlanArtifactCache` stores, so the orchestrator can persist each tile
-the moment it lands and a rerun (after a crash, a kill, or nothing at
-all) skips it.
+``trial_range`` window, holding that window's per-trial rows; minutes
+of Monte Carlo work at real scales.  These helpers round-trip an
+outcome through the ``name -> array`` dict shape the :class:`~repro.
+plan.cache.PlanArtifactCache` stores, so the orchestrator can persist
+each tile the moment it lands and a rerun (after a crash, a kill, or
+nothing at all) skips it.
 
 The round trip is *exact*: accuracy/NWC arrays are stored as the
 float64 they were computed in (row-count agnostic), and scalar
@@ -18,9 +17,8 @@ tiles is byte-identical to one rendered from a straight-through run.
 :func:`merge_outcomes` reassembles an ordered set of tiles into the
 cell's full :class:`~repro.experiments.sweeps.SweepOutcome` — bit for
 bit, because stacking contiguous row slices reproduces the full arrays
-and the reductions (the NWC mean, the wear statistics via
-:func:`merge_wear`'s integer aggregates) repeat the unsplit run's
-exact float operations.
+and the wear statistics (via :func:`merge_wear`'s integer aggregates)
+repeat the unsplit run's exact float operations.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ def encode_outcome(outcome):
     arrays = {"meta": np.frombuffer(blob, dtype=np.uint8).copy()}
     for method, curve in outcome.curves.items():
         arrays[f"acc__{method}"] = np.asarray(curve.accuracy_runs)
-        arrays[f"nwc__{method}"] = np.asarray(curve.achieved_nwc)
+        arrays[f"nwc__{method}"] = np.asarray(curve.nwc_runs)
     return arrays
 
 
@@ -89,7 +87,7 @@ def decode_outcome(arrays):
             method=method,
             nwc_targets=tuple(meta["nwc_targets"]),
             accuracy_runs=np.asarray(arrays[f"acc__{method}"]),
-            achieved_nwc=np.asarray(arrays[f"nwc__{method}"]),
+            nwc_runs=np.asarray(arrays[f"nwc__{method}"]),
         )
     return outcome
 
@@ -136,12 +134,9 @@ def merge_outcomes(parts):
     ``parts`` are the partial :class:`~repro.experiments.sweeps.
     SweepOutcome`\\ s of one cell's tiles, in trial order, jointly
     covering ``[0, mc_runs)`` (each produced by ``run_method_sweep(...,
-    trial_range=...)``, so ``achieved_nwc`` holds raw per-trial rows).
-    Stacking the rows reproduces the unsplit run's full arrays, the
-    across-trial NWC mean is taken over the stacked array exactly as
-    the unsplit run takes it, and wear merges through integer
-    aggregates — the result is bitwise-identical to a serial,
-    untiled sweep.
+    trial_range=...)``).  Stacking the per-trial rows reproduces the
+    unsplit run's arrays, and wear merges through integer aggregates —
+    the result is bitwise-identical to a serial, untiled sweep.
     """
     from repro.experiments.sweeps import MethodCurve, SweepOutcome
 
@@ -157,16 +152,12 @@ def merge_outcomes(parts):
         wear=merge_wear([p.wear for p in parts]),
     )
     for method in first.curves:
-        accuracy_runs = np.vstack(
-            [np.atleast_2d(p.curves[method].accuracy_runs) for p in parts]
-        )
-        nwc_rows = np.vstack(
-            [np.atleast_2d(p.curves[method].achieved_nwc) for p in parts]
-        )
         outcome.curves[method] = MethodCurve(
             method=method,
             nwc_targets=first.nwc_targets,
-            accuracy_runs=accuracy_runs,
-            achieved_nwc=nwc_rows.mean(axis=0),
+            accuracy_runs=np.vstack(
+                [p.curves[method].accuracy_runs for p in parts]
+            ),
+            nwc_runs=np.vstack([p.curves[method].nwc_runs for p in parts]),
         )
     return outcome

@@ -10,7 +10,7 @@ from repro.utils.ascii_plot import line_plot, scatter_plot
 from repro.utils.cache import default_cache_dir
 from repro.utils.rng import RngStream, derive_seed
 from repro.utils.stats import MeanStd, pearson, spearman, summarize
-from repro.utils.tables import Table, format_duration, format_markdown, format_table
+from repro.utils.tables import Table, format_duration, format_table
 
 __all__ = [
     "MeanStd",
@@ -19,7 +19,6 @@ __all__ = [
     "default_cache_dir",
     "derive_seed",
     "format_duration",
-    "format_markdown",
     "format_table",
     "line_plot",
     "pearson",

@@ -2,13 +2,13 @@
 
 The experiment drivers print their results in the same row/column layout as
 the paper's Table 1 so that a reader can compare side by side.  Tables are
-rendered as plain text (terminal) and GitHub-flavoured markdown (reports);
-:func:`format_duration` renders the retention scenario's read times.
+rendered as aligned plain text; :func:`format_duration` renders the
+retention scenario's read times.
 """
 
 from __future__ import annotations
 
-__all__ = ["Table", "format_table", "format_markdown", "format_duration"]
+__all__ = ["Table", "format_table", "format_duration"]
 
 _SECONDS = (("d", 86400.0), ("h", 3600.0), ("min", 60.0), ("s", 1.0))
 
@@ -45,19 +45,6 @@ class Table:
         """Render as aligned plain text."""
         return format_table(self.headers, self.rows, title=self.title)
 
-    def render_markdown(self):
-        """Render as GitHub-flavoured markdown."""
-        return format_markdown(self.headers, self.rows, title=self.title)
-
-    def to_csv(self):
-        """Render as CSV text (separator rows are skipped)."""
-        lines = [",".join(self.headers)]
-        for row in self.rows:
-            if row is None:
-                continue
-            lines.append(",".join(cell.replace(",", ";") for cell in row))
-        return "\n".join(lines) + "\n"
-
 
 def _column_widths(headers, rows):
     widths = [len(h) for h in headers]
@@ -88,21 +75,6 @@ def format_table(headers, rows, title=None):
     lines.append(sep)
     for row in rows:
         lines.append(sep if row is None else fmt_row(row))
-    return "\n".join(lines)
-
-
-def format_markdown(headers, rows, title=None):
-    """Format headers + rows as a markdown table (separators skipped)."""
-    lines = []
-    if title:
-        lines.append(f"### {title}")
-        lines.append("")
-    lines.append("| " + " | ".join(headers) + " |")
-    lines.append("|" + "|".join("---" for _ in headers) + "|")
-    for row in rows:
-        if row is None:
-            continue
-        lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines)
 
 

@@ -12,7 +12,7 @@ from repro.core.metrics import DEFAULT_NWC_TARGETS
 from repro.experiments.config import SCALES, SMOKE, get_scale
 from repro.experiments.model_zoo import build_data, build_model, load_workload
 from repro.experiments.reporting import render_ablation, save_sweep_csv
-from repro.experiments.sweeps import run_method_sweep
+from repro.experiments.sweeps import GridResult, run_grid, run_method_sweep
 from repro.experiments.table1 import render_table1
 from repro.utils.rng import RngStream
 
@@ -126,8 +126,6 @@ def test_sweep_csv_round_trip(smoke_zoo, tmp_path):
 
 
 def test_render_table1_layout(smoke_zoo):
-    from repro.experiments.table1 import Table1Result
-
     plan = plan_for(smoke_zoo, sense_samples=128, sigma=0.1,
                     nwc_targets=DEFAULT_NWC_TARGETS,
                     methods=("swim", "magnitude"))
@@ -135,17 +133,22 @@ def test_render_table1_layout(smoke_zoo):
         smoke_zoo, plan, mc_runs=1, rng=RngStream(6).child("sweep"),
         eval_samples=80,
     )
-    result = Table1Result(
+    result = GridResult(
+        scenario="table1",
         workload=smoke_zoo.spec.key,
         clean_accuracy=smoke_zoo.clean_accuracy,
         nwc_targets=DEFAULT_NWC_TARGETS,
         outcomes={0.1: outcome},
+        plans={0.1: plan},
     )
     text = render_table1(result)
     assert "SWIM" in text and "Magnitude" in text
     assert "NWC=0.1" in text
-    markdown = render_table1(result, as_markdown=True)
-    assert markdown.count("|") > 10
+
+
+def test_empty_grid_is_an_empty_result(smoke_zoo):
+    result = run_grid("empty", smoke_zoo, [], SMOKE)
+    assert (result.outcomes, result.plans, result.nwc_targets) == ({}, {}, ())
 
 
 def test_render_ablation_formats():
@@ -171,7 +174,9 @@ def test_retention_accepts_unregistered_technology():
     result = run_retention(
         SMOKE, technologies=(custom,), times=(1.0, 3.6e3), methods=("swim",)
     )
-    assert result.technologies == ("lab-pcm",)
+    assert {plan.technology.name for plan in result.plans.values()} == {
+        "lab-pcm"
+    }
     assert set(result.outcomes) == {("lab-pcm", 1.0), ("lab-pcm", 3.6e3)}
     text = render_retention(result)
     assert "Retention — lab-pcm" in text

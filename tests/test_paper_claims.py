@@ -196,7 +196,8 @@ def ablation_zoo():
 @pytest.fixture(scope="module")
 def ablations(ablation_zoo):
     """The studies ``runner ablations --scale smoke`` computes."""
-    return run_ablations(ablation_zoo)
+    studies, _ = run_ablations(ablation_zoo)
+    return studies
 
 
 def _metric(rows, name):

@@ -54,12 +54,12 @@ def test_speedup_table_from_sweep_outcome():
     outcome.curves["swim"] = MethodCurve(
         method="swim", nwc_targets=(0.0, 0.1, 1.0),
         accuracy_runs=np.array([[0.9, 0.98, 0.985]]),
-        achieved_nwc=np.array([0.0, 0.1, 1.0]),
+        nwc_runs=np.array([[0.0, 0.1, 1.0]]),
     )
     outcome.curves["random"] = MethodCurve(
         method="random", nwc_targets=(0.0, 0.1, 1.0),
         accuracy_runs=np.array([[0.9, 0.91, 0.985]]),
-        achieved_nwc=np.array([0.0, 0.1, 1.0]),
+        nwc_runs=np.array([[0.0, 0.1, 1.0]]),
     )
     rows = speedup_table(outcome, targets=[0.98])
     target, speedups = rows[0]

@@ -269,13 +269,13 @@ class TestSelectionPlanArtifact:
 
         monkeypatch.setattr(ScenarioOrchestrator, "run", run)
         scale = get_scale("smoke")
-        plans = {}
         result = run_retention(
             scale, technologies=("pcm-comp",), times=(ONE_MONTH,),
-            plans_out=plans, plan_cache=PlanArtifactCache(disk=False),
+            plan_cache=PlanArtifactCache(disk=False),
         )
         key = ("pcm-comp", ONE_MONTH)
-        path = save_plans(str(tmp_path / "retention_plans.json"), plans)
+        path = save_plans(str(tmp_path / "retention_plans.json"),
+                          result.plans)
         plan = load_plans(path)[repr(key)]
         assert plan.technology.name == "pcm-comp"
         assert plan.technology.drift_compensated
@@ -290,6 +290,8 @@ class TestSelectionPlanArtifact:
         for method, curve in expected.curves.items():
             assert np.array_equal(replay.curves[method].accuracy_runs,
                                   curve.accuracy_runs)
+            assert np.array_equal(replay.curves[method].nwc_runs,
+                                  curve.nwc_runs)
             assert np.array_equal(replay.curves[method].achieved_nwc,
                                   curve.achieved_nwc)
         assert (replay.technology, replay.sigma, replay.read_time) == (
@@ -379,6 +381,8 @@ class TestScenarioIntegration:
         for method in methods:
             assert np.array_equal(tiled.curves[method].accuracy_runs,
                                   direct.curves[method].accuracy_runs)
+            assert np.array_equal(tiled.curves[method].nwc_runs,
+                                  direct.curves[method].nwc_runs)
             assert np.array_equal(tiled.curves[method].achieved_nwc,
                                   direct.curves[method].achieved_nwc)
         assert tiled.wear == direct.wear

@@ -450,7 +450,7 @@ class TestCheckpointRoundTrip:
                 method=method,
                 nwc_targets=outcome.nwc_targets,
                 accuracy_runs=rng.random((4, 3)),
-                achieved_nwc=rng.random((4, 3)),
+                nwc_runs=rng.random((4, 3)),
             )
 
         restored = decode_outcome(encode_outcome(outcome))
@@ -465,7 +465,7 @@ class TestCheckpointRoundTrip:
         for method, curve in outcome.curves.items():
             back = restored.curves[method]
             assert np.array_equal(back.accuracy_runs, curve.accuracy_runs)
-            assert np.array_equal(back.achieved_nwc, curve.achieved_nwc)
+            assert np.array_equal(back.nwc_runs, curve.nwc_runs)
 
     def test_numpy_scalars_in_meta_are_sanitized(self):
         from repro.experiments.sweeps import MethodCurve, SweepOutcome
@@ -479,7 +479,7 @@ class TestCheckpointRoundTrip:
         )
         outcome.curves["swim"] = MethodCurve(
             method="swim", nwc_targets=(0.0,),
-            accuracy_runs=np.zeros((1, 1)), achieved_nwc=np.zeros((1, 1)),
+            accuracy_runs=np.zeros((1, 1)), nwc_runs=np.zeros((1, 1)),
         )
         restored = decode_outcome(encode_outcome(outcome))
         assert restored.sigma == 0.2
@@ -520,6 +520,10 @@ def _assert_outcomes_equal(a, b):
             assert np.array_equal(
                 a[key].curves[method].accuracy_runs,
                 b[key].curves[method].accuracy_runs,
+            )
+            assert np.array_equal(
+                a[key].curves[method].nwc_runs,
+                b[key].curves[method].nwc_runs,
             )
             assert np.array_equal(
                 a[key].curves[method].achieved_nwc,
@@ -776,6 +780,7 @@ class TestTileMerge:
         merged = merge_outcomes(parts)
         curve, expected = merged.curves["magnitude"], full.curves["magnitude"]
         assert np.array_equal(curve.accuracy_runs, expected.accuracy_runs)
+        assert np.array_equal(curve.nwc_runs, expected.nwc_runs)
         assert np.array_equal(curve.achieved_nwc, expected.achieved_nwc)
         assert merged.wear == full.wear
         assert merged.sigma == full.sigma

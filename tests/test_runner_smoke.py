@@ -53,23 +53,36 @@ def test_runner_table1_smoke_writes_csvs(tmp_path):
 def test_runner_ablations_smoke_is_a_cached_grid(tmp_path):
     """`runner ablations` prints all six studies, and a rerun over the
     same cache reads every tile of both of its grids and prints the
-    same tables."""
+    same tables; its ``--save-plans`` file holds every cell's plan."""
+    from repro.experiments.ablations import ablation_cells
+    from repro.experiments.config import get_scale
+    from repro.experiments.model_zoo import load_workload
+    from repro.plan import load_plans
+
     def tables(stdout):
         return [line for line in stdout.splitlines()
                 if not line.startswith(("[", "  cell"))]
 
-    first = _run_runner(tmp_path / "results", "ablations")
+    results = tmp_path / "results"
+    first = _run_runner(results, "ablations")
     assert first.returncode == 0, first.stderr[-2000:]
     for study in ("granularity", "device_bits", "tie_break",
                   "curvature_batches", "scorers", "differential"):
         assert f"Ablation — {study}" in first.stdout
-    rerun = _run_runner(tmp_path / "results", "ablations")
+    rerun = _run_runner(results, "ablations", extra_args=("--save-plans",))
     assert rerun.returncode == 0, rerun.stderr[-2000:]
     robustness = [line for line in rerun.stdout.splitlines()
                   if line.startswith("[robustness]")]
     assert len(robustness) == 2, rerun.stdout
     assert all("computed=0" in line for line in robustness), robustness
     assert tables(rerun.stdout) == tables(first.stdout)
+
+    zoo = load_workload(get_scale("smoke").workload("lenet-digits"))
+    keys = {
+        repr(cell.key)
+        for cells in ablation_cells(zoo).values() for cell in cells
+    }
+    assert set(load_plans(results / "ablations_plans.json")) == keys
 
 
 @pytest.mark.slow

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.utils.ascii_plot import line_plot, scatter_plot
 from repro.utils.rng import RngStream, derive_seed
 from repro.utils.stats import pearson, spearman, summarize
-from repro.utils.tables import Table, format_markdown, format_table
+from repro.utils.tables import Table, format_table
 
 
 # ------------------------------------------------------------------ rng
@@ -104,20 +104,9 @@ def test_table_rejects_bad_row():
         table.add_row([1])
 
 
-def test_markdown_and_csv():
-    table = Table(["a", "b"])
-    table.add_row(["1", "2,3"])
-    md = table.render_markdown()
-    assert md.startswith("| a | b |")
-    csv = table.to_csv()
-    assert "2;3" in csv  # comma escaped
-
-
 def test_format_helpers_direct():
     text = format_table(["h"], [["v"], None])
     assert "h" in text
-    md = format_markdown(["h"], [["v"]], title="X")
-    assert "### X" in md
 
 
 # ----------------------------------------------------------------- plots
