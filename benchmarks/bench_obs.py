@@ -41,7 +41,7 @@ READ_TIMES = (1.0, 3.6e3, 2.592e6)
 
 def _run_table1_once(scale, out_dir, cache_dir, traced):
     """One fresh-cache table1 run; returns (seconds, span_count, csv bytes)."""
-    from repro.experiments.reporting import save_sweep_csv
+    from repro.experiments.runner import GRIDS
     from repro.experiments.table1 import run_table1
     from repro.obs import TRACER, disable_tracing, enable_tracing
 
@@ -57,11 +57,9 @@ def _run_table1_once(scale, out_dir, cache_dir, traced):
         disable_tracing()
 
     os.makedirs(out_dir, exist_ok=True)
+    _, _, save = GRIDS["table1"]
     csvs = {}
-    for sigma, outcome in result.outcomes.items():
-        path = save_sweep_csv(
-            outcome, os.path.join(out_dir, f"table1_sigma{sigma:g}.csv")
-        )
+    for path in save(result, out_dir):
         with open(path, "rb") as handle:
             csvs[os.path.basename(path)] = handle.read()
     return elapsed, len(spans), csvs

@@ -258,13 +258,8 @@ def check_byte_identity(zoo, scale, served):
     from repro.serve import parse_plan_request, plan_bytes
     from repro.serve.codec import plan_config
 
-    engine = PlanEngine(
-        zoo.model,
-        zoo.data.train_x[:scale.sense_samples],
-        zoo.data.train_y[:scale.sense_samples],
-        workload=zoo.spec.key,
-        cache=PlanArtifactCache(disk=False),
-        curvature_batch_size=min(256, scale.sense_samples),
+    engine = PlanEngine.from_zoo(
+        zoo, scale.sense_samples, cache=PlanArtifactCache(disk=False)
     )
     for read_time in READ_TIMES + (COALESCE_READ_TIME,):
         body = _body(read_time, zoo.spec.weight_bits)

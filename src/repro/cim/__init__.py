@@ -24,7 +24,6 @@ from repro.cim.devices import (
     SpatialCorrelationStage,
     SpatialVariationModel,
     StageContext,
-    WearReport,
     get_technology,
     register_technology,
     resolve_technology,
@@ -57,7 +56,6 @@ __all__ = [
     "SpatialCorrelationStage",
     "SpatialVariationModel",
     "StageContext",
-    "WearReport",
     "WeightMapper",
     "WriteVerifyConfig",
     "WriteVerifyResult",

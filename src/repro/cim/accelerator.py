@@ -40,7 +40,9 @@ cycle counts feed the stack's endurance observer (``wear_summary()``).
 Pass ``technology="pcm"`` (or any registered
 :class:`~repro.cim.devices.DeviceTechnology`) to derive mapping + stack
 from one named profile; the default stack reproduces the paper's i.i.d.
-Gaussian model bit-for-bit.
+Gaussian model bit-for-bit.  The analytic variance of an unverified
+deployment, the physics side of Eq. 5, is the stack's
+:meth:`~repro.cim.devices.NonidealityStack.variance_map`.
 """
 
 from __future__ import annotations
@@ -107,11 +109,6 @@ class CimAccelerator:
 
     # -------------------------------------------------------------- mapping
 
-    @property
-    def weight_names(self):
-        """Mapped tensor names in deterministic order."""
-        return list(self._layers)
-
     def map_model(self):
         """Quantize and bit-slice every weight tensor (idempotent)."""
         if self._mapped is None:
@@ -125,43 +122,6 @@ class CimAccelerator:
         """Total number of mapped weights."""
         self.map_model()
         return int(sum(m.codes.size for m in self._mapped.values()))
-
-    def ideal_weights(self):
-        """Quantized (but noise-free) weight values per tensor."""
-        self.map_model()
-        return {
-            name: self.mapper.ideal_weights(mapped)
-            for name, mapped in self._mapped.items()
-        }
-
-    def variance_map(self, read_time=None, wear_inflation=1.0, wear=None):
-        """Per-weight unverified-deployment variance from this stack.
-
-        The analytic ``E[dw_i^2]`` of
-        :meth:`~repro.cim.devices.NonidealityStack.variance_map` for
-        every mapped tensor of this accelerator (write variance through
-        the actual quantization scales, drift at ``read_time``,
-        compensation if staged), as a ``name -> weight-shaped array``
-        dict — the physics side of Eq. 5 selection.  ``wear=True``
-        feeds this accelerator's own :meth:`wear_summary` through the
-        endurance model's sigma-growth curve (a dict or consumed
-        fraction is passed straight through; the manual
-        ``wear_inflation`` knob overrides either).
-        """
-        self.map_model()
-        if wear is True:
-            wear = self.wear_summary()
-        return {
-            name: self.stack.variance_map(
-                self.mapping_config,
-                read_time=read_time,
-                levels=mapped.levels,
-                scale=mapped.scale,
-                wear_inflation=wear_inflation,
-                wear=wear,
-            )
-            for name, mapped in self._mapped.items()
-        }
 
     # ---------------------------------------------------------- programming
 
@@ -347,15 +307,6 @@ class CimAccelerator:
         return self.apply_selection(masks, read_time=read_time,
                                     read_stream=read_stream)
 
-    def apply_ideal(self):
-        """Deploy noise-free quantized weights (clean reference accuracy)."""
-        self.map_model()
-        for name, mapped in self._mapped.items():
-            layer = self._layers[name]
-            layer.set_weight_override(
-                self.mapper.ideal_weights(mapped).astype(layer.weight.data.dtype)
-            )
-
     # ------------------------------------------------------- trial batching
 
     @property
@@ -395,13 +346,12 @@ class CimAccelerator:
         self._n_trials = len(trial_rngs)
         return self._programmed_trials
 
-    def write_verify_trials(self, rng=None):
+    def write_verify_trials(self, rng):
         """Verify-loop every device of every trial.
 
         All trials advance through one masked pulse loop per tensor
-        slice, drawing pulse noise from ``rng``; the scalar reference is
-        :func:`repro.cim.write_verify.write_verify_trials` with
-        ``batched=False``.
+        slice (:func:`repro.cim.write_verify.write_verify_trials`),
+        drawing pulse noise from the one generator ``rng``.
 
         Returns
         -------
@@ -430,7 +380,7 @@ class CimAccelerator:
                     self._programmed_trials[name][i],
                     mapping.device,
                     self.wv_config,
-                    rng=rng,
+                    rng,
                     tolerance_levels=tolerances[i],
                     full_scale=full_scales[i],
                 )
@@ -553,7 +503,7 @@ class CimAccelerator:
         key = (float(read_time), tuple(s.seed for s in streams))
         return self._drift_pair(key, name, drift)
 
-    def wear_summary(self, initial_writes=1):
+    def wear_summary(self):
         """Endurance wear over every trial this accelerator simulated.
 
         Delegates to the stack's :class:`~repro.cim.devices.
@@ -562,13 +512,7 @@ class CimAccelerator:
         per-trial loops both report statistics over all observed
         device-trials, not just the last block.
         """
-        return self.stack.wear_summary(initial_writes=initial_writes)
-
-    def deployed_weights(self):
-        """Current override arrays per tensor (None when not deployed)."""
-        return {
-            name: layer.weight_override for name, layer in self._layers.items()
-        }
+        return self.stack.wear_summary()
 
     def clear(self):
         """Remove overrides: the model computes with ideal float weights."""

@@ -18,7 +18,7 @@ reference path stay bitwise-equivalent.
 """
 
 from repro.cim.devices.device import DeviceConfig
-from repro.cim.devices.endurance import EnduranceModel, EnduranceObserver, WearReport
+from repro.cim.devices.endurance import EnduranceModel, EnduranceObserver
 from repro.cim.devices.registry import (
     DEFAULT_TECHNOLOGY,
     DeviceTechnology,
@@ -54,7 +54,6 @@ __all__ = [
     "SpatialCorrelationStage",
     "SpatialVariationModel",
     "StageContext",
-    "WearReport",
     "get_technology",
     "register_technology",
     "resolve_technology",

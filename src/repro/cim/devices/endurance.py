@@ -20,31 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EnduranceModel", "EnduranceObserver", "WearReport"]
+__all__ = ["EnduranceModel", "EnduranceObserver"]
 
-
-@dataclass
-class WearReport:
-    """Aggregate wear of one programming session.
-
-    Attributes
-    ----------
-    total_pulses:
-        All programming pulses issued (including the initial parallel
-        write of every device).
-    max_pulses_per_device:
-        The most-stressed device's pulse count.
-    mean_pulses_per_device:
-        Average pulses per device.
-    deployments_to_failure:
-        How many identical deployments the *most-stressed* device
-        survives under the endurance budget.
-    """
-
-    total_pulses: int
-    max_pulses_per_device: int
-    mean_pulses_per_device: float
-    deployments_to_failure: float
+#: Pulses of the initial parallel programming pass: one per device,
+#: whether or not the device is later verified.
+INITIAL_WRITES = 1
 
 
 @dataclass(frozen=True)
@@ -99,35 +79,6 @@ class EnduranceModel:
             (1.0 + self.sigma_growth * fraction ** self.growth_exponent) ** 2
         )
 
-    def wear_report(self, verify_cycles, initial_writes=1):
-        """Wear statistics for one deployment.
-
-        Parameters
-        ----------
-        verify_cycles:
-            Per-device correction-pulse counts (any shape), e.g. a
-            :class:`~repro.cim.write_verify.WriteVerifyResult` ``cycles``
-            array, or zeros for unverified devices.
-        initial_writes:
-            Pulses of the initial parallel programming pass (1 for every
-            device, regardless of selection).
-
-        Returns
-        -------
-        WearReport
-        """
-        cycles = np.asarray(verify_cycles, dtype=np.int64)
-        per_device = cycles + int(initial_writes)
-        worst = int(per_device.max()) if per_device.size else initial_writes
-        return WearReport(
-            total_pulses=int(per_device.sum()),
-            max_pulses_per_device=worst,
-            mean_pulses_per_device=float(per_device.mean())
-            if per_device.size
-            else float(initial_writes),
-            deployments_to_failure=self.endurance_cycles / max(worst, 1),
-        )
-
 
 class EnduranceObserver:
     """Accumulates verify-cycle arrays as a nonideality-stack observer.
@@ -166,7 +117,7 @@ class EnduranceObserver:
         """Record one tensor's verify-cycle array for this session."""
         self._cycles[name] = np.asarray(cycles, dtype=np.int64)
 
-    def summary(self, initial_writes=1):
+    def summary(self):
         """Wear statistics over every device-trial observed so far.
 
         Returns
@@ -178,9 +129,7 @@ class EnduranceObserver:
             before any session.  ``consumed_fraction`` is the average
             device's endurance budget spent *per deployment*; scale it
             by the expected deployment count before feeding it to
-            :meth:`EnduranceModel.wear_inflation` (which is what
-            ``variance_map(wear=summary)`` does via the summary's own
-            fields).
+            :meth:`EnduranceModel.wear_inflation`.
         """
         devices = self._agg_devices
         total_cycles = self._agg_cycles
@@ -193,11 +142,11 @@ class EnduranceObserver:
                 worst_cycles = max(worst_cycles, int(flat.max()))
         if devices == 0:
             return None
-        worst = worst_cycles + int(initial_writes)
-        mean_pulses = total_cycles / devices + int(initial_writes)
+        worst = worst_cycles + INITIAL_WRITES
+        mean_pulses = total_cycles / devices + INITIAL_WRITES
         return {
             "endurance_cycles": self.model.endurance_cycles,
-            "total_pulses": total_cycles + devices * int(initial_writes),
+            "total_pulses": total_cycles + devices * INITIAL_WRITES,
             "mean_pulses_per_device": mean_pulses,
             "max_pulses_per_device": worst,
             "deployments_to_failure": self.model.endurance_cycles / max(worst, 1),
@@ -211,5 +160,5 @@ class EnduranceObserver:
             "devices": devices,
             "verify_cycles": total_cycles,
             "max_verify_cycles": worst_cycles,
-            "initial_writes": int(initial_writes),
+            "initial_writes": INITIAL_WRITES,
         }

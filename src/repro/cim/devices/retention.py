@@ -20,11 +20,10 @@ read-after-write reference time.
 
 Trial batching
 --------------
-:meth:`RetentionModel.apply_trials` drifts a stack of independent Monte
-Carlo trials with one per-trial RNG each, so trial ``i`` of the batched
-path is bitwise-identical to a scalar :meth:`RetentionModel.apply` call
-with the same generator — the equivalence contract every stage of the
-nonideality stack (:mod:`repro.cim.devices.stack`) honors.
+:meth:`RetentionModel.apply` drifts one trial from one generator; the
+nonideality stack (:mod:`repro.cim.devices.stack`) batches trials by
+giving each its own substream, so trial ``i`` of the batched path is
+bitwise-identical to the scalar call.
 """
 
 from __future__ import annotations
@@ -110,30 +109,6 @@ class RetentionModel:
                 size=levels.shape,
             )
         return drifted
-
-    def apply_trials(self, levels, t, trial_rngs, device_max_level=15):
-        """Drift an ``(n_trials, ...)`` stack, one generator per trial.
-
-        Trial ``i`` draws its exponents and relaxation exactly as a scalar
-        :meth:`apply` call with ``trial_rngs[i]`` would, so batched and
-        scalar Monte Carlo paths stay bitwise-equivalent.
-
-        Returns
-        -------
-        numpy.ndarray
-            Drifted stack, same shape as ``levels``.
-        """
-        levels = np.asarray(levels, dtype=np.float64)
-        if levels.ndim < 1 or levels.shape[0] != len(trial_rngs):
-            raise ValueError(
-                f"need one rng per trial: {levels.shape} vs {len(trial_rngs)}"
-            )
-        return np.stack(
-            [
-                self.apply(levels[i], t, rng, device_max_level=device_max_level)
-                for i, rng in enumerate(trial_rngs)
-            ]
-        )
 
     def decay_moments(self, t):
         """Exact first two moments of the multiplicative decay at ``t``.

@@ -109,21 +109,6 @@ class SpatialVariationModel:
         flat = field.reshape(-1)[:size]
         return flat * self.sigma * device_max_level
 
-    def sample_field_trials(self, size, trial_rngs, device_max_level=15):
-        """Sample one independent field per trial: ``(n_trials, size)``.
-
-        Trial ``i`` draws from ``trial_rngs[i]`` exactly as a scalar
-        :meth:`sample_field` call would (bitwise-equal), which is what
-        keeps the batched nonideality stack equivalent to the scalar
-        reference path.
-        """
-        return np.stack(
-            [
-                self.sample_field(size, rng, device_max_level=device_max_level)
-                for rng in trial_rngs
-            ]
-        )
-
     def correlation_at_lag(self, lag, size=8192, seed=0, device_max_level=15):
         """Empirical autocorrelation of the field at a given row lag.
 

@@ -23,10 +23,11 @@ at the same read time always sees the same drift realization: the paired
 design of the NWC sweeps extends to retention studies, and a device's
 drift exponent stays fixed across observation times.
 
-Trial batching: every stack method has a ``*_trials`` twin taking one
-generator (or stream) per trial and returning the accelerator's
-slice-major ``(num_slices, n_trials) + weight_shape`` layout, with trial
-``i`` bitwise-equal to the scalar call.
+Trial batching: :meth:`NonidealityStack.program_trials` and
+:meth:`NonidealityStack.read_trials` take one generator (or stream) per
+trial and return the accelerator's slice-major ``(num_slices, n_trials)
++ weight_shape`` layout, with trial ``i`` bitwise-equal to the scalar
+call.
 """
 
 from __future__ import annotations
@@ -323,43 +324,8 @@ class NonidealityStack:
 
     # ------------------------------------------------------- variance closure
 
-    def resolve_wear_inflation(self, wear=None, wear_inflation=1.0):
-        """Effective programming-noise variance multiplier.
-
-        The manual ``wear_inflation`` knob always wins when set (any
-        value other than the fresh-device 1.0).  Otherwise ``wear`` —
-        the endurance observer's :meth:`wear_summary` dict, or a bare
-        consumed fraction — is run through the endurance model's
-        sigma-growth-vs-cycling curve
-        (:meth:`~repro.cim.devices.endurance.EnduranceModel.
-        wear_inflation`).  A summary dict may carry a ``deployments``
-        entry to scale its per-deployment ``consumed_fraction`` to the
-        lifetime point being planned for.  Without an endurance
-        observer (or with ``wear=None``) devices are fresh: 1.0.
-        """
-        if wear is None or wear_inflation != 1.0:
-            return float(wear_inflation)
-        model = None
-        for observer in self.observers:
-            if isinstance(observer, EnduranceObserver):
-                model = observer.model
-                break
-        if model is None:
-            return 1.0
-        if isinstance(wear, dict):
-            consumed = wear.get("consumed_fraction")
-            if consumed is None:
-                consumed = model.consumed_fraction(
-                    wear.get("mean_pulses_per_device", 0.0)
-                )
-            consumed = consumed * float(wear.get("deployments", 1))
-        else:
-            consumed = float(wear)
-        return model.wear_inflation(consumed)
-
-    def variance_map(self, mapping_config, read_time=None, shape=None,
-                     space=None, model=None, levels=None, scale=1.0,
-                     wear_inflation=1.0, wear=None):
+    def variance_map(self, mapping_config, space, model, read_time=None,
+                     wear_inflation=1.0):
         """Analytic per-weight perturbation variance ``E[dw_i^2]``, weight units.
 
         This closes the loop between the device physics and Eq. 5
@@ -386,73 +352,42 @@ class NonidealityStack:
         programmed-but-not-verified weight — the ``E[dw_i^2]`` that
         Eq. 5 pairs with the curvature diagonal — and matches
         :meth:`empirical_variance_map` draw-for-draw in distribution.
+        A stack of programming noise alone, read after write and
+        unworn, gives the paper's constant per-tensor Eq. 16 map.
 
         Parameters
         ----------
         mapping_config:
             The :class:`~repro.cim.mapping.MappingConfig` in use.
+        space / model:
+            A :class:`~repro.core.selection.WeightSpace` plus the model
+            itself; every mapped tensor is quantized to get its scale and
+            desired levels.
         read_time:
             Seconds since programming (None = read-after-write: read
             stages do not apply, matching :meth:`read`).
-        shape:
-            Tensor mode: return an array of this weight shape.  Pass
-            ``levels`` (slice-major desired levels) for the
-            level-dependent drift terms and ``scale`` (dequantization
-            scale) for weight units; without ``levels`` the map is the
-            level-independent noise floor.
-        space / model:
-            Model mode: a :class:`~repro.core.selection.WeightSpace` plus
-            the model itself; every mapped tensor is quantized to get its
-            scale and desired levels, and the flat concatenated variance
-            vector is returned.
         wear_inflation:
-            Manual multiplier on the programming-noise variance modeling
+            Multiplier on the programming-noise variance modeling
             write-precision loss of worn cells (1.0 = fresh devices).
-        wear:
-            Derived alternative to the manual knob: the endurance
-            observer's ``wear_summary()`` dict (or a bare consumed
-            fraction), folded through the endurance model's
-            sigma-growth curve by :meth:`resolve_wear_inflation`.  An
-            explicit ``wear_inflation`` overrides it.
 
         Returns
         -------
         numpy.ndarray
-            Weight-shaped array (tensor mode) or flat vector (model
-            mode) of per-weight ``E[dw^2]`` in weight units.
+            Flat concatenated vector of per-weight ``E[dw^2]`` in weight
+            units.
         """
-        wear_inflation = self.resolve_wear_inflation(wear, wear_inflation)
-        if space is not None:
-            if model is None:
-                raise ValueError("variance_map(space=...) requires model=")
-            from repro.cim.mapping import WeightMapper
+        from repro.cim.mapping import WeightMapper
 
-            mapper = WeightMapper(mapping_config)
-            params = dict(model.named_parameters())
-            per_tensor = {}
-            for name in space.names:
-                mapped = mapper.map_tensor(params[name].data)
-                per_tensor[name] = self._tensor_variance(
-                    mapping_config, mapped.levels, mapped.scale,
-                    read_time, wear_inflation,
-                )
-            return space.flatten(per_tensor)
-        if levels is not None:
-            levels = np.asarray(levels, dtype=np.float64)
-            if shape is not None and tuple(shape) != levels.shape[1:]:
-                raise ValueError(
-                    f"shape {tuple(shape)} != levels weight shape "
-                    f"{levels.shape[1:]}"
-                )
-            return self._tensor_variance(
-                mapping_config, levels, scale, read_time, wear_inflation
+        mapper = WeightMapper(mapping_config)
+        params = dict(model.named_parameters())
+        per_tensor = {}
+        for name in space.names:
+            mapped = mapper.map_tensor(params[name].data)
+            per_tensor[name] = self._tensor_variance(
+                mapping_config, mapped.levels, mapped.scale, read_time,
+                wear_inflation,
             )
-        if shape is None:
-            raise ValueError("variance_map needs shape=, levels= or space=")
-        return self._tensor_variance(
-            mapping_config, None, scale, read_time, wear_inflation,
-            shape=tuple(shape),
-        )
+        return space.flatten(per_tensor)
 
     def _read_moment_state(self, read_time, pos, max_levels):
         """Fold the read stages into moment factors for one tensor.
@@ -492,7 +427,7 @@ class NonidealityStack:
         return mf, second_l2, second_noise, relax
 
     def _tensor_variance(self, mapping_config, levels, scale, read_time,
-                         wear_inflation, shape=None):
+                         wear_inflation):
         """Per-weight ``E[dw^2]`` for one tensor (weight units).
 
         Only the built-in stage types have analytic models; a stack
@@ -514,13 +449,11 @@ class NonidealityStack:
                     "stacks"
                 )
         reads_apply = read_time is not None and self.has_read_stages
-        if shape is None:
-            shape = levels.shape[1:]
+        shape = levels.shape[1:]
         if (programming_stages == 1 and spatial_var == 0.0
                 and not reads_apply and wear_inflation == 1.0):
-            # Pure homogeneous programming noise: reproduce the constant
-            # Eq. 16 map bit-for-bit (the historical
-            # ``variance_map_from_mapping`` arithmetic).
+            # Pure homogeneous programming noise: the constant Eq. 16
+            # map, computed as the paper states it.
             std_w = mapping_config.code_noise_std() * scale
             return np.full(shape, std_w ** 2)
 
@@ -542,7 +475,7 @@ class NonidealityStack:
         # map is non-negative by construction.
         spread = max(second_l2 - mf ** 2, 0.0)
         bias = (mf - 1.0) ** 2
-        if levels is None or (spread == 0.0 and bias == 0.0):
+        if spread == 0.0 and bias == 0.0:
             var_code = np.full(shape, noise_floor)
         else:
             codes = np.tensordot(pos, levels, axes=(0, 0))
@@ -550,10 +483,9 @@ class NonidealityStack:
             var_code = spread * level_sq + bias * codes ** 2 + noise_floor
         return var_code * float(scale) ** 2
 
-    def empirical_variance_map(self, mapping_config, n_trials, rng,
-                               read_time=None, space=None, model=None,
-                               levels=None, scale=1.0):
-        """Monte-Carlo estimate of :meth:`variance_map` (same modes).
+    def empirical_variance_map(self, mapping_config, space, model, n_trials,
+                               rng, read_time=None):
+        """Monte-Carlo estimate of :meth:`variance_map`.
 
         Programs every tensor ``n_trials`` times through the write
         stages (no verify), reads at ``read_time`` through the read
@@ -567,49 +499,35 @@ class NonidealityStack:
 
         Parameters
         ----------
-        mapping_config / read_time / space / model / levels / scale:
+        mapping_config / space / model / read_time:
             As in :meth:`variance_map`.
         n_trials:
             Monte Carlo draws (the validation tests use >= 256).
         rng:
             Parent :class:`~repro.utils.rng.RngStream`.
         """
+        from repro.cim.mapping import WeightMapper
+
         streams = [rng.child("mc", i) for i in range(int(n_trials))]
         gens = [s.child("program").generator for s in streams]
         ctx = StageContext.from_mapping(mapping_config)
         pos = mapping_config.slice_weights.astype(np.float64)
-
-        def estimate(name, desired_levels, signs, tensor_scale, ideal):
-            programmed = self.program_trials(desired_levels, ctx, gens)
+        mapper = WeightMapper(mapping_config)
+        params = dict(model.named_parameters())
+        per_tensor = {}
+        for name in space.names:
+            mapped = mapper.map_tensor(params[name].data)
+            programmed = self.program_trials(mapped.levels, ctx, gens)
             if read_time is not None:
                 children = [s.child("read", name) for s in streams]
                 programmed = self.read_trials(
                     programmed, ctx, children, t=read_time
                 )
             codes = np.tensordot(pos, programmed, axes=(0, 0))
-            deployed = codes * signs * tensor_scale
-            return ((deployed - ideal) ** 2).mean(axis=0)
-
-        if space is not None:
-            if model is None:
-                raise ValueError("empirical_variance_map(space=...) requires model=")
-            from repro.cim.mapping import WeightMapper
-
-            mapper = WeightMapper(mapping_config)
-            params = dict(model.named_parameters())
-            per_tensor = {}
-            for name in space.names:
-                mapped = mapper.map_tensor(params[name].data)
-                per_tensor[name] = estimate(
-                    name, mapped.levels, mapped.signs, mapped.scale,
-                    mapper.ideal_weights(mapped),
-                )
-            return space.flatten(per_tensor)
-        if levels is None:
-            raise ValueError("empirical_variance_map needs levels= or space=")
-        levels = np.asarray(levels, dtype=np.float64)
-        ideal = np.tensordot(pos, levels, axes=(0, 0)) * scale
-        return estimate("tensor", levels, 1.0, float(scale), ideal)
+            deployed = codes * mapped.signs * mapped.scale
+            ideal = mapper.ideal_weights(mapped)
+            per_tensor[name] = ((deployed - ideal) ** 2).mean(axis=0)
+        return space.flatten(per_tensor)
 
     # ------------------------------------------------------------ observers
 
@@ -623,11 +541,11 @@ class NonidealityStack:
         for observer in self.observers:
             observer.observe(name, cycles)
 
-    def wear_summary(self, initial_writes=1):
+    def wear_summary(self):
         """The endurance observer's wear statistics (None when absent)."""
         for observer in self.observers:
             if isinstance(observer, EnduranceObserver):
-                return observer.summary(initial_writes=initial_writes)
+                return observer.summary()
         return None
 
     def __repr__(self):

@@ -32,9 +32,8 @@ Trial batching
 All arrays are shape-agnostic, so a Monte Carlo study can stack its
 trials on a leading ``(n_trials, ...)`` axis and run the masked pulse
 loop once for every trial simultaneously — see
-:func:`write_verify_trials`.  The scalar one-trial-at-a-time path stays
-available behind ``batched=False`` so batched results can be checked
-against it.
+:func:`write_verify_trials`, which runs :func:`write_verify` over the
+stacked arrays with one shared pulse-noise generator.
 """
 
 from __future__ import annotations
@@ -214,13 +213,14 @@ def write_verify_trials(
     initial_levels,
     device,
     config,
-    rng=None,
-    trial_rngs=None,
+    rng,
     tolerance_levels=None,
     full_scale=None,
-    batched=True,
 ):
     """Verify-loop an ``(n_trials, ...)`` stack of independent trials.
+
+    One masked pulse loop advances every trial simultaneously, drawing
+    pulse noise from ``rng``.
 
     Parameters
     ----------
@@ -229,15 +229,7 @@ def write_verify_trials(
         against ``initial_levels`` (e.g. the same desired levels under
         ``n_trials`` independent programming draws).
     rng:
-        numpy Generator driving pulse noise for the batched path.
-    trial_rngs:
-        Per-trial generators for the scalar path (``batched=False``);
-        trial ``i`` then reproduces exactly what a standalone
-        :func:`write_verify` call with ``trial_rngs[i]`` produces.
-    batched:
-        When True (default), one masked pulse loop advances every trial
-        simultaneously.  When False, trials run one at a time — the
-        reference path equivalence tests compare against.
+        numpy Generator driving pulse noise.
 
     Returns
     -------
@@ -250,32 +242,10 @@ def write_verify_trials(
     targets = np.broadcast_to(
         np.asarray(targets, dtype=np.float64), initial_levels.shape
     )
-    if batched:
-        if rng is None:
-            raise ValueError("batched write_verify_trials requires rng")
-        return write_verify(
-            targets, initial_levels, device, config, rng,
-            tolerance_levels=tolerance_levels, full_scale=full_scale,
-            segment_elems=_SEGMENT_ELEMS,
-        )
-    n_trials = initial_levels.shape[0]
-    if trial_rngs is None:
-        raise ValueError("scalar write_verify_trials requires trial_rngs")
-    if len(trial_rngs) != n_trials:
-        raise ValueError(
-            f"need {n_trials} trial_rngs, got {len(trial_rngs)}"
-        )
-    results = [
-        write_verify(
-            targets[i], initial_levels[i], device, config, trial_rngs[i],
-            tolerance_levels=tolerance_levels, full_scale=full_scale,
-        )
-        for i in range(n_trials)
-    ]
-    return WriteVerifyResult(
-        levels=np.stack([r.levels for r in results]),
-        cycles=np.stack([r.cycles for r in results]),
-        converged=np.stack([r.converged for r in results]),
+    return write_verify(
+        targets, initial_levels, device, config, rng,
+        tolerance_levels=tolerance_levels, full_scale=full_scale,
+        segment_elems=_SEGMENT_ELEMS,
     )
 
 

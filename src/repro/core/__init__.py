@@ -1,6 +1,5 @@
 """SWIM core: sensitivity analysis, Algorithm 1, and the paper's baselines."""
 
-from repro.core.extensions import variance_map_from_mapping
 from repro.core.insitu import InSituConfig, InSituHistory, InSituTrainer
 from repro.core.mc import MonteCarloEngine
 from repro.core.metrics import (
@@ -49,5 +48,4 @@ __all__ = [
     "selective_write_verify",
     "speedup_at_iso_accuracy",
     "speedup_table",
-    "variance_map_from_mapping",
 ]

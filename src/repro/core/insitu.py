@@ -147,7 +147,7 @@ class InSituTrainer:
         return value
 
     def run(self, train_x, train_y, iterations, rng, eval_x=None, eval_y=None,
-            eval_every=None, eval_at=None, eval_batch_size=256):
+            eval_at=None):
         """Fine-tune for ``iterations`` steps; record NWC/accuracy history.
 
         Parameters
@@ -158,12 +158,11 @@ class InSituTrainer:
             Number of update iterations (each writes every weight once).
         rng:
             :class:`~repro.utils.rng.RngStream` for batches and noise.
-        eval_x, eval_y, eval_every:
-            When given, accuracy is recorded every ``eval_every``
-            iterations (and at the end).
+        eval_x, eval_y:
+            When given, accuracy is recorded after the last iteration.
         eval_at:
             Explicit set of 1-based iteration indices to evaluate at
-            (used by the NWC sweeps to hit exact cycle budgets).
+            instead (used by the NWC sweeps to hit exact cycle budgets).
 
         Returns
         -------
@@ -182,16 +181,11 @@ class InSituTrainer:
             idx = batch_rng.choice(n, size=min(self.config.batch_size, n),
                                    replace=False)
             self._one_iteration(train_x[idx], train_y[idx], noise_rng)
-            is_last = step == iterations - 1
             if eval_x is not None and (
-                (eval_at is not None and (step + 1) in eval_at)
-                or (eval_at is None and (
-                    is_last or (eval_every and (step + 1) % eval_every == 0)
-                ))
+                step + 1 in eval_at if eval_at is not None
+                else step == iterations - 1
             ):
-                accuracy = evaluate_accuracy(
-                    self.model, eval_x, eval_y, eval_batch_size
-                )
+                accuracy = evaluate_accuracy(self.model, eval_x, eval_y)
                 history.iterations.append(step + 1)
                 history.nwc.append(self.nwc)
                 history.accuracy.append(accuracy)

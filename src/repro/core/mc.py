@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.metrics import EVAL_BATCH_SIZE
 # Unused here, but perfbench/layers.py rebinds this module's name to time it.
 from repro.core.metrics import evaluate_accuracy_trials  # noqa: F401
 
 __all__ = ["MonteCarloEngine", "default_trial_block"]
 
-#: Largest folded batch (n_trials_in_block * eval_batch_size) the engine
+#: Largest folded batch (n_trials_in_block * EVAL_BATCH_SIZE) the engine
 #: feeds through the network at once.  Small folds win: the per-trial
 #: forward work is compute-bound, so the only batching gains are shared
 #: input unfolding and amortized dispatch — while oversized folds blow
@@ -40,15 +41,17 @@ __all__ = ["MonteCarloEngine", "default_trial_block"]
 DEFAULT_MAX_FOLD = 512
 
 
-def default_trial_block(eval_batch_size=256):
-    """The engine's trial-block width for a given eval batch.
+def default_trial_block():
+    """The engine's trial-block width, ``DEFAULT_MAX_FOLD //
+    EVAL_BATCH_SIZE`` trials: a block's folded evaluation batch stays
+    within :data:`DEFAULT_MAX_FOLD` images.
 
     This is the granularity at which the batched sweep draws its shared
     verify RNG (one stream per block, keyed on the block's first trial)
     — and therefore the alignment grain the work-rectangle scheduler
     must respect when splitting a cell's trials into tiles.
     """
-    return max(1, DEFAULT_MAX_FOLD // max(1, int(eval_batch_size)))
+    return max(1, DEFAULT_MAX_FOLD // EVAL_BATCH_SIZE)
 
 
 class MonteCarloEngine:
@@ -67,9 +70,9 @@ class MonteCarloEngine:
         *absolute* trial indices (substreams, block RNG keys), so a set
         of windows covering ``[0, n_trials)`` reproduces the full run's
         per-trial values bit for bit.  For the batched sweep ``start``
-        must sit on a block boundary (see :meth:`block_size`): the
-        shared verify stream is keyed per block, so only block-aligned
-        windows see the draws of the unsplit run.  This is the
+        must sit on a block boundary (see :func:`default_trial_block`):
+        the shared verify stream is keyed per block, so only
+        block-aligned windows see the draws of the unsplit run.  This is the
         work-rectangle scheduler's tile contract.
     """
 
@@ -102,19 +105,15 @@ class MonteCarloEngine:
             indices = range(*self.span)
         return [self.substream(int(i)) for i in indices]
 
-    def block_size(self, eval_batch_size=256):
-        """Trials per block (see :func:`default_trial_block`)."""
-        return default_trial_block(eval_batch_size)
-
-    def blocks(self, eval_batch_size=256):
+    def blocks(self):
         """Yield trial-index arrays sized to bound folded-batch memory.
 
-        Blocks always start at multiples of :meth:`block_size` counted
-        from trial 0 — also under a ``trial_range`` window — so every
-        window sees the same block starts (and the same per-block
+        Blocks always start at multiples of :func:`default_trial_block`
+        counted from trial 0 — also under a ``trial_range`` window — so
+        every window sees the same block starts (and the same per-block
         verify RNG keys) as the full run.
         """
-        block = self.block_size(eval_batch_size)
+        block = default_trial_block()
         start, stop = self.span
         for base in range((start // block) * block, stop, block):
             lo, hi = max(base, start), min(base + block, stop)

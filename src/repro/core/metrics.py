@@ -18,10 +18,16 @@ __all__ = [
     "evaluate_accuracy",
     "evaluate_accuracy_trials",
     "DEFAULT_NWC_TARGETS",
+    "EVAL_BATCH_SIZE",
 ]
 
 #: The NWC grid of the paper's Table 1 columns.
 DEFAULT_NWC_TARGETS = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
+
+#: Test images per mini-batch of :func:`evaluate_accuracy_trials`; the
+#: Monte Carlo trial block is sized from it
+#: (:func:`repro.core.mc.default_trial_block`).
+EVAL_BATCH_SIZE = 256
 
 
 def _tile_trials(batch, n_trials):
@@ -56,7 +62,7 @@ def _forward_trials(model, batch, n_trials):
     return model(_tile_trials(batch, n_trials))
 
 
-def evaluate_accuracy_trials(model, x, y, n_trials, batch_size=256):
+def evaluate_accuracy_trials(model, x, y, n_trials):
     """Top-1 accuracy per trial under trial-batched weight overrides.
 
     The trial-batched counterpart of :func:`evaluate_accuracy`: each
@@ -72,9 +78,9 @@ def evaluate_accuracy_trials(model, x, y, n_trials, batch_size=256):
     was_training = model.training
     model.eval()
     correct = np.zeros(int(n_trials), dtype=np.int64)
-    for start in range(0, x.shape[0], batch_size):
-        xb = x[start : start + batch_size]
-        yb = y[start : start + batch_size]
+    for start in range(0, x.shape[0], EVAL_BATCH_SIZE):
+        xb = x[start : start + EVAL_BATCH_SIZE]
+        yb = y[start : start + EVAL_BATCH_SIZE]
         logits = _forward_trials(model, xb, n_trials)
         predictions = np.argmax(logits.reshape(n_trials, xb.shape[0], -1), axis=2)
         correct += (predictions == yb[None, :]).sum(axis=1)

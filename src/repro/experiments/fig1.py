@@ -47,7 +47,6 @@ class Fig1Config:
     sigma: float = 0.1
     device_bits: int = 4
     bypass_act_quant: bool = True
-    seed_label: str = "fig1"
 
 
 @dataclass

@@ -41,6 +41,7 @@ from repro.core import (
     WeightSpace,
     evaluate_accuracy,
 )
+from repro.core.mc import default_trial_block
 from repro.core.metrics import evaluate_accuracy_trials
 from repro.plan import ScenarioOrchestrator
 from repro.robustness.errors import ScenarioConfigError
@@ -170,7 +171,9 @@ def _batched_sweep(engine, zoo, accelerator, space, orders, methods, counts,
     loop, and every (method, target) cell is evaluated for the whole
     block in one folded forward pass.  The in-situ baseline is an
     on-chip *training* loop, inherently sequential, so it keeps the
-    scalar per-trial path — its substreams match the scalar mode too.
+    scalar per-trial path — its substreams match the scalar mode too —
+    and programs and verifies its own draw
+    (:meth:`~repro.core.InSituTrainer.initialize`).
     """
     # Deterministic rankings are block-invariant: build each target's
     # masks once instead of once per block.
@@ -218,8 +221,6 @@ def _batched_sweep(engine, zoo, accelerator, space, orders, methods, counts,
 
         if "insitu" in methods:
             for trial, stream in zip(block, streams):
-                accelerator.program(stream.child("program").generator)
-                accelerator.write_verify_all(stream.child("verify").generator)
                 accuracies, achieved = _insitu_row(
                     zoo, accelerator, nwc_targets, stream.child("insitu"),
                     eval_x, eval_y, insitu_lr,
@@ -353,7 +354,7 @@ def run_method_sweep(zoo, plan, mc_runs, rng, eval_samples=400,
 
     engine = MonteCarloEngine(mc_runs, rng, trial_range=trial_range)
     if trial_range is not None and batched:
-        block = engine.block_size()
+        block = default_trial_block()
         start, stop = engine.span
         if start % block or (stop % block and stop != mc_runs):
             raise ValueError(

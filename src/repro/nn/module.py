@@ -97,10 +97,6 @@ class Module:
         for _, param in self.named_parameters():
             yield param
 
-    def trainable_parameters(self):
-        """Yield parameters with ``trainable=True``."""
-        return (p for p in self.parameters() if p.trainable)
-
     def modules(self):
         """Yield this module and all descendants, depth first."""
         yield self
@@ -118,10 +114,9 @@ class Module:
         for name, child in self._modules.items():
             yield from child.named_modules(prefix=f"{prefix}{name}.")
 
-    def num_parameters(self, trainable_only=False):
+    def num_parameters(self):
         """Total scalar parameter count."""
-        params = self.trainable_parameters() if trainable_only else self.parameters()
-        return int(sum(p.size for p in params))
+        return int(sum(p.size for p in self.parameters()))
 
     # ----------------------------------------------------------------- mode
 

@@ -58,11 +58,6 @@ class TrainHistory:
     test_accuracy: list = field(default_factory=list)
     learning_rate: list = field(default_factory=list)
 
-    @property
-    def final_test_accuracy(self):
-        """Accuracy after the last epoch (0.0 when never evaluated)."""
-        return self.test_accuracy[-1] if self.test_accuracy else 0.0
-
 
 class Trainer:
     """Train a model with a given optimizer and LR schedule.

@@ -138,10 +138,6 @@ class _GaugeChild:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount=1):
-        with self._lock:
-            self._value -= amount
-
     @property
     def value(self):
         with self._lock:
@@ -178,14 +174,6 @@ class _HistogramChild:
             running += bucket
             cumulative.append(running)
         return tuple(cumulative), total_sum, count
-
-    def quantile(self, q):
-        """Approximate quantile from bucket bounds (upper-bound estimate).
-
-        Returns ``None`` when no observations have been recorded.
-        """
-        cumulative, _, _ = self.snapshot()
-        return bucket_quantile(self._bounds, cumulative, q)
 
     @property
     def count(self):
@@ -261,9 +249,6 @@ class Gauge(_Family):
     def inc(self, amount=1):
         self._default_child().inc(amount)
 
-    def dec(self, amount=1):
-        self._default_child().dec(amount)
-
     @property
     def value(self):
         return self._default_child().value
@@ -289,9 +274,6 @@ class Histogram(_Family):
 
     def snapshot(self):
         return self._default_child().snapshot()
-
-    def quantile(self, q):
-        return self._default_child().quantile(q)
 
     def _describe(self):
         described = super()._describe()

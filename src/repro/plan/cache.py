@@ -271,10 +271,6 @@ class PlanArtifactCache:
         """Content-addressed key of one artifact."""
         return artifact_key(kind, config, version=self.version)
 
-    def path_for(self, kind, config):
-        """On-disk path of one artifact (whether or not it exists)."""
-        return os.path.join(self.root, f"{kind}-{self.key(kind, config)}.npz")
-
     # --------------------------------------------------------------- healing
 
     def _sweep_stale_tmp(self):
@@ -447,13 +443,6 @@ class PlanArtifactCache:
         return self.put(kind, config, value)
 
     # -------------------------------------------------------------- plumbing
-
-    def clear_memory(self):
-        """Drop the in-process tier (disk entries survive)."""
-        if self._memory is not None:
-            with self._memory_lock:
-                self._memory.clear()
-                self._memory_entries.set(0)
 
     def stats(self):
         """Every counter the cache keeps, as one flat dict.

@@ -26,10 +26,8 @@ curvature pass, N variance passes, and N rankings.
 The resolved :class:`SelectionPlan` is a standalone artifact and the
 sweep's one input besides its Monte Carlo envelope:
 :func:`~repro.experiments.sweeps.run_method_sweep` deploys it, so this
-engine is the only producer of orders.  A plan can also be applied to
-any accelerator hosting the same model (:meth:`SelectionPlan.apply`)
-and round-trips through JSON for offline reuse (:func:`save_plans` /
-:func:`load_plans`).
+engine is the only producer of orders.  A plan round-trips through
+JSON for offline reuse (:func:`save_plans` / :func:`load_plans`).
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.extensions import variance_map_from_mapping
 from repro.core.metrics import DEFAULT_NWC_TARGETS
 from repro.obs.trace import span
 from repro.core.selection import WeightSpace, rank_descending
@@ -223,8 +220,8 @@ class SelectionPlan:
     ``orders`` maps each planned method to its full descending flat
     ranking over the model's weight space; ``counts`` aligns with
     ``nwc_targets`` (weights selected at each budget).  The plan is
-    model-content-bound: :meth:`apply` refuses a weight space of a
-    different size.
+    model-content-bound: the sweep refuses a model whose weight space
+    has another size than ``total_weights``.
     """
 
     workload: str
@@ -260,52 +257,6 @@ class SelectionPlan:
                 f"{sorted(self.orders)}"
             )
         return self.orders[method]
-
-    def count_for(self, nwc_target):
-        """Selected-weight count at one budget of the plan's grid."""
-        targets = np.asarray(self.nwc_targets, dtype=np.float64)
-        matches = np.nonzero(np.isclose(targets, float(nwc_target)))[0]
-        if matches.size == 0:
-            raise KeyError(
-                f"NWC target {nwc_target!r} is not on the plan's grid "
-                f"{self.nwc_targets}"
-            )
-        return int(self.counts[int(matches[0])])
-
-    def masks(self, space, method, nwc_target):
-        """Per-tensor boolean masks for one (method, budget) cell."""
-        if space.total_size != self.total_weights:
-            raise ValueError(
-                f"plan was resolved over {self.total_weights} weights but "
-                f"the weight space has {space.total_size}"
-            )
-        count = self.count_for(nwc_target)
-        return space.masks_from_indices(self.order(method)[:count])
-
-    def apply(self, accelerator, method=None, nwc_target=None,
-              read_stream=None):
-        """Deploy one (method, budget) cell on a verified accelerator.
-
-        The accelerator must have been programmed and write-verified;
-        the plan contributes the selection (and its ``read_time``, so a
-        drifting stack ages the deployment to the planned moment).
-        Defaults: the first planned method, the last (largest) budget.
-
-        Returns
-        -------
-        float
-            Achieved NWC, as
-            :meth:`~repro.cim.CimAccelerator.apply_selection`.
-        """
-        if method is None:
-            method = next(iter(self.orders))
-        if nwc_target is None:
-            nwc_target = self.nwc_targets[-1]
-        space = WeightSpace.from_model(accelerator.model)
-        masks = self.masks(space, method, nwc_target)
-        return accelerator.apply_selection(
-            masks, read_time=self.read_time, read_stream=read_stream
-        )
 
     # -------------------------------------------------------- serialization
 
@@ -523,15 +474,17 @@ class PlanEngine:
                 self.stats["variance_passes"] += 1
                 if stack is not None:
                     variance = stack.variance_map(
-                        mapping,
+                        mapping, self.space, self.model,
                         read_time=request.read_time,
-                        space=self.space,
-                        model=self.model,
                         wear_inflation=config["wear_inflation"],
                     )
                 else:
-                    variance = variance_map_from_mapping(
-                        self.space, self.model, mapping
+                    from repro.cim import NonidealityStack
+
+                    # The paper's plain-sigma setting: the constant
+                    # per-tensor Eq. 16 map, read after write and unworn.
+                    variance = NonidealityStack.default().variance_map(
+                        mapping, self.space, self.model
                     )
                 return {"variance": variance}
 
@@ -620,17 +573,6 @@ class PlanEngine:
             cache_version=self.cache.version,
             differential=request.differential,
         )
-
-    def plan_batch(self, requests):
-        """Resolve a batch of requests, deduplicating shared stages.
-
-        Deduplication is structural: every stage is content-addressed,
-        so requests sharing a curvature (or variance) config hit the
-        cache after the first resolution — a retention grid of N read
-        times costs one curvature pass total.
-        """
-        return [self.plan(request) for request in requests]
-
 
 def build_engine(workload="lenet-digits", scale=None, cache=None):
     """Load a zoo workload and wire a :class:`PlanEngine` over it.

@@ -74,7 +74,6 @@ from repro.robustness.checkpoint import (
 )
 from repro.robustness.scheduler import (
     Tile,
-    resolve_tile_trials,
     resolve_workers,
     scheduler_metrics,
     tile_ranges,
@@ -172,10 +171,7 @@ class ScenarioOrchestrator:
         cells = list(cells)
         with span("scenario.plan", cells=len(cells)):
             self.plans = {
-                cell.key: plan
-                for cell, plan in zip(
-                    cells, self.engine.plan_batch([c.request for c in cells])
-                )
+                cell.key: self.engine.plan(cell.request) for cell in cells
             }
         return self.plans
 
@@ -220,7 +216,7 @@ class ScenarioOrchestrator:
     # -------------------------------------------------------------- execution
 
     def run(self, cells, batched=True, workers=None, timeout=None,
-            retries=None, scenario="", tile_trials=None):
+            retries=None, scenario=""):
         """Schedule the grid's work rectangle and merge its tiles.
 
         Parameters
@@ -241,11 +237,6 @@ class ScenarioOrchestrator:
             ``REPRO_CELL_TIMEOUT`` / ``REPRO_CELL_RETRIES``).
         scenario:
             Label stored on :attr:`report`.
-        tile_trials:
-            Optional tile height override (or ``REPRO_TILE_TRIALS``);
-            rounded up to a whole trial block.  Default: the
-            :data:`~repro.robustness.scheduler.DEFAULT_TILES_PER_CELL`
-            heuristic.
 
         Returns
         -------
@@ -258,7 +249,6 @@ class ScenarioOrchestrator:
         from repro.experiments.sweeps import run_method_sweep
 
         workers = resolve_workers(workers)
-        tile_trials = resolve_tile_trials(tile_trials)
         cells = list(cells)
         plans = self.plan_cells(cells)
         report = RunReport(scenario=scenario)
@@ -275,7 +265,7 @@ class ScenarioOrchestrator:
         cell_tiles = []  # cell index -> its tile ids, in trial order
         for index, cell in enumerate(cells):
             ids = []
-            for start, stop in tile_ranges(cell.mc_runs, block, tile_trials):
+            for start, stop in tile_ranges(cell.mc_runs, block):
                 ids.append(len(tiles))
                 tiles.append(Tile(cell=index, start=start, stop=stop))
             cell_tiles.append(ids)

@@ -61,7 +61,6 @@ from repro.robustness.report import (
 from repro.robustness.scheduler import (
     Tile,
     auto_workers,
-    resolve_tile_trials,
     resolve_worker_count,
     resolve_workers,
     tile_ranges,
@@ -109,7 +108,6 @@ __all__ = [
     "render_cache_stats",
     "resolve_backoff",
     "resolve_retries",
-    "resolve_tile_trials",
     "resolve_timeout",
     "resolve_worker_count",
     "resolve_workers",

@@ -150,14 +150,6 @@ class FaultSchedule:
             return True
         return False
 
-    def fired(self):
-        """Count of firings recorded in the ledger (for reports/tests)."""
-        try:
-            names = os.listdir(self.ledger_dir)
-        except OSError:
-            return 0
-        return sum(1 for name in names if name.startswith("fired-"))
-
     # ------------------------------------------------------------- firing
 
     def fire(self, site, key):

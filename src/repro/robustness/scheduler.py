@@ -3,11 +3,11 @@
 Every scenario run is a **work rectangle**: the grid's cells on one
 side, each cell's Monte Carlo trials on the other.  :func:`tile_ranges`
 decomposes each cell's trial axis into *tiles* — contiguous runs of
-whole engine trial blocks (see :meth:`~repro.core.mc.MonteCarloEngine.
-block_size`; the batched verify stage draws one RNG per block, keyed on
-the block's first trial, so only block-aligned splits are
-bitwise-identical to an unsplit run) — and the resulting flat tile list
-is packed onto **one** supervised fork pool
+whole engine trial blocks (see :func:`~repro.core.mc.
+default_trial_block`; the batched verify stage draws one RNG per
+block, keyed on the block's first trial, so only block-aligned splits
+are bitwise-identical to an unsplit run) — and the resulting flat tile
+list is packed onto **one** supervised fork pool
 (:func:`~repro.robustness.supervisor.supervised_map`; no second
 supervision path), sized by :func:`resolve_workers`: ``workers`` /
 ``REPRO_WORKERS`` is the one knob — total concurrent worker processes,
@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_TILES_PER_CELL",
     "Tile",
     "auto_workers",
-    "resolve_tile_trials",
     "resolve_worker_count",
     "resolve_workers",
     "scheduler_metrics",
@@ -67,11 +66,11 @@ def scheduler_metrics(registry=None):
         ),
     }
 
-#: Upper bound on tiles per cell when no explicit tile size is given:
-#: enough grain to saturate a many-core box on a handful of cells,
-#: without paying per-tile setup (accelerator mapping, fork) for every
-#: single trial block.  Part of the tile cache key's geometry — change
-#: it and warm reruns re-tile (and therefore recompute).
+#: Upper bound on tiles per cell: enough grain to saturate a many-core
+#: box on a handful of cells, without paying per-tile setup (accelerator
+#: mapping, fork) for every single trial block.  Part of the tile cache
+#: key's geometry — change it and warm reruns re-tile (and therefore
+#: recompute).
 DEFAULT_TILES_PER_CELL = 8
 
 
@@ -127,29 +126,6 @@ def resolve_workers(workers=None):
     return resolve_worker_count(workers, "REPRO_WORKERS", "workers")
 
 
-def resolve_tile_trials(tile_trials=None):
-    """Optional explicit tile height (trials per tile): arg else
-    ``REPRO_TILE_TRIALS``; unset means the :data:`DEFAULT_TILES_PER_CELL`
-    heuristic.  Rounded up to a whole trial block by
-    :func:`tile_ranges`.  Changes tile cache keys (a different
-    decomposition is a different artifact), never results.
-    """
-    if tile_trials is None:
-        raw = os.environ.get("REPRO_TILE_TRIALS", "").strip()
-        if not raw:
-            return None
-        try:
-            tile_trials = int(raw)
-        except ValueError as exc:
-            raise ScenarioConfigError(
-                f"REPRO_TILE_TRIALS must be an integer, got {raw!r}"
-            ) from exc
-    tile_trials = int(tile_trials)
-    if tile_trials < 1:
-        raise ScenarioConfigError("tile_trials must be >= 1")
-    return tile_trials
-
-
 @dataclass(frozen=True)
 class Tile:
     """One rectangle tile: trials ``[start, stop)`` of cell ``cell``."""
@@ -158,30 +134,24 @@ class Tile:
     start: int
     stop: int
 
-    @property
-    def trials(self):
-        return self.stop - self.start
 
-
-def tile_ranges(n_trials, block, tile_trials=None):
+def tile_ranges(n_trials, block):
     """Deterministic tile boundaries for one cell's trial axis.
 
     Every tile is a contiguous run of whole trial blocks starting at a
     multiple of ``block`` — the alignment the batched verify stream
-    requires for bitwise identity.  The decomposition depends only on
-    ``(n_trials, block, tile_trials)``, never on the worker count, so
-    the same cell always yields the same tiles (and the same tile cache
+    requires for bitwise identity — and a cell splits into at most
+    :data:`DEFAULT_TILES_PER_CELL` tiles.  The decomposition depends
+    only on ``(n_trials, block)``, never on the worker count, so the
+    same cell always yields the same tiles (and the same tile cache
     keys) no matter how — or whether — the run is parallelized.
     """
     n_trials = int(n_trials)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     block = max(1, int(block))
-    if tile_trials is None:
-        n_blocks = -(-n_trials // block)  # ceil
-        per_tile = -(-n_blocks // DEFAULT_TILES_PER_CELL)
-    else:
-        per_tile = max(1, -(-int(tile_trials) // block))
+    n_blocks = -(-n_trials // block)  # ceil
+    per_tile = -(-n_blocks // DEFAULT_TILES_PER_CELL)
     span = per_tile * block
     return [
         (start, min(start + span, n_trials))

@@ -310,8 +310,7 @@ def _child_run(fn, item, out_queue):
 
 
 def supervised_map(fn, items, workers, timeout=None, retries=None,
-                   backoff=None, labels=None, serial_fallback=True,
-                   on_result=None):
+                   backoff=None, labels=None, on_result=None):
     """Map ``fn`` over ``items`` under crash/timeout/retry supervision.
 
     Parameters
@@ -330,10 +329,6 @@ def supervised_map(fn, items, workers, timeout=None, retries=None,
         ``REPRO_CELL_RETRIES`` / ``REPRO_RETRY_BACKOFF``.
     labels:
         Optional ``item -> str`` mapping for reports.
-    serial_fallback:
-        Re-execute a task that exhausted its worker retries serially in
-        the parent (unsupervised: no timeout can apply) before declaring
-        it failed.
     on_result:
         Optional ``(item, value)`` callback, invoked in the parent as
         each task completes — the checkpoint hook.
@@ -395,7 +390,10 @@ def supervised_map(fn, items, workers, timeout=None, retries=None,
             metrics["retries"].inc()
             delay = backoff * (2 ** (attempt - 1))
             pending.append((item, attempt + 1, time.monotonic() + delay))
-        elif retryable and serial_fallback:
+        elif retryable:
+            # Exhausted worker retries: re-execute serially in the
+            # parent (unsupervised, so no timeout applies) before
+            # declaring the task failed.
             degrade.append(item)
         else:
             report.status = "failed"

@@ -136,3 +136,12 @@ def plan_for(zoo, sense_samples=512, **request):
         zoo, sense_samples, cache=PlanArtifactCache(disk=False)
     )
     return engine.plan(PlanRequest(**request))
+
+
+def deployed_weights(accelerator):
+    """Each mapped layer's current weight override (None when the layer
+    computes with its float weights)."""
+    return {
+        name: layer.weight_override
+        for name, layer in accelerator._layers.items()
+    }

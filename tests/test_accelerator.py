@@ -22,6 +22,14 @@ def accelerator(small_model):
     return CimAccelerator(small_model, mapping_config=config)
 
 
+def _ideal(accelerator):
+    """Quantized, noise-free weights per mapped tensor."""
+    return {
+        name: accelerator.mapper.ideal_weights(mapped)
+        for name, mapped in accelerator.map_model().items()
+    }
+
+
 def test_weighted_layer_names_finds_all(rng):
     model = lenet(rng.child("m"))
     names = weighted_layer_names(model)
@@ -42,7 +50,7 @@ def test_apply_none_deploys_raw_noisy_weights(accelerator, small_model, rng):
     accelerator.write_verify_all(rng.child("wv").generator)
     nwc = accelerator.apply_none()
     assert nwc == 0.0
-    ideal = accelerator.ideal_weights()
+    ideal = _ideal(accelerator)
     for name, layer in accelerator._layers.items():
         deviation = np.abs(layer.weight_override - ideal[name])
         assert deviation.max() > 0  # noise present
@@ -53,7 +61,7 @@ def test_apply_all_deploys_verified_weights(accelerator, rng):
     accelerator.write_verify_all(rng.child("wv").generator)
     nwc = accelerator.apply_all()
     assert nwc == 1.0
-    ideal = accelerator.ideal_weights()
+    ideal = _ideal(accelerator)
     config = accelerator.mapping_config
     tol_codes = accelerator.wv_config.tolerance * config.device.max_level
     max_code_err = tol_codes * config.slice_weights.sum()
@@ -79,7 +87,7 @@ def test_selection_improves_weight_accuracy(accelerator, rng):
     """Verified weights must sit closer to ideal than raw programmed ones."""
     accelerator.program(rng.child("p").generator)
     accelerator.write_verify_all(rng.child("wv").generator)
-    ideal = accelerator.ideal_weights()
+    ideal = _ideal(accelerator)
 
     accelerator.apply_none()
     raw_err = sum(
@@ -92,13 +100,6 @@ def test_selection_improves_weight_accuracy(accelerator, rng):
         for name, layer in accelerator._layers.items()
     )
     assert verified_err < raw_err * 0.5
-
-
-def test_apply_ideal_matches_quantized_weights(accelerator, rng):
-    accelerator.apply_ideal()
-    ideal = accelerator.ideal_weights()
-    for name, layer in accelerator._layers.items():
-        np.testing.assert_allclose(layer.weight_override, ideal[name], atol=1e-6)
 
 
 def test_clear_restores_float_model(accelerator, small_model, rng):
@@ -120,10 +121,10 @@ def test_weight_cycles_shape_and_sign(accelerator, rng):
     assert accelerator.total_cycles() > 0
 
 
-def test_mask_shape_validated(accelerator, rng):
+def test_mask_shape_validated(accelerator, small_model, rng):
     accelerator.program(rng.child("p").generator)
     accelerator.write_verify_all(rng.child("wv").generator)
-    bad = {accelerator.weight_names[0]: np.ones((1, 1), dtype=bool)}
+    bad = {weighted_layer_names(small_model)[0]: np.ones((1, 1), dtype=bool)}
     with pytest.raises(ValueError, match="mask shape"):
         accelerator.apply_selection(bad)
 

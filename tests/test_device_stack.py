@@ -1,10 +1,10 @@
 """Composable nonideality stack + technology registry.
 
-Contract under test: every stage supports the leading ``(n_trials, ...)``
-axis through per-trial named RNG substreams, with trial ``i`` of the
-batched path bitwise-identical to the scalar call — programming noise,
-spatial fields, retention drift, and their stacked composition — plus
-the registry round trip.
+Contract under test: the stack's trial forms take the leading
+``(n_trials, ...)`` axis through per-trial named RNG substreams, with
+trial ``i`` of the batched path bitwise-identical to the scalar call —
+programming noise, spatial fields, retention drift, and their stacked
+composition — plus the registry round trip.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.cim.devices.registry import _REGISTRY
 from repro.nn.models import mlp
 from repro.utils.rng import RngStream
 
-from .helpers import plan_for
+from .helpers import deployed_weights, plan_for
 
 
 @pytest.fixture
@@ -48,23 +48,6 @@ def _gens(seed, n):
 
 
 # ------------------------------------------------- per-stage trial batching
-
-
-def test_retention_apply_trials_matches_scalar_bitwise():
-    model = RetentionModel(nu=0.03, sigma_nu=0.01, relaxation_sigma=0.01)
-    levels = np.random.default_rng(0).uniform(0, 15, size=(4, 50))
-    batched = model.apply_trials(levels, 1e4, _gens(7, 4))
-    for i, rng in enumerate(_gens(7, 4)):
-        scalar = model.apply(levels[i], 1e4, rng)
-        np.testing.assert_array_equal(batched[i], scalar)
-
-
-def test_spatial_sample_field_trials_matches_scalar_bitwise():
-    model = SpatialVariationModel(sigma=0.1, correlation_length=4.0)
-    batched = model.sample_field_trials(500, _gens(3, 5))
-    assert batched.shape == (5, 500)
-    for i, rng in enumerate(_gens(3, 5)):
-        np.testing.assert_array_equal(batched[i], model.sample_field(500, rng))
 
 
 def test_stack_program_trials_matches_scalar_bitwise(ctx):
@@ -217,14 +200,14 @@ def test_accelerator_drift_changes_deployment_and_is_deterministic(small_setup):
     acc.write_verify_all(stream.child("verify").generator)
 
     fresh = acc.apply_all()
-    fresh_weights = {n: w.copy() for n, w in acc.deployed_weights().items()}
+    fresh_weights = {n: w.copy() for n, w in deployed_weights(acc).items()}
     acc.apply_all(read_time=1e5, read_stream=stream)
-    aged = acc.deployed_weights()
+    aged = deployed_weights(acc)
     for name in fresh_weights:
         assert np.abs(aged[name] - fresh_weights[name]).max() > 0
     # Same (stream, t): identical drift realization (paired design).
     acc.apply_all(read_time=1e5, read_stream=stream)
-    again = acc.deployed_weights()
+    again = deployed_weights(acc)
     for name in fresh_weights:
         np.testing.assert_array_equal(aged[name], again[name])
     assert fresh == pytest.approx(1.0)
@@ -241,14 +224,14 @@ def test_accelerator_trial_drift_matches_scalar_bitwise(small_setup):
     batched.program_trials([s.child("program").generator for s in streams])
     batched.write_verify_trials(rng=root.child("verify").generator)
     batched.apply_selection_trials({}, read_time=7200.0, read_streams=streams)
-    trial_weights = batched.deployed_weights()
+    trial_weights = deployed_weights(batched)
 
     scalar = CimAccelerator(model, technology="rram")
     for i, stream in enumerate(streams):
         scalar.program(stream.child("program").generator)
         scalar.write_verify_all(stream.child("verify").generator)
         scalar.apply_none(read_time=7200.0, read_stream=stream)
-        for name, weights in scalar.deployed_weights().items():
+        for name, weights in deployed_weights(scalar).items():
             np.testing.assert_array_equal(trial_weights[name][i], weights)
 
 

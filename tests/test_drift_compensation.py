@@ -14,7 +14,7 @@ from repro.cim import (
 from repro.nn.models import mlp
 from repro.utils.rng import RngStream
 
-from .helpers import plan_for, to_float64
+from .helpers import deployed_weights, plan_for, to_float64
 
 ONE_MONTH = 2.592e6
 
@@ -87,10 +87,10 @@ def test_compensation_is_bitwise_noop_at_t0(small_model):
     accelerator.apply_all()
     plain = {
         name: weights.copy()
-        for name, weights in accelerator.deployed_weights().items()
+        for name, weights in deployed_weights(accelerator).items()
     }
     accelerator.apply_all(read_time=1.0, read_stream=rng)
-    at_t0 = accelerator.deployed_weights()
+    at_t0 = deployed_weights(accelerator)
     for name in plain:
         np.testing.assert_array_equal(at_t0[name], plain[name])
 

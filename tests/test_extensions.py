@@ -6,18 +6,11 @@ import numpy as np
 import pytest
 
 from repro.cim import (
-    DeviceConfig,
-    MappingConfig,
     RetentionModel,
     SpatialVariationModel,
     get_technology,
 )
-from repro.core import (
-    SwimScorer,
-    WeightSpace,
-    rank_descending,
-    variance_map_from_mapping,
-)
+from repro.core import SwimScorer, WeightSpace, rank_descending
 from repro.nn.models import mlp
 from repro.plan import PlanArtifactCache, PlanEngine, PlanRequest
 from repro.utils.tables import format_duration
@@ -204,8 +197,9 @@ def test_variance_map_uses_per_tensor_scales(setup):
     # Make the two weight tensors very different in magnitude.
     params = dict(model.named_parameters())
     params[space.names[0]].data *= 10.0
-    mapping = MappingConfig(weight_bits=4, device=DeviceConfig(bits=4, sigma=0.1))
-    variance = variance_map_from_mapping(space, model, mapping)
+    variance = _engine(setup).variance(
+        PlanRequest(methods=("hetero_swim",), sigma=0.1)
+    )
     per_tensor = space.unflatten(variance)
     v0 = per_tensor[space.names[0]].flat[0]
     v1 = per_tensor[space.names[1]].flat[0]

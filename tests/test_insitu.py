@@ -69,7 +69,7 @@ def test_insitu_improves_over_unverified_mapping(setup):
     noisy_accuracy = evaluate_accuracy(model, data.test_x, data.test_y)
     history = trainer.run(
         data.train_x, data.train_y, 8, rng.child("run"),
-        eval_x=data.test_x, eval_y=data.test_y, eval_every=8,
+        eval_x=data.test_x, eval_y=data.test_y,
     )
     assert history.accuracy[-1] > noisy_accuracy - 0.02
     # With a sensible LR it should actually improve most runs; allow slack

@@ -10,7 +10,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cim import CimAccelerator, DeviceConfig, EnduranceModel, MappingConfig
+from repro.cim import (
+    CimAccelerator,
+    DeviceConfig,
+    EnduranceModel,
+    EnduranceObserver,
+    MappingConfig,
+)
 from repro.core import (
     SwimConfig,
     SwimScorer,
@@ -56,10 +62,14 @@ def test_full_pipeline(trained_lenet):
     flat_cycles = np.concatenate([c.reshape(-1) for c in cycles.values()])
     mask = np.zeros(flat_cycles.size, dtype=bool)
     mask[: int(result.selected_fraction * flat_cycles.size)] = True
-    endurance = EnduranceModel()
-    full = endurance.wear_report(flat_cycles)
-    selective = endurance.wear_report(np.where(mask, flat_cycles, 0))
-    assert full.mean_pulses_per_device >= selective.mean_pulses_per_device
+    wear = {}
+    for label, cycles_spent in (
+        ("full", flat_cycles), ("selective", np.where(mask, flat_cycles, 0))
+    ):
+        observer = EnduranceObserver(EnduranceModel())
+        observer.observe("weights", cycles_spent)
+        wear[label] = observer.summary()["mean_pulses_per_device"]
+    assert wear["full"] >= wear["selective"]
 
     # 5. Deployed accuracy ordering: none <= partial (SWIM) <= all, up to
     #    noise slack on a single draw.

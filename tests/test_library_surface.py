@@ -1,31 +1,43 @@
 """Every public definition under ``src/repro`` is reachable.
 
 An AST scan collects the top-level ``def``s and ``class``es of
-``src/repro/**/*.py``.  Module-level code is live: it runs on import and
-holds the ``__main__`` entry points of the runner, the plan server and
-the validators.  A definition becomes live when its name appears as an
-``ast.Name`` or ``ast.Attribute`` inside live code other than its own
-body; the scan iterates to a fixed point, so code that only dead code
-calls is dead too.  Imports and ``__all__`` strings are not references.
-Names are matched without their module, so a name that two modules
-define is live when either is called.
+``src/repro/**/*.py`` and, one level down, every method whose name is
+not a dunder: each such method is a definition of its own.  A class
+keeps its bases, decorators, class-level statements and dunder methods,
+so constructing or subclassing it keeps ``__init__`` and whatever the
+dunders call alive, but not its other methods.  Module-level code is
+live: it runs on import and holds the ``__main__`` entry points of the
+runner, the plan server and the validators.  A definition becomes live
+when its name appears as an ``ast.Name`` or ``ast.Attribute`` inside
+live code other than its own body; the scan iterates to a fixed point,
+so code that only dead code calls is dead too.  Imports and ``__all__``
+strings are not references.  Names are matched without their module or
+class, so a name that two modules or classes define is live when either
+is called.
 
 ``KEEP`` lists the public definitions that no code path of the program
 reaches, each with the reason it stays; they are live roots too.  A
-public definition that is neither reached nor kept fails the test, and
-so does a kept name that the program now reaches or that no longer
-exists.
+method is listed as ``Class.method``.  A public definition that is
+neither reached nor kept fails the test, and so does a kept name that
+the program now reaches or that no longer exists.
 
 The same holds for imports: a module-level import that its module never
 names (as an ``ast.Name``, or in its ``__all__``) fails the test unless
 ``UNUSED_IMPORTS`` lists it with its reason.  ``__init__`` modules are
 exempt; their imports are the package's surface.
+
+Callers outside ``src/`` do not count, so the names that
+``perfbench/layers.py::instrument()`` wraps or rebinds have a guard of
+their own: :func:`test_perfbench_instruments_the_program` runs it.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -34,8 +46,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 KEEP = {
     "PlanClient": "perfbench/serve_mixed.py and benchmarks/bench_serving.py "
                   "drive the plan server through it",
-    "PlanClientError": "what PlanClient raises; the same callers catch it",
-    "PlanResponse": "what PlanClient returns",
     "load_plans": "reads what `runner --save-plans` writes",
     "speedup_table": "renders the abstract's iso-accuracy speedup "
                      "(ROADMAP item 5)",
@@ -56,6 +66,27 @@ KEEP = {
                               "examples/quickstart.py runs; the "
                               "granularity ablation reads the same "
                               "stopping point off a sweep",
+    # Methods that only callers outside the program reach.
+    "CimAccelerator.apply_all": "deploys every verified weight (NWC = 1); "
+                                "examples/custom_device.py calls it",
+    "CimAccelerator.total_cycles_trials":
+        "perfbench/layers.py reads each trial-batched verify's pulse "
+        "count through it (and so through weight_cycles_trials)",
+    "Module.num_parameters": "examples/method_comparison.py prints the "
+                             "model size with it",
+    "PlanClient.statsz": "benchmarks/bench_serving.py and "
+                         "perfbench/serve_mixed.py read GET /statsz "
+                         "through it",
+    # Tier-1 oracles: the program's answer is checked against them.
+    "NonidealityStack.empirical_variance_map":
+        "the Monte Carlo estimate that variance_map must match "
+        "(test_empirical_variance_matches_analytic)",
+    "SpatialVariationModel.correlation_at_lag":
+        "measures a sampled field's correlation, the oracle of the "
+        "spatial correlation tests",
+    "WeightMapper.program_levels":
+        "the historical one-shot programming path that the default "
+        "stack must reproduce draw for draw",
 }
 
 #: ``(module, name)`` imports that their module never names, each with
@@ -67,30 +98,54 @@ UNUSED_IMPORTS = {
 }
 
 
-def _names(node):
-    """Every name referenced under ``node``."""
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _names(nodes):
+    """Every name referenced under ``nodes``."""
     found = set()
-    for child in ast.walk(node):
-        if isinstance(child, ast.Name):
-            found.add(child.id)
-        elif isinstance(child, ast.Attribute):
-            found.add(child.attr)
+    for node in nodes:
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name):
+                found.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                found.add(child.attr)
     return found
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 @pytest.fixture(scope="module")
 def scan():
-    """``(definitions, module_refs)``: name -> [(path, node)], and the
-    names referenced by module-level code."""
+    """``(definitions, module_refs)``: name -> [(path, qualname, lineno,
+    parts)], where ``parts`` are the AST nodes whose names the
+    definition references, and the names referenced by module-level
+    code."""
     definitions, module_refs = {}, set()
+
+    def define(name, path, qualname, node, parts):
+        definitions.setdefault(name, []).append(
+            (path, qualname, node.lineno, parts))
+
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                definitions.setdefault(node.name, []).append((path, node))
+            if isinstance(node, _FUNCTIONS):
+                define(node.name, path, node.name, node, [node])
+            elif isinstance(node, ast.ClassDef):
+                parts = node.bases + node.keywords + node.decorator_list
+                for stmt in node.body:
+                    if isinstance(stmt, _FUNCTIONS) \
+                            and not _is_dunder(stmt.name):
+                        define(stmt.name, path, f"{node.name}.{stmt.name}",
+                               stmt, [stmt])
+                    else:
+                        parts.append(stmt)
+                define(node.name, path, node.name, node, parts)
             else:
-                module_refs |= _names(node)
+                module_refs |= _names([node])
     return definitions, module_refs
 
 
@@ -100,21 +155,26 @@ def _live(definitions, roots):
     while frontier:
         found = set()
         for name in frontier:
-            for _, node in definitions.get(name, ()):
-                found |= _names(node) - {name}
+            for *_, parts in definitions.get(name, ()):
+                found |= _names(parts) - {name}
         frontier = found - live
         live |= frontier
     return live
 
 
+def _bare(qualname):
+    """The name a ``KEEP`` entry matches: a method's without its class."""
+    return qualname.rsplit(".", 1)[-1]
+
+
 def test_every_public_definition_is_reached_or_kept(scan):
     definitions, module_refs = scan
-    live = _live(definitions, module_refs | set(KEEP))
+    live = _live(definitions, module_refs | {_bare(k) for k in KEEP})
     dead = sorted(
-        f"{path.relative_to(SRC.parent)}:{node.lineno}: {name}"
+        f"{path.relative_to(SRC.parent)}:{lineno}: {qualname}"
         for name, places in definitions.items()
         if not name.startswith("_") and name not in live
-        for path, node in places
+        for path, qualname, lineno, _ in places
     )
     assert not dead, (
         "no code path of the program reaches these definitions; delete "
@@ -125,8 +185,10 @@ def test_every_public_definition_is_reached_or_kept(scan):
 def test_keep_list_is_not_stale(scan):
     definitions, module_refs = scan
     reached = _live(definitions, module_refs)
-    missing = sorted(name for name in KEEP if name not in definitions)
-    called = sorted(name for name in KEEP if name in reached)
+    qualnames = {qualname for places in definitions.values()
+                 for _, qualname, _, _ in places}
+    missing = sorted(name for name in KEEP if name not in qualnames)
+    called = sorted(name for name in KEEP if _bare(name) in reached)
     assert not missing, f"KEEP names definitions that no longer exist: {missing}"
     assert not called, f"KEEP names definitions the program now reaches: {called}"
 
@@ -168,3 +230,41 @@ def test_every_import_is_named():
         + "\n".join(f"{module}: {name}" for module, name in unexplained)
     )
     assert not stale, f"UNUSED_IMPORTS lists imports now used or gone: {stale}"
+
+
+#: Install perfbench's wrappers, then make the verify wrappers record:
+#: their span attributes read the accelerator's pulse counts.
+_INSTRUMENT = """
+import numpy as np
+from layers import instrument
+instrument()
+from repro.cim import CimAccelerator
+from repro.nn.models import mlp
+from repro.obs import enable_tracing
+from repro.utils.rng import RngStream
+enable_tracing()
+accelerator = CimAccelerator(mlp(RngStream(0), (4, 3)))
+accelerator.program(np.random.default_rng(0))
+accelerator.write_verify_all(np.random.default_rng(1))
+accelerator.program_trials([np.random.default_rng(2)])
+accelerator.write_verify_trials(np.random.default_rng(3))
+"""
+
+
+def test_perfbench_instruments_the_program():
+    """perfbench's span wrappers find every name they wrap or rebind.
+
+    ``instrument()`` looks each one up with ``getattr``, and the verify
+    wrappers read pulse counts through ``total_cycles`` and
+    ``total_cycles_trials`` while tracing, so deleting or renaming any
+    of them fails here rather than only in a traced perfbench run.
+    """
+    root = SRC.parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")])
+    proc = subprocess.run(
+        [sys.executable, "-c", _INSTRUMENT],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

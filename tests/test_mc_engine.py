@@ -16,6 +16,7 @@ import pytest
 from repro.cim import CimAccelerator, DeviceConfig, MappingConfig
 from repro.cim.write_verify import (
     WriteVerifyConfig,
+    WriteVerifyResult,
     write_verify,
     write_verify_trials,
 )
@@ -57,14 +58,26 @@ def test_write_verify_trials_shapes_and_dtypes(device):
     assert result.converged.dtype == np.bool_
 
 
+def _scalar_trials(targets, initial, device, config, seed):
+    """The scalar reference: one standalone write_verify per trial, each
+    from its own generator, stacked on the trial axis."""
+    results = [
+        write_verify(targets, initial[i], device, config,
+                     np.random.default_rng(seed + i))
+        for i in range(initial.shape[0])
+    ]
+    return WriteVerifyResult(
+        levels=np.stack([r.levels for r in results]),
+        cycles=np.stack([r.cycles for r in results]),
+        converged=np.stack([r.converged for r in results]),
+    )
+
+
 def test_write_verify_trials_batched_matches_scalar_statistics(device):
     """Paper operating point: both paths hit ~10 cycles, same residual sigma."""
     config = WriteVerifyConfig()
     targets, initial = _trial_stack(device, 8, 4000)
-    scalar = write_verify_trials(
-        targets, initial, device, config, batched=False,
-        trial_rngs=[np.random.default_rng(50 + i) for i in range(8)],
-    )
+    scalar = _scalar_trials(targets, initial, device, config, seed=50)
     batched = write_verify_trials(
         targets, initial, device, config, rng=np.random.default_rng(99)
     )
@@ -81,33 +94,24 @@ def test_write_verify_trials_batched_matches_scalar_statistics(device):
 
 
 def test_write_verify_trials_scalar_mode_is_bitwise_per_trial(device):
-    """Trial i of the scalar path == a standalone write_verify call."""
+    """A one-trial stack, the scalar case, is bitwise a standalone
+    write_verify call."""
     config = WriteVerifyConfig()
     targets, initial = _trial_stack(device, 4, 300, seed=7)
     stacked = write_verify_trials(
-        targets, initial, device, config, batched=False,
-        trial_rngs=[np.random.default_rng(70 + i) for i in range(4)],
+        targets, initial[2:3], device, config, np.random.default_rng(72)
     )
     single = write_verify(
         targets, initial[2], device, config, np.random.default_rng(72)
     )
-    np.testing.assert_array_equal(stacked.levels[2], single.levels)
-    np.testing.assert_array_equal(stacked.cycles[2], single.cycles)
+    np.testing.assert_array_equal(stacked.levels[0], single.levels)
+    np.testing.assert_array_equal(stacked.cycles[0], single.cycles)
 
 
 def test_write_verify_trials_validates_inputs(device):
-    targets, initial = _trial_stack(device, 3, 50)
-    with pytest.raises(ValueError, match="requires rng"):
-        write_verify_trials(targets, initial, device, WriteVerifyConfig())
-    with pytest.raises(ValueError, match="requires trial_rngs"):
-        write_verify_trials(
-            targets, initial, device, WriteVerifyConfig(), batched=False
-        )
-    with pytest.raises(ValueError, match="trial_rngs"):
-        write_verify_trials(
-            targets, initial, device, WriteVerifyConfig(), batched=False,
-            trial_rngs=[np.random.default_rng(0)],
-        )
+    with pytest.raises(ValueError, match="leading trial axis"):
+        write_verify_trials(5.0, 5.0, device, WriteVerifyConfig(),
+                            np.random.default_rng(0))
 
 
 # ------------------------------------------------------- engine streams
@@ -125,8 +129,8 @@ def test_engine_substreams_are_independent_and_stable():
 
 def test_engine_blocks_cover_all_trials():
     engine = MonteCarloEngine(10, RngStream(0).child("b"))
-    blocks = list(engine.blocks(eval_batch_size=128))
-    assert [len(b) for b in blocks] == [4, 4, 2]
+    blocks = list(engine.blocks())
+    assert [len(b) for b in blocks] == [2, 2, 2, 2, 2]
     np.testing.assert_array_equal(np.concatenate(blocks), np.arange(10))
 
 

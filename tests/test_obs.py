@@ -89,9 +89,9 @@ class TestMetricsRegistry:
         # value == bound lands in that bucket (le semantics)
         assert counts == (2, 3, 4) and count == 4
         # a quantile is its bucket's upper bound, +Inf past the last one
-        assert hist.quantile(0.5) == 1.0
-        assert hist.quantile(0.75) == 2.0
-        assert hist.quantile(0.99) == math.inf
+        assert bucket_quantile(hist.buckets, counts, 0.5) == 1.0
+        assert bucket_quantile(hist.buckets, counts, 0.75) == 2.0
+        assert bucket_quantile(hist.buckets, counts, 0.99) == math.inf
         assert bucket_quantile((1.0, 2.0), (0, 0, 0), 0.5) is None
 
     def test_declare_is_idempotent_but_conflicts_raise(self):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cim import EnduranceModel
+from repro.cim import EnduranceModel, EnduranceObserver
 from repro.core.pareto import nwc_to_reach, speedup_at_iso_accuracy, speedup_table
 
 
@@ -71,12 +71,18 @@ def test_speedup_table_from_sweep_outcome():
 
 # -------------------------------------------------------------- endurance
 
+def _wear(cycles, model=None):
+    """Wear summary of one session that verified with ``cycles``."""
+    observer = EnduranceObserver(model)
+    observer.observe("w", cycles)
+    return observer.summary()
+
+
 def test_wear_report_counts_initial_write():
-    model = EnduranceModel(endurance_cycles=1000)
-    report = model.wear_report(np.array([0, 5, 20]))
-    assert report.total_pulses == 3 + 25
-    assert report.max_pulses_per_device == 21
-    assert report.deployments_to_failure == pytest.approx(1000 / 21)
+    report = _wear(np.array([0, 5, 20]), EnduranceModel(endurance_cycles=1000))
+    assert report["total_pulses"] == 3 + 25
+    assert report["max_pulses_per_device"] == 21
+    assert report["deployments_to_failure"] == pytest.approx(1000 / 21)
 
 
 def test_endurance_validation():
@@ -103,11 +109,10 @@ def test_wear_from_accelerator_cycles(trained_lenet):
     ])
     mask = np.zeros(cycles.size, dtype=bool)
     mask[: cycles.size // 10] = True
-    endurance = EnduranceModel()
-    full = endurance.wear_report(cycles)
-    selective = endurance.wear_report(np.where(mask, cycles, 0))
+    full = _wear(cycles)
+    selective = _wear(np.where(mask, cycles, 0))
     lifetime_gain = (
-        full.mean_pulses_per_device / selective.mean_pulses_per_device
+        full["mean_pulses_per_device"] / selective["mean_pulses_per_device"]
     )
     assert lifetime_gain > 2.0
     accelerator.clear()

@@ -4,9 +4,8 @@ Pins the subsystem's contracts: planned orders are exactly what the
 scorers and the stack's variance map compose, a whole grid shares one
 curvature pass (the ROADMAP's dominant-rank-cost item), warm caches
 reproduce cold plans bitwise without running any pass, plans round-trip
-through JSON, deploy onto accelerators and replay their scenario cell
-through the sweep, and parallel scenario execution is byte-identical to
-serial.
+through JSON and replay their scenario cell through the sweep, and
+parallel scenario execution is byte-identical to serial.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cim import CimAccelerator, MappingConfig, resolve_technology
+from repro.cim import MappingConfig, resolve_technology
 from repro.core import (
     FisherScorer,
     GradientScorer,
@@ -115,7 +114,7 @@ class TestPlanResolution:
             )
             for t in (1.0, ONE_HOUR, ONE_MONTH)
         ]
-        plans = engine.plan_batch(requests)
+        plans = [engine.plan(request) for request in requests]
         assert engine.stats["curvature_passes"] == 1
         assert engine.stats["variance_passes"] == 3  # one per read time
         assert len(plans) == 3
@@ -147,11 +146,11 @@ class TestPlanResolution:
             )
 
         cold_engine = build()
-        cold = cold_engine.plan_batch(requests)
+        cold = [cold_engine.plan(request) for request in requests]
         assert cold_engine.stats["curvature_passes"] == 1
 
         warm_engine = build()  # fresh memory tier: hits must come from disk
-        warm = warm_engine.plan_batch(requests)
+        warm = [warm_engine.plan(request) for request in requests]
         assert warm_engine.stats["curvature_passes"] == 0
         assert warm_engine.stats["variance_passes"] == 0
         assert warm_engine.stats["ranking_passes"] == 0
@@ -176,16 +175,17 @@ class TestPlanResolution:
             PlanRequest(methods=("swim", "insitu"), technology="pcm",
                         read_time=1.0)
 
-        def plan_batch(self, requests):
+        def plan(self, request):
             raise AssertionError("planned a grid that cannot run")
 
-        monkeypatch.setattr(PlanEngine, "plan_batch", plan_batch)
-        with pytest.raises(ScenarioConfigError, match="insitu"):
-            run_retention(
-                get_scale("smoke"), technologies=("pcm",), times=(1.0,),
-                methods=("swim", "insitu"),
-                plan_cache=PlanArtifactCache(disk=False),
-            )
+        with monkeypatch.context() as patch:
+            patch.setattr(PlanEngine, "plan", plan)
+            with pytest.raises(ScenarioConfigError, match="insitu"):
+                run_retention(
+                    get_scale("smoke"), technologies=("pcm",), times=(1.0,),
+                    methods=("swim", "insitu"),
+                    plan_cache=PlanArtifactCache(disk=False),
+                )
 
         plan = plan_for(mini_zoo, sense_samples=64, methods=("swim",),
                         nwc_targets=(0.0,), technology="pcm", read_time=1.0)
@@ -299,23 +299,9 @@ class TestSelectionPlanArtifact:
         )
         assert replay.wear == expected.wear
 
-    def test_apply_deploys_the_planned_selection(self, mini_zoo):
-        plan = self._plan(mini_zoo)
-        accelerator = CimAccelerator(mini_zoo.model, technology="fefet")
-        stream = RngStream(31).child("apply")
-        accelerator.program(stream.child("program").generator)
-        accelerator.write_verify_all(stream.child("verify").generator)
-
-        nwc = plan.apply(accelerator, method="swim", nwc_target=0.3)
-        space = WeightSpace.from_model(mini_zoo.model)
-        expected = accelerator.apply_selection(
-            space.masks_from_indices(plan.order("swim")[:plan.count_for(0.3)])
-        )
-        assert nwc == expected
-        assert 0.0 < nwc < 1.0
-        accelerator.clear()
-
     def test_apply_rejects_foreign_model(self, mini_zoo):
+        """The sweep refuses to deploy a plan on another model, or at
+        other quantization bits than the workload's."""
         plan = self._plan(mini_zoo)
         from types import SimpleNamespace
 
@@ -323,11 +309,6 @@ class TestSelectionPlanArtifact:
         from repro.nn.models import mlp
 
         other = mlp(RngStream(3).child("mlp"), (64, 16, 4))
-        accelerator = CimAccelerator(other, technology="fefet")
-        accelerator.program(RngStream(4).generator)
-        accelerator.write_verify_all(RngStream(5).generator)
-        with pytest.raises(ValueError, match="weights"):
-            plan.apply(accelerator, method="swim", nwc_target=0.3)
         foreign = SimpleNamespace(model=other, data=mini_zoo.data,
                                   spec=mini_zoo.spec, clean_accuracy=0.0)
         with pytest.raises(ValueError, match="weights"):
@@ -338,12 +319,6 @@ class TestSelectionPlanArtifact:
                            weight_bits=6)
         with pytest.raises(ValueError, match="bits"):
             run_method_sweep(mini_zoo, six_bit, mc_runs=1, rng=RngStream(6))
-
-    def test_off_grid_budget_is_an_error(self, mini_zoo):
-        plan = self._plan(mini_zoo)
-        with pytest.raises(KeyError, match="grid"):
-            plan.count_for(0.42)
-
 
 class TestScenarioIntegration:
     def test_scalar_tiles_on_the_pool_match_a_direct_sweep(self, mini_zoo):

@@ -3,8 +3,8 @@
 Pins the scheduler's contracts: ``0`` means "auto-size to the core
 count" in every resolver, ``workers`` / ``REPRO_WORKERS`` is the one
 worker knob, and tile boundaries are a pure function of (trial count,
-block size, tile height) — never of the worker count — and always align
-to the engine's trial-block grid.
+block size) — never of the worker count — and always align to the
+engine's trial-block grid.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ import os
 
 import pytest
 
-from repro.core.mc import MonteCarloEngine, default_trial_block
+from repro.core.mc import DEFAULT_MAX_FOLD, MonteCarloEngine, default_trial_block
+from repro.core.metrics import EVAL_BATCH_SIZE
 from repro.robustness import ScenarioConfigError
 from repro.robustness.scheduler import (
     DEFAULT_TILES_PER_CELL,
-    Tile,
     auto_workers,
-    resolve_tile_trials,
     resolve_worker_count,
     resolve_workers,
     tile_ranges,
@@ -75,37 +74,18 @@ class TestWorkerResolution:
         assert resolve_workers() is None
 
 
-class TestTileTrials:
-    def test_arg_then_env_then_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TILE_TRIALS", raising=False)
-        assert resolve_tile_trials() is None
-        assert resolve_tile_trials(5) == 5
-        monkeypatch.setenv("REPRO_TILE_TRIALS", "3")
-        assert resolve_tile_trials() == 3
-
-    def test_invalid_values_are_config_errors(self, monkeypatch):
-        with pytest.raises(ScenarioConfigError, match="tile_trials"):
-            resolve_tile_trials(0)
-        monkeypatch.setenv("REPRO_TILE_TRIALS", "a few")
-        with pytest.raises(ScenarioConfigError, match="REPRO_TILE_TRIALS"):
-            resolve_tile_trials()
-
-
 class TestTileRanges:
     def test_tiles_cover_the_trial_axis_exactly_once(self):
-        ranges = tile_ranges(100, 2, tile_trials=16)
+        ranges = tile_ranges(100, 2)
         assert ranges[0][0] == 0
         assert ranges[-1][1] == 100
         for (_, stop), (start, _) in zip(ranges, ranges[1:]):
             assert stop == start
 
     def test_tiles_align_to_the_block_grid(self):
-        for start, stop in tile_ranges(100, 4, tile_trials=10):
+        for start, stop in tile_ranges(100, 4):
             assert start % 4 == 0
             assert stop % 4 == 0 or stop == 100
-
-    def test_tile_trials_rounds_up_to_whole_blocks(self):
-        assert tile_ranges(8, 2, tile_trials=3) == [(0, 4), (4, 8)]
 
     def test_default_heuristic_caps_tiles_per_cell(self):
         ranges = tile_ranges(3000, 2)
@@ -113,14 +93,11 @@ class TestTileRanges:
         assert tile_ranges(2, 2) == [(0, 2)]
 
     def test_boundaries_independent_of_everything_but_inputs(self):
-        assert tile_ranges(10, 2, tile_trials=4) == [(0, 4), (4, 8), (8, 10)]
+        assert tile_ranges(34, 2) == [
+            (0, 6), (6, 12), (12, 18), (18, 24), (24, 30), (30, 34)]
         assert tile_ranges(1, 2) == [(0, 1)]
         with pytest.raises(ValueError):
             tile_ranges(0, 2)
-
-    def test_tile_carries_its_trial_count(self):
-        tile = Tile(cell=3, start=4, stop=10)
-        assert tile.trials == 6
 
 
 class TestEngineWindow:
@@ -145,5 +122,5 @@ class TestEngineWindow:
             MonteCarloEngine(4, RngStream(1), trial_range=(3, 3))
 
     def test_default_trial_block_grain(self):
-        assert default_trial_block(256) == 2
-        assert default_trial_block(4096) == 1
+        assert default_trial_block() == DEFAULT_MAX_FOLD // EVAL_BATCH_SIZE
+        assert default_trial_block() == 2

@@ -30,7 +30,7 @@ from repro.nn import evaluate_accuracy
 from repro.plan import PlanArtifactCache, PlanEngine
 from repro.utils.rng import RngStream
 
-from .helpers import plan_for
+from .helpers import deployed_weights, plan_for
 
 
 @pytest.fixture
@@ -180,7 +180,7 @@ def test_failed_sweep_leaves_no_weights_deployed(mini_zoo, monkeypatch):
     with pytest.raises(RuntimeError, match="tile failed"):
         run_method_sweep(mini_zoo, plan, mc_runs=1, rng=RngStream(17),
                          eval_samples=50, batched=False)
-    deployed = CimAccelerator(mini_zoo.model).deployed_weights()
+    deployed = deployed_weights(CimAccelerator(mini_zoo.model))
     assert all(weights is None for weights in deployed.values())
 
 

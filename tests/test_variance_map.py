@@ -26,7 +26,7 @@ from repro.cim import (
     get_technology,
 )
 from repro.cim.mapping import WeightMapper
-from repro.core import WeightSpace, variance_map_from_mapping
+from repro.core import WeightSpace
 from repro.nn.models import mlp
 from repro.utils.rng import RngStream
 
@@ -48,6 +48,15 @@ def chi2_quantile(p, df):
 @pytest.fixture
 def small_model(rng):
     model = to_float64(mlp(rng.child("m"), (6, 10, 4), activation="relu"))
+    return model, WeightSpace.from_model(model)
+
+
+def _one_layer_model(codes_for, scale):
+    """A one-layer model whose weights are ``codes_for(shape) * scale``,
+    with its space."""
+    model = to_float64(mlp(RngStream(0).child("m"), (3, 5)))
+    weight = next(model.parameters())
+    weight.data = np.asarray(codes_for(weight.data.shape), np.float64) * scale
     return model, WeightSpace.from_model(model)
 
 
@@ -73,12 +82,10 @@ def test_empirical_variance_matches_analytic(small_model, technology,
     mapping = tech.mapping_config()
     stack = tech.build_stack()
 
-    analytic = stack.variance_map(
-        mapping, read_time=read_time, space=space, model=model
-    )
+    analytic = stack.variance_map(mapping, space, model, read_time=read_time)
     empirical = stack.empirical_variance_map(
-        mapping, n_trials, RngStream(2024).child("mc", technology),
-        read_time=read_time, space=space, model=model,
+        mapping, space, model, n_trials,
+        RngStream(2024).child("mc", technology), read_time=read_time,
     )
     assert analytic.shape == empirical.shape == (space.total_size,)
     assert np.all(analytic > 0)
@@ -99,27 +106,9 @@ def test_variance_map_drift_raises_the_mean(small_model):
     tech = get_technology("pcm")
     mapping = tech.mapping_config()
     stack = tech.build_stack()
-    at_write = stack.variance_map(mapping, space=space, model=model)
-    at_month = stack.variance_map(
-        mapping, read_time=ONE_MONTH, space=space, model=model
-    )
+    at_write = stack.variance_map(mapping, space, model)
+    at_month = stack.variance_map(mapping, space, model, read_time=ONE_MONTH)
     assert at_month.mean() > 2.0 * at_write.mean()
-
-
-def test_accelerator_variance_map_matches_stack(small_model):
-    """CimAccelerator.variance_map is the stack map per mapped tensor."""
-    from repro.cim import CimAccelerator
-
-    model, space = small_model
-    accelerator = CimAccelerator(model, technology="pcm")
-    per_tensor = accelerator.variance_map(read_time=ONE_MONTH)
-    assert set(per_tensor) == set(space.names)
-    flat = space.flatten(per_tensor)
-    direct = accelerator.stack.variance_map(
-        accelerator.mapping_config, read_time=ONE_MONTH, space=space,
-        model=model,
-    )
-    np.testing.assert_array_equal(flat, direct)
 
 
 # ------------------------------------------------- hypothesis properties
@@ -141,7 +130,7 @@ def test_accelerator_variance_map_matches_stack(small_model):
 def test_variance_map_is_non_negative(sigma, bits, weight_bits, differential,
                                       nu, sigma_nu, relaxation, spatial_sigma,
                                       compensated, read_time, seed):
-    """E[dw^2] >= 0 for any stack composition, levels and read time."""
+    """E[dw^2] >= 0 for any stack composition, weights and read time."""
     tech = DeviceTechnology(
         name="prop", bits=bits, sigma=sigma, drift_nu=nu, drift_sigma_nu=sigma_nu,
         relaxation_sigma=relaxation, spatial_sigma=spatial_sigma,
@@ -154,12 +143,13 @@ def test_variance_map_is_non_negative(sigma, bits, weight_bits, differential,
     )
     stack = tech.build_stack()
     gen = np.random.default_rng(seed)
-    codes = gen.integers(-mapping.qmax, mapping.qmax + 1, size=(5, 3))
-    levels, _ = WeightMapper(mapping).slice_codes(codes)
-    variance = stack.variance_map(
-        mapping, read_time=read_time, levels=levels, scale=0.01
+    model, space = _one_layer_model(
+        lambda shape: gen.integers(-mapping.qmax, mapping.qmax + 1,
+                                   size=shape),
+        0.01,
     )
-    assert variance.shape == (5, 3)
+    variance = stack.variance_map(mapping, space, model, read_time=read_time)
+    assert variance.shape == (space.total_size,)
     assert np.all(variance >= 0.0)
     assert np.all(np.isfinite(variance))
 
@@ -193,10 +183,14 @@ def test_variance_map_monotone_in_read_time(nu, sigma_nu_frac, relaxation,
     mapping = MappingConfig(weight_bits=4, device=tech.device_config())
     stack = tech.build_stack()
     gen = np.random.default_rng(seed)
-    codes = gen.integers(8, 16, size=(4, 4)) * gen.choice([-1, 1], size=(4, 4))
-    levels, _ = WeightMapper(mapping).slice_codes(codes)
-    early = stack.variance_map(mapping, read_time=t1, levels=levels, scale=0.02)
-    late = stack.variance_map(mapping, read_time=t2, levels=levels, scale=0.02)
+    # Codes 8..15 stay in the upper half when quantization rescales them.
+    model, space = _one_layer_model(
+        lambda shape: gen.integers(8, 16, size=shape)
+        * gen.choice([-1, 1], size=shape),
+        0.02,
+    )
+    early = stack.variance_map(mapping, space, model, read_time=t1)
+    late = stack.variance_map(mapping, space, model, read_time=t2)
     assert np.all(late >= early * (1.0 - 1e-12))
 
 
@@ -210,7 +204,11 @@ def test_variance_map_monotone_in_read_time(nu, sigma_nu_frac, relaxation,
 )
 def test_variance_map_reduces_to_mapping_constant(sigma, bits, weight_bits,
                                                   differential, seed):
-    """Homogeneous programming noise only => exactly the Eq. 16 constant."""
+    """Homogeneous programming noise only => exactly the Eq. 16 constant.
+
+    The oracle is the paper's arithmetic: per tensor, the mapped code
+    noise std (Eq. 16) times the tensor's quantization scale, squared.
+    """
     mapping = MappingConfig(
         weight_bits=weight_bits,
         device=DeviceConfig(bits=bits, sigma=sigma),
@@ -220,9 +218,15 @@ def test_variance_map_reduces_to_mapping_constant(sigma, bits, weight_bits,
     model = to_float64(mlp(RngStream(seed).child("m"), (4, 6, 3),
                            activation="relu"))
     space = WeightSpace.from_model(model)
-    from_stack = stack.variance_map(mapping, space=space, model=model)
-    from_mapping = variance_map_from_mapping(space, model, mapping)
-    np.testing.assert_array_equal(from_stack, from_mapping)
+    from_stack = stack.variance_map(mapping, space, model)
+    mapper = WeightMapper(mapping)
+    params = dict(model.named_parameters())
+    eq16 = {}
+    for name in space.names:
+        _, scale = mapper.quantize(params[name].data)
+        std_w = mapping.code_noise_std() * scale
+        eq16[name] = np.full(space.shape_of(name), std_w ** 2)
+    np.testing.assert_array_equal(from_stack, space.flatten(eq16))
 
 
 def test_variance_map_rejects_custom_stages():
@@ -237,11 +241,12 @@ def test_variance_map_rejects_custom_stages():
             return levels * 0.99
 
     mapping = MappingConfig()
+    model, space = _one_layer_model(lambda shape: np.ones(shape), 0.1)
     stack = NonidealityStack(
         stages=(ProgrammingNoiseStage(), LineDropStage())
     )
     with pytest.raises(NotImplementedError, match="line-drop"):
-        stack.variance_map(mapping, shape=(3,))
+        stack.variance_map(mapping, space, model)
 
     class ReadDropStage(LineDropStage):
         name = "read-drop"
@@ -249,9 +254,9 @@ def test_variance_map_rejects_custom_stages():
 
     stack = NonidealityStack(stages=(ProgrammingNoiseStage(), ReadDropStage()))
     # Without a read time the read pipeline never runs: still analytic.
-    assert np.all(stack.variance_map(mapping, shape=(3,)) > 0)
+    assert np.all(stack.variance_map(mapping, space, model) > 0)
     with pytest.raises(NotImplementedError, match="read-drop"):
-        stack.variance_map(mapping, shape=(3,), read_time=10.0)
+        stack.variance_map(mapping, space, model, read_time=10.0)
 
 
 def test_variance_map_without_programming_stage_has_no_noise_floor():
@@ -259,6 +264,9 @@ def test_variance_map_without_programming_stage_has_no_noise_floor():
     from repro.cim import SpatialCorrelationStage, SpatialVariationModel
 
     mapping = MappingConfig()
+    scale = 0.1
+    model, space = _one_layer_model(
+        lambda shape: np.full(shape, mapping.qmax), scale)
     spatial_only = NonidealityStack(
         stages=(SpatialCorrelationStage(SpatialVariationModel(sigma=0.1)),)
     )
@@ -268,11 +276,11 @@ def test_variance_map_without_programming_stage_has_no_noise_floor():
             SpatialCorrelationStage(SpatialVariationModel(sigma=0.1)),
         )
     )
-    lean = spatial_only.variance_map(mapping, shape=(4,))
-    full = with_noise.variance_map(mapping, shape=(4,))
+    lean = spatial_only.variance_map(mapping, space, model)
+    full = with_noise.variance_map(mapping, space, model)
     assert np.all(lean > 0)
     assert np.all(full > lean)
-    expected_gap = (mapping.code_noise_std()) ** 2
+    expected_gap = (mapping.code_noise_std() * scale) ** 2
     np.testing.assert_allclose(full - lean, expected_gap, rtol=1e-12)
 
 

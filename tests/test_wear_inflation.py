@@ -1,10 +1,9 @@
 """Wear-derived variance inflation: the endurance axis closes.
 
-The ROADMAP item: ``variance_map(wear_inflation=)`` was a manual knob;
-these tests pin the derived path — the endurance model's
-sigma-growth-vs-cycling curve turns the observer's consumed fraction
-into the inflation automatically, with the manual knob kept as an
-override.
+The endurance model's sigma-growth-vs-cycling curve turns a consumed
+fraction (a request's ``wear_consumed``, or the observer's own summary)
+into the variance map's ``wear_inflation``; a request's manual
+``wear_inflation`` overrides it.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from repro.cim import (
     get_technology,
     resolve_technology,
 )
+from repro.plan import PlanRequest
 from repro.utils.rng import RngStream
 
 
@@ -102,53 +102,65 @@ class TestDerivedVarianceMap:
         assert 0.0 < summary["consumed_fraction"] < 1.0
 
     def test_wear_summary_drives_inflation(self, setup):
-        """variance_map(wear=summary) equals the manual equivalent."""
+        """The curve's inflation scales the map: the read-after-write map
+        of a programming-noise stack is all write variance, so a worn
+        cell's map is the fresh map times the inflation."""
+        from repro.core import WeightSpace
+        from repro.nn.models import mlp
+
         tech, mapping, stack = setup
         summary = {"consumed_fraction": 0.25, "deployments": 2}
-        derived = tech.endurance_model().wear_inflation(0.5)
+        derived = tech.endurance_model().wear_inflation(
+            summary["consumed_fraction"] * summary["deployments"])
         assert derived > 1.0
-        via_wear = stack.variance_map(mapping, shape=(6, 5), wear=summary)
-        via_knob = stack.variance_map(
-            mapping, shape=(6, 5), wear_inflation=derived
-        )
-        assert np.array_equal(via_wear, via_knob)
-        fresh = stack.variance_map(mapping, shape=(6, 5))
-        assert np.all(via_wear > fresh)
+        model = mlp(RngStream(3).child("m"), (6, 5))
+        space = WeightSpace.from_model(model)
+        worn = stack.variance_map(mapping, space, model,
+                                  wear_inflation=derived)
+        fresh = stack.variance_map(mapping, space, model)
+        assert np.all(worn > fresh)
+        np.testing.assert_allclose(worn, fresh * derived, rtol=1e-12)
 
     def test_bare_fraction_and_manual_override(self, setup):
-        tech, mapping, stack = setup
+        tech, _, _ = setup
         endurance = tech.endurance_model()
-        assert stack.resolve_wear_inflation(wear=0.5) == pytest.approx(
+        request = PlanRequest(technology=tech, wear_consumed=0.5)
+        assert request.effective_wear_inflation() == pytest.approx(
             endurance.wear_inflation(0.5)
         )
         # The manual knob wins over any wear evidence.
-        assert stack.resolve_wear_inflation(
-            wear=0.5, wear_inflation=1.75
-        ) == 1.75
+        assert PlanRequest(
+            technology=tech, wear_consumed=0.5, wear_inflation=1.75
+        ).effective_wear_inflation() == 1.75
         # Fresh when there is nothing to derive from.
-        assert stack.resolve_wear_inflation(wear=None) == 1.0
+        assert PlanRequest(technology=tech).effective_wear_inflation() == 1.0
 
-    def test_no_observer_means_fresh(self, setup):
-        from repro.cim import NonidealityStack, ProgrammingNoiseStage
-
-        _, mapping, _ = setup
-        bare = NonidealityStack(stages=(ProgrammingNoiseStage(),))
-        assert bare.resolve_wear_inflation(wear=0.9) == 1.0
+    def test_no_observer_means_fresh(self):
+        """Without a technology there is no endurance curve: fresh."""
+        request = PlanRequest(sigma=0.1, wear_consumed=0.9)
+        assert request.effective_wear_inflation() == 1.0
 
     def test_accelerator_feeds_its_own_wear(self, trained_lenet):
-        """``variance_map(wear=True)`` inflates with the observed wear."""
-        model, _, _ = trained_lenet
+        """An accelerator's observed wear, as a request's
+        ``wear_consumed``, inflates the planned variance map."""
+        from repro.plan import PlanArtifactCache, PlanEngine
+
+        model, data, _ = trained_lenet
         accelerator = CimAccelerator(model, technology="rram")
         stream = RngStream(41).child("wear")
         accelerator.program(stream.child("program").generator)
         accelerator.write_verify_all(stream.child("verify").generator)
-        fresh = accelerator.variance_map()
-        worn = accelerator.variance_map(wear=True)
         summary = accelerator.wear_summary()
+        accelerator.clear()
         expected = resolve_technology("rram").endurance_model().wear_inflation(
             summary["consumed_fraction"]
         )
         assert expected > 1.0
-        for name in fresh:
-            assert np.allclose(worn[name], fresh[name] * expected)
-        accelerator.clear()
+        engine = PlanEngine(model, data.train_x[:32], data.train_y[:32],
+                            cache=PlanArtifactCache(disk=False))
+        fresh = engine.variance(PlanRequest(technology="rram"))
+        worn_request = PlanRequest(
+            technology="rram", wear_consumed=summary["consumed_fraction"])
+        assert worn_request.effective_wear_inflation() == expected
+        worn = engine.variance(worn_request)
+        np.testing.assert_allclose(worn, fresh * expected, rtol=1e-12)
