@@ -23,7 +23,6 @@ from repro.cim.devices import (
     RetentionModel,
     SpatialCorrelationStage,
     SpatialVariationModel,
-    StageContext,
     get_technology,
     register_technology,
     resolve_technology,
@@ -55,7 +54,6 @@ __all__ = [
     "RetentionModel",
     "SpatialCorrelationStage",
     "SpatialVariationModel",
-    "StageContext",
     "WeightMapper",
     "WriteVerifyConfig",
     "WriteVerifyResult",

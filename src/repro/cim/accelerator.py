@@ -37,19 +37,21 @@ noise, optionally spatial correlation) run inside ``program`` /
 ``program_trials``; read stages (retention drift) run inside
 ``apply_selection*`` when a ``read_time`` is requested; write-verify
 cycle counts feed the stack's endurance observer (``wear_summary()``).
-Pass ``technology="pcm"`` (or any registered
-:class:`~repro.cim.devices.DeviceTechnology`) to derive mapping + stack
-from one named profile; the default stack reproduces the paper's i.i.d.
-Gaussian model bit-for-bit.  The analytic variance of an unverified
-deployment, the physics side of Eq. 5, is the stack's
-:meth:`~repro.cim.devices.NonidealityStack.variance_map`.
+The stages read their slice geometry (per-slice noise, full-scales,
+differential columns) from the accelerator's
+:class:`~repro.cim.mapping.MappingConfig`.  A technology's mapping and
+stack come from :func:`repro.plan.resolve_physics` (for example
+``PlanRequest(technology="pcm").resolve()``); the default stack
+reproduces the paper's i.i.d. Gaussian model bit-for-bit.  The analytic
+variance of an unverified deployment, the physics side of Eq. 5, is the
+stack's :meth:`~repro.cim.devices.NonidealityStack.variance_map`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cim.devices import NonidealityStack, StageContext, resolve_technology
+from repro.cim.devices import NonidealityStack
 from repro.cim.mapping import MappingConfig, WeightMapper
 from repro.cim.write_verify import (
     WriteVerifyConfig,
@@ -75,22 +77,13 @@ def weighted_layer_names(model):
 class CimAccelerator:
     """Simulated nvCiM platform hosting one model's weights."""
 
-    def __init__(self, model, mapping_config=None, wv_config=None, stack=None,
-                 technology=None):
+    def __init__(self, model, mapping_config=None, wv_config=None, stack=None):
         self.model = model
-        self.technology = None
-        if technology is not None:
-            self.technology = resolve_technology(technology)
-            if mapping_config is None:
-                mapping_config = self.technology.mapping_config()
-            if stack is None:
-                stack = self.technology.build_stack()
         self.mapping_config = (
             mapping_config if mapping_config is not None else MappingConfig()
         )
         self.wv_config = wv_config if wv_config is not None else WriteVerifyConfig()
         self.stack = stack if stack is not None else NonidealityStack.default()
-        self._stage_ctx = StageContext.from_mapping(self.mapping_config)
         self.mapper = WeightMapper(self.mapping_config)
         self._layers = {}
         for mod_name, module in model.named_modules():
@@ -138,7 +131,7 @@ class CimAccelerator:
         self.stack.reset_observers()
         self._drift_cache = None
         self._programmed = {
-            name: self.stack.program(mapped.levels, self._stage_ctx, rng)
+            name: self.stack.program(mapped.levels, self.mapping_config, rng)
             for name, mapped in self._mapped.items()
         }
         self._verified = None
@@ -228,11 +221,12 @@ class CimAccelerator:
         """
         def drift():
             stream = read_stream.child("read", name)
+            mapping = self.mapping_config
             return (
-                self.stack.read(self._verified[name].levels, self._stage_ctx,
-                                stream, t=read_time),
-                self.stack.read(self._programmed[name], self._stage_ctx,
-                                stream, t=read_time),
+                self.stack.read(self._verified[name].levels, mapping, stream,
+                                t=read_time),
+                self.stack.read(self._programmed[name], mapping, stream,
+                                t=read_time),
             )
 
         key = (float(read_time), read_stream.seed)
@@ -309,11 +303,6 @@ class CimAccelerator:
 
     # ------------------------------------------------------- trial batching
 
-    @property
-    def n_trials(self):
-        """Trial count of the current batched state (None when scalar)."""
-        return self._n_trials
-
     def program_trials(self, trial_rngs):
         """Initial programming of every device for a stack of trials.
 
@@ -338,7 +327,7 @@ class CimAccelerator:
         # draw order of a scalar program() call with the same generator.
         self._programmed_trials = {
             name: self.stack.program_trials(
-                mapped.levels, self._stage_ctx, trial_rngs
+                mapped.levels, self.mapping_config, trial_rngs
             )
             for name, mapped in self._mapped.items()
         }
@@ -493,11 +482,12 @@ class CimAccelerator:
         """
         def drift():
             children = [s.child("read", name) for s in streams]
+            mapping = self.mapping_config
             return (
-                self.stack.read_trials(verified_levels, self._stage_ctx,
-                                       children, t=read_time),
-                self.stack.read_trials(programmed, self._stage_ctx,
-                                       children, t=read_time),
+                self.stack.read_trials(verified_levels, mapping, children,
+                                       t=read_time),
+                self.stack.read_trials(programmed, mapping, children,
+                                       t=read_time),
             )
 
         key = (float(read_time), tuple(s.seed for s in streams))

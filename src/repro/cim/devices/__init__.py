@@ -13,7 +13,7 @@ behind two concepts:
   with technology-specific sigma/drift/endurance parameters.
 
 Every stage supports a leading ``(n_trials, ...)`` axis with per-trial
-RNG substreams, so the batched Monte Carlo engine and the scalar
+RNG substreams, so the batched Monte Carlo sweep and the scalar
 reference path stay bitwise-equivalent.
 """
 
@@ -36,7 +36,6 @@ from repro.cim.devices.stack import (
     ProgrammingNoiseStage,
     RetentionDriftStage,
     SpatialCorrelationStage,
-    StageContext,
 )
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "RetentionModel",
     "SpatialCorrelationStage",
     "SpatialVariationModel",
-    "StageContext",
     "get_technology",
     "register_technology",
     "resolve_technology",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EnduranceModel", "EnduranceObserver"]
+__all__ = ["EnduranceModel", "EnduranceObserver", "wear_statistics"]
 
 #: Pulses of the initial parallel programming pass: one per device,
 #: whether or not the device is later verified.
@@ -60,10 +60,6 @@ class EnduranceModel:
             raise ValueError("sigma_growth must be >= 0")
         if self.growth_exponent <= 0:
             raise ValueError("growth_exponent must be > 0")
-
-    def consumed_fraction(self, pulses):
-        """Fraction of the endurance budget spent by ``pulses`` writes."""
-        return float(np.clip(pulses / self.endurance_cycles, 0.0, 1.0))
 
     def wear_inflation(self, consumed_fraction):
         """Programming-noise *variance* multiplier after cycling.
@@ -142,23 +138,37 @@ class EnduranceObserver:
                 worst_cycles = max(worst_cycles, int(flat.max()))
         if devices == 0:
             return None
-        worst = worst_cycles + INITIAL_WRITES
-        mean_pulses = total_cycles / devices + INITIAL_WRITES
-        return {
-            "endurance_cycles": self.model.endurance_cycles,
-            "total_pulses": total_cycles + devices * INITIAL_WRITES,
-            "mean_pulses_per_device": mean_pulses,
-            "max_pulses_per_device": worst,
-            "deployments_to_failure": self.model.endurance_cycles / max(worst, 1),
-            "consumed_fraction": self.model.consumed_fraction(mean_pulses),
-            # Raw integer aggregates: what the derived statistics are
-            # computed from.  Summaries over disjoint trial subsets
-            # (work-rectangle tiles) merge exactly through these —
-            # sum devices/verify_cycles, max max_verify_cycles — and
-            # re-derive the floats above bit for bit
-            # (:func:`repro.robustness.checkpoint.merge_wear`).
-            "devices": devices,
-            "verify_cycles": total_cycles,
-            "max_verify_cycles": worst_cycles,
-            "initial_writes": INITIAL_WRITES,
-        }
+        return wear_statistics(devices, total_cycles, worst_cycles,
+                               self.model.endurance_cycles)
+
+
+def wear_statistics(devices, verify_cycles, max_verify_cycles,
+                    endurance_cycles):
+    """The wear summary of ``devices`` device-trials.
+
+    ``verify_cycles`` is their total verify-pulse count and
+    ``max_verify_cycles`` the worst device's; ``endurance_cycles`` is
+    the technology's pulse budget, of which ``consumed_fraction`` is the
+    share (clipped to [0, 1]) the mean device spends.  Every float
+    statistic is derived here from those integers, so summaries over disjoint trial subsets
+    (work-rectangle tiles) merge exactly: sum ``devices`` and
+    ``verify_cycles``, max ``max_verify_cycles``, and call this again
+    (:func:`repro.robustness.checkpoint.merge_wear`).
+    """
+    worst = max_verify_cycles + INITIAL_WRITES
+    mean_pulses = verify_cycles / devices + INITIAL_WRITES
+    return {
+        "endurance_cycles": endurance_cycles,
+        "total_pulses": verify_cycles + devices * INITIAL_WRITES,
+        "mean_pulses_per_device": mean_pulses,
+        "max_pulses_per_device": worst,
+        "deployments_to_failure": endurance_cycles / max(worst, 1),
+        "consumed_fraction": float(
+            np.clip(mean_pulses / endurance_cycles, 0.0, 1.0)
+        ),
+        # The integer aggregates the statistics above derive from.
+        "devices": devices,
+        "verify_cycles": verify_cycles,
+        "max_verify_cycles": max_verify_cycles,
+        "initial_writes": INITIAL_WRITES,
+    }

@@ -5,9 +5,12 @@ CIMulator-style platforms gain much of their value from simulating
 same for the SWIM pipeline.  A :class:`DeviceTechnology` bundles the
 technology-specific parameters of every nonideality silo — programming
 sigma, bits per cell, retention drift, spatial correlation, endurance
-budget — and builds the matching :class:`~repro.cim.devices.stack.
-NonidealityStack` and :class:`~repro.cim.mapping.MappingConfig` on
-demand, so ``CimAccelerator(model, technology="pcm")`` is a one-liner.
+budget — and builds its cell (:meth:`DeviceTechnology.device_config`)
+and its :class:`~repro.cim.devices.stack.NonidealityStack`.  The one
+derivation of a physics point's mapping and stack from a technology is
+:func:`repro.plan.resolve_physics`, so an accelerator on ``pcm`` is
+``CimAccelerator(model, mapping_config=mapping, stack=stack)`` with
+``_, _, mapping, stack = PlanRequest(technology="pcm").resolve()``.
 
 The built-in profiles are literature-calibrated orders of magnitude, not
 device cards: ``fefet`` is the paper's default operating point (Yan et
@@ -135,16 +138,6 @@ class DeviceTechnology:
             endurance_cycles=self.endurance_cycles,
             sigma_growth=self.wear_sigma_growth,
             growth_exponent=self.wear_growth_exponent,
-        )
-
-    def mapping_config(self, weight_bits=4, differential=False):
-        """A :class:`~repro.cim.mapping.MappingConfig` on this technology."""
-        from repro.cim.mapping import MappingConfig
-
-        return MappingConfig(
-            weight_bits=weight_bits,
-            device=self.device_config(),
-            differential=differential,
         )
 
     def build_stack(self):

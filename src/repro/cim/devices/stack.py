@@ -11,6 +11,12 @@ accelerator runs for every tensor:
 - **observers** watch write-verify cycle accounting without touching any
   level (endurance wear).
 
+Every stage reads its slice geometry — per-slice noise sigma, full-scale
+and differential columns — from the :class:`~repro.cim.mapping.
+MappingConfig` the levels were sliced under, the same config
+:meth:`NonidealityStack.variance_map` reads, so the sampled noise and the
+analytic ``E[dw^2]`` that Eq. 5 ranks by share one geometry.
+
 RNG discipline
 --------------
 Write stages draw *sequentially* from the generator the caller passes —
@@ -32,14 +38,11 @@ call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.cim.devices.endurance import EnduranceObserver
 
 __all__ = [
-    "StageContext",
     "NonidealityStage",
     "ProgrammingNoiseStage",
     "SpatialCorrelationStage",
@@ -49,55 +52,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StageContext:
-    """Mapping-derived geometry every stage needs.
-
-    Attributes
-    ----------
-    slice_sigma_levels:
-        Programming-noise std per bit slice, in that slice's level units.
-    slice_max_levels:
-        Conductance full-scale per bit slice (level units).
-    differential:
-        Whether each weight also programs a complementary-column device
-        (doubling the programming-noise draws, as in
-        :meth:`~repro.cim.mapping.WeightMapper.program_levels`).
-    """
-
-    slice_sigma_levels: np.ndarray
-    slice_max_levels: np.ndarray
-    differential: bool = False
-
-    @classmethod
-    def from_mapping(cls, mapping_config):
-        """Build the context for one :class:`~repro.cim.mapping.MappingConfig`."""
-        return cls(
-            slice_sigma_levels=np.asarray(
-                mapping_config.slice_sigma_levels(), dtype=np.float64
-            ),
-            slice_max_levels=np.asarray(
-                mapping_config.slice_max_levels, dtype=np.float64
-            ),
-            differential=bool(mapping_config.differential),
-        )
-
-
 class NonidealityStage:
     """One ordered transformation of slice-major device levels.
 
     Subclasses set ``name`` (used for read-substream naming and display)
     and ``when`` (``"write"`` = applied at programming time, ``"read"`` =
     applied at deployment time), and implement :meth:`apply` on a
-    ``(num_slices,) + weight_shape`` array for one trial.  Stages must be
-    pure in their inputs apart from RNG draws: trial batching relies on
-    per-trial generators reproducing the scalar draw order bitwise.
+    ``(num_slices,) + weight_shape`` array for one trial.  ``mapping`` is
+    the :class:`~repro.cim.mapping.MappingConfig` whose slice geometry
+    (per-slice noise sigma, full-scale, differential columns) the stage
+    reads.  Stages must be pure in their inputs apart from RNG draws:
+    trial batching relies on per-trial generators reproducing the scalar
+    draw order bitwise.
     """
 
     name = "stage"
     when = "write"
 
-    def apply(self, levels, ctx, rng, t=None):
+    def apply(self, levels, mapping, rng, t=None):
         """Transform one trial's slice-major levels; returns a new array."""
         raise NotImplementedError
 
@@ -117,12 +89,12 @@ class ProgrammingNoiseStage(NonidealityStage):
     name = "program-noise"
     when = "write"
 
-    def apply(self, levels, ctx, rng, t=None):
-        per_slice = ctx.slice_sigma_levels.reshape(
+    def apply(self, levels, mapping, rng, t=None):
+        per_slice = mapping.slice_sigma_levels().reshape(
             (-1,) + (1,) * (levels.ndim - 1)
         )
         out = levels + rng.normal(0.0, 1.0, size=levels.shape) * per_slice
-        if ctx.differential:
+        if mapping.differential:
             out = out - rng.normal(0.0, 1.0, size=levels.shape) * per_slice
         return out
 
@@ -141,11 +113,12 @@ class SpatialCorrelationStage(NonidealityStage):
     def __init__(self, model):
         self.model = model
 
-    def apply(self, levels, ctx, rng, t=None):
+    def apply(self, levels, mapping, rng, t=None):
         out = np.array(levels, dtype=np.float64)
+        max_levels = mapping.slice_max_levels
         for i in range(out.shape[0]):
             field = self.model.sample_field(
-                out[i].size, rng, device_max_level=ctx.slice_max_levels[i]
+                out[i].size, rng, device_max_level=max_levels[i]
             )
             out[i] = out[i] + field.reshape(out[i].shape)
         return out
@@ -165,13 +138,14 @@ class RetentionDriftStage(NonidealityStage):
     def __init__(self, model):
         self.model = model
 
-    def apply(self, levels, ctx, rng, t=None):
+    def apply(self, levels, mapping, rng, t=None):
         if t is None:
             return levels
         out = np.empty_like(np.asarray(levels, dtype=np.float64))
+        max_levels = mapping.slice_max_levels
         for i in range(out.shape[0]):
             out[i] = self.model.apply(
-                levels[i], t, rng, device_max_level=ctx.slice_max_levels[i]
+                levels[i], t, rng, device_max_level=max_levels[i]
             )
         return out
 
@@ -200,7 +174,7 @@ class DriftCompensationStage(NonidealityStage):
     def __init__(self, model):
         self.model = model
 
-    def apply(self, levels, ctx, rng, t=None):
+    def apply(self, levels, mapping, rng, t=None):
         if t is None:
             return levels
         factor = self.model.mean_decay(t)
@@ -258,27 +232,22 @@ class NonidealityStack:
         """True when deployment-time physics (e.g. drift) is modeled."""
         return bool(self.read_stages)
 
-    def stage(self, name):
-        """Look up one stage by name."""
-        for s in self.stages:
-            if s.name == name:
-                return s
-        raise KeyError(f"no stage named {name!r}; have {[s.name for s in self.stages]}")
-
     # ---------------------------------------------------------------- write
 
-    def program(self, levels, ctx, rng):
+    def program(self, levels, mapping, rng):
         """Run all write stages on one trial's desired levels.
 
-        ``rng`` is a numpy Generator; stages draw from it sequentially
-        (the historical ``program_levels`` contract).
+        ``mapping`` is the :class:`~repro.cim.mapping.MappingConfig` the
+        levels were sliced under.  ``rng`` is a numpy Generator; stages
+        draw from it sequentially (the historical ``program_levels``
+        contract).
         """
         out = np.asarray(levels, dtype=np.float64)
         for stage in self.write_stages:
-            out = stage.apply(out, ctx, rng)
+            out = stage.apply(out, mapping, rng)
         return out
 
-    def program_trials(self, levels, ctx, trial_rngs):
+    def program_trials(self, levels, mapping, trial_rngs):
         """Program a stack of trials: ``(num_slices, n_trials) + shape``.
 
         Trial ``i`` draws from ``trial_rngs[i]`` exactly as
@@ -286,12 +255,12 @@ class NonidealityStack:
         bit-identical programmed levels.
         """
         return np.stack(
-            [self.program(levels, ctx, rng) for rng in trial_rngs], axis=1
+            [self.program(levels, mapping, rng) for rng in trial_rngs], axis=1
         )
 
     # ----------------------------------------------------------------- read
 
-    def read(self, levels, ctx, stream, t=None):
+    def read(self, levels, mapping, stream, t=None):
         """Run all read stages on one trial's deployed levels.
 
         ``stream`` is an :class:`~repro.utils.rng.RngStream`; each stage
@@ -303,10 +272,11 @@ class NonidealityStack:
             return levels
         out = levels
         for stage in self.read_stages:
-            out = stage.apply(out, ctx, stream.child(stage.name).generator, t=t)
+            out = stage.apply(out, mapping, stream.child(stage.name).generator,
+                              t=t)
         return out
 
-    def read_trials(self, levels, ctx, streams, t=None):
+    def read_trials(self, levels, mapping, streams, t=None):
         """Read a slice-major trial stack through all read stages.
 
         ``levels`` is ``(num_slices, n_trials) + shape``; trial ``i``
@@ -316,7 +286,7 @@ class NonidealityStack:
             return levels
         return np.stack(
             [
-                self.read(levels[:, i], ctx, stream, t=t)
+                self.read(levels[:, i], mapping, stream, t=t)
                 for i, stream in enumerate(streams)
             ],
             axis=1,
@@ -510,18 +480,18 @@ class NonidealityStack:
 
         streams = [rng.child("mc", i) for i in range(int(n_trials))]
         gens = [s.child("program").generator for s in streams]
-        ctx = StageContext.from_mapping(mapping_config)
         pos = mapping_config.slice_weights.astype(np.float64)
         mapper = WeightMapper(mapping_config)
         params = dict(model.named_parameters())
         per_tensor = {}
         for name in space.names:
             mapped = mapper.map_tensor(params[name].data)
-            programmed = self.program_trials(mapped.levels, ctx, gens)
+            programmed = self.program_trials(mapped.levels, mapping_config,
+                                             gens)
             if read_time is not None:
                 children = [s.child("read", name) for s in streams]
                 programmed = self.read_trials(
-                    programmed, ctx, children, t=read_time
+                    programmed, mapping_config, children, t=read_time
                 )
             codes = np.tensordot(pos, programmed, axes=(0, 0))
             deployed = codes * mapped.signs * mapped.scale

@@ -157,11 +157,6 @@ class MappedTensor:
     levels: np.ndarray
     signs: np.ndarray
 
-    @property
-    def num_slices(self):
-        """Devices per weight magnitude."""
-        return self.levels.shape[0]
-
 
 class WeightMapper:
     """Quantize + slice float weight tensors; reassemble noisy readouts."""

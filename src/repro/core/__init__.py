@@ -1,7 +1,6 @@
 """SWIM core: sensitivity analysis, Algorithm 1, and the paper's baselines."""
 
 from repro.core.insitu import InSituConfig, InSituHistory, InSituTrainer
-from repro.core.mc import MonteCarloEngine
 from repro.core.metrics import (
     DEFAULT_NWC_TARGETS,
     evaluate_accuracy,
@@ -31,7 +30,6 @@ __all__ = [
     "InSituHistory",
     "InSituTrainer",
     "MagnitudeScorer",
-    "MonteCarloEngine",
     "RandomScorer",
     "SensitivityScorer",
     "SwimConfig",

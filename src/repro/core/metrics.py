@@ -40,19 +40,19 @@ def _forward_trials(model, batch, n_trials):
     """One folded forward of a shared mini-batch under per-trial weights.
 
     The input is identical for every trial — only the deployed weights
-    differ — so when the model's first weighted layer carries the trial
-    axis, its input unfolding (the conv im2col) is computed once via
-    ``forward_multi`` instead of ``n_trials`` times on a tiled batch, and
-    the tiled copy of the batch is never built.  Falls back to plain
-    tiling for non-Sequential models or shared-weight leading layers.
+    differ — so when the model's first layer is a convolution carrying
+    the trial axis (every zoo model's is), its input unfolding (the
+    im2col) is computed once via ``Conv2d.forward_multi`` instead of
+    ``n_trials`` times on a tiled batch, and the tiled copy of the batch
+    is never built.  Any other model runs on plain tiling.
     """
-    from repro.nn.layers.base import WeightedLayer
+    from repro.nn.layers.conv import Conv2d
     from repro.nn.module import Sequential
 
     if isinstance(model, Sequential) and len(model) > 0:
         first = model[0]
         if (
-            isinstance(first, WeightedLayer)
+            isinstance(first, Conv2d)
             and first.override_trials() == n_trials
         ):
             out = first.forward_multi(batch, first.weight_override)

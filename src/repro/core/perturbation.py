@@ -125,7 +125,6 @@ class PerturbationEvaluator:
             )
             if out is not None:
                 return out
-            return self._evaluate_forward_multi(module, position, inner, signed)
         return self._evaluate_override(module, inner, signed)
 
     # ----------------------------------------------- linear: rank-1 update
@@ -253,22 +252,7 @@ class PerturbationEvaluator:
             chunks.append(logits.reshape(t, n, -1))
         return np.concatenate(chunks)
 
-    # ----------------------------------------- generic trial-batched paths
-
-    def _evaluate_forward_multi(self, module, position, inner, signed):
-        """Shared-input batched matmul at the perturbed layer, then fold."""
-        shared = self._prefix_output(position)
-        base = module.effective_weight()
-        chunks = []
-        for chunk in self._chunk(inner.size):
-            stack = np.broadcast_to(base, (len(chunk),) + base.shape).copy()
-            stack.reshape(len(chunk), -1)[
-                np.arange(len(chunk)), inner[chunk]
-            ] += signed[chunk]
-            out = module.forward_multi(shared, stack)
-            logits = self._run_suffix(out, position + 1)
-            chunks.append(logits.reshape(len(chunk), shared.shape[0], -1))
-        return np.concatenate(chunks)
+    # ------------------------------------------ generic trial-batched path
 
     def _evaluate_override(self, module, inner, signed):
         """Whole-model fallback: weight-override stacks + tiled inputs."""

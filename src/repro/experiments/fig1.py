@@ -12,11 +12,15 @@ The Monte Carlo trials run trial-batched by default: every trial of a
 perturbed weight differs from the baseline in exactly one tensor, so the
 activations *upstream* of that tensor's layer are shared by all of its
 trials and are computed once per tensor (prefix sharing), the perturbed
-layer applies all trial weight variants to that shared input in a single
-batched matmul (``forward_multi``), and only the suffix of the network
-runs per-trial (folded trial-major).  ``batched=False`` keeps the scalar
-one-forward-per-trial reference path; both draw identical perturbations
-from the same RNG stream.
+layer's output is its baseline plus a one-channel correction, and only
+the suffix of the network runs per-trial (folded trial-major; see
+:class:`~repro.core.perturbation.PerturbationEvaluator`).
+``batched=False`` keeps the scalar one-forward-per-trial reference path;
+both draw identical perturbations from the same RNG stream.
+
+The device point is fixed: :data:`SIGMA` on :data:`DEVICE_BITS`-bit
+cells, and the study runs on the float activation path (activation
+quantizers bypassed).
 """
 
 from __future__ import annotations
@@ -29,12 +33,18 @@ from repro.cim import DeviceConfig, MappingConfig, WeightMapper
 from repro.core import SwimScorer, WeightSpace, evaluate_accuracy
 from repro.nn import functional as F
 from repro.nn.losses import CrossEntropyLoss
+from repro.nn.quant import ActQuant
 from repro.utils.stats import pearson, spearman
 
-__all__ = ["Fig1Config", "Fig1Result", "run_fig1"]
+__all__ = ["DEVICE_BITS", "SIGMA", "Fig1Config", "Fig1Result", "run_fig1"]
 
 #: Upper bound on folded (trials * eval samples) per batched forward.
 _MAX_FOLD_SAMPLES = 2048
+
+#: The paper's typical device sigma (fraction of a cell's full-scale).
+SIGMA = 0.1
+#: Bits per device cell, K = 4 (Sec. 4.1).
+DEVICE_BITS = 4
 
 
 @dataclass(frozen=True)
@@ -44,9 +54,6 @@ class Fig1Config:
     n_weights: int = 120
     mc_runs: int = 10
     eval_samples: int = 400
-    sigma: float = 0.1
-    device_bits: int = 4
-    bypass_act_quant: bool = True
 
 
 @dataclass
@@ -185,22 +192,19 @@ def run_fig1(zoo, config, rng, batched=True):
     # float64 so they are not swamped by single-precision forward noise.
     for param in model.parameters():
         param.data = param.data.astype(np.float64)
+    # Activation quantization turns the smooth Taylor response Eq. 5
+    # analyses into O(delta) discretization jumps; the sensitivity study
+    # runs on the float activation path (the regime the paper's analysis
+    # — and its correlation figure — assumes).
     saved_peaks = {}
-    if config.bypass_act_quant:
-        # Activation quantization turns the smooth Taylor response Eq. 5
-        # analyses into O(delta) discretization jumps; the sensitivity
-        # study runs on the float activation path (the regime the paper's
-        # analysis — and its correlation figure — assumes).
-        from repro.nn.quant import ActQuant
-
-        for module in model.modules():
-            if isinstance(module, ActQuant):
-                saved_peaks[id(module)] = (module, module.running_peak)
-                module.running_peak = 0.0
+    for module in model.modules():
+        if isinstance(module, ActQuant):
+            saved_peaks[id(module)] = (module, module.running_peak)
+            module.running_peak = 0.0
     space = WeightSpace.from_model(model)
     mapping = MappingConfig(
         weight_bits=zoo.spec.weight_bits,
-        device=DeviceConfig(bits=config.device_bits, sigma=config.sigma),
+        device=DeviceConfig(bits=DEVICE_BITS, sigma=SIGMA),
     )
     mapper = WeightMapper(mapping)
 

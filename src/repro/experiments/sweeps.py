@@ -20,10 +20,10 @@ and one folded forward pass per (method, target) cell.  Pass
 ``batched=False`` for the scalar reference loop (the path for workloads
 too large to batch in memory; the orchestrator's ``workers=`` pool
 parallelizes it across trial windows).  Trial ``i`` draws its
-programming noise from the same named substream
-(:class:`~repro.core.mc.MonteCarloEngine`) in every mode, so the paired
-design — and the per-trial noise draw itself — is identical across
-paths.
+programming noise from the same named substream, ``rng.child("mc", i)``,
+in every mode, so the paired design — and the per-trial noise draw
+itself — is identical across paths.  The sweep walks its trial window
+in blocks of :func:`~repro.core.mc.default_trial_block` trials.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.cim import CimAccelerator
 from repro.core import (
     InSituConfig,
     InSituTrainer,
-    MonteCarloEngine,
     RandomScorer,
     WeightSpace,
     evaluate_accuracy,
@@ -161,11 +160,13 @@ def _insitu_row(zoo, accelerator, nwc_targets, run_rng, eval_x, eval_y,
     return accuracies, achieved
 
 
-def _batched_sweep(engine, zoo, accelerator, space, orders, methods, counts,
-                   nwc_targets, eval_x, eval_y, insitu_lr, acc_store,
+def _batched_sweep(rng, window, zoo, accelerator, space, orders, methods,
+                   counts, nwc_targets, eval_x, eval_y, insitu_lr, acc_store,
                    nwc_store, read_time=None):
     """Trial-batched sweep body: fills the per-method stores in place.
 
+    The ``(start, stop)`` trial ``window`` runs in blocks of
+    :func:`~repro.core.mc.default_trial_block` trials from ``start``.
     Each block of trials is programmed from its per-trial substreams
     (bit-identical to the scalar path), verified through one masked pulse
     loop, and every (method, target) cell is evaluated for the whole
@@ -183,13 +184,17 @@ def _batched_sweep(engine, zoo, accelerator, space, orders, methods, counts,
         for method in methods
         if method not in ("insitu", "random")
     }
-    for block in engine.blocks():
-        streams = engine.substreams(block)
+    start, stop = window
+    width = default_trial_block()
+    for first in range(start, stop, width):
+        block = range(first, min(first + width, stop))
+        rows = slice(first, block.stop)
+        streams = [rng.child("mc", trial) for trial in block]
         accelerator.program_trials(
             [s.child("program").generator for s in streams]
         )
         accelerator.write_verify_trials(
-            rng=engine.rng.child("verify-batch", int(block[0])).generator
+            rng=rng.child("verify-batch", first).generator
         )
 
         random_orders = None
@@ -212,10 +217,10 @@ def _batched_sweep(engine, zoo, accelerator, space, orders, methods, counts,
                     )
                 else:
                     masks = shared_masks[method][i]
-                nwc_store[method][block, i] = accelerator.apply_selection_trials(
+                nwc_store[method][rows, i] = accelerator.apply_selection_trials(
                     masks, read_time=read_time, read_streams=streams
                 )
-                acc_store[method][block, i] = evaluate_accuracy_trials(
+                acc_store[method][rows, i] = evaluate_accuracy_trials(
                     zoo.model, eval_x, eval_y, len(block)
                 )
 
@@ -306,16 +311,34 @@ def run_method_sweep(zoo, plan, mc_runs, rng, eval_samples=400,
         Optional ``(start, stop)`` window: evaluate only trials
         ``start..stop-1`` of the ``mc_runs`` protocol, with absolute
         per-trial substreams — the work-rectangle scheduler's tile
-        unit.  ``start`` must sit on a trial-block boundary in batched
-        mode (the shared verify stream is keyed per block).  The
-        returned curves then hold the window's ``stop - start`` trial
-        rows, so adjacent windows stack exactly (:func:`repro.
-        robustness.checkpoint.merge_outcomes`) into the full sweep.
+        unit.  In batched mode both ends must sit on the trial-block
+        grid (``stop`` may also be ``mc_runs``): the shared verify
+        stream is keyed per block.  The returned curves then hold the
+        window's ``stop - start`` trial rows, so adjacent windows stack
+        exactly (:func:`repro.robustness.checkpoint.merge_outcomes`)
+        into the full sweep.
 
     Returns
     -------
     SweepOutcome
     """
+    if mc_runs < 1:
+        raise ValueError("mc_runs must be >= 1")
+    start, stop = (0, mc_runs) if trial_range is None else (
+        int(trial_range[0]), int(trial_range[1])
+    )
+    if not 0 <= start < stop <= mc_runs:
+        raise ValueError(
+            f"trial_range {trial_range!r} outside [0, {mc_runs}]"
+        )
+    width = default_trial_block()
+    if batched and (start % width or (stop % width and stop != mc_runs)):
+        raise ValueError(
+            f"trial_range {trial_range!r} must align to the "
+            f"{width}-trial block grid for the batched path: the "
+            "shared verify stream is keyed per block, so a "
+            "misaligned window would not reproduce the full run"
+        )
     methods, nwc_targets, read_time = (
         plan.methods, plan.nwc_targets, plan.read_time
     )
@@ -352,29 +375,17 @@ def run_method_sweep(zoo, plan, mc_runs, rng, eval_samples=400,
     acc_store = {m: np.empty((mc_runs, n_targets)) for m in methods}
     nwc_store = {m: np.zeros((mc_runs, n_targets)) for m in methods}
 
-    engine = MonteCarloEngine(mc_runs, rng, trial_range=trial_range)
-    if trial_range is not None and batched:
-        block = default_trial_block()
-        start, stop = engine.span
-        if start % block or (stop % block and stop != mc_runs):
-            raise ValueError(
-                f"trial_range {trial_range!r} must align to the "
-                f"{block}-trial block grid for the batched path: the "
-                "shared verify stream is keyed per block, so a "
-                "misaligned window would not reproduce the full run"
-            )
-
     try:
         if batched:
             _batched_sweep(
-                engine, zoo, accelerator, space, orders, methods, counts,
-                nwc_targets, eval_x, eval_y, insitu_lr, acc_store, nwc_store,
-                read_time=read_time,
+                rng, (start, stop), zoo, accelerator, space, orders, methods,
+                counts, nwc_targets, eval_x, eval_y, insitu_lr, acc_store,
+                nwc_store, read_time=read_time,
             )
         else:
-            for run in range(*engine.span):
+            for run in range(start, stop):
                 rows = _scalar_sweep_trial(
-                    engine.substream(run), zoo, accelerator, space, orders,
+                    rng.child("mc", run), zoo, accelerator, space, orders,
                     methods, counts, nwc_targets, eval_x, eval_y, insitu_lr,
                     read_time=read_time,
                 )
@@ -395,7 +406,7 @@ def run_method_sweep(zoo, plan, mc_runs, rng, eval_samples=400,
         read_time=read_time,
         wear=wear,
     )
-    window = slice(*engine.span)
+    window = slice(start, stop)
     for method in methods:
         outcome.curves[method] = MethodCurve(
             method=method,

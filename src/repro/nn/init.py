@@ -14,7 +14,6 @@ __all__ = [
     "kaiming_normal",
     "kaiming_uniform",
     "zeros",
-    "ones",
 ]
 
 
@@ -55,8 +54,3 @@ def kaiming_uniform(shape, rng, gain=np.sqrt(2.0), dtype=np.float32):
 def zeros(shape, dtype=np.float32):
     """All-zero tensor (biases, BatchNorm beta)."""
     return np.zeros(shape, dtype=dtype)
-
-
-def ones(shape, dtype=np.float32):
-    """All-one tensor (BatchNorm gamma)."""
-    return np.ones(shape, dtype=dtype)

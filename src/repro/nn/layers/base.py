@@ -22,8 +22,8 @@ are already quantized by construction.
 ``weight_override`` additionally accepts a *trial-batched* stack of shape
 ``(n_trials,) + weight.shape``: the forward pass then expects a trial-major
 folded batch of ``n_trials * N`` samples and applies trial ``t``'s weights
-to samples ``t*N .. (t+1)*N``.  This is how the Monte Carlo engine
-(:mod:`repro.core.mc`) evaluates every variation draw of an experiment in
+to samples ``t*N .. (t+1)*N``.  This is how the Monte Carlo sweep
+(:func:`repro.experiments.sweeps.run_method_sweep`) evaluates every variation draw of an experiment in
 one vectorized pass.  Batched overrides are inference-only: the backward
 passes refuse to run on a trial-batched forward.
 """

@@ -67,21 +67,6 @@ class Linear(WeightedLayer):
         self._cache = {"x": x, "w": w}
         return out
 
-    def forward_multi(self, x, weights):
-        """Apply a ``(T, out, in)`` weight stack to one *shared* input.
-
-        Returns a trial-major folded output of shape ``(T*N, out)`` —
-        the input is not tiled, so evaluating T weight variants of this
-        layer costs one einsum instead of T matmuls.  Inference-only.
-        """
-        x = np.asarray(x)
-        weights = np.asarray(weights)
-        out = np.matmul(x, weights.transpose(0, 2, 1))  # (T, N, out)
-        if self.has_bias:
-            out = out + self.bias.data
-        self._cache = None
-        return out.reshape(weights.shape[0] * x.shape[0], -1)
-
     def backward(self, grad_out):
         if self._cache is None:
             raise RuntimeError(

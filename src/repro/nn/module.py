@@ -212,12 +212,6 @@ class Sequential(Module):
             self.register_module(str(index), layer)
             self._layers.append(layer)
 
-    def append(self, layer):
-        """Append one more layer to the chain."""
-        self.register_module(str(len(self._layers)), layer)
-        self._layers.append(layer)
-        return self
-
     def __len__(self):
         return len(self._layers)
 

@@ -18,7 +18,6 @@ from repro.obs.trace import (
     TRACER,
     Tracer,
     chrome_trace_path,
-    current_span_id,
     disable_tracing,
     enable_tracing,
     span,
@@ -36,7 +35,6 @@ __all__ = [
     "TRACER",
     "Tracer",
     "chrome_trace_path",
-    "current_span_id",
     "disable_tracing",
     "enable_tracing",
     "span",

@@ -134,10 +134,6 @@ class _GaugeChild:
         with self._lock:
             self._value = value
 
-    def inc(self, amount=1):
-        with self._lock:
-            self._value += amount
-
     @property
     def value(self):
         with self._lock:
@@ -174,16 +170,6 @@ class _HistogramChild:
             running += bucket
             cumulative.append(running)
         return tuple(cumulative), total_sum, count
-
-    @property
-    def count(self):
-        with self._lock:
-            return self._count
-
-    @property
-    def sum(self):
-        with self._lock:
-            return self._sum
 
 
 class _Family:
@@ -245,13 +231,6 @@ class Gauge(_Family):
 
     def set(self, value):
         self._default_child().set(value)
-
-    def inc(self, amount=1):
-        self._default_child().inc(amount)
-
-    @property
-    def value(self):
-        return self._default_child().value
 
 
 class Histogram(_Family):
@@ -391,9 +370,6 @@ class MetricsRegistry:
                 for key, value in samples.items():
                     put("_".join((short,) + key), value)
         return out
-
-    def render(self):
-        return render_prometheus(self)
 
 
 def render_prometheus(*registries):

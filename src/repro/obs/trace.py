@@ -27,7 +27,6 @@ __all__ = [
     "TRACER",
     "Tracer",
     "chrome_trace_path",
-    "current_span_id",
     "disable_tracing",
     "enable_tracing",
     "span",
@@ -216,10 +215,6 @@ def disable_tracing():
 
 def span(name, **attrs):
     return TRACER.span(name, **attrs)
-
-
-def current_span_id():
-    return TRACER.current_span_id()
 
 
 def traced(name=None, **attrs):

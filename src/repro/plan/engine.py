@@ -423,6 +423,8 @@ class PlanEngine:
         }
 
     def _variance_config(self, request, technology, mapping, stack):
+        # Without a stack the map is the default stack's read-after-write,
+        # unworn Eq. 16 map, so the key holds the time and wear it applies.
         return {
             "model": self._model_digest,
             "technology": technology.to_dict() if technology else None,
@@ -431,7 +433,10 @@ class PlanEngine:
             "device_bits": int(mapping.device.bits),
             "differential": bool(mapping.differential),
             "read_time": request.read_time if stack is not None else None,
-            "wear_inflation": request.effective_wear_inflation(technology),
+            "wear_inflation": (
+                request.effective_wear_inflation(technology)
+                if stack is not None else 1.0
+            ),
         }
 
     # ------------------------------------------------------------ pure stages

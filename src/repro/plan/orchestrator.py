@@ -46,9 +46,9 @@ Determinism
 -----------
 Every cell derives *all* of its randomness from its own named
 :class:`~repro.utils.rng.RngStream` (the per-trial substream discipline
-of the Monte Carlo engine), planned orders are computed before any tile
+of the Monte Carlo sweep), planned orders are computed before any tile
 runs, and tile boundaries are worker-count independent and aligned to
-the engine's trial-block grid — so serial, ``--workers N``, retried,
+the sweep's trial-block grid — so serial, ``--workers N``, retried,
 degraded, and cached runs are all bitwise-equal.  Workers
 receive the model via ``fork`` (models carry closures that do not
 pickle); on platforms without fork the tiles run serially in the
@@ -75,7 +75,6 @@ from repro.robustness.checkpoint import (
 from repro.robustness.scheduler import (
     Tile,
     resolve_workers,
-    scheduler_metrics,
     tile_ranges,
 )
 from repro.robustness.supervisor import serial_map, supervised_map
@@ -257,7 +256,7 @@ class ScenarioOrchestrator:
 
         # --- decompose every cell into the work rectangle's tiles.
         # Boundaries depend only on each cell's trial count and the
-        # engine block grid — never on the worker count — so tile cache
+        # trial-block grid — never on the worker count — so tile cache
         # keys are stable across serial and parallel invocations.
         configs = [self._cell_config(cell, batched) for cell in cells]
         block = default_trial_block()
@@ -405,10 +404,4 @@ class ScenarioOrchestrator:
             ))
 
         report.cache = self.cache.stats()
-        metrics = scheduler_metrics()
-        metrics["workers"].set(int(workers or 0))
-        metrics["tiles"].labels(result="cached").inc(report.tiles_cached)
-        metrics["tiles"].labels(result="computed").inc(report.tiles_computed)
-        for record in report.cells:
-            metrics["cells"].labels(status=record.status).inc()
         return outcomes

@@ -17,8 +17,9 @@ tiles is byte-identical to one rendered from a straight-through run.
 :func:`merge_outcomes` reassembles an ordered set of tiles into the
 cell's full :class:`~repro.experiments.sweeps.SweepOutcome` — bit for
 bit, because stacking contiguous row slices reproduces the full arrays
-and the wear statistics (via :func:`merge_wear`'s integer aggregates)
-repeat the unsplit run's exact float operations.
+and :func:`merge_wear` derives the wear statistics from the merged
+integer aggregates through the observer's own function
+(:func:`~repro.cim.devices.endurance.wear_statistics`).
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from __future__ import annotations
 import json
 
 import numpy as np
+
+from repro.cim.devices.endurance import wear_statistics
 
 __all__ = ["decode_outcome", "encode_outcome", "merge_outcomes", "merge_wear"]
 
@@ -96,36 +99,22 @@ def merge_wear(summaries):
     """Merge per-tile endurance summaries into the full-run summary.
 
     Each tile's accelerator observes only its own trials, so its
-    summary's raw integer aggregates (``devices``, ``verify_cycles``,
-    ``max_verify_cycles`` — see :meth:`~repro.cim.devices.endurance.
-    EnduranceObserver.summary`) cover a disjoint trial subset; summing
+    summary's integer aggregates (``devices``, ``verify_cycles``,
+    ``max_verify_cycles``) cover a disjoint trial subset; summing
     (resp. maxing) them recovers the unsplit run's aggregates exactly,
-    and the derived float statistics repeat the observer's own
-    operations on those integers — so the merged dict is bitwise what a
-    serial run would have reported.
+    and :func:`~repro.cim.devices.endurance.wear_statistics` derives
+    the floats from them as the observer does — so the merged dict is
+    bitwise what a serial run would have reported.
     """
     summaries = list(summaries)
     if not summaries or summaries[0] is None:
         return None
-    devices = sum(int(s["devices"]) for s in summaries)
-    verify_cycles = sum(int(s["verify_cycles"]) for s in summaries)
-    worst_cycles = max(int(s["max_verify_cycles"]) for s in summaries)
-    initial_writes = int(summaries[0]["initial_writes"])
-    endurance = summaries[0]["endurance_cycles"]
-    worst = worst_cycles + initial_writes
-    mean_pulses = verify_cycles / devices + initial_writes
-    return {
-        "endurance_cycles": endurance,
-        "total_pulses": verify_cycles + devices * initial_writes,
-        "mean_pulses_per_device": mean_pulses,
-        "max_pulses_per_device": worst,
-        "deployments_to_failure": endurance / max(worst, 1),
-        "consumed_fraction": float(np.clip(mean_pulses / endurance, 0.0, 1.0)),
-        "devices": devices,
-        "verify_cycles": verify_cycles,
-        "max_verify_cycles": worst_cycles,
-        "initial_writes": initial_writes,
-    }
+    return wear_statistics(
+        sum(int(s["devices"]) for s in summaries),
+        sum(int(s["verify_cycles"]) for s in summaries),
+        max(int(s["max_verify_cycles"]) for s in summaries),
+        summaries[0]["endurance_cycles"],
+    )
 
 
 def merge_outcomes(parts):

@@ -83,18 +83,6 @@ class CellRecord:
     tiles: int = 1
     tiles_cached: int = 0
 
-    def to_json(self):
-        return {
-            "key": repr(self.key),
-            "status": self.status,
-            "attempts": self.attempts,
-            "duration": round(self.duration, 3),
-            "error": self.error,
-            "failures": list(self.failures),
-            "tiles": self.tiles,
-            "tiles_cached": self.tiles_cached,
-        }
-
 
 @dataclass
 class RunReport:
@@ -128,20 +116,6 @@ class RunReport:
             or self.checkpoint_errors > 0
             or cache_eventful(self.cache)
         )
-
-    def to_json(self):
-        return {
-            "scenario": self.scenario,
-            "counts": {status: self.count(status) for status in STATUSES},
-            "cells": [cell.to_json() for cell in self.cells],
-            "cache": dict(self.cache),
-            "checkpoint_errors": self.checkpoint_errors,
-            "tiles": {
-                "total": self.tiles_total,
-                "cached": self.tiles_cached,
-                "computed": self.tiles_computed,
-            },
-        }
 
     def render(self):
         """Human summary: one counts line, one line per anomalous cell."""

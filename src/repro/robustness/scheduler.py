@@ -3,7 +3,7 @@
 Every scenario run is a **work rectangle**: the grid's cells on one
 side, each cell's Monte Carlo trials on the other.  :func:`tile_ranges`
 decomposes each cell's trial axis into *tiles* — contiguous runs of
-whole engine trial blocks (see :func:`~repro.core.mc.
+whole Monte Carlo trial blocks (see :func:`~repro.core.mc.
 default_trial_block`; the batched verify stage draws one RNG per
 block, keyed on the block's first trial, so only block-aligned splits
 are bitwise-identical to an unsplit run) — and the resulting flat tile
@@ -15,7 +15,7 @@ supervision path), sized by :func:`resolve_workers`: ``workers`` /
 (:func:`auto_workers`).
 
 Tile boundaries are a pure function of the cell's trial count and the
-engine block size — never of the worker count — so a tile's
+trial-block width — never of the worker count — so a tile's
 content-addressed cache key is stable across serial and ``--workers N``
 invocations, which is what makes warm reruns incremental (only changed
 cells/blocks recompute) and still byte-identical to a cold serial run.
@@ -26,7 +26,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.obs.metrics import get_registry
 from repro.robustness.errors import ScenarioConfigError
 
 __all__ = [
@@ -35,36 +34,9 @@ __all__ = [
     "auto_workers",
     "resolve_worker_count",
     "resolve_workers",
-    "scheduler_metrics",
     "tile_ranges",
 ]
 
-
-def scheduler_metrics(registry=None):
-    """The scheduler's metric families (global registry by default).
-
-    The orchestrator feeds these as it executes a work rectangle:
-    ``tiles`` counts decomposition outcomes by ``result`` (``cached`` /
-    ``computed``), ``cells`` counts cell completions by final status,
-    ``workers`` records the last resolved pool size.
-    """
-    registry = registry if registry is not None else get_registry()
-    return {
-        "tiles": registry.counter(
-            "repro_scheduler_tiles_total",
-            "Work-rectangle tiles by outcome.",
-            labels=("result",),
-        ),
-        "cells": registry.counter(
-            "repro_scheduler_cells_total",
-            "Scenario cells by final status.",
-            labels=("status",),
-        ),
-        "workers": registry.gauge(
-            "repro_scheduler_workers",
-            "Most recently resolved worker-pool size (0 = serial).",
-        ),
-    }
 
 #: Upper bound on tiles per cell: enough grain to saturate a many-core
 #: box on a handful of cells, without paying per-tile setup (accelerator

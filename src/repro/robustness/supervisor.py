@@ -142,17 +142,6 @@ class TaskReport:
     error: str = None
     failures: list = field(default_factory=list)
 
-    def to_json(self):
-        return {
-            "item": repr(self.item),
-            "label": self.label,
-            "status": self.status,
-            "attempts": self.attempts,
-            "duration": round(self.duration, 3),
-            "error": self.error,
-            "failures": list(self.failures),
-        }
-
 
 @dataclass
 class SupervisedResult:

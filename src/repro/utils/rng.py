@@ -91,10 +91,6 @@ class RngStream:
         """Convenience proxy for ``generator.normal``."""
         return self.generator.normal(*args, **kwargs)
 
-    def uniform(self, *args, **kwargs):
-        """Convenience proxy for ``generator.uniform``."""
-        return self.generator.uniform(*args, **kwargs)
-
     def integers(self, *args, **kwargs):
         """Convenience proxy for ``generator.integers``."""
         return self.generator.integers(*args, **kwargs)
@@ -102,10 +98,6 @@ class RngStream:
     def permutation(self, *args, **kwargs):
         """Convenience proxy for ``generator.permutation``."""
         return self.generator.permutation(*args, **kwargs)
-
-    def choice(self, *args, **kwargs):
-        """Convenience proxy for ``generator.choice``."""
-        return self.generator.choice(*args, **kwargs)
 
     def __repr__(self):
         path = "/".join(str(p) for p in self._path) or "<root>"

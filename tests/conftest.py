@@ -81,3 +81,28 @@ def mini_zoo(trained_lenet):
         clean_accuracy=accuracy,
         spec=SimpleNamespace(key="lenet-test", weight_bits=4),
     )
+
+
+@pytest.fixture(scope="session")
+def retention_reference(tmp_path_factory):
+    """One cold serial smoke ``runner retention``, the reference that the
+    faulted, killed, parallel and traced runs of the same scenario must
+    reproduce.
+
+    ``csv`` holds its ``retention.csv`` bytes, ``keys`` its artifact key
+    set and ``cache`` its artifact store.  A test copies the store
+    (:func:`tests.helpers.copy_cache`) before it deletes artifacts from
+    it or runs into it, so every test sees the store the cold run left.
+    """
+    from .helpers import cache_keys, run_runner
+
+    root = tmp_path_factory.mktemp("retention-reference")
+    cache = root / "cache"
+    proc = run_runner(root / "results", "retention",
+                      REPRO_CACHE_DIR=cache)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return SimpleNamespace(
+        csv=(root / "results" / "retention.csv").read_bytes(),
+        keys=cache_keys(cache),
+        cache=cache,
+    )

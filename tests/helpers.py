@@ -1,15 +1,25 @@
-"""Numerical helpers shared by the test suite (finite differences etc.).
+"""Helpers shared by the test suite: numerical oracles and the runner.
 
 ``fd_diagonal_hessian`` (the paper's Eq. 6) and ``MSELoss`` are the
 oracles of the curvature recursion's exactness tests; no scenario runs
-either, so they live here rather than in ``repro``.
+either, so they live here rather than in ``repro``.  ``run_runner``
+launches the experiment runner the way CI and users invoke it, and
+``copy_cache`` and ``cache_keys`` handle its artifact store.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+import sys
+
 import numpy as np
 
 from repro.nn.losses import CrossEntropyLoss
+
+#: The program's source root, put first on a runner subprocess's path.
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 def to_float64(model):
@@ -138,6 +148,16 @@ def plan_for(zoo, sense_samples=512, **request):
     return engine.plan(PlanRequest(**request))
 
 
+def accelerator_on(model, technology):
+    """A ``CimAccelerator`` on one registered technology, with the
+    mapping and stack that ``resolve_physics`` derives for it."""
+    from repro.cim import CimAccelerator
+    from repro.plan import PlanRequest
+
+    _, _, mapping, stack = PlanRequest(technology=technology).resolve()
+    return CimAccelerator(model, mapping_config=mapping, stack=stack)
+
+
 def deployed_weights(accelerator):
     """Each mapped layer's current weight override (None when the layer
     computes with its float weights)."""
@@ -145,3 +165,46 @@ def deployed_weights(accelerator):
         name: layer.weight_override
         for name, layer in accelerator._layers.items()
     }
+
+
+def runner_env(results, **extra):
+    """The environment of a smoke-scale runner subprocess that writes its
+    CSVs to ``results``; each keyword adds one variable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["REPRO_RESULTS_DIR"] = str(results)
+    env["REPRO_SCALE"] = "smoke"
+    env.update({key: str(value) for key, value in extra.items()})
+    return env
+
+
+def run_runner(results, *args, **extra):
+    """``python -m repro.experiments.runner *args`` in a subprocess with
+    :func:`runner_env`; returns the completed process."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro.experiments.runner", *args],
+        env=runner_env(results, **extra), capture_output=True, text=True,
+        timeout=900,
+    )
+
+
+def cache_keys(cache_dir):
+    """Every artifact path under ``cache_dir``, relative to it."""
+    keys = set()
+    for root, _, files in os.walk(cache_dir):
+        for name in files:
+            keys.add(os.path.relpath(os.path.join(root, name), cache_dir))
+    return keys
+
+
+def copy_cache(cache_dir, dest, keep=None, drop=None):
+    """Copy an artifact store to ``dest``, then delete the artifacts whose
+    file names do not start with ``keep`` or do start with ``drop``
+    (string prefixes such as ``"eval-"``); returns ``dest``."""
+    shutil.copytree(cache_dir, dest)
+    for root, _, files in os.walk(dest):
+        for name in files:
+            if (keep is not None and not name.startswith(keep)) or (
+                    drop is not None and name.startswith(drop)):
+                os.unlink(os.path.join(root, name))
+    return dest

@@ -23,7 +23,6 @@ from repro.cim import (
     RetentionModel,
     SpatialCorrelationStage,
     SpatialVariationModel,
-    StageContext,
     get_technology,
     register_technology,
     resolve_technology,
@@ -33,14 +32,14 @@ from repro.cim.devices.registry import _REGISTRY
 from repro.nn.models import mlp
 from repro.utils.rng import RngStream
 
-from .helpers import deployed_weights, plan_for
+from repro.plan import PlanRequest
+
+from .helpers import accelerator_on, deployed_weights, plan_for
 
 
 @pytest.fixture
-def ctx():
-    return StageContext.from_mapping(
-        MappingConfig(weight_bits=4, device=DeviceConfig(bits=4, sigma=0.1))
-    )
+def mapping():
+    return MappingConfig(weight_bits=4, device=DeviceConfig(bits=4, sigma=0.1))
 
 
 def _gens(seed, n):
@@ -50,56 +49,55 @@ def _gens(seed, n):
 # ------------------------------------------------- per-stage trial batching
 
 
-def test_stack_program_trials_matches_scalar_bitwise(ctx):
+def test_stack_program_trials_matches_scalar_bitwise(mapping):
     stack = NonidealityStack(stages=(
         ProgrammingNoiseStage(),
         SpatialCorrelationStage(SpatialVariationModel(sigma=0.05)),
     ))
     levels = np.random.default_rng(1).uniform(0, 15, size=(1, 6, 8))
-    batched = stack.program_trials(levels, ctx, _gens(11, 3))
+    batched = stack.program_trials(levels, mapping, _gens(11, 3))
     assert batched.shape == (1, 3, 6, 8)
     for i, rng in enumerate(_gens(11, 3)):
-        np.testing.assert_array_equal(batched[:, i], stack.program(levels, ctx, rng))
+        np.testing.assert_array_equal(batched[:, i], stack.program(levels, mapping, rng))
 
 
-def test_stack_read_trials_matches_scalar_bitwise(ctx):
+def test_stack_read_trials_matches_scalar_bitwise(mapping):
     stack = NonidealityStack(stages=(
         ProgrammingNoiseStage(),
         RetentionDriftStage(RetentionModel(nu=0.05, sigma_nu=0.01)),
     ))
     levels = np.random.default_rng(2).uniform(0, 15, size=(1, 4, 5, 5))
     streams = [RngStream(90).child("trial", i) for i in range(4)]
-    batched = stack.read_trials(levels, ctx, streams, t=3600.0)
+    batched = stack.read_trials(levels, mapping, streams, t=3600.0)
     for i, stream in enumerate(streams):
-        scalar = stack.read(levels[:, i], ctx, stream, t=3600.0)
+        scalar = stack.read(levels[:, i], mapping, stream, t=3600.0)
         np.testing.assert_array_equal(batched[:, i], scalar)
     # Named substreams: the same (stream, t) always reproduces the draw.
-    again = stack.read_trials(levels, ctx, streams, t=3600.0)
+    again = stack.read_trials(levels, mapping, streams, t=3600.0)
     np.testing.assert_array_equal(batched, again)
 
 
-def test_stack_read_identity_without_time_or_read_stages(ctx):
+def test_stack_read_identity_without_time_or_read_stages(mapping):
     drifting = NonidealityStack(stages=(
         RetentionDriftStage(RetentionModel(nu=0.05)),
     ))
     writes_only = NonidealityStack(stages=(ProgrammingNoiseStage(),))
     levels = np.ones((1, 3, 3))
     stream = RngStream(4)
-    assert drifting.read(levels, ctx, stream, t=None) is levels
-    assert writes_only.read(levels, ctx, stream, t=1e5) is levels
+    assert drifting.read(levels, mapping, stream, t=None) is levels
+    assert writes_only.read(levels, mapping, stream, t=1e5) is levels
     assert not writes_only.has_read_stages
 
 
-def test_default_stack_matches_mapper_program_levels(ctx):
+def test_default_stack_matches_mapper_program_levels(mapping):
     """The refactor must not change the paper's seeded programming draws."""
     from repro.cim.mapping import WeightMapper
 
-    mapping = MappingConfig(weight_bits=4, device=DeviceConfig(bits=4, sigma=0.1))
     mapper = WeightMapper(mapping)
     mapped = mapper.map_tensor(np.random.default_rng(5).normal(size=(7, 9)))
     legacy = mapper.program_levels(mapped, np.random.default_rng(42))
     stacked = NonidealityStack.default().program(
-        mapped.levels, StageContext.from_mapping(mapping), np.random.default_rng(42)
+        mapped.levels, mapping, np.random.default_rng(42)
     )
     np.testing.assert_array_equal(legacy, stacked)
 
@@ -114,7 +112,7 @@ def test_default_stack_matches_mapper_program_levels_differential():
     mapped = mapper.map_tensor(np.random.default_rng(6).normal(size=(5, 4)))
     legacy = mapper.program_levels(mapped, np.random.default_rng(9))
     stacked = NonidealityStack.default().program(
-        mapped.levels, StageContext.from_mapping(mapping), np.random.default_rng(9)
+        mapped.levels, mapping, np.random.default_rng(9)
     )
     np.testing.assert_array_equal(legacy, stacked)
 
@@ -133,15 +131,15 @@ def test_fefet_is_the_papers_operating_point():
     assert device.sigma == pytest.approx(0.1)
 
 
-def test_technology_round_trip_and_seeded_stack_determinism(ctx):
+def test_technology_round_trip_and_seeded_stack_determinism(mapping):
     for name in technology_names():
         tech = get_technology(name)
         clone = DeviceTechnology.from_dict(tech.to_dict())
         assert clone == tech
         levels = np.random.default_rng(0).uniform(0, tech.device_config().max_level,
                                                   size=(1, 40))
-        a = clone.build_stack().program(levels, ctx, np.random.default_rng(17))
-        b = tech.build_stack().program(levels, ctx, np.random.default_rng(17))
+        a = clone.build_stack().program(levels, mapping, np.random.default_rng(17))
+        b = tech.build_stack().program(levels, mapping, np.random.default_rng(17))
         np.testing.assert_array_equal(a, b)
 
 
@@ -186,15 +184,16 @@ def small_setup(rng):
 
 def test_accelerator_technology_wiring(small_setup):
     model, _, _ = small_setup
-    acc = CimAccelerator(model, technology="pcm")
-    assert acc.technology.name == "pcm"
+    tech, _, mapping, stack = PlanRequest(technology="pcm").resolve()
+    acc = CimAccelerator(model, mapping_config=mapping, stack=stack)
+    assert tech.name == "pcm"
     assert acc.mapping_config.device.sigma == pytest.approx(0.12)
     assert acc.stack.has_read_stages
 
 
 def test_accelerator_drift_changes_deployment_and_is_deterministic(small_setup):
     model, _, _ = small_setup
-    acc = CimAccelerator(model, technology="pcm")
+    acc = accelerator_on(model, "pcm")
     stream = RngStream(21).child("run")
     acc.program(stream.child("program").generator)
     acc.write_verify_all(stream.child("verify").generator)
@@ -220,13 +219,13 @@ def test_accelerator_trial_drift_matches_scalar_bitwise(small_setup):
     root = RngStream(33)
     streams = [root.child("mc", i) for i in range(n_trials)]
 
-    batched = CimAccelerator(model, technology="rram")
+    batched = accelerator_on(model, "rram")
     batched.program_trials([s.child("program").generator for s in streams])
     batched.write_verify_trials(rng=root.child("verify").generator)
     batched.apply_selection_trials({}, read_time=7200.0, read_streams=streams)
     trial_weights = deployed_weights(batched)
 
-    scalar = CimAccelerator(model, technology="rram")
+    scalar = accelerator_on(model, "rram")
     for i, stream in enumerate(streams):
         scalar.program(stream.child("program").generator)
         scalar.write_verify_all(stream.child("verify").generator)
@@ -237,7 +236,7 @@ def test_accelerator_trial_drift_matches_scalar_bitwise(small_setup):
 
 def test_accelerator_read_time_requires_stream(small_setup):
     model, _, _ = small_setup
-    acc = CimAccelerator(model, technology="pcm")
+    acc = accelerator_on(model, "pcm")
     acc.program(np.random.default_rng(0))
     acc.write_verify_all(np.random.default_rng(1))
     with pytest.raises(ValueError, match="read_stream"):
@@ -246,7 +245,7 @@ def test_accelerator_read_time_requires_stream(small_setup):
 
 def test_wear_summary_tracks_sessions(small_setup):
     model, _, _ = small_setup
-    acc = CimAccelerator(model, technology="rram")
+    acc = accelerator_on(model, "rram")
     assert acc.wear_summary() is None
     acc.program(np.random.default_rng(0))
     acc.write_verify_all(np.random.default_rng(1))

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from repro.cim import (
-    CimAccelerator,
     DriftCompensationStage,
     RetentionModel,
     get_technology,
 )
 from repro.nn.models import mlp
+from repro.plan import PlanRequest
 from repro.utils.rng import RngStream
 
-from .helpers import deployed_weights, plan_for, to_float64
+from .helpers import accelerator_on, deployed_weights, plan_for, to_float64
 
 ONE_MONTH = 2.592e6
 
@@ -79,7 +79,7 @@ def small_model(rng):
 
 def test_compensation_is_bitwise_noop_at_t0(small_model):
     """Deploying at the write-verify reference time changes nothing."""
-    accelerator = CimAccelerator(small_model, technology="pcm-comp")
+    accelerator = accelerator_on(small_model, "pcm-comp")
     rng = RngStream(11).child("noop")
     accelerator.program(rng.child("program").generator)
     accelerator.write_verify_all(rng.child("verify").generator)
@@ -128,7 +128,7 @@ def test_compensation_shrinks_the_variance_map(small_model):
     space = WeightSpace.from_model(small_model)
     raw = get_technology("pcm")
     comp = get_technology("pcm-comp")
-    mapping = raw.mapping_config()
+    _, _, mapping, _ = PlanRequest(technology=raw).resolve()
     var_raw = raw.build_stack().variance_map(
         mapping, read_time=ONE_MONTH, space=space, model=small_model
     )

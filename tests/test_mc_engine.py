@@ -20,10 +20,12 @@ from repro.cim.write_verify import (
     write_verify,
     write_verify_trials,
 )
-from repro.core import MonteCarloEngine, WeightSpace
+from repro.core import WeightSpace
 from repro.core.metrics import evaluate_accuracy, evaluate_accuracy_trials
 from repro.core.sensitivity import MagnitudeScorer
 from repro.utils.rng import RngStream
+
+from .helpers import plan_for
 
 
 @pytest.fixture
@@ -118,20 +120,33 @@ def test_write_verify_trials_validates_inputs(device):
 
 
 def test_engine_substreams_are_independent_and_stable():
-    engine = MonteCarloEngine(6, RngStream(11).child("mc-test"))
-    a = engine.substream(0).generator.normal(size=4)
-    b = engine.substream(1).generator.normal(size=4)
+    """Trial ``i`` of a sweep draws from ``rng.child("mc", i)``: named,
+    not sequential, so re-deriving a trial's stream replays its draws."""
+    root = RngStream(11).child("mc-test")
+    a = root.child("mc", 0).generator.normal(size=4)
+    b = root.child("mc", 1).generator.normal(size=4)
     assert np.abs(a - b).max() > 0
-    # Re-derived stream sees the same draws (named, not sequential).
-    again = engine.substream(0).generator.normal(size=4)
+    again = root.child("mc", 0).generator.normal(size=4)
     np.testing.assert_array_equal(a, again)
 
 
-def test_engine_blocks_cover_all_trials():
-    engine = MonteCarloEngine(10, RngStream(0).child("b"))
-    blocks = list(engine.blocks())
-    assert [len(b) for b in blocks] == [2, 2, 2, 2, 2]
-    np.testing.assert_array_equal(np.concatenate(blocks), np.arange(10))
+def test_engine_blocks_cover_all_trials(mini_zoo):
+    """The batched sweep walks 5 trials in blocks of 2, 2 and 1 and
+    writes every trial's row: the unverified column, whose draws are
+    per trial, equals the scalar reference's bit for bit."""
+    from repro.experiments.sweeps import run_method_sweep
+
+    plan = plan_for(mini_zoo, sense_samples=64, sigma=0.1,
+                    nwc_targets=(0.0,), methods=("magnitude",))
+    runs = {
+        batched: run_method_sweep(
+            mini_zoo, plan, mc_runs=5, rng=RngStream(3).child("blocks"),
+            eval_samples=32, batched=batched,
+        ).curves["magnitude"].accuracy_runs
+        for batched in (True, False)
+    }
+    assert runs[True].shape == (5, 1)
+    np.testing.assert_array_equal(runs[True], runs[False])
 
 
 # ---------------------------------------------- accelerator pipeline

@@ -12,8 +12,6 @@ Three contracts matter most and each gets a direct test here:
 import json
 import math
 import os
-import subprocess
-import sys
 import threading
 
 import pytest
@@ -29,6 +27,8 @@ from repro.obs import (
     span,
 )
 from repro.obs.validate import _main, validate_exposition, validate_spans
+
+from .helpers import cache_keys, copy_cache, run_runner
 
 
 @pytest.fixture(autouse=True)
@@ -239,59 +239,25 @@ class TestValidators:
 # ------------------------------------------- tripwire: bytes unperturbed
 
 
-def _runner_env(tmp_path, **extra):
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = (
-        os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-    )
-    env["REPRO_RESULTS_DIR"] = str(tmp_path / "results")
-    env["REPRO_SCALE"] = "smoke"
-    env.update({k: str(v) for k, v in extra.items()})
-    return env
-
-
-def _runner(args, env):
-    return subprocess.run(
-        [sys.executable, "-m", "repro.experiments.runner", *args],
-        env=env, capture_output=True, text=True, timeout=900,
-    )
-
-
-def _cache_keys(cache_dir):
-    keys = set()
-    for root, _, files in os.walk(cache_dir):
-        for name in files:
-            rel = os.path.relpath(os.path.join(root, name), cache_dir)
-            keys.add(rel)
-    return keys
-
-
 class TestTracingIsInert:
-    def test_traced_run_matches_untraced_bytes_and_cache_keys(self, tmp_path):
+    def test_traced_run_matches_untraced_bytes_and_cache_keys(
+            self, tmp_path, retention_reference):
         """`--trace` must not leak into results or cache keys: the CSV
         bytes and the content-addressed artifact set are identical with
-        tracing on and off."""
-        plain = _runner(
-            ["retention"],
-            _runner_env(tmp_path / "plain",
-                        REPRO_CACHE_DIR=str(tmp_path / "cache_plain")),
-        )
-        assert plain.returncode == 0, plain.stderr[-2000:]
+        tracing on and off.  The traced run starts from the untraced
+        run's trained model alone, so it writes every plan, variance,
+        order and tile artifact itself."""
+        cache = copy_cache(retention_reference.cache, tmp_path / "cache",
+                           keep="zoo-")
         trace_path = tmp_path / "trace.jsonl"
-        traced = _runner(
-            ["retention", "--trace", str(trace_path)],
-            _runner_env(tmp_path / "traced",
-                        REPRO_CACHE_DIR=str(tmp_path / "cache_traced")),
-        )
+        results = tmp_path / "traced" / "results"
+        traced = run_runner(results, "retention", "--trace", trace_path,
+                            REPRO_CACHE_DIR=cache)
         assert traced.returncode == 0, traced.stderr[-2000:]
 
-        plain_csv = tmp_path / "plain" / "results" / "retention.csv"
-        traced_csv = tmp_path / "traced" / "results" / "retention.csv"
-        assert plain_csv.read_bytes() == traced_csv.read_bytes()
-        assert _cache_keys(tmp_path / "cache_plain") == _cache_keys(
-            tmp_path / "cache_traced"
-        )
+        traced_csv = results / "retention.csv"
+        assert retention_reference.csv == traced_csv.read_bytes()
+        assert retention_reference.keys == cache_keys(cache)
 
         with open(trace_path, encoding="utf-8") as handle:
             lines = handle.read().splitlines()

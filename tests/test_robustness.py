@@ -49,7 +49,7 @@ from repro.robustness import (
 from repro.robustness.faults import FaultSchedule
 from repro.utils.rng import RngStream
 
-from .helpers import plan_for
+from .helpers import copy_cache, plan_for, run_runner, runner_env
 
 needs_fork = pytest.mark.skipif(
     not has_fork(), reason="supervised pool needs the fork start method"
@@ -808,42 +808,19 @@ class TestTileMerge:
 # -------------------------------------------------------------- CLI codes
 
 
-def _runner_env(tmp_path, **extra):
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = (
-        os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-    )
-    env["REPRO_RESULTS_DIR"] = str(tmp_path / "results")
-    env["REPRO_SCALE"] = "smoke"
-    env.update({k: str(v) for k, v in extra.items()})
-    return env
-
-
-def _runner(args, env):
-    return subprocess.run(
-        [sys.executable, "-m", "repro.experiments.runner", *args],
-        env=env, capture_output=True, text=True, timeout=900,
-    )
-
-
 class TestRunnerExitCodes:
     def test_unwritable_cache_dir_exit_74_one_line(self, tmp_path):
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("file, not a directory")
-        proc = _runner(
-            ["retention"],
-            _runner_env(tmp_path, REPRO_CACHE_DIR=str(blocker / "sub")),
-        )
+        proc = run_runner(tmp_path / "results", "retention",
+                          REPRO_CACHE_DIR=blocker / "sub")
         assert proc.returncode == 74
         lines = [l for l in proc.stderr.splitlines() if l.strip()]
         assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_malformed_fault_schedule_exit_64(self, tmp_path):
-        proc = _runner(
-            ["retention", "--workers", "2"],
-            _runner_env(tmp_path, REPRO_FAULTS="explode:everything"),
-        )
+        proc = run_runner(tmp_path / "results", "retention", "--workers", "2",
+                          REPRO_FAULTS="explode:everything")
         assert proc.returncode == 64
         assert "fault" in proc.stderr
 
@@ -852,36 +829,26 @@ class TestRunnerExitCodes:
 class TestRunnerChaos:
     """The ISSUE's acceptance scenarios, end to end through the CLI."""
 
-    def test_chaos_run_byte_identical_to_fault_free_serial(self, tmp_path):
-        cache = tmp_path / "cache"
-        baseline = _runner(
-            ["retention"], _runner_env(
-                tmp_path / "a", REPRO_CACHE_DIR=str(cache))
-        )
-        assert baseline.returncode == 0, baseline.stderr[-2000:]
-        serial_csv = (tmp_path / "a" / "results" / "retention.csv").read_bytes()
-
-        # Drop the baseline's evaluation tiles (keep the plan artifacts,
-        # which is what corrupt:artifact@order needs to fire on read):
-        # warm tiles would serve every cell from the cache and the
-        # crash/hang faults — fired per scheduled tile — never trigger.
-        for tile in (cache / "plan" / "v2").glob("eval-*.npz"):
-            tile.unlink()
-
-        chaos = _runner(
-            ["retention", "--workers", "2"],
-            _runner_env(
-                tmp_path / "b",
-                REPRO_CACHE_DIR=str(cache),  # warm: corrupt can fire on read
-                REPRO_FAULTS="corrupt:artifact@order;crash:cell@0;"
-                             "hang:cell@2=300",
-                REPRO_FAULTS_DIR=str(tmp_path / "ledger"),
-                # A smoke retention tile takes 2.9-4.0 s on 2 workers
-                # (measured); 12 s is 3x the slowest, so the planted hang
-                # times out after 12 s instead of 30.  A slow tile that
-                # still timed out would be retried, not failed.
-                REPRO_CELL_TIMEOUT="12",
-            ),
+    def test_chaos_run_byte_identical_to_fault_free_serial(
+            self, tmp_path, retention_reference):
+        # The fault-free serial run's store without its evaluation tiles
+        # (the plan artifacts stay, which is what corrupt:artifact@order
+        # needs to fire on read): warm tiles would serve every cell from
+        # the cache and the crash/hang faults — fired per scheduled tile
+        # — never trigger.
+        cache = copy_cache(retention_reference.cache, tmp_path / "cache",
+                           drop="eval-")
+        chaos = run_runner(
+            tmp_path / "b" / "results", "retention", "--workers", "2",
+            REPRO_CACHE_DIR=cache,  # warm: corrupt can fire on read
+            REPRO_FAULTS="corrupt:artifact@order;crash:cell@0;"
+                         "hang:cell@2=300",
+            REPRO_FAULTS_DIR=tmp_path / "ledger",
+            # A smoke retention tile takes 2.9-4.0 s on 2 workers
+            # (measured); 12 s is 3x the slowest, so the planted hang
+            # times out after 12 s instead of 30.  A slow tile that
+            # still timed out would be retried, not failed.
+            REPRO_CELL_TIMEOUT="12",
         )
         assert chaos.returncode == 0, chaos.stderr[-2000:]
         assert "quarantined=1" in chaos.stdout
@@ -889,25 +856,19 @@ class TestRunnerChaos:
         assert "CellTimeoutError" in chaos.stdout
         assert "failed=0" in chaos.stdout
         chaos_csv = (tmp_path / "b" / "results" / "retention.csv").read_bytes()
-        assert chaos_csv == serial_csv
+        assert chaos_csv == retention_reference.csv
         # All three scheduled faults actually fired.
         fired = os.listdir(tmp_path / "ledger")
         assert len(fired) == 3
 
-    def test_resume_after_sigkill_skips_cells_same_bytes(self, tmp_path):
+    def test_resume_after_sigkill_skips_cells_same_bytes(
+            self, tmp_path, retention_reference):
         """Kill a grid once its first eval tile lands; rerunning the same
         command reuses the finished tiles and writes the reference CSV."""
-        reference = _runner(
-            ["retention"], _runner_env(
-                tmp_path / "ref", REPRO_CACHE_DIR=str(tmp_path / "cache-ref"))
-        )
-        assert reference.returncode == 0, reference.stderr[-2000:]
-        ref_csv = (
-            tmp_path / "ref" / "results" / "retention.csv"
-        ).read_bytes()
-
-        cache = tmp_path / "cache"
-        env = _runner_env(tmp_path / "run", REPRO_CACHE_DIR=str(cache))
+        cache = copy_cache(retention_reference.cache, tmp_path / "cache",
+                           drop="eval-")
+        results = tmp_path / "run" / "results"
+        env = runner_env(results, REPRO_CACHE_DIR=cache)
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.experiments.runner", "retention"],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -928,10 +889,7 @@ class TestRunnerChaos:
             os.kill(proc.pid, signal.SIGKILL)
         proc.wait()
 
-        rerun = _runner(
-            ["retention"],
-            _runner_env(tmp_path / "run", REPRO_CACHE_DIR=str(cache)),
-        )
+        rerun = run_runner(results, "retention", REPRO_CACHE_DIR=cache)
         assert rerun.returncode == 0, rerun.stderr[-2000:]
         tiles = re.search(
             r"tiles: total=(\d+) cached=(\d+) computed=(\d+)", rerun.stdout
@@ -940,7 +898,5 @@ class TestRunnerChaos:
         total, cached, computed = map(int, tiles.groups())
         assert cached >= 1 and computed < total
         assert cached + computed == total
-        out_csv = (
-            tmp_path / "run" / "results" / "retention.csv"
-        ).read_bytes()
-        assert out_csv == ref_csv
+        out_csv = (results / "retention.csv").read_bytes()
+        assert out_csv == retention_reference.csv

@@ -9,33 +9,16 @@ by default.
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-
-def _run_runner(results, *experiments, extra_args=(), **extra_env):
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_RESULTS_DIR"] = str(results)
-    env.update(extra_env)
-    return subprocess.run(
-        [sys.executable, "-m", "repro.experiments.runner", *experiments,
-         "--scale", "smoke", *extra_args],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=900,
-    )
+from .helpers import copy_cache, run_runner
 
 
 @pytest.mark.slow
 def test_runner_table1_smoke_writes_csvs(tmp_path):
     results = tmp_path / "results"
-    proc = _run_runner(results, "table1")
+    proc = run_runner(results, "table1")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "Table 1" in proc.stdout
 
@@ -64,12 +47,12 @@ def test_runner_ablations_smoke_is_a_cached_grid(tmp_path):
                 if not line.startswith(("[", "  cell"))]
 
     results = tmp_path / "results"
-    first = _run_runner(results, "ablations")
+    first = run_runner(results, "ablations")
     assert first.returncode == 0, first.stderr[-2000:]
     for study in ("granularity", "device_bits", "tie_break",
                   "curvature_batches", "scorers", "differential"):
         assert f"Ablation — {study}" in first.stdout
-    rerun = _run_runner(results, "ablations", extra_args=("--save-plans",))
+    rerun = run_runner(results, "ablations", "--save-plans")
     assert rerun.returncode == 0, rerun.stderr[-2000:]
     robustness = [line for line in rerun.stdout.splitlines()
                   if line.startswith("[robustness]")]
@@ -89,7 +72,7 @@ def test_runner_ablations_smoke_is_a_cached_grid(tmp_path):
 def test_runner_devices_retention_smoke_writes_csvs(tmp_path):
     """The device-stack scenarios run green end to end from the CLI."""
     results = tmp_path / "results"
-    proc = _run_runner(results, "devices", "retention")
+    proc = run_runner(results, "devices", "retention")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "Technology summary" in proc.stdout
     assert "Retention — pcm" in proc.stdout
@@ -116,7 +99,7 @@ def test_runner_devices_retention_smoke_writes_csvs(tmp_path):
 def test_runner_spatial_smoke_csv_schema_and_determinism(tmp_path):
     """The clustered-variation stress test: schema contract + fixed seed."""
     results = tmp_path / "results"
-    proc = _run_runner(results, "spatial")
+    proc = run_runner(results, "spatial")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "Spatial — fefet-spatial" in proc.stdout
 
@@ -139,45 +122,39 @@ def test_runner_spatial_smoke_csv_schema_and_determinism(tmp_path):
     # CSV byte for byte (the model comes back from the artifact cache,
     # and every stochastic stage draws from named streams).
     rerun = tmp_path / "rerun"
-    proc2 = _run_runner(rerun, "spatial")
+    proc2 = run_runner(rerun, "spatial")
     assert proc2.returncode == 0, proc2.stderr[-2000:]
     assert (rerun / "spatial.csv").read_text(encoding="utf-8") == spatial
 
 
 @pytest.mark.slow
-def test_runner_retention_parallel_jobs_byte_identical(tmp_path):
+def test_runner_retention_parallel_jobs_byte_identical(
+        tmp_path, retention_reference):
     """``--workers 2`` reproduces the serial scenario CSV byte for byte.
 
     The orchestrator fans the (technology, read time) tiles over a fork
     pool, but every cell derives all randomness from its own named
     streams — so the parallel CSV must be identical, not just close.
-    The parallel side runs after the serial run's eval tiles are
-    dropped, so it really computes on the pool (the trace shows tile
+    The parallel side runs over the serial run's store without its eval
+    tiles, so it really computes on the pool (the trace shows tile
     spans from several worker pids).  The run also exercises
     ``--save-plans`` (the offline plan artifact).
     """
-    cache = tmp_path / "cache"
-    serial = tmp_path / "serial"
-    proc = _run_runner(serial, "retention", REPRO_CACHE_DIR=str(cache))
-    assert proc.returncode == 0, proc.stderr[-2000:]
-
-    for tile in (cache / "plan" / "v2").glob("eval-*.npz"):
-        tile.unlink()
-
+    cache = copy_cache(retention_reference.cache, tmp_path / "cache",
+                       drop="eval-")
     parallel = tmp_path / "parallel"
     trace = tmp_path / "trace.jsonl"
-    proc2 = _run_runner(parallel, "retention",
-                        extra_args=("--workers", "2", "--save-plans",
-                                    "--trace", str(trace)),
-                        REPRO_CACHE_DIR=str(cache))
-    assert proc2.returncode == 0, proc2.stderr[-2000:]
+    proc = run_runner(parallel, "retention", "--workers", "2",
+                      "--save-plans", "--trace", trace,
+                      REPRO_CACHE_DIR=cache)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
     spans = [json.loads(line) for line in trace.read_text().splitlines()]
     runner_pid = next(s["pid"] for s in spans if s["name"] == "runner.retention")
     tile_pids = {s["pid"] for s in spans if s["name"] == "scenario.tile"}
     assert len(tile_pids - {runner_pid}) >= 2
 
-    serial_csv = (serial / "retention.csv").read_bytes()
+    serial_csv = retention_reference.csv
     assert serial_csv == (parallel / "retention.csv").read_bytes()
     assert len(serial_csv) > 0
 

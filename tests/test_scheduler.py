@@ -4,16 +4,17 @@ Pins the scheduler's contracts: ``0`` means "auto-size to the core
 count" in every resolver, ``workers`` / ``REPRO_WORKERS`` is the one
 worker knob, and tile boundaries are a pure function of (trial count,
 block size) — never of the worker count — and always align to the
-engine's trial-block grid.
+sweep's trial-block grid.
 """
 
 from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
-from repro.core.mc import DEFAULT_MAX_FOLD, MonteCarloEngine, default_trial_block
+from repro.core.mc import DEFAULT_MAX_FOLD, default_trial_block
 from repro.core.metrics import EVAL_BATCH_SIZE
 from repro.robustness import ScenarioConfigError
 from repro.robustness.scheduler import (
@@ -24,6 +25,8 @@ from repro.robustness.scheduler import (
     tile_ranges,
 )
 from repro.utils.rng import RngStream
+
+from .helpers import plan_for
 
 
 class TestWorkerResolution:
@@ -100,26 +103,46 @@ class TestTileRanges:
             tile_ranges(0, 2)
 
 
+def _window_sweep(zoo, mc_runs, trial_range=None, batched=True):
+    """The magnitude accuracy rows of one seeded sweep window."""
+    from repro.experiments.sweeps import run_method_sweep
+
+    plan = plan_for(zoo, sense_samples=64, sigma=0.1,
+                    nwc_targets=(0.0, 0.5), methods=("magnitude",))
+    outcome = run_method_sweep(
+        zoo, plan, mc_runs=mc_runs, rng=RngStream(9).child("window"),
+        eval_samples=32, batched=batched, trial_range=trial_range,
+    )
+    return outcome.curves["magnitude"].accuracy_runs
+
+
 class TestEngineWindow:
-    def test_block_anchors_are_absolute_under_a_window(self):
-        engine = MonteCarloEngine(8, RngStream(1), trial_range=(2, 6))
-        assert engine.span == (2, 6)
-        blocks = [b.tolist() for b in engine.blocks()]
-        assert blocks == [[2, 3], [4, 5]]
-        # A window that starts mid-block still anchors to the grid.
-        offcut = MonteCarloEngine(8, RngStream(1), trial_range=(3, 6))
-        assert [b.tolist() for b in offcut.blocks()] == [[3], [4, 5]]
+    """The sweep's ``trial_range`` window: absolute trial indices and
+    an absolute block grid, checked once at the top of the sweep."""
 
-    def test_substreams_use_absolute_trial_indices(self):
-        whole = MonteCarloEngine(8, RngStream(9))
-        window = MonteCarloEngine(8, RngStream(9), trial_range=(4, 6))
-        assert window.substreams()[0].seed == whole.substream(4).seed
+    def test_block_anchors_are_absolute_under_a_window(self, mini_zoo):
+        # Blocks start at the window's (aligned) start and key their
+        # shared verify stream on absolute trial indices, so a window
+        # reproduces its rows of the full run, verified cells included.
+        whole = _window_sweep(mini_zoo, 6)
+        window = _window_sweep(mini_zoo, 6, trial_range=(2, 6))
+        np.testing.assert_array_equal(window, whole[2:6])
 
-    def test_window_validation(self):
+    def test_substreams_use_absolute_trial_indices(self, mini_zoo):
+        # The scalar path takes any window; trial 1 of a (1, 2) window
+        # draws from the stream of trial 1 of the full run.
+        whole = _window_sweep(mini_zoo, 3, batched=False)
+        window = _window_sweep(mini_zoo, 3, trial_range=(1, 2),
+                               batched=False)
+        np.testing.assert_array_equal(window, whole[1:2])
+
+    def test_window_validation(self, mini_zoo):
         with pytest.raises(ValueError, match="trial_range"):
-            MonteCarloEngine(4, RngStream(1), trial_range=(2, 8))
+            _window_sweep(mini_zoo, 4, trial_range=(2, 8))
         with pytest.raises(ValueError, match="trial_range"):
-            MonteCarloEngine(4, RngStream(1), trial_range=(3, 3))
+            _window_sweep(mini_zoo, 4, trial_range=(3, 3))
+        with pytest.raises(ValueError, match="mc_runs"):
+            _window_sweep(mini_zoo, 0)
 
     def test_default_trial_block_grain(self):
         assert default_trial_block() == DEFAULT_MAX_FOLD // EVAL_BATCH_SIZE

@@ -23,11 +23,11 @@ from repro.cim import (
     MappingConfig,
     NonidealityStack,
     ProgrammingNoiseStage,
-    get_technology,
 )
 from repro.cim.mapping import WeightMapper
 from repro.core import WeightSpace
 from repro.nn.models import mlp
+from repro.plan import PlanRequest
 from repro.utils.rng import RngStream
 
 from .helpers import plan_for, to_float64
@@ -78,9 +78,7 @@ def test_empirical_variance_matches_analytic(small_model, technology,
     """
     model, space = small_model
     n_trials = 256
-    tech = get_technology(technology)
-    mapping = tech.mapping_config()
-    stack = tech.build_stack()
+    _, _, mapping, stack = PlanRequest(technology=technology).resolve()
 
     analytic = stack.variance_map(mapping, space, model, read_time=read_time)
     empirical = stack.empirical_variance_map(
@@ -103,9 +101,7 @@ def test_empirical_variance_matches_analytic(small_model, technology,
 def test_variance_map_drift_raises_the_mean(small_model):
     """Sanity: pcm at one month is far noisier than at write time."""
     model, space = small_model
-    tech = get_technology("pcm")
-    mapping = tech.mapping_config()
-    stack = tech.build_stack()
+    _, _, mapping, stack = PlanRequest(technology="pcm").resolve()
     at_write = stack.variance_map(mapping, space, model)
     at_month = stack.variance_map(mapping, space, model, read_time=ONE_MONTH)
     assert at_month.mean() > 2.0 * at_write.mean()

@@ -14,15 +14,18 @@ import numpy as np
 import pytest
 
 from repro.cim import (
-    CimAccelerator,
     DeviceTechnology,
     EnduranceModel,
     MappingConfig,
+    NonidealityStack,
     get_technology,
     resolve_technology,
 )
+from repro.cim.devices.endurance import wear_statistics
 from repro.plan import PlanRequest
 from repro.utils.rng import RngStream
+
+from .helpers import accelerator_on
 
 
 class TestSigmaGrowthCurve:
@@ -47,9 +50,11 @@ class TestSigmaGrowthCurve:
         assert model.wear_inflation(-1.0) == 1.0
 
     def test_consumed_fraction(self):
-        model = EnduranceModel(endurance_cycles=1e4)
-        assert model.consumed_fraction(100) == pytest.approx(0.01)
-        assert model.consumed_fraction(1e9) == 1.0
+        # One device, 99 verify pulses plus its initial write: 100 of a
+        # 1e4-pulse budget; far past the budget clips to 1.
+        assert wear_statistics(1, 99, 99, 1e4)["consumed_fraction"] == (
+            pytest.approx(0.01))
+        assert wear_statistics(1, 10**9, 10**9, 1e4)["consumed_fraction"] == 1.0
 
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):
@@ -82,11 +87,10 @@ class TestDerivedVarianceMap:
     def test_summary_reports_consumed_fraction(self, setup):
         tech, mapping, stack = setup
         levels = np.tile(np.arange(16.0), (1, 4)).reshape(1, 8, 8)
-        from repro.cim import StageContext, WriteVerifyConfig, write_verify
+        from repro.cim import WriteVerifyConfig, write_verify
 
-        ctx = StageContext.from_mapping(mapping)
         rng = RngStream(7)
-        programmed = stack.program(levels, ctx, rng.child("p").generator)
+        programmed = stack.program(levels, mapping, rng.child("p").generator)
         result = write_verify(
             levels[0], programmed[0], mapping.device, WriteVerifyConfig(),
             rng.child("v").generator,
@@ -95,9 +99,7 @@ class TestDerivedVarianceMap:
         stack.observe("w", result.cycles[None])
         summary = stack.wear_summary()
         assert summary["consumed_fraction"] == pytest.approx(
-            tech.endurance_model().consumed_fraction(
-                summary["mean_pulses_per_device"]
-            )
+            summary["mean_pulses_per_device"] / tech.endurance_cycles
         )
         assert 0.0 < summary["consumed_fraction"] < 1.0
 
@@ -146,7 +148,7 @@ class TestDerivedVarianceMap:
         from repro.plan import PlanArtifactCache, PlanEngine
 
         model, data, _ = trained_lenet
-        accelerator = CimAccelerator(model, technology="rram")
+        accelerator = accelerator_on(model, "rram")
         stream = RngStream(41).child("wear")
         accelerator.program(stream.child("program").generator)
         accelerator.write_verify_all(stream.child("verify").generator)
@@ -164,3 +166,36 @@ class TestDerivedVarianceMap:
         assert worn_request.effective_wear_inflation() == expected
         worn = engine.variance(worn_request)
         np.testing.assert_allclose(worn, fresh * expected, rtol=1e-12)
+
+    def test_stackless_map_keys_on_the_wear_it_applies(self):
+        """A technology-less request gets the default stack's unworn
+        Eq. 16 map whatever its ``wear_inflation``, so the map and its
+        ``hetero_swim`` order are keyed on 1.0, the factor the map
+        applies: a worn plain-sigma request reuses the fresh artifacts,
+        and its plan still records the requested inflation."""
+        from repro.core import WeightSpace
+        from repro.nn.models import mlp
+        from repro.plan import PlanArtifactCache, PlanEngine
+
+        model = mlp(RngStream(5).child("m"), (6, 5))
+        sense = RngStream(6).child("x").generator
+        x = sense.normal(size=(16, 6)).astype(np.float32)
+        y = np.arange(16) % 5
+        engine = PlanEngine(model, x, y, cache=PlanArtifactCache(disk=False))
+        fresh = PlanRequest(methods=("hetero_swim",), sigma=0.1)
+        worn = replace(fresh, wear_inflation=1.5)
+        fresh_plan = engine.plan(fresh)
+        assert engine.stats["variance_passes"] == 1
+        worn_plan = engine.plan(worn)
+        assert engine.stats["variance_passes"] == 1
+        assert engine.stats["ranking_passes"] == 1
+        np.testing.assert_array_equal(worn_plan.order("hetero_swim"),
+                                      fresh_plan.order("hetero_swim"))
+        assert (fresh_plan.wear_inflation, worn_plan.wear_inflation) == (
+            1.0, 1.5)
+        space = WeightSpace.from_model(model)
+        np.testing.assert_array_equal(
+            engine.variance(worn),
+            NonidealityStack.default().variance_map(
+                MappingConfig(device=fresh.resolve()[1]), space, model),
+        )
