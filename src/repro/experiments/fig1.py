@@ -20,11 +20,13 @@ both draw identical perturbations from the same RNG stream.
 
 The device point is fixed: :data:`SIGMA` on :data:`DEVICE_BITS`-bit
 cells, and the study runs on the float activation path (activation
-quantizers bypassed).
+quantizers bypassed).  It runs on a copy of the zoo's model, so the
+caller's model keeps its dtypes, bytes and quantizers.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,7 +189,9 @@ def run_fig1(zoo, config, rng, batched=True):
     -------
     Fig1Result
     """
-    model, data = zoo.model, zoo.data
+    # The study promotes, re-quantizes and overrides the weights of a
+    # copy, so the caller's model leaves as it came.
+    model, data = copy.deepcopy(zoo.model), zoo.data
     # Per-weight loss increases can be ~1e-6; run the whole study in
     # float64 so they are not swamped by single-precision forward noise.
     for param in model.parameters():
@@ -196,10 +200,8 @@ def run_fig1(zoo, config, rng, batched=True):
     # analyses into O(delta) discretization jumps; the sensitivity study
     # runs on the float activation path (the regime the paper's analysis
     # — and its correlation figure — assumes).
-    saved_peaks = {}
     for module in model.modules():
         if isinstance(module, ActQuant):
-            saved_peaks[id(module)] = (module, module.running_peak)
             module.running_peak = 0.0
     space = WeightSpace.from_model(model)
     mapping = MappingConfig(
@@ -291,11 +293,6 @@ def run_fig1(zoo, config, rng, batched=True):
             model, layers, base_weights, indices, deltas, locate,
             eval_x, eval_y, base_accuracy, base_loss, loss_fn,
         )
-
-    for layer in layers.values():
-        layer.clear_weight_override()
-    for module, peak in saved_peaks.values():
-        module.running_peak = peak
 
     curvature = curvature_flat[indices]
     magnitude = magnitude_flat[indices]

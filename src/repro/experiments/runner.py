@@ -13,8 +13,8 @@ Usage::
 Results print to stdout in the paper's layout and are saved as CSV under
 ``results/`` (override with ``REPRO_RESULTS_DIR``).  ``serve`` is not
 an experiment: it stands up the plan-serving HTTP service
-(:mod:`repro.serve`) over a workload's :class:`~repro.plan.engine.
-PlanEngine` and runs until signaled.
+(:mod:`repro.serve`) over the ``--workload`` engines it builds at
+startup and runs until signaled.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "serve":
-        # The serving subcommand has its own flag set (port, host,
-        # workers) and lifecycle; ``run()``'s taxonomy wrapper still
+        # The serving subcommand has its own flag set (workload, port,
+        # host) and lifecycle; ``run()``'s taxonomy wrapper still
         # applies — startup/shutdown failures exit 64/74/75.
         from repro.serve.cli import serve_main
 

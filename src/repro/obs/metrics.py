@@ -3,9 +3,13 @@
 One registry holds labeled metric *families* (``Counter``, ``Gauge``,
 ``Histogram``); each combination of label values is a *child* with its
 own lock, so increments are exact under concurrency.  ``snapshot()`` is
-the single counter surface: every human- or machine-readable view in
-the repo (``PlanArtifactCache.stats()``, ``RunReport.render()``,
-``/statsz``, ``/metricsz``) is derived from it.
+the one source of the counters that live here: the artifact cache's
+(``PlanArtifactCache.stats()`` and the cache part of
+``RunReport.render()``), the supervisor's, and the plan service's and
+its HTTP transport's (``/statsz`` and ``/metricsz`` are both views of
+one snapshot).  Two ledgers are not metrics and stay with their owners:
+a run's cell and tile counts are ``RunReport`` fields, and a
+``PlanEngine``'s pass counts are its in-process ``stats`` dict.
 
 Determinism matters more than prometheus-client parity here: histogram
 bucket bounds are fixed at family creation, snapshots are sorted by

@@ -192,10 +192,6 @@ class Tracer:
             self._spans.extend(adopted)
 
     # -- export --------------------------------------------------------
-    def spans(self):
-        with self._lock:
-            return list(self._spans)
-
     def drain(self):
         with self._lock:
             spans, self._spans = self._spans, []

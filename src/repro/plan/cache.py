@@ -199,17 +199,17 @@ class PlanArtifactCache:
         first); default :func:`resolve_memory_items` — i.e.
         ``REPRO_CACHE_MEM_ITEMS``, else ``0`` = unbounded.  Evictions
         degrade to the disk tier and are counted in :meth:`stats`.
-    metrics:
-        A :class:`~repro.obs.metrics.MetricsRegistry` to register the
-        cache's counter families in.  Default: a private registry, so
-        independent cache instances keep independent :meth:`stats`.
-        The serving layer passes its shared registry so cache counters
-        show up on ``/metricsz`` next to request counters.
+
+    :attr:`metrics` is the cache's own
+    :class:`~repro.obs.metrics.MetricsRegistry`, so independent cache
+    instances keep independent :meth:`stats`.  The plan service counts
+    its request and transport families into the same registry, so cache
+    counters show up on ``/metricsz`` next to request counters.
     """
 
     def __init__(self, root=None, memory=True, disk=True,
                  version=PLAN_CACHE_VERSION, tmp_max_age=3600.0,
-                 memory_items=None, metrics=None):
+                 memory_items=None):
         self.version = int(version)
         self.disk = bool(disk)
         self._memory = OrderedDict() if memory else None
@@ -223,7 +223,7 @@ class PlanArtifactCache:
             root or default_cache_dir(), "plan", f"v{self.version}"
         )
         self.tmp_max_age = float(tmp_max_age)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         hits = self.metrics.counter(
             "repro_cache_hits_total", "Artifact cache hits by tier.",
             labels=("tier",),

@@ -582,11 +582,11 @@ class PlanEngine:
 def build_engine(workload="lenet-digits", scale=None, cache=None):
     """Load a zoo workload and wire a :class:`PlanEngine` over it.
 
-    The one shared construction path behind the serving layer's engine
-    registry and the serving benchmark.  It builds the engine with
-    :meth:`PlanEngine.from_zoo` at the scale's ``sense_samples``, as the
-    scenario orchestrator does, so engine-resolved plans are the ones a
-    scenario run would compute.
+    The one shared construction path behind the engines the plan
+    service builds at startup and the serving benchmark.  It builds the
+    engine with :meth:`PlanEngine.from_zoo` at the scale's
+    ``sense_samples``, as the scenario orchestrator does, so
+    engine-resolved plans are the ones a scenario run would compute.
 
     Parameters
     ----------
@@ -600,8 +600,8 @@ def build_engine(workload="lenet-digits", scale=None, cache=None):
         ``REPRO_SCALE``-resolved default.
     cache:
         The :class:`~repro.plan.cache.PlanArtifactCache` the engine
-        stores stages in; the registry passes one shared cache to every
-        engine it builds.
+        stores stages in; :func:`repro.serve.build_service` passes one
+        shared cache to every engine it builds.
     """
     from repro.experiments.config import get_scale
     from repro.experiments.model_zoo import load_workload

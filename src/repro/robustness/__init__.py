@@ -61,7 +61,6 @@ from repro.robustness.report import (
 from repro.robustness.scheduler import (
     Tile,
     auto_workers,
-    resolve_worker_count,
     resolve_workers,
     tile_ranges,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "resolve_backoff",
     "resolve_retries",
     "resolve_timeout",
-    "resolve_worker_count",
     "resolve_workers",
     "run_with_retry",
     "serial_map",

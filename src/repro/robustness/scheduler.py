@@ -10,9 +10,10 @@ are bitwise-identical to an unsplit run) — and the resulting flat tile
 list is packed onto **one** supervised fork pool
 (:func:`~repro.robustness.supervisor.supervised_map`; no second
 supervision path), sized by :func:`resolve_workers`: ``workers`` /
-``REPRO_WORKERS`` is the one knob — total concurrent worker processes,
-``0`` meaning auto-size to the detected core count
-(:func:`auto_workers`).
+``REPRO_WORKERS`` is the one worker knob of the program — total
+concurrent worker processes, ``0`` meaning auto-size to the detected
+core count (:func:`auto_workers`).  The plan service has no such knob:
+each of its engines resolves on one thread.
 
 Tile boundaries are a pure function of the cell's trial count and the
 trial-block width — never of the worker count — so a tile's
@@ -32,7 +33,6 @@ __all__ = [
     "DEFAULT_TILES_PER_CELL",
     "Tile",
     "auto_workers",
-    "resolve_worker_count",
     "resolve_workers",
     "tile_ranges",
 ]
@@ -59,43 +59,33 @@ def auto_workers():
         return max(1, os.cpu_count() or 1)
 
 
-def resolve_worker_count(value, env, what):
-    """Shared worker-count semantics for every parallelism knob.
-
-    Explicit argument wins, else the environment variable; unset/empty
-    means "not requested" (``None``).  ``0`` — from either source —
-    consistently means "auto-size to the machine"
-    (:func:`auto_workers`); negative values raise
-    :class:`~repro.robustness.errors.ScenarioConfigError`.
-    """
-    if value is None:
-        raw = os.environ.get(env, "").strip()
-        if not raw:
-            return None
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ScenarioConfigError(
-                f"{env} must be an integer, got {raw!r}"
-            ) from exc
-    value = int(value)
-    if value < 0:
-        raise ScenarioConfigError(
-            f"{what} must be >= 1, or 0 to auto-size to the core count"
-        )
-    if value == 0:
-        return auto_workers()
-    return value
-
-
 def resolve_workers(workers=None):
     """Resolve the rectangle's worker count: arg, else ``REPRO_WORKERS``.
 
-    ``0`` means auto-size to the core count; with neither source set
-    the result is ``None`` and the caller runs serially (parallelism
-    stays opt-in).
+    Unset or empty means "not requested": the result is ``None`` and
+    the caller runs serially (parallelism stays opt-in).  ``0`` — from
+    either source — means auto-size to the core count
+    (:func:`auto_workers`); negative values raise
+    :class:`~repro.robustness.errors.ScenarioConfigError`.
     """
-    return resolve_worker_count(workers, "REPRO_WORKERS", "workers")
+    if workers is None:
+        raw = os.environ.get("REPRO_WORKERS", "").strip()
+        if not raw:
+            return None
+        try:
+            workers = int(raw)
+        except ValueError as exc:
+            raise ScenarioConfigError(
+                f"REPRO_WORKERS must be an integer, got {raw!r}"
+            ) from exc
+    workers = int(workers)
+    if workers < 0:
+        raise ScenarioConfigError(
+            "workers must be >= 1, or 0 to auto-size to the core count"
+        )
+    if workers == 0:
+        return auto_workers()
+    return workers
 
 
 @dataclass(frozen=True)

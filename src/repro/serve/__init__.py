@@ -6,10 +6,11 @@ stdlib-only asyncio HTTP service over :class:`~repro.plan.engine.
 PlanEngine` / :class:`~repro.plan.cache.PlanArtifactCache` that
 answers "which weights do I verify at budget b for model X /
 technology Y / read_time t?" at memory-lookup speed once a plan is
-warm — for *every* zoo workload of the scale from one process, via
-the :class:`PlanEngineRegistry` (lazy per-workload engines, routed by
-``workload`` name or ``model`` digest, LRU-capped by
-``REPRO_SERVE_MAX_ENGINES``, one shared artifact cache).
+warm.  One process serves the zoo workloads it was started with,
+through the :class:`PlanEngineRegistry`: every engine is built at
+startup on one shared artifact cache, routed by ``workload`` name or
+``model`` digest, and resolves on its own single thread for the life
+of the process.
 
 The perf contract, in one sentence each:
 
@@ -19,19 +20,18 @@ The perf contract, in one sentence each:
 - **single-flight coalescing** — N identical concurrent requests
   collapse into one resolution *per engine*, keyed by the same
   content digest the shared cache uses;
-- **bounded memory** — the cache's LRU cap (``REPRO_CACHE_MEM_ITEMS``)
-  and the live-engine cap (``REPRO_SERVE_MAX_ENGINES``) keep a
-  long-lived server's RSS flat; counters and latency histograms are
-  fixed-size children of the engine registry's one
+- **bounded memory** — the engines are fixed at startup and the
+  cache's LRU cap (``REPRO_CACHE_MEM_ITEMS``) bounds its memory tier,
+  so a long-lived server's RSS stays flat; counters and latency
+  histograms are fixed-size children of the shared cache's one
   :class:`~repro.obs.metrics.MetricsRegistry`, which ``/metricsz``
   renders and ``/statsz`` views as JSON.
 
-Entry points: ``runner serve`` / ``python -m repro.serve`` (the CLI),
-:class:`PlanEngineRegistry` + :class:`PlanHTTPServer` (embedding; a
-single-workload server is a one-workload registry, and
-:class:`PlanService` is its per-engine core), :class:`PlanClient`
-(consumers), ``benchmarks/bench_serving.py`` (the load benchmark
-behind ``BENCH_serving.json``).
+Entry points: ``runner serve`` (the CLI), :func:`build_service` +
+:class:`PlanHTTPServer` (embedding; a single-workload server is a
+one-engine registry, and :class:`PlanService` is its per-engine core),
+:class:`PlanClient` (consumers), ``benchmarks/bench_serving.py`` (the
+load benchmark behind ``BENCH_serving.json``).
 """
 
 from repro.serve.client import PlanClient, PlanClientError, PlanResponse
@@ -43,9 +43,9 @@ from repro.serve.codec import (
     split_plan_route,
 )
 from repro.serve.http import DEFAULT_PORT, PlanHTTPServer
-from repro.serve.registry import PlanEngineRegistry, resolve_max_engines
+from repro.serve.registry import PlanEngineRegistry
 from repro.serve.service import PlanService, ServedPlan
-from repro.serve.cli import build_service, run, serve_main
+from repro.serve.cli import build_service, serve_main
 
 __all__ = [
     "DEFAULT_PORT",
@@ -61,8 +61,6 @@ __all__ = [
     "parse_plan_request",
     "plan_bytes",
     "plan_config",
-    "resolve_max_engines",
-    "run",
     "serve_main",
     "split_plan_route",
 ]

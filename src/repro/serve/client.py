@@ -181,10 +181,9 @@ class PlanClient:
     def models(self):
         """``GET /v1/models`` as a dict.
 
-        ``{"default", "max_engines", "models": [{"workload", "model",
-        "loaded", "requests"}, ...]}`` — one row per loadable workload;
-        the ``model`` digest of a loaded row is what a ``plan(...,
-        model=<digest>)`` request routes by.
+        ``{"default", "models": [{"workload", "model", "requests"},
+        ...]}`` — one row per served workload; a row's ``model`` digest
+        is what a ``plan(..., model=<digest>)`` request routes by.
         """
         return self._json("/v1/models")
 

@@ -11,10 +11,11 @@ Routes::
     POST /v1/plan        resolve (or replay) a PlanRequest JSON body,
                          optionally routed by "workload"/"model" fields
     GET  /v1/plan/<key>  content-addressed warm fetch (404 on miss)
-    GET  /v1/models      loaded + loadable workloads, digests, counters
-    GET  /healthz        liveness
-    GET  /statsz         JSON view of the metrics: per-workload counters,
-                         aggregate, latency quantiles, cache stats
+    GET  /v1/models      the served workloads: default, digests, counters
+    GET  /healthz        liveness: status and cache version
+    GET  /statsz         counters only, a JSON view of the metrics:
+                         per-workload counters, aggregate, latency
+                         quantiles, cache stats
     GET  /metricsz       Prometheus text exposition (engines + cache)
 
 Plan responses carry ``X-Plan-Key`` (the content address, for later
@@ -58,6 +59,10 @@ _REQUEST_ID = re.compile(r"^[A-Za-z0-9._-]{1,128}$")
 #: Default serving port ("swim" on a phone keypad, close enough).
 DEFAULT_PORT = 8321
 
+#: Request body cap in bytes (413 beyond it) — one of the "RSS must stay
+#: bounded" guards.
+MAX_BODY = 1 << 20
+
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
@@ -89,13 +94,9 @@ class PlanHTTPServer:
         Bind address; port ``0`` asks the kernel for an ephemeral port
         (read the bound one back from :attr:`port` after
         :meth:`start`).
-    max_body:
-        Request body cap in bytes (413 beyond it) — one of the "RSS
-        must stay bounded" guards.
     """
 
-    def __init__(self, registry, host="127.0.0.1", port=DEFAULT_PORT,
-                 max_body=1 << 20):
+    def __init__(self, registry, host="127.0.0.1", port=DEFAULT_PORT):
         if not 0 <= int(port) <= 65535:
             raise ScenarioConfigError(
                 f"port must be in [0, 65535], got {port}"
@@ -103,7 +104,6 @@ class PlanHTTPServer:
         self.registry = registry
         self.host = host
         self.port = int(port)
-        self.max_body = int(max_body)
         # Transport metrics share the registry's metrics, so /metricsz
         # is a single exposition.
         metrics = registry.metrics
@@ -243,11 +243,10 @@ class PlanHTTPServer:
                         keep=False,
                     )
                     break
-                if length > self.max_body:
+                if length > MAX_BODY:
                     await self._respond(
                         writer, 413,
-                        {"error": f"request body exceeds {self.max_body} "
-                                  f"bytes"},
+                        {"error": f"request body exceeds {MAX_BODY} bytes"},
                         keep=False,
                     )
                     break

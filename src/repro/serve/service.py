@@ -10,9 +10,13 @@ one content-addressed key space:
   :class:`~repro.plan.engine.PlanEngine` resolution.  The
   ``engine_resolutions`` counter is the tripwire: it must not move on
   warm traffic (the serving tests pin this).
-- **cold** — a full miss: the request resolves through the engine on a
-  worker thread (the asyncio event loop keeps serving warm hits
-  meanwhile), and the resulting bytes are stored before fan-out.
+- **cold** — a full miss: the request resolves through the engine on
+  the service's one resolution thread (the asyncio event loop keeps
+  serving warm hits meanwhile), and the resulting bytes are stored
+  before fan-out.  One thread per engine, for the life of the process:
+  an engine's passes mutate its model (the curvature pass runs forward
+  and backward through it), so two resolutions on one engine never
+  overlap.
 - **coalesced** — the request's key is already being resolved:
   instead of a second engine pass, the request awaits the in-flight
   resolution's future.  The single-flight map is keyed by the *same*
@@ -23,9 +27,9 @@ one content-addressed key space:
 The service keeps no bookkeeping of its own: each request increments
 its workload's children in a :class:`~repro.obs.metrics.
 MetricsRegistry`, and :func:`workload_stats` reads them back from a
-snapshot.  The :class:`~repro.serve.registry.PlanEngineRegistry` owns
-that registry, routes to the services, and is what the HTTP layer
-serves.
+snapshot.  The :class:`~repro.serve.registry.PlanEngineRegistry` wraps
+each engine it serves in one service, routes to them, and is what the
+HTTP layer serves.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from repro.obs.metrics import MetricsRegistry, bucket_quantile
+from repro.obs.metrics import bucket_quantile
 from repro.obs.trace import span
 from repro.serve.codec import (
     decode_plan_bytes,
@@ -62,11 +66,10 @@ def workload_stats(snapshot):
     snapshot`.  Returns ``{workload: {"requests": {...}, "latency_ms":
     {source: {"count", "p50_ms", "p99_ms"}}}}`` for every workload a
     :class:`PlanService` was built for.  The counters are the samples
-    ``/metricsz`` renders, cumulative over the registry's lifetime, so
-    they survive engine retirement.  p50/p99 are the upper bounds of
-    the ``repro_serve_plan_seconds`` buckets the quantiles fall in
-    (``"+Inf"`` past the last bound, so the payload stays strict JSON;
-    None before the first observation).
+    ``/metricsz`` renders, cumulative over the registry's lifetime.
+    p50/p99 are the upper bounds of the ``repro_serve_plan_seconds``
+    buckets the quantiles fall in (``"+Inf"`` past the last bound, so
+    the payload stays strict JSON; None before the first observation).
     """
     def count(name, *labels):
         return snapshot[name]["samples"][labels]
@@ -77,8 +80,6 @@ def workload_stats(snapshot):
             return None
         return "+Inf" if bound == math.inf else round(1e3 * bound, 4)
 
-    if "repro_serve_requests_total" not in snapshot:
-        return {}  # no PlanService has counted into this registry yet
     seconds = snapshot["repro_serve_plan_seconds"]
     views = {}
     served = snapshot["repro_serve_requests_total"]["samples"]
@@ -135,28 +136,25 @@ class PlanService:
     ----------
     engine:
         The :class:`~repro.plan.engine.PlanEngine` cold requests
-        resolve through; its cache is the serving store.
-    resolve_workers:
-        Threads in the cold-resolution executor.  Default 1: engine
-        resolutions serialize (they share cache stages), which also
-        maximizes stage reuse; the event loop stays free either way.
-    metrics:
-        The :class:`~repro.obs.metrics.MetricsRegistry` this service
-        counts into (default: a private one).  Families are labeled by
-        workload, so every engine of a :class:`~repro.serve.registry.
-        PlanEngineRegistry` shares the registry's one instance, and a
-        rebuilt engine keeps counting where its predecessor stopped.
+        resolve through; its cache is the serving store, and the
+        cache's :class:`~repro.obs.metrics.MetricsRegistry` is
+        :attr:`metrics`, the one this service counts into.  Families
+        are labeled by workload, so every engine of a
+        :class:`~repro.serve.registry.PlanEngineRegistry` counts into
+        the shared cache's one instance.
+
+    Cold requests resolve on one thread of the service's own, so the
+    engine's passes run one at a time.
     """
 
-    def __init__(self, engine, resolve_workers=1, metrics=None):
+    def __init__(self, engine):
         self.engine = engine
         self.cache = engine.cache
+        self.metrics = self.cache.metrics
         self._executor = ThreadPoolExecutor(
-            max_workers=max(1, int(resolve_workers)),
-            thread_name_prefix="plan-resolve",
+            max_workers=1, thread_name_prefix="plan-resolve",
         )
         self._inflight = {}  # content key -> asyncio.Task resolving it
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         workload = engine.workload or "default"
         self.workload_label = workload
 
@@ -264,12 +262,6 @@ class PlanService:
         self.cache.put(PLAN_KIND, config, encode_plan_bytes(data))
         return data
 
-    def close(self, wait=True):
-        """Shut the resolution executor down (after the HTTP drain).
-
-        ``wait=False`` lets in-flight resolutions finish on their
-        worker threads without blocking the caller — the registry's
-        LRU-retirement path, which runs on the event loop and must not
-        stall warm traffic behind a retiring engine's drain.
-        """
-        self._executor.shutdown(wait=wait)
+    def close(self):
+        """Shut the resolution thread down (after the HTTP drain)."""
+        self._executor.shutdown()

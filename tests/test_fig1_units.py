@@ -7,8 +7,9 @@ import pytest
 
 from repro.core.selection import WeightSpace
 from repro.experiments import fig1
-from repro.experiments.fig1 import _sample_entries
+from repro.experiments.fig1 import Fig1Config, _sample_entries, run_fig1
 from repro.nn.models import mlp
+from repro.nn.quant import ActQuant
 from repro.utils.rng import RngStream
 
 
@@ -47,3 +48,32 @@ def test_sampling_deterministic(space):
 def test_config_defaults_match_paper_setting():
     assert fig1.SIGMA == 0.1  # the paper's typical device sigma
     assert fig1.DEVICE_BITS == 4  # K = 4 (Sec. 4.1)
+
+
+def _model_state(model):
+    """Every parameter's dtype and bytes, and every quantizer's peak."""
+    params = {name: (p.data.dtype, p.data.tobytes())
+              for name, p in model.named_parameters()}
+    peaks = [m.running_peak for m in model.modules()
+             if isinstance(m, ActQuant)]
+    return params, peaks
+
+
+def test_scalar_reference_matches_batched_and_leaves_the_model(mini_zoo):
+    """The scalar reference loop and the trial-batched path draw the
+    same perturbations: accuracy drops agree bitwise, loss increases
+    within 1e-15 (the two paths sum the loss in different orders).
+    Neither run touches the caller's model."""
+    before = _model_state(mini_zoo.model)
+    config = Fig1Config(n_weights=12, mc_runs=3, eval_samples=64)
+    batched = run_fig1(mini_zoo, config, RngStream(5).child("fig1"))
+    scalar = run_fig1(mini_zoo, config, RngStream(5).child("fig1"),
+                      batched=False)
+    np.testing.assert_array_equal(scalar.accuracy_drops,
+                                  batched.accuracy_drops)
+    np.testing.assert_allclose(scalar.loss_increases, batched.loss_increases,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(scalar.magnitudes, batched.magnitudes)
+    np.testing.assert_array_equal(scalar.second_derivatives,
+                                  batched.second_derivatives)
+    assert _model_state(mini_zoo.model) == before

@@ -7,11 +7,13 @@ keeps its bases, decorators, class-level statements and dunder methods,
 so constructing or subclassing it keeps ``__init__`` and whatever the
 dunders call alive, but not its other methods.  Module-level code is
 live: it runs on import and holds the ``__main__`` entry points of the
-runner, the plan server and the validators.  A definition becomes live
+runner and the validators.  A definition becomes live
 when its name appears as an ``ast.Name`` or ``ast.Attribute`` inside
 live code other than its own body; the scan iterates to a fixed point,
 so code that only dead code calls is dead too.  Imports and ``__all__``
-strings are not references.  Names are matched without their module or
+strings are not references, and neither is a name a function binds
+itself: its parameters and assignment targets are locals, so a method
+that shares its name with a parameter is not reached by it.  Names are matched without their module or
 class, so a name that two modules or classes define is live when either
 is called.
 
@@ -101,12 +103,24 @@ UNUSED_IMPORTS = {
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def _bound(function):
+    """The parameters and assignment targets ``function`` binds (nested
+    functions, lambdas and comprehensions included)."""
+    return {
+        child.arg if isinstance(child, ast.arg) else child.id
+        for child in ast.walk(function)
+        if isinstance(child, ast.arg)
+        or isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Load)
+    }
+
+
 def _names(nodes):
-    """Every name referenced under ``nodes``."""
+    """Every name referenced under ``nodes``, less a function's locals."""
     found = set()
     for node in nodes:
+        local = _bound(node) if isinstance(node, _FUNCTIONS) else set()
         for child in ast.walk(node):
-            if isinstance(child, ast.Name):
+            if isinstance(child, ast.Name) and child.id not in local:
                 found.add(child.id)
             elif isinstance(child, ast.Attribute):
                 found.add(child.attr)

@@ -125,15 +125,19 @@ def test_insitu_at_nwc_one_trails_swim_at_a_tenth(table1):
 
 
 @pytest.fixture(scope="module")
-def fig1():
-    # A zoo of its own: run_fig1 promotes the parameters to float64.
-    zoo = load_workload(SMOKE.workload("lenet-digits"))
+def lenet_zoo():
+    """The smoke LeNet that ``runner fig1`` and ``runner ablations`` load."""
+    return load_workload(SMOKE.workload("lenet-digits"))
+
+
+@pytest.fixture(scope="module")
+def fig1(lenet_zoo):
     config = Fig1Config(
         n_weights=SMOKE.fig1_weights,
         mc_runs=SMOKE.fig1_mc_runs,
         eval_samples=SMOKE.fig1_eval_samples,
     )
-    return run_fig1(zoo, config, RngStream(101).child("fig1"))
+    return run_fig1(lenet_zoo, config, RngStream(101).child("fig1"))
 
 
 def test_fig1_curvature_predicts_loss_better_than_magnitude(fig1):
@@ -188,15 +192,9 @@ def test_spatial_correlation_lowers_the_unverified_floor(spatial):
 
 
 @pytest.fixture(scope="module")
-def ablation_zoo():
-    # Freshly loaded: the fig1 fixture promotes its zoo to float64.
-    return load_workload(SMOKE.workload("lenet-digits"))
-
-
-@pytest.fixture(scope="module")
-def ablations(ablation_zoo):
+def ablations(lenet_zoo):
     """The studies ``runner ablations --scale smoke`` computes."""
-    studies, _ = run_ablations(ablation_zoo)
+    studies, _ = run_ablations(lenet_zoo)
     return studies
 
 
@@ -238,14 +236,14 @@ def test_ablation_swim_leads_the_scorers(ablations):
 
 
 def test_ablation_tie_break_arms_agree_where_selections_agree(
-        ablation_zoo, ablations):
+        lenet_zoo, ablations):
     """The magnitude tie-break only reorders weights with tied
     curvature: at every budget where both orders select the same set,
     the two arms deploy the same weights on the same draw, so their
     per-trial accuracies are equal."""
-    cells = ablation_cells(ablation_zoo)["tie_break"]
+    cells = ablation_cells(lenet_zoo)["tie_break"]
     orchestrator = ScenarioOrchestrator(
-        ablation_zoo, eval_samples=EVAL_SAMPLES, sense_samples=SENSE_SAMPLES,
+        lenet_zoo, eval_samples=EVAL_SAMPLES, sense_samples=SENSE_SAMPLES,
     )
     outcome = orchestrator.run(cells)[cells[0].key]
     plan = orchestrator.plans[cells[0].key]

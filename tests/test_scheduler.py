@@ -20,7 +20,6 @@ from repro.robustness import ScenarioConfigError
 from repro.robustness.scheduler import (
     DEFAULT_TILES_PER_CELL,
     auto_workers,
-    resolve_worker_count,
     resolve_workers,
     tile_ranges,
 )
@@ -32,19 +31,18 @@ from .helpers import plan_for
 class TestWorkerResolution:
     def test_explicit_argument_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "7")
-        assert resolve_worker_count(3, "REPRO_WORKERS", "workers") == 3
+        assert resolve_workers(3) == 3
 
     def test_env_fallback_and_unset_means_none(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_worker_count(None, "REPRO_WORKERS", "workers") is None
+        assert resolve_workers() is None
         monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert resolve_worker_count(None, "REPRO_WORKERS", "workers") == 5
+        assert resolve_workers() == 5
 
     def test_zero_means_auto_in_every_resolver(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)),
                             raising=False)
         assert auto_workers() == 6
-        assert resolve_worker_count(0, "REPRO_WORKERS", "workers") == 6
         assert resolve_workers(0) == 6
         monkeypatch.setenv("REPRO_WORKERS", "0")
         assert resolve_workers() == 6
@@ -60,12 +58,12 @@ class TestWorkerResolution:
 
     def test_negative_is_a_config_error(self):
         with pytest.raises(ScenarioConfigError, match="workers"):
-            resolve_worker_count(-1, "REPRO_WORKERS", "workers")
+            resolve_workers(-1)
 
     def test_garbage_env_is_a_config_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "many")
         with pytest.raises(ScenarioConfigError, match="REPRO_WORKERS"):
-            resolve_worker_count(None, "REPRO_WORKERS", "workers")
+            resolve_workers()
 
     def test_workers_knob_is_authoritative(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "5")

@@ -27,7 +27,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.plan import PlanArtifactCache, PlanEngine, PlanRequest
-from repro.robustness.errors import TransientFaultError
+from repro.robustness.errors import ScenarioConfigError, TransientFaultError
 from repro.serve import (
     PlanClient,
     PlanClientError,
@@ -52,14 +52,15 @@ BODY = {
 }
 
 
-def _engine(mini_zoo):
-    """A memory-only engine for direct (unserved) resolutions."""
+def _engine(zoo, cache=None):
+    """An engine over ``zoo`` (memory-only cache by default), the
+    registry's and direct (unserved) resolutions' one construction."""
     return PlanEngine(
-        mini_zoo.model,
-        mini_zoo.data.train_x[:96],
-        mini_zoo.data.train_y[:96],
-        workload=mini_zoo.spec.key,
-        cache=PlanArtifactCache(disk=False),
+        zoo.model,
+        zoo.data.train_x[:96],
+        zoo.data.train_y[:96],
+        workload=zoo.spec.key,
+        cache=cache if cache is not None else PlanArtifactCache(disk=False),
         curvature_batch_size=96,
     )
 
@@ -86,26 +87,12 @@ def twin_zoo(mini_zoo):
     )
 
 
-def _registry(mini_zoo, twin_zoo=None, **kwargs):
-    """A registry over one shared memory-only cache: one workload, or
-    two with ``twin_zoo``."""
-    zoos = {"lenet-test": mini_zoo}
-    if twin_zoo is not None:
-        zoos["lenet-twin"] = twin_zoo
-
-    def factory(workload, cache):
-        zoo = zoos[workload]
-        return PlanEngine(
-            zoo.model,
-            zoo.data.train_x[:96],
-            zoo.data.train_y[:96],
-            workload=workload,
-            cache=cache,
-            curvature_batch_size=96,
-        )
-
-    kwargs.setdefault("cache", PlanArtifactCache(disk=False))
-    return PlanEngineRegistry(factory, workloads=tuple(zoos), **kwargs)
+def _registry(mini_zoo, twin_zoo=None, cache=None):
+    """A registry over one shared cache (memory-only by default): one
+    workload, or two with ``twin_zoo``."""
+    cache = cache if cache is not None else PlanArtifactCache(disk=False)
+    zoos = [mini_zoo] if twin_zoo is None else [mini_zoo, twin_zoo]
+    return PlanEngineRegistry(_engine(zoo, cache) for zoo in zoos)
 
 
 # --------------------------------------------------------------------- codec
@@ -185,7 +172,7 @@ class TestPlanService:
             stats = warm_registry.stats()
             assert stats["requests"]["engine_resolutions"] == 0
             assert all(
-                v == 0 for v in stats["engines"]["lenet-test"]["engine"].values()
+                v == 0 for v in warm_registry.resolve().engine.stats.values()
             )
 
             # ... and byte-identical to a direct PlanEngine resolution.
@@ -276,7 +263,7 @@ class TestResolveErrorCounters:
         def boom(request):
             raise RuntimeError("engine exploded")
 
-        engine = registry.service("lenet-test").engine
+        engine = registry.resolve("lenet-test").engine
         monkeypatch.setattr(engine, "plan", boom)
         try:
             async def burst():
@@ -309,7 +296,7 @@ class TestResolveErrorCounters:
         def boom(request):
             raise RuntimeError("engine exploded")
 
-        engine = registry.service("lenet-test").engine
+        engine = registry.resolve("lenet-test").engine
         monkeypatch.setattr(engine, "plan", boom)
         with _ServerThread(registry) as running:
             with PlanClient(port=running.port) as client:
@@ -374,14 +361,7 @@ class TestPlanEngineRegistry:
             registry.close()
 
         for zoo, routed in ((mini_zoo, routed_a), (twin_zoo, routed_b)):
-            single = PlanService(PlanEngine(
-                zoo.model,
-                zoo.data.train_x[:96],
-                zoo.data.train_y[:96],
-                workload=zoo.spec.key,
-                cache=PlanArtifactCache(disk=False),
-                curvature_batch_size=96,
-            ))
+            single = PlanService(_engine(zoo))
             try:
                 direct = asyncio.run(single.plan(_body()))
             finally:
@@ -417,7 +397,7 @@ class TestPlanEngineRegistry:
         try:
             async def drive():
                 await registry.plan(_body(workload="lenet-twin"))
-                digest = registry.service("lenet-twin").engine._model_digest
+                digest = registry.resolve("lenet-twin").engine._model_digest
                 routed = await registry.plan(_body(model=digest))
                 return digest, routed
 
@@ -452,85 +432,115 @@ class TestPlanEngineRegistry:
             registry.close()
 
     def test_models_schema(self, mini_zoo, twin_zoo):
+        """One row per served workload: its digest and its counters."""
         registry = _registry(mini_zoo, twin_zoo)
         try:
             listing = registry.models()
+            assert set(listing) == {"default", "models"}
             assert listing["default"] == "lenet-test"
-            assert listing["max_engines"] == 0
             assert [row["workload"] for row in listing["models"]] == [
                 "lenet-test", "lenet-twin",
             ]
-            # Nothing loaded yet: no digests (unknowable without paying
-            # the load), no counters.
             for row in listing["models"]:
-                assert row["loaded"] is False
-                assert row["model"] is None
-                assert row["requests"] is None
+                assert set(row) == {"workload", "model", "requests"}
+                assert row["model"] == (
+                    registry.resolve(row["workload"]).engine._model_digest
+                )
+                assert re.fullmatch(r"[0-9a-f]{16}", row["model"])
+                assert row["requests"]["requests"] == 0
 
             asyncio.run(registry.plan(_body(workload="lenet-twin")))
             rows = {
                 row["workload"]: row for row in registry.models()["models"]
             }
-            assert rows["lenet-test"]["loaded"] is False
+            assert rows["lenet-test"]["requests"]["requests"] == 0
             twin = rows["lenet-twin"]
-            assert twin["loaded"] is True
-            assert re.fullmatch(r"[0-9a-f]{16}", twin["model"])
             assert twin["requests"]["cold"] == 1
             assert twin["requests"]["engine_resolutions"] == 1
         finally:
             registry.close()
 
-    def test_engine_cap_lru_retirement(self, mini_zoo, twin_zoo):
-        """Past the cap the least-recently-routed engine retires, drained,
-        and its workload's counters survive the retirement."""
-        registry = _registry(mini_zoo, twin_zoo, max_engines=1)
+    def test_engines_must_share_one_cache(self, mini_zoo, twin_zoo):
+        """Fetches and counters read the one shared cache, so a registry
+        over engines with caches of their own is refused."""
+        with pytest.raises(ScenarioConfigError, match="one cache"):
+            PlanEngineRegistry([_engine(mini_zoo), _engine(twin_zoo)])
+
+    def test_unserved_workload_is_a_400_and_builds_no_engine(
+            self, mini_zoo, monkeypatch):
+        """A workload the registry was not built with — even a real zoo
+        key — is a single-line 400 naming the served workloads; no
+        engine is constructed to answer it."""
+        registry = _registry(mini_zoo)
+        built = []
+        construct = PlanEngine.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("workload"))
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(PlanEngine, "__init__", counting)
+        with _ServerThread(registry) as running:
+            with PlanClient(port=running.port) as client:
+                with pytest.raises(PlanClientError) as excinfo:
+                    client.plan(BODY, workload="convnet-cifar")
+                stats = client.statsz()
+        message = str(excinfo.value)
+        assert excinfo.value.status == 400
+        assert "\n" not in message
+        assert "unknown workload 'convnet-cifar'" in message
+        assert "served: ['lenet-test']" in message
+        assert built == []
+        assert list(stats["engines"]) == ["lenet-test"]
+        assert stats["requests"]["bad_requests"] == 1
+
+    def test_resolutions_on_one_engine_never_overlap(self, mini_zoo,
+                                                     monkeypatch):
+        """Concurrent cold requests with distinct keys resolve one at a
+        time on their engine, each to a serial resolution's bytes: an
+        engine's passes run through its one model."""
+        bodies = [
+            _body(methods=["swim"], read_time=read_time)
+            for read_time in (ONE_HOUR, ONE_MONTH, 2 * ONE_MONTH, 3 * ONE_MONTH)
+        ]
+        serial_engine = _engine(mini_zoo)
+        serial = [
+            plan_bytes(serial_engine.plan(parse_plan_request(body)))
+            for body in bodies
+        ]
+
+        registry = _registry(mini_zoo)
+        engine = registry.resolve().engine
+        resolve = engine.plan
+        lock = threading.Lock()
+        running = {"now": 0, "peak": 0}
+
+        def overlap_counting(request):
+            with lock:
+                running["now"] += 1
+                running["peak"] = max(running["peak"], running["now"])
+            try:
+                time.sleep(0.05)
+                return resolve(request)
+            finally:
+                with lock:
+                    running["now"] -= 1
+
+        monkeypatch.setattr(engine, "plan", overlap_counting)
         try:
-            first = asyncio.run(registry.plan(_body(workload="lenet-test")))
-            survivor = registry.service("lenet-test")
-            digest = survivor.engine._model_digest
+            async def burst():
+                return await asyncio.gather(
+                    *(registry.plan(body) for body in bodies)
+                )
 
-            asyncio.run(registry.plan(_body(workload="lenet-twin")))
-            assert list(registry._services) == ["lenet-twin"]
-            assert registry.stats()["registry"]["engines_retired"] == 1
-            # The retired executor is shut down (drained, not leaked).
-            assert survivor._executor._shutdown
-
-            # The retired digest still routes: the engine rebuilds lazily
-            # and its plan replays warm from the shared cache — no new
-            # resolution, so the workload's count stays at the first 1.
-            again = asyncio.run(registry.plan(_body(model=digest)))
-            assert again.source == "warm"
-            assert again.data == first.data
-            stats = registry.stats()
-            assert stats["registry"]["engines_loaded"] == 3
-            assert stats["registry"]["engines_retired"] == 2
-            assert registry.service("lenet-test") is not survivor
-            requests = stats["engines"]["lenet-test"]["requests"]
-            assert requests["engine_resolutions"] == 1
-
-            # Routed a, b, a, b: every request stays counted, and
-            # /statsz agrees with /metricsz.
-            asyncio.run(registry.plan(_body(workload="lenet-twin")))
-            assert registry.stats()["requests"]["requests"] == 4
-            samples = re.findall(
-                r"^repro_serve_requests_total\{.*\} (\d+)$",
-                registry.metricsz(), flags=re.MULTILINE,
-            )
-            assert sum(int(value) for value in samples) == 4
+            served = asyncio.run(burst())
         finally:
             registry.close()
 
-    def test_cap_validation(self, mini_zoo, twin_zoo, monkeypatch):
-        from repro.robustness.errors import ScenarioConfigError
-        from repro.serve import resolve_max_engines
-
-        with pytest.raises(ScenarioConfigError):
-            _registry(mini_zoo, twin_zoo, max_engines=-1)
-        monkeypatch.setenv("REPRO_SERVE_MAX_ENGINES", "2")
-        assert resolve_max_engines() == 2
-        monkeypatch.setenv("REPRO_SERVE_MAX_ENGINES", "nope")
-        with pytest.raises(ScenarioConfigError):
-            resolve_max_engines()
+        assert running["peak"] == 1
+        assert [plan.source for plan in served] == ["cold"] * len(bodies)
+        assert len({plan.key for plan in served}) == len(bodies)
+        assert [plan.data for plan in served] == serial
 
     def test_split_route_strips_fields_only(self):
         """Routing fields never reach the per-engine request bytes."""
@@ -610,9 +620,8 @@ class TestHTTP:
                 yield SimpleNamespace(client=client, running=running)
 
     def test_round_trip_and_warm_fetch(self, served):
-        health = served.client.healthz()
-        assert health["status"] == "ok"
-        assert health["default"] == "lenet-test"
+        assert served.client.healthz()["status"] == "ok"
+        assert served.client.models()["default"] == "lenet-test"
 
         response = served.client.plan(BODY)
         assert response.source == "cold"
@@ -754,7 +763,6 @@ class TestObservabilityHTTP:
         assert list(validate_exposition(text)) == []
         assert 'repro_serve_plans_total{workload="lenet-test",source="cold"} 1' in text
         assert 'repro_serve_plans_total{workload="lenet-twin",source="cold"} 1' in text
-        assert 'repro_serve_engines_total{event="loaded"} 2' in text
 
 
 class TestForcedShutdown:
@@ -902,9 +910,9 @@ class TestRegistryHTTP:
         with _ServerThread(registry) as running:
             with PlanClient(port=running.port) as client:
                 health = client.healthz()
-                assert health["workloads"] == ["lenet-test", "lenet-twin"]
-                assert health["loaded"] == []
-                assert health["default"] == "lenet-test"
+                assert health == {
+                    "status": "ok", "cache_version": registry.cache.version,
+                }
 
                 first = client.plan(BODY, workload="lenet-test")
                 second = client.plan(BODY, workload="lenet-twin")
@@ -912,10 +920,10 @@ class TestRegistryHTTP:
                 assert first.plan["workload"] == "lenet-test"
                 assert second.plan["workload"] == "lenet-twin"
 
-                rows = {
-                    row["workload"]: row
-                    for row in client.models()["models"]
-                }
+                listing = client.models()
+                assert listing["default"] == "lenet-test"
+                rows = {row["workload"]: row for row in listing["models"]}
+                assert list(rows) == ["lenet-test", "lenet-twin"]
                 digest = rows["lenet-twin"]["model"]
                 routed = client.plan(BODY, model=digest)
                 assert routed.source == "warm"
@@ -937,9 +945,9 @@ class TestRegistryHTTP:
                     assert requests["engine_resolutions"] == 1
                 assert stats["requests"]["bad_requests"] == 1
                 assert stats["requests"]["fetch_hits"] == 1
-                assert stats["registry"]["loaded"] == [
-                    "lenet-test", "lenet-twin",
-                ]
+                assert set(stats) == {
+                    "requests", "in_flight_coalesced", "engines", "cache",
+                }
             running.signal()
             running.join()
         assert running.error is None
@@ -1043,7 +1051,8 @@ class TestServeSubprocess:
         assert "warm=1 cold=1" in out
 
     def test_two_workload_serve_both_digests_answer(self, tmp_path):
-        """One process, two preloaded engines: route by either digest."""
+        """One process, two engines built at startup: route by either
+        digest."""
         proc = self._spawn(
             tmp_path, "--workload", "lenet-digits",
             "--workload", "convnet-cifar",
@@ -1061,8 +1070,8 @@ class TestServeSubprocess:
                     for row in client.models()["models"]
                 }
                 keys = {}
+                assert set(rows) == set(digests)
                 for workload, digest in digests.items():
-                    assert rows[workload]["loaded"] is True
                     assert rows[workload]["model"] == digest
                     served = client.plan(BODY, model=digest)
                     assert served.plan["workload"] == workload
