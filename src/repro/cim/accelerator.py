@@ -198,10 +198,12 @@ class CimAccelerator:
         programmed stacks separately (with the *same* per-tensor
         substream, hence the same exponent/relaxation draws) and
         selecting afterwards is bitwise-identical to drifting the
-        selected combination — and lets every (method, target) deployment
-        of a sweep reuse one drift computation.  The cache holds the most
-        recent ``(read_time, streams)`` key only and is invalidated by
-        re-programming/re-verifying.
+        selected combination — and lets every distinct deployment of a
+        sweep's trial block reuse one drift computation.  The draws come
+        from named substreams, not from a shared generator, so a sweep
+        that skips a repeated deployment skips no RNG state.  The cache
+        holds the most recent ``(read_time, streams)`` key only and is
+        invalidated by re-programming/re-verifying.
         """
         if self._drift_cache is None or self._drift_cache[0] != key:
             self._drift_cache = (key, {})
@@ -477,8 +479,7 @@ class CimAccelerator:
         Same substream naming as the scalar path (trial ``i`` drifts via
         ``streams[i].child("read", name)``), so batched and scalar drift
         stay bitwise-equal; the cache key is the deployed streams' seeds,
-        so a sweep's repeated (method, target) deployments of one block
-        drift once.
+        so a sweep's deployments of one block drift once.
         """
         def drift():
             children = [s.child("read", name) for s in streams]

@@ -6,7 +6,10 @@ as ``zoo`` artifacts of the one artifact store,
 :class:`~repro.plan.cache.PlanArtifactCache` (``$REPRO_CACHE_DIR/plan/v<N>/
 zoo-<key>.npz``), keyed by the full workload specification, so repeated
 invocations skip training and a truncated or corrupt model file is
-quarantined and retrained instead of failing the run.
+quarantined and retrained instead of failing the run.  The dataset split
+is a ``data`` artifact of the same store (``data-<key>.npz``), keyed by
+the spec fields the split depends on, so each split is built once per
+cache directory and heals the same way.
 """
 
 from __future__ import annotations
@@ -15,7 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data import synthetic_cifar, synthetic_digits, synthetic_tiny_imagenet
+from repro.data import (
+    DataSplit,
+    synthetic_cifar,
+    synthetic_digits,
+    synthetic_tiny_imagenet,
+)
 from repro.nn import (
     SGD,
     TrainConfig,
@@ -40,7 +48,8 @@ class ZooModel:
     model:
         The trained network, in eval mode, QAT weight quantizers attached.
     data:
-        The :class:`~repro.data.DataSplit` it was trained on.
+        The :class:`~repro.data.DataSplit` it was trained on, loaded
+        from the artifact store; its arrays are read-only.
     clean_accuracy:
         Test accuracy with (fake-)quantized weights, no device noise —
         the paper's "accuracy without the impact of device variation".
@@ -52,6 +61,14 @@ class ZooModel:
     data: object
     clean_accuracy: float
     spec: object
+
+
+#: The :class:`~repro.experiments.config.WorkloadSpec` fields a split
+#: depends on: :func:`build_data` reads the sizes, image size and
+#: classes, and its stream derives from the seed and the workload key.
+_DATA_FIELDS = ("key", "dataset", "n_train", "n_test", "image_size",
+                "num_classes", "seed", "data_version")
+_SPLIT_ARRAYS = ("train_x", "train_y", "test_x", "test_y")
 
 
 def build_data(spec, rng):
@@ -99,15 +116,39 @@ def load_workload(spec):
 
     Deterministic: the spec's seed drives data generation, weight init,
     and batch shuffling, so cache hits and fresh training produce the
-    same artifact.  A miss trains and stores the state dict plus
-    ``clean_accuracy``; hits and misses then load the model the same way.
+    same artifact.  The split is a ``data`` artifact whose key holds
+    only the fields it depends on (not the training ones), built on a
+    miss and loaded from the store after; its arrays are read-only,
+    so a caller that writes into the shared split fails loudly.  A
+    model miss trains and stores the state dict plus
+    ``clean_accuracy``; hits and misses then load the model the same
+    way.
 
     Returns
     -------
     ZooModel
     """
     root = RngStream(spec.seed).child("zoo", spec.key)
-    data = build_data(spec, root.child("data"))
+    # The memory tier is off: the caller holds the split and the model,
+    # and a second copy of either would only grow the process.
+    cache = PlanArtifactCache(memory=False)
+
+    def generate():
+        split = build_data(spec, root.child("data"))
+        return dict(
+            {name: getattr(split, name) for name in _SPLIT_ARRAYS},
+            num_classes=np.int64(split.num_classes), name=np.str_(split.name),
+        )
+
+    arrays = cache.get_or_create(
+        "data", {name: getattr(spec, name) for name in _DATA_FIELDS}, generate
+    )
+    for name in _SPLIT_ARRAYS:
+        arrays[name].flags.writeable = False
+    data = DataSplit(
+        **{name: arrays[name] for name in _SPLIT_ARRAYS},
+        num_classes=int(arrays["num_classes"]), name=str(arrays["name"]),
+    )
     model = build_model(spec, root.child("model"))
 
     def train():
@@ -129,9 +170,6 @@ def load_workload(spec):
         return dict(model.state_dict(),
                     clean_accuracy=np.float64(accuracy))
 
-    # The memory tier is off: the caller holds the model, and a second
-    # copy of its weights would only grow the process.
-    cache = PlanArtifactCache(memory=False)
     state = dict(cache.get_or_create("zoo", spec.cache_config(), train))
     clean_accuracy = float(state.pop("clean_accuracy"))
     model.load_state_dict(state)

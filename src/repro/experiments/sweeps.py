@@ -16,10 +16,12 @@ and the ``swim`` / ``hetero_swim`` / ``magnitude`` orders, all resolved
 once per grid by :class:`~repro.plan.PlanEngine` (Sec. 3.3's one
 sensitivity pass per model); only ``random`` re-draws its order per
 trial.  By default each block of trials shares one masked verify loop
-and one folded forward pass per (method, target) cell.  Pass
-``batched=False`` for the scalar reference loop (the path for workloads
-too large to batch in memory; the orchestrator's ``workers=`` pool
-parallelizes it across trial windows).  Trial ``i`` draws its
+and one folded forward pass per distinct deployment, whose result every
+(method, target) cell deploying the same selection copies.  Pass
+``batched=False`` for the scalar reference loop, which evaluates every
+cell (the path for workloads too large to batch in memory; the
+orchestrator's ``workers=`` pool parallelizes it across trial
+windows).  Trial ``i`` draws its
 programming noise from the same named substream, ``rng.child("mc", i)``,
 in every mode, so the paired design — and the per-trial noise draw
 itself — is identical across paths.  The sweep walks its trial window
@@ -28,6 +30,7 @@ in blocks of :func:`~repro.core.mc.default_trial_block` trials.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,6 +163,22 @@ def _insitu_row(zoo, accelerator, nwc_targets, run_rng, eval_x, eval_y,
     return accuracies, achieved
 
 
+def _selection_key(indices, total):
+    """What a deployment selects: ``"none"``, ``"all"``, or a digest.
+
+    Equal keys on one trial block deploy equal weights, so the batched
+    sweep evaluates each key once per block.  ``indices`` is a prefix
+    of a full ranking (a permutation of the weight space), so a prefix
+    of ``total`` indices selects every weight.
+    """
+    if len(indices) == 0:
+        return "none"
+    if len(indices) == total:
+        return "all"
+    selected = np.sort(np.asarray(indices, dtype=np.int64))
+    return hashlib.sha256(selected.tobytes()).hexdigest()
+
+
 def _batched_sweep(rng, window, zoo, accelerator, space, orders, methods,
                    counts, nwc_targets, eval_x, eval_y, insitu_lr, acc_store,
                    nwc_store, read_time=None):
@@ -168,22 +187,40 @@ def _batched_sweep(rng, window, zoo, accelerator, space, orders, methods,
     The ``(start, stop)`` trial ``window`` runs in blocks of
     :func:`~repro.core.mc.default_trial_block` trials from ``start``.
     Each block of trials is programmed from its per-trial substreams
-    (bit-identical to the scalar path), verified through one masked pulse
-    loop, and every (method, target) cell is evaluated for the whole
-    block in one folded forward pass.  The in-situ baseline is an
-    on-chip *training* loop, inherently sequential, so it keeps the
-    scalar per-trial path — its substreams match the scalar mode too —
-    and programs and verifies its own draw
+    (bit-identical to the scalar path) and verified through one masked
+    pulse loop.  Each distinct deployment of the block is then
+    evaluated once, in one folded forward pass, and its accuracy and
+    NWC are copied into every (method, target) that deploys the same
+    selection: no selection at NWC = 0, every weight at NWC = 1, or
+    equal index sets of the deterministic orders.  ``random`` draws a
+    new order per trial, so it shares only those two ends.  This is
+    exact: equal selections on one block are equal weights, the
+    programming and verify streams are per block, and drift draws are
+    named substreams (:meth:`~repro.cim.CimAccelerator._drift_pair`).
+    The in-situ baseline is an on-chip *training* loop, inherently
+    sequential, so it keeps the scalar per-trial path — its substreams
+    match the scalar mode too — and programs and verifies its own draw
     (:meth:`~repro.core.InSituTrainer.initialize`).
     """
-    # Deterministic rankings are block-invariant: build each target's
-    # masks once instead of once per block.
-    shared_masks = {
-        method: [space.masks_from_indices(orders[method][:count])
-                 for count in counts]
+    total = space.total_size
+    # Each (method, target)'s selection key; None (random between the
+    # ends, whose order is drawn per trial) is never shared.
+    keys = {
+        method: [
+            {0: "none", total: "all"}.get(count) if method == "random"
+            else _selection_key(orders[method][:count], total)
+            for count in counts
+        ]
         for method in methods
-        if method not in ("insitu", "random")
+        if method != "insitu"
     }
+    # Deterministic rankings are block-invariant: mask each distinct
+    # selection once instead of once per block.
+    shared_masks = {}
+    for method, order in orders.items():
+        for key, count in zip(keys[method], counts):
+            if key not in shared_masks:
+                shared_masks[key] = space.masks_from_indices(order[:count])
     start, stop = window
     width = default_trial_block()
     for first in range(start, stop, width):
@@ -207,22 +244,28 @@ def _batched_sweep(rng, window, zoo, accelerator, space, orders, methods,
                 for s in streams
             ]
 
-        for method in methods:
-            if method == "insitu":
-                continue
-            for i, count in enumerate(counts):
-                if method == "random":
-                    masks = space.masks_from_indices_trials(
-                        [order[:count] for order in random_orders]
-                    )
+        evaluated = {}  # selection key -> (nwc, accuracy) on this block
+        for method, method_keys in keys.items():
+            for i, (key, count) in enumerate(zip(method_keys, counts)):
+                if key in evaluated:
+                    nwc, accuracy = evaluated[key]
                 else:
-                    masks = shared_masks[method][i]
-                nwc_store[method][rows, i] = accelerator.apply_selection_trials(
-                    masks, read_time=read_time, read_streams=streams
-                )
-                acc_store[method][rows, i] = evaluate_accuracy_trials(
-                    zoo.model, eval_x, eval_y, len(block)
-                )
+                    if key in shared_masks:
+                        masks = shared_masks[key]
+                    else:
+                        masks = space.masks_from_indices_trials(
+                            [order[:count] for order in random_orders]
+                        )
+                    nwc = accelerator.apply_selection_trials(
+                        masks, read_time=read_time, read_streams=streams
+                    )
+                    accuracy = evaluate_accuracy_trials(
+                        zoo.model, eval_x, eval_y, len(block)
+                    )
+                    if key is not None:
+                        evaluated[key] = nwc, accuracy
+                nwc_store[method][rows, i] = nwc
+                acc_store[method][rows, i] = accuracy
 
         if "insitu" in methods:
             for trial, stream in zip(block, streams):

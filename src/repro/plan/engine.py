@@ -371,6 +371,12 @@ class PlanEngine:
         ``{"curvature_passes", "variance_passes", "ranking_passes",
         "plans"}`` — producer-side counters; a warm cache keeps all of
         the pass counters at zero.
+
+    An engine must not be called from two threads at once: its curvature
+    pass runs forward and backward through the engine's one model, whose
+    layers keep activations between the two, so overlapping passes
+    compute (and cache) wrong vectors.  The plan service gives each
+    engine one resolution thread for this reason.
     """
 
     def __init__(self, model, sense_x, sense_y, workload="", cache=None,

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.core.metrics import DEFAULT_NWC_TARGETS
+from repro.experiments import model_zoo
 from repro.experiments.config import SCALES, SMOKE, get_scale
 from repro.experiments.model_zoo import build_data, build_model, load_workload
 from repro.experiments.reporting import render_ablation, save_sweep_csv
@@ -44,25 +46,85 @@ def test_build_data_and_model_dispatch():
 
 
 def test_zoo_cache_roundtrip(tmp_path, monkeypatch):
-    """A stored model reloads bit for bit, and a truncated one heals."""
+    """A stored model and split reload bit for bit, the split is built
+    once per cache directory, and a truncated artifact of either kind
+    heals."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    spec = dataclasses.replace(
-        SMOKE.workload("lenet-digits"), n_train=160, n_test=64, epochs=2,
-    )
+    builds = []
+
+    def counted(spec, rng):
+        builds.append(spec.key)
+        return build_data(spec, rng)
+
+    monkeypatch.setattr(model_zoo, "build_data", counted)
+    spec = _tiny_spec()
     first = load_workload(spec)
     second = load_workload(spec)  # hits cache
+    assert len(builds) == 1
     assert second.clean_accuracy == first.clean_accuracy
     _assert_same_state(first.model, second.model)
+    fresh = build_data(
+        spec, RngStream(spec.seed).child("zoo", spec.key).child("data"))
+    _assert_same_split(fresh, second.data)
+    with pytest.raises(ValueError, match="read-only"):
+        second.data.train_x[0, 0, 0, 0] = 0.0
 
-    # What a writer killed mid-flush leaves: the file cut to half.
-    (path,) = (tmp_path / "plan" / "v2").glob("zoo-*.npz")
-    with open(path, "r+b") as handle:
-        handle.truncate(path.stat().st_size // 2)
-    with pytest.warns(RuntimeWarning, match="quarantined"):
-        healed = load_workload(spec)
-    assert (tmp_path / "plan" / "v2" / f"{path.name}.corrupt").exists()
-    assert healed.clean_accuracy == first.clean_accuracy
-    _assert_same_state(first.model, healed.model)
+    for kind, rebuilds in (("zoo", 0), ("data", 1)):
+        # What a writer killed mid-flush leaves: the file cut to half.
+        (path,) = (tmp_path / "plan" / "v2").glob(f"{kind}-*.npz")
+        with open(path, "r+b") as handle:
+            handle.truncate(path.stat().st_size // 2)
+        before = len(builds)
+        with pytest.warns(RuntimeWarning, match="quarantined") as caught:
+            healed = load_workload(spec)
+        assert _quarantines(caught) == 1
+        assert len(builds) == before + rebuilds
+        assert (tmp_path / "plan" / "v2" / f"{path.name}.corrupt").exists()
+        assert healed.clean_accuracy == first.clean_accuracy
+        _assert_same_state(first.model, healed.model)
+        _assert_same_split(fresh, healed.data)
+
+
+def test_corrupt_data_artifact_fault_fires_once_and_heals(tmp_path,
+                                                          monkeypatch):
+    """``corrupt:artifact@data`` truncates the stored split on its first
+    read; the store quarantines it and rebuilds the same bytes."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    spec = _tiny_spec()
+    reference = load_workload(spec).data
+    monkeypatch.setenv("REPRO_FAULTS", "corrupt:artifact@data")
+    monkeypatch.setenv("REPRO_FAULTS_DIR", str(tmp_path / "ledger"))
+    with pytest.warns(RuntimeWarning, match="quarantined") as caught:
+        healed = load_workload(spec).data
+    assert _quarantines(caught) == 1
+    assert len(os.listdir(tmp_path / "ledger")) == 1
+    store = tmp_path / "cache" / "plan" / "v2"
+    assert len(list(store.glob("data-*.corrupt"))) == 1
+    _assert_same_split(reference, healed)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        again = load_workload(spec).data  # fired once: a clean hit
+    assert _quarantines(caught) == 0
+    _assert_same_split(reference, again)
+
+
+def _tiny_spec():
+    return dataclasses.replace(
+        SMOKE.workload("lenet-digits"), n_train=160, n_test=64, epochs=2,
+    )
+
+
+def _quarantines(caught):
+    return sum("quarantined" in str(record.message) for record in caught)
+
+
+def _assert_same_split(split_a, split_b):
+    for name in ("train_x", "train_y", "test_x", "test_y"):
+        a, b = getattr(split_a, name), getattr(split_b, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+    assert (split_a.num_classes, split_a.name) == (
+        split_b.num_classes, split_b.name)
 
 
 def _assert_same_state(model_a, model_b):

@@ -149,6 +149,63 @@ def test_engine_blocks_cover_all_trials(mini_zoo):
     np.testing.assert_array_equal(runs[True], runs[False])
 
 
+@pytest.mark.parametrize("physics", [
+    {"sigma": 0.1},
+    {"technology": "pcm", "read_time": 3600.0},
+], ids=["no-drift", "pcm-1h"])
+def test_batched_sweep_evaluates_each_deployment_once(mini_zoo, monkeypatch,
+                                                      physics):
+    """A joint batched sweep over swim, magnitude and random equals,
+    bitwise, a batched sweep of each method alone on the same ``rng``
+    (one method shares nothing, so it is the oracle), and it runs one
+    evaluation per distinct selection per block: none at NWC = 0, all
+    at NWC = 1, one per distinct index set of the deterministic orders,
+    and one per random cell between the ends."""
+    import dataclasses
+
+    from repro.core.mc import default_trial_block
+    from repro.experiments import sweeps
+    from repro.experiments.sweeps import run_method_sweep
+
+    plan = plan_for(mini_zoo, sense_samples=64,
+                    nwc_targets=(0.0, 0.05, 0.3, 1.0),
+                    methods=("swim", "magnitude", "random"), **physics)
+    total = plan.total_weights
+    selections = {
+        frozenset(plan.order(method)[:count].tolist())
+        for method in ("swim", "magnitude") for count in plan.counts
+    }
+    random_only = sum(0 < count < total for count in plan.counts)
+    mc_runs = 3 * default_trial_block()
+    blocks = 3
+
+    evaluate = sweeps.evaluate_accuracy_trials
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(sweeps, "evaluate_accuracy_trials", counted)
+
+    def sweep(methods):
+        return run_method_sweep(
+            mini_zoo, dataclasses.replace(plan, methods=methods),
+            mc_runs=mc_runs, rng=RngStream(9).child("dedupe"),
+            eval_samples=32,
+        )
+
+    joint = sweep(plan.methods)
+    evaluations = len(calls)
+    for method in plan.methods:
+        alone = sweep((method,)).curves[method]
+        np.testing.assert_array_equal(
+            joint.curves[method].accuracy_runs, alone.accuracy_runs)
+        np.testing.assert_array_equal(
+            joint.curves[method].nwc_runs, alone.nwc_runs)
+    assert evaluations == (len(selections) + random_only) * blocks
+
+
 # ---------------------------------------------- accelerator pipeline
 
 
