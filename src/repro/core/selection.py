@@ -106,21 +106,64 @@ class WeightSpace:
         return self.flatten(tensors)
 
 
+def _descending_key(values):
+    """Unsigned integers whose ascending order is ``values`` descending.
+
+    Equal floats map to equal keys, -0.0 onto +0.0, and every NaN onto
+    the largest key, so the keys order as a sort orders ``-values``.
+    Keys of another dtype rank as float64.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind != "f":
+        values = values.astype(np.float64)
+    uint = np.dtype(f"u{values.itemsize}")
+    sign = uint.type(1) << uint.type(8 * values.itemsize - 1)
+    bits = np.ascontiguousarray(values).view(uint)
+    # A non-negative float's bits grow with it, so ``sign - 1 - bits``
+    # falls; a negative float's bits grow with its magnitude, and one
+    # less puts -0.0 on +0.0.
+    key = np.where(bits < sign, (sign - uint.type(1)) - bits,
+                   bits - uint.type(1))
+    key[np.isnan(values)] = np.iinfo(uint).max
+    return key
+
+
 def rank_descending(scores, tie_break=None):
     """Indices sorted by score descending; ties broken by ``tie_break`` desc.
 
     Implements the paper's Sec. 3.2 rule: "when two weights have the same
     second derivative, we use their magnitudes as the tie-breaker: the
     larger one will have a higher priority."
+
+    The order is exactly ``np.lexsort((-tie_break, -scores))`` (without a
+    tie-break, ``np.argsort(-scores, kind="stable")``): -0.0 ranks equal
+    to +0.0, NaN ranks last in either key, and the lower index comes
+    first among weights equal in both keys.  One unstable sort of the
+    score keys places every weight; only the runs of equal scores are
+    sorted again, by (tie key, index).
     """
     scores = np.asarray(scores)
-    if tie_break is None:
-        return np.argsort(-scores, kind="stable")
-    tie_break = np.asarray(tie_break)
-    if tie_break.shape != scores.shape:
-        raise ValueError("tie_break must match scores shape")
-    # np.lexsort sorts by the last key as primary.
-    return np.lexsort((-tie_break, -scores))
+    if scores.ndim != 1:
+        raise ValueError("scores must be a flat vector")
+    if tie_break is not None:
+        tie_break = np.asarray(tie_break)
+        if tie_break.shape != scores.shape:
+            raise ValueError("tie_break must match scores shape")
+    primary = _descending_key(scores)
+    order = np.argsort(primary)
+    ranked = primary[order]
+    same = ranked[1:] == ranked[:-1]
+    tied = np.zeros(order.size, dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    runs = np.flatnonzero(tied)
+    if runs.size:
+        index = order[runs]
+        keys = (index, ranked[runs])  # np.lexsort: the last key is primary
+        if tie_break is not None:
+            keys = (index, _descending_key(tie_break[index]), ranked[runs])
+        order[runs] = index[np.lexsort(keys)]
+    return order
 
 
 def cumulative_groups(order, granularity, total=None):

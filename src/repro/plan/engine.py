@@ -158,6 +158,18 @@ class PlanRequest:
             raise ScenarioConfigError(
                 "the insitu baseline does not support read_time"
             )
+        if self.read_time is not None and self.technology is not None:
+            from repro.cim import resolve_technology
+
+            retention = resolve_technology(self.technology).retention_model()
+            if retention is not None and self.read_time < retention.t0:
+                # The drift model reads no earlier than its reference
+                # time; refusing here keeps the variance stage from
+                # failing halfway through a resolution.
+                raise ScenarioConfigError(
+                    f"read_time must be >= the technology's retention "
+                    f"t0={retention.t0:g} s, got {self.read_time!r}"
+                )
 
     def resolve(self):
         """``(technology, device, mapping, stack)`` through

@@ -16,16 +16,20 @@ Three jobs, all deliberately boring:
   all agree on one key and can never serve each other stale data.
 - **plan serialization** (:func:`plan_bytes` + the artifact codec):
   a resolved :class:`~repro.plan.engine.SelectionPlan` is canonical
-  JSON (sorted keys, no whitespace), and the ``plan`` cache artifact
-  stores *those bytes* verbatim.  Warm responses are therefore
-  byte-identical to cold ones by construction — the server never
-  re-serializes on the warm path, it replays.
+  JSON, exactly ``json.dumps(plan.to_json(), sort_keys=True,
+  separators=(",", ":"))`` encoded as UTF-8, and the ``plan`` cache
+  artifact stores *those bytes* verbatim.  The order lists, nearly all
+  of the bytes, are written by a NumPy digit encoder rather than by
+  ``json.dumps``, which would hold the GIL for the whole list.  Warm
+  responses are byte-identical to cold ones by construction — the
+  server never re-serializes on the warm path, it replays.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 
@@ -159,8 +163,9 @@ def parse_plan_request(body):
     """A ``POST /v1/plan`` JSON body as a validated :class:`PlanRequest`.
 
     Every failure mode — non-JSON body, unknown fields, wrong types,
-    unserved methods, unregistered technology, missing physics —
-    raises :class:`PlanRequestError` with a single-line message.
+    unserved methods, unregistered technology, missing physics, a
+    ``read_time`` before the technology's retention ``t0`` — raises
+    :class:`PlanRequestError` with a single-line message.
     """
     try:
         data = json.loads(body.decode("utf-8"))
@@ -219,7 +224,7 @@ def parse_plan_request(body):
             "request must set a technology or an explicit sigma"
         )
 
-    return PlanRequest(
+    fields = dict(
         methods=tuple(str(m) for m in methods),
         nwc_targets=tuple(float(t) for t in targets),
         technology=technology,
@@ -231,6 +236,10 @@ def parse_plan_request(body):
         wear_inflation=float(_number(data, "wear_inflation", 1.0, minimum=0.0)),
         wear_consumed=_number(data, "wear_consumed", minimum=0.0),
     )
+    try:
+        return PlanRequest(**fields)
+    except ScenarioConfigError as exc:  # e.g. a read_time before t0
+        raise PlanRequestError(str(exc)) from exc
 
 
 def plan_config(engine, request):
@@ -250,11 +259,61 @@ def plan_config(engine, request):
     }
 
 
+def _json_int_list(values):
+    """``json.dumps(values.tolist(), separators=(",", ":"))`` as bytes,
+    for a flat integer vector, built in NumPy.
+
+    Each entry becomes one row of a character matrix (sign, digits,
+    comma), and one boolean compress drops the absent sign, the leading
+    zeros and the final comma.  Raises ``TypeError`` on a float or
+    ``uint64`` vector, whose JSON this does not write.
+    """
+    values = np.asarray(values).astype(np.int64, casting="safe", copy=False)
+    if values.size == 0:
+        return b"[]"
+    rest = np.abs(values).view(np.uint64)  # exact for the int64 minimum too
+    width = len(str(int(rest.max())))
+    if width < 10:  # uint32 division runs about twice as fast
+        rest = rest.astype(np.uint32)
+    chars = np.empty((values.size, width + 2), dtype=np.uint8)
+    keep = np.empty(chars.shape, dtype=bool)
+    chars[:, 0] = ord("-")
+    np.less(values, 0, out=keep[:, 0])
+    for column in range(width, 0, -1):
+        np.not_equal(rest, 0, out=keep[:, column])
+        quotient = rest // 10
+        digit = rest - quotient * 10
+        digit += ord("0")
+        chars[:, column] = digit
+        rest = quotient
+    keep[:, width] = True  # the units digit, also of a zero
+    chars[:, -1] = ord(",")
+    keep[:, -1] = True
+    keep[-1, -1] = False
+    return b"[" + np.compress(keep.ravel(), chars.ravel()).tobytes() + b"]"
+
+
 def plan_bytes(plan):
-    """A resolved plan as canonical JSON bytes (the response body)."""
-    return json.dumps(
-        plan.to_json(), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    """A resolved plan as canonical JSON bytes (the response body).
+
+    Exactly ``json.dumps(plan.to_json(), sort_keys=True,
+    separators=(",", ":")).encode()``.  The orders are written by
+    :func:`_json_int_list` and spliced into the JSON of the plan's other
+    fields, in place of one placeholder string per method; the plan is
+    not modified.
+    """
+    data = replace(plan, orders={}).to_json()
+    # NUL-led, which no method name or model digest (the strings that
+    # sort before "orders") holds.
+    marks = {method: f"\x00{i}" for i, method in enumerate(plan.orders)}
+    data["orders"] = marks
+    rest = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+    parts = []
+    for method in sorted(marks):
+        head, _, rest = rest.partition(json.dumps(marks[method]).encode())
+        parts += [head, _json_int_list(plan.orders[method])]
+    parts.append(rest)
+    return b"".join(parts)
 
 
 def encode_plan_bytes(data):

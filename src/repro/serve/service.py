@@ -258,7 +258,9 @@ class PlanService:
         # the tripwire counter and the resolution are inseparable.
         self._engine_resolutions.inc()
         with span("serve.resolve", workload=self.workload_label):
-            data = plan_bytes(self.engine.plan(request))
+            plan = self.engine.plan(request)
+            with span("serve.encode", workload=self.workload_label):
+                data = plan_bytes(plan)
         self.cache.put(PLAN_KIND, config, encode_plan_bytes(data))
         return data
 

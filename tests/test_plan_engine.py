@@ -193,6 +193,16 @@ class TestPlanResolution:
         with pytest.raises(ScenarioConfigError, match="read_time"):
             run_method_sweep(mini_zoo, plan, mc_runs=2, rng=RngStream(0))
 
+    def test_read_time_before_retention_t0_is_refused(self):
+        """A drifting technology's variance map reads no earlier than
+        its retention t0, so the request refuses such a read time; a
+        drift-free technology and the plain-sigma setting have no t0."""
+        with pytest.raises(ScenarioConfigError, match="t0=1 s"):
+            PlanRequest(technology="pcm", read_time=0.5)
+        PlanRequest(technology="pcm", read_time=1.0)
+        PlanRequest(technology="mram", read_time=0.5)
+        PlanRequest(sigma=0.1, read_time=0.5)
+
     def test_wear_consumed_feeds_the_curve(self, mini_zoo):
         request = PlanRequest(technology="rram", wear_consumed=0.5)
         tech = resolve_technology("rram")

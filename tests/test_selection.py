@@ -1,4 +1,9 @@
-"""WeightSpace indexing, ranking rules, and granularity grouping."""
+"""WeightSpace indexing, ranking rules, and granularity grouping.
+
+``rank_descending`` is checked against its oracles, ``np.lexsort((-tie,
+-scores))`` and ``np.argsort(-scores, kind="stable")``, on inputs where
+ties are the common case, as they are in the planner's real scores.
+"""
 
 from __future__ import annotations
 
@@ -129,3 +134,105 @@ def test_rank_descending_is_permutation(seed):
     assert sorted(order) == list(range(50))
     ranked = scores[order]
     assert np.all(np.diff(ranked) <= 1e-12)
+
+
+def _lexsort_oracle(scores, tie_break=None):
+    """The ranking rule as NumPy's stable sorts state it."""
+    if tie_break is None:
+        return np.argsort(-scores, kind="stable")
+    return np.lexsort((-tie_break, -scores))
+
+
+def _assert_ranks_as_oracle(scores, tie_break=None):
+    order = rank_descending(scores, tie_break)
+    oracle = _lexsort_oracle(scores, tie_break)
+    assert order.dtype == oracle.dtype
+    np.testing.assert_array_equal(order, oracle)
+
+
+#: Values that collide under a descending sort: zeros of both signs,
+#: both infinities, NaNs of both signs, and repeated finite values.
+_TIE_HEAVY = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan,
+                       -np.nan, 1e-30, -1e-30])
+
+
+@pytest.mark.parametrize("score_dtype,tie_dtype", [
+    (np.float64, np.float64), (np.float32, np.float32),
+    (np.float32, np.float64), (np.float64, np.float32),
+])
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 400])
+def test_rank_descending_matches_lexsort_on_tie_heavy_inputs(
+        score_dtype, tie_dtype, size):
+    gen = np.random.default_rng(size)
+    scores = gen.choice(_TIE_HEAVY, size=size).astype(score_dtype)
+    tie = gen.choice(_TIE_HEAVY, size=size).astype(tie_dtype)
+    _assert_ranks_as_oracle(scores, tie)
+    _assert_ranks_as_oracle(scores)
+
+
+def test_rank_descending_signed_zeros_and_nan_place_as_lexsort():
+    """-0.0 ties with +0.0 (so the tie key decides), and NaN ranks last
+    in either key."""
+    scores = np.array([-0.0, np.nan, 0.0, -np.inf, np.inf, 0.0])
+    tie = np.array([1.0, 5.0, 2.0, 0.0, np.nan, -0.0])
+    np.testing.assert_array_equal(rank_descending(scores, tie),
+                                  [4, 2, 0, 5, 3, 1])
+    np.testing.assert_array_equal(rank_descending(scores),
+                                  [4, 0, 2, 5, 3, 1])
+    _assert_ranks_as_oracle(scores, tie)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=400),
+    decimals=st.integers(min_value=0, max_value=2),
+    special=st.floats(min_value=0.0, max_value=0.2),
+    dtypes=st.sampled_from([(np.float64, np.float64),
+                            (np.float32, np.float32),
+                            (np.float64, np.float32)]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_rank_descending_matches_lexsort_on_rounded_arrays(
+        n, decimals, special, dtypes, seed):
+    """Rounding makes ties (and -0.0) common; a share of each key is
+    replaced by infinities, NaNs and signed zeros."""
+    gen = np.random.default_rng(seed)
+    keys = []
+    for dtype in dtypes:
+        key = np.round(gen.normal(size=n), decimals)
+        hit = gen.random(n) < special
+        key[hit] = gen.choice([np.inf, -np.inf, np.nan, -0.0, 0.0],
+                              size=int(hit.sum()))
+        keys.append(key.astype(dtype))
+    scores, tie = keys
+    _assert_ranks_as_oracle(scores, tie)
+    _assert_ranks_as_oracle(scores)
+
+
+def test_rank_descending_matches_lexsort_on_zoo_scores():
+    """The smoke LeNet's real scores: curvature x a drifted variance map
+    (``hetero_swim``), plain curvature with and without the magnitude
+    tie-break, and magnitude.  About a quarter of the curvature is
+    exactly zero, so ties decide much of every order."""
+    from repro.experiments.config import SMOKE
+    from repro.experiments.model_zoo import load_workload
+    from repro.plan import PlanArtifactCache, PlanEngine, PlanRequest
+
+    zoo = load_workload(SMOKE.workload("lenet-digits"))
+    engine = PlanEngine.from_zoo(zoo, SMOKE.sense_samples,
+                                 cache=PlanArtifactCache(disk=False))
+    scores, tie = engine.curvature()
+    variance = engine.variance(PlanRequest(
+        technology="pcm-comp", read_time=2.592e6,
+        weight_bits=zoo.spec.weight_bits,
+    ))
+    assert np.count_nonzero(scores == 0) > scores.size // 10
+    _assert_ranks_as_oracle(scores * variance, tie)
+    _assert_ranks_as_oracle(scores, tie)
+    _assert_ranks_as_oracle(scores)
+    _assert_ranks_as_oracle(tie)
+
+
+def test_rank_descending_rejects_a_matrix():
+    with pytest.raises(ValueError, match="flat"):
+        rank_descending(np.zeros((2, 3)))

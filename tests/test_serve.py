@@ -23,10 +23,11 @@ import threading
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.plan import PlanArtifactCache, PlanEngine, PlanRequest
+from repro.plan import PlanArtifactCache, PlanEngine, PlanRequest, SelectionPlan
 from repro.robustness.errors import ScenarioConfigError, TransientFaultError
 from repro.serve import (
     PlanClient,
@@ -116,11 +117,79 @@ class TestCodec:
         json.dumps({**BODY, "nwc_targets": [1.5]}).encode(),
         json.dumps({"methods": ["swim"], "read_time": ONE_HOUR}).encode(),
         json.dumps({**BODY, "weight_bits": 0}).encode(),
+        json.dumps({**BODY, "read_time": 0.5}).encode(),
     ])
     def test_malformed_bodies_raise_single_line(self, body):
         with pytest.raises(PlanRequestError) as excinfo:
             parse_plan_request(body)
         assert "\n" not in str(excinfo.value)
+
+    @pytest.mark.parametrize("values", [
+        np.array([0, 9, 10, 99, 100, 101, 1000]),
+        np.array([], dtype=np.int64),
+        np.array([-7, 0, -10, 12, -100]),
+        np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1]),
+        np.array([np.iinfo(np.int32).min, np.iinfo(np.int32).max],
+                 dtype=np.int32),
+        np.array([0, np.iinfo(np.uint32).max], dtype=np.uint32),
+        np.arange(12, dtype=np.int16)[::-3],
+    ], ids=["digits", "empty", "negative", "int64", "int32", "uint32",
+            "strided"])
+    def test_int_list_encoder_equals_json_dumps(self, values):
+        from repro.serve.codec import _json_int_list
+
+        assert _json_int_list(values) == json.dumps(
+            values.tolist(), separators=(",", ":")
+        ).encode()
+
+    @pytest.mark.parametrize("values", [
+        np.array([1.0]), np.array([1], dtype=np.uint64),
+    ])
+    def test_int_list_encoder_refuses_what_it_cannot_write(self, values):
+        from repro.serve.codec import _json_int_list
+
+        with pytest.raises(TypeError):
+            _json_int_list(values)
+
+    @staticmethod
+    def _assert_canonical(plan):
+        """plan_bytes is the canonical json.dumps of to_json, byte for
+        byte, and leaves the plan as it was."""
+        orders = dict(plan.orders)
+        assert plan_bytes(plan) == json.dumps(
+            plan.to_json(), sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+        assert plan.orders == orders
+
+    @pytest.mark.parametrize("zoo", ["mini_zoo", "twin_zoo"])
+    def test_plan_bytes_equal_json_dumps_on_resolved_plans(self, zoo,
+                                                           request):
+        engine = _engine(request.getfixturevalue(zoo))
+        for fields in (
+            {"technology": "pcm", "read_time": ONE_MONTH},  # three methods
+            {"methods": ("swim",), "technology": "rram"},  # no read_time
+            {"methods": ("magnitude",), "sigma": 0.1},
+            {"methods": ("swim", "hetero_swim"), "sigma": 0.05,
+             "differential": True},
+        ):
+            self._assert_canonical(engine.plan(PlanRequest(**fields)))
+
+    def test_plan_bytes_equal_json_dumps_on_built_plans(self):
+        """Every digit count up to three, an empty order, and a plan
+        without orders."""
+        def built(**orders):
+            return SelectionPlan(
+                workload="lenet-test", methods=tuple(orders) or ("random",),
+                nwc_targets=(0.5,), counts=(3,), orders=orders,
+                total_weights=101,
+            )
+
+        self._assert_canonical(built(swim=np.array([100, 0, 99, 9, 10])))
+        self._assert_canonical(built(
+            magnitude=np.arange(101)[::-1], swim=np.array([7]),
+            hetero_swim=np.array([], dtype=np.int64),
+        ))
+        self._assert_canonical(built())
 
 
 # ------------------------------------------------------------------- service
@@ -656,6 +725,20 @@ class TestHTTP:
         with pytest.raises(PlanClientError) as excinfo:
             served.client.plan({**BODY, "frobnicate": 1})
         assert excinfo.value.status == 400
+
+    def test_read_time_before_t0_is_single_line_400(self, served):
+        """A drifting technology is read no earlier than its retention
+        t0: a bad request, refused before any engine resolution."""
+        with pytest.raises(PlanClientError) as excinfo:
+            served.client.plan({"technology": "pcm", "read_time": 0.5})
+        assert excinfo.value.status == 400
+        message = str(excinfo.value)
+        assert "t0" in message
+        assert "\n" not in message
+        counters = served.client.statsz()["requests"]
+        assert counters["bad_requests"] == 1
+        assert counters["engine_resolutions"] == 0
+        assert counters["resolve_errors"] == 0
 
     def test_routing_errors(self, served):
         status, _, _ = served.client._request("GET", "/nope")
