@@ -8,7 +8,7 @@ registry (``fefet`` — the paper's default — plus ``rram``, ``pcm``,
 ``mram``); import its names from here or from :mod:`repro.cim.devices`.
 """
 
-from repro.cim.accelerator import CimAccelerator, weighted_layer_names
+from repro.cim.accelerator import CimAccelerator, weighted_layers
 from repro.cim.devices import (
     DEFAULT_TECHNOLOGY,
     DeviceConfig,
@@ -62,7 +62,7 @@ __all__ = [
     "register_technology",
     "resolve_technology",
     "technology_names",
-    "weighted_layer_names",
+    "weighted_layers",
     "write_verify",
     "write_verify_trials",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cim.accelerator import weighted_layer_names
+from repro.cim.accelerator import weighted_layers
 
 __all__ = ["WeightSpace", "rank_descending", "cumulative_groups"]
 
@@ -36,18 +36,21 @@ class WeightSpace:
     @classmethod
     def from_model(cls, model):
         """Build from a model's weighted layers (traversal order)."""
-        params = dict(model.named_parameters())
-        names = weighted_layer_names(model)
-        return cls([(name, params[name].shape) for name in names])
+        return cls([(name, layer.weight.shape)
+                    for name, layer in weighted_layers(model).items()])
 
     @property
     def names(self):
         """Tensor names in flat-concatenation order."""
         return list(self._names)
 
-    def shape_of(self, name):
-        """Shape of one tensor."""
-        return self._shapes[name]
+    def locate(self, flat_index):
+        """``(name, index into that flattened tensor)`` of a flat index."""
+        for name in self._names:
+            start, stop = self._offsets[name]
+            if start <= flat_index < stop:
+                return name, flat_index - start
+        raise IndexError(flat_index)
 
     def flatten(self, tensors):
         """Concatenate ``name -> array`` into one flat vector."""

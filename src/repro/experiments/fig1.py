@@ -31,7 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cim import DeviceConfig, MappingConfig, WeightMapper
+from repro.cim import (
+    DeviceConfig,
+    MappingConfig,
+    WeightMapper,
+    weighted_layers,
+)
 from repro.core import SwimScorer, WeightSpace, evaluate_accuracy
 from repro.nn import functional as F
 from repro.nn.losses import CrossEntropyLoss
@@ -82,15 +87,12 @@ def _sample_entries(space, n_weights, rng):
     spread the paper's all-weights scatter shows.
     """
     gen = rng.generator
-    names = space.names
-    per_tensor = max(n_weights // len(names), 1)
+    per_tensor = max(n_weights // len(space.names), 1)
     chosen = []
-    offset = 0
-    for name in names:
-        size = int(np.prod(space.shape_of(name)))
-        take = min(per_tensor, size)
-        chosen.append(offset + gen.choice(size, size=take, replace=False))
-        offset += size
+    for flat_ids in space.unflatten(np.arange(space.total_size)).values():
+        flat_ids = flat_ids.reshape(-1)
+        take = min(per_tensor, flat_ids.size)
+        chosen.append(gen.choice(flat_ids, size=take, replace=False))
     flat = np.unique(np.concatenate(chosen))
     if flat.size > n_weights:
         flat = gen.choice(flat, size=n_weights, replace=False)
@@ -217,13 +219,7 @@ def run_fig1(zoo, config, rng, batched=True):
     # Per-tensor noise std in weight units (Eq. 16 at this sigma) and the
     # quantized baseline weights the perturbations are applied around.
     params = dict(model.named_parameters())
-    layers = {}
-    for mod_name, module in model.named_modules():
-        from repro.nn.layers.base import WeightedLayer
-
-        if isinstance(module, WeightedLayer):
-            prefix = f"{mod_name}." if mod_name else ""
-            layers[f"{prefix}weight"] = module
+    layers = weighted_layers(model)
 
     base_weights = {}
     scales = {}
@@ -258,26 +254,12 @@ def run_fig1(zoo, config, rng, batched=True):
     )
     magnitude_flat = np.abs(space.gather_from_model(model, "data"))
 
-    # Locate each flat index inside its tensor.
-    offsets = {}
-    cursor = 0
-    for name in space.names:
-        size = int(np.prod(space.shape_of(name)))
-        offsets[name] = (cursor, cursor + size)
-        cursor += size
-
-    def locate(flat_index):
-        for name, (start, stop) in offsets.items():
-            if start <= flat_index < stop:
-                return name, flat_index - start
-        raise IndexError(flat_index)
-
     noise_rng = rng.child("noise").generator
     # One row of deltas per sampled weight, drawn in the same stream
     # order the scalar loop uses, so both paths see identical noise.
     deltas = np.stack(
         [
-            noise_rng.normal(0.0, noise_std[locate(int(i))[0]],
+            noise_rng.normal(0.0, noise_std[space.locate(int(i))[0]],
                              size=config.mc_runs)
             for i in indices
         ]
@@ -285,12 +267,12 @@ def run_fig1(zoo, config, rng, batched=True):
 
     if batched:
         acc_drops, loss_increases = _perturbation_mc_batched(
-            model, layers, base_weights, indices, deltas, locate,
+            model, layers, base_weights, indices, deltas, space.locate,
             eval_x, eval_y, base_accuracy, base_loss,
         )
     else:
         acc_drops, loss_increases = _perturbation_mc_scalar(
-            model, layers, base_weights, indices, deltas, locate,
+            model, layers, base_weights, indices, deltas, space.locate,
             eval_x, eval_y, base_accuracy, base_loss, loss_fn,
         )
 

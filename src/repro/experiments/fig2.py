@@ -36,8 +36,9 @@ def run_fig2_panel(scale, panel, batched=True, workers=None,
     The panel is a one-cell scenario grid (keyed by its sigma), so it
     plans through the shared plan cache and reruns warm from the
     eval-tile cache like every other scenario.  ``batched=False`` is
-    the scalar per-trial path — the escape hatch for the ResNet panels
-    when the trial-folded activations would not fit in memory; it and
+    the scalar per-trial path; it saves no memory here (a panel runs
+    one trial, and its peak RSS matched or exceeded the batched run's
+    on smoke ``fig2b``/``fig2c`` and default ``fig2a``).  It and
     ``workers`` and ``report_out`` act as in :func:`~repro.experiments.
     sweeps.run_grid`.
 

@@ -19,9 +19,10 @@ trial.  By default each block of trials shares one masked verify loop
 and one folded forward pass per distinct deployment, whose result every
 (method, target) cell deploying the same selection copies.  Pass
 ``batched=False`` for the scalar reference loop, which evaluates every
-cell (the path for workloads too large to batch in memory; the
-orchestrator's ``workers=`` pool parallelizes it across trial
-windows).  Trial ``i`` draws its
+cell one trial at a time (the orchestrator's ``workers=`` pool
+parallelizes it across trial windows); it verifies each trial from its
+own stream, so it equals the batched path bitwise at NWC = 0 and
+statistically elsewhere.  Trial ``i`` draws its
 programming noise from the same named substream, ``rng.child("mc", i)``,
 in every mode, so the paired design — and the per-trial noise draw
 itself — is identical across paths.  The sweep walks its trial window
@@ -196,7 +197,7 @@ def _batched_sweep(rng, window, zoo, accelerator, space, orders, methods,
     new order per trial, so it shares only those two ends.  This is
     exact: equal selections on one block are equal weights, the
     programming and verify streams are per block, and drift draws are
-    named substreams (:meth:`~repro.cim.CimAccelerator._drift_pair`).
+    named substreams (:meth:`~repro.cim.CimAccelerator._drifted`).
     The in-situ baseline is an on-chip *training* loop, inherently
     sequential, so it keeps the scalar per-trial path — its substreams
     match the scalar mode too — and programs and verifies its own draw

@@ -442,7 +442,10 @@ class PlanEngine:
 
     def _variance_config(self, request, technology, mapping, stack):
         # Without a stack the map is the default stack's read-after-write,
-        # unworn Eq. 16 map, so the key holds the time and wear it applies.
+        # unworn Eq. 16 map, so the key holds the time and wear it applies;
+        # a stack without read stages ignores the read time, as
+        # CimAccelerator does.
+        drifts = stack is not None and stack.has_read_stages
         return {
             "model": self._model_digest,
             "technology": technology.to_dict() if technology else None,
@@ -450,7 +453,7 @@ class PlanEngine:
             "weight_bits": int(mapping.weight_bits),
             "device_bits": int(mapping.device.bits),
             "differential": bool(mapping.differential),
-            "read_time": request.read_time if stack is not None else None,
+            "read_time": request.read_time if drifts else None,
             "wear_inflation": (
                 request.effective_wear_inflation(technology)
                 if stack is not None else 1.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cim import DeviceConfig
-from repro.cim.accelerator import CimAccelerator, weighted_layer_names
+from repro.cim.accelerator import CimAccelerator, weighted_layers
 from repro.cim.mapping import MappingConfig
 from repro.nn.models import lenet, mlp
 
@@ -32,9 +32,11 @@ def _ideal(accelerator):
 
 def test_weighted_layer_names_finds_all(rng):
     model = lenet(rng.child("m"))
-    names = weighted_layer_names(model)
-    assert len(names) == 5  # 2 conv + 3 fc
-    assert all(name.endswith(".weight") for name in names)
+    layers = weighted_layers(model)
+    assert len(layers) == 5  # 2 conv + 3 fc
+    assert all(name.endswith(".weight") for name in layers)
+    params = dict(model.named_parameters())
+    assert all(layer.weight is params[name] for name, layer in layers.items())
 
 
 def test_protocol_order_enforced(accelerator, rng):
@@ -113,18 +115,21 @@ def test_clear_restores_float_model(accelerator, small_model, rng):
 
 def test_weight_cycles_shape_and_sign(accelerator, rng):
     accelerator.program(rng.child("p").generator)
-    accelerator.write_verify_all(rng.child("wv").generator)
-    cycles = accelerator.weight_cycles()
+    verified = accelerator.write_verify_all(rng.child("wv").generator)
+    cycles = {name: result.cycles.sum(axis=0)
+              for name, result in verified.items()}
     for name, mapped in accelerator._mapped.items():
         assert cycles[name].shape == mapped.codes.shape
         assert (cycles[name] >= 0).all()
     assert accelerator.total_cycles() > 0
+    assert accelerator.total_cycles() == sum(
+        int(c.sum()) for c in cycles.values())
 
 
 def test_mask_shape_validated(accelerator, small_model, rng):
     accelerator.program(rng.child("p").generator)
     accelerator.write_verify_all(rng.child("wv").generator)
-    bad = {weighted_layer_names(small_model)[0]: np.ones((1, 1), dtype=bool)}
+    bad = {next(iter(weighted_layers(small_model))): np.ones((1, 1), dtype=bool)}
     with pytest.raises(ValueError, match="mask shape"):
         accelerator.apply_selection(bad)
 

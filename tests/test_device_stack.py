@@ -212,26 +212,60 @@ def test_accelerator_drift_changes_deployment_and_is_deterministic(small_setup):
     assert fresh == pytest.approx(1.0)
 
 
-def test_accelerator_trial_drift_matches_scalar_bitwise(small_setup):
-    """Whole-pipeline bitwise check: program + drift, batched vs scalar."""
+@pytest.mark.parametrize("technology", technology_names())
+def test_accelerator_trial_drift_matches_scalar_bitwise(small_setup,
+                                                        technology):
+    """The scalar protocol is a one-trial view of the trial state.
+
+    Whole pipeline, bitwise, on every registered technology (read at
+    7200 s when it drifts): each trial of a three-trial stack deploys
+    its raw draw as a scalar run of that trial does; and a one-trial
+    stack verified from the scalar run's stream deploys a partial
+    selection with the scalar run's weights, float NWC and NWC
+    denominator.
+    """
     model, _, _ = small_setup
     n_trials = 3
     root = RngStream(33)
     streams = [root.child("mc", i) for i in range(n_trials)]
 
-    batched = accelerator_on(model, "rram")
+    batched = accelerator_on(model, technology)
+    read_time = 7200.0 if batched.stack.has_read_stages else None
     batched.program_trials([s.child("program").generator for s in streams])
     batched.write_verify_trials(rng=root.child("verify").generator)
-    batched.apply_selection_trials({}, read_time=7200.0, read_streams=streams)
+    batched.apply_selection_trials({}, read_time=read_time,
+                                   read_streams=streams)
     trial_weights = deployed_weights(batched)
 
-    scalar = accelerator_on(model, "rram")
+    scalar = accelerator_on(model, technology)
+    one_trial = accelerator_on(model, technology)
+    masks = {
+        name: (np.arange(m.codes.size) % 3 == 0).reshape(m.codes.shape)
+        for name, m in scalar.map_model().items()
+    }
     for i, stream in enumerate(streams):
         scalar.program(stream.child("program").generator)
         scalar.write_verify_all(stream.child("verify").generator)
-        scalar.apply_none(read_time=7200.0, read_stream=stream)
+        scalar.apply_none(read_time=read_time, read_stream=stream)
         for name, weights in deployed_weights(scalar).items():
+            assert weights.shape == trial_weights[name].shape[1:]
             np.testing.assert_array_equal(trial_weights[name][i], weights)
+
+        # The accelerators share the model's layers: read each
+        # deployment before the next one overrides it.
+        nwc = scalar.apply_selection(masks, read_time=read_time,
+                                     read_stream=stream)
+        selected = deployed_weights(scalar)
+        one_trial.program_trials([stream.child("program").generator])
+        one_trial.write_verify_trials(stream.child("verify").generator)
+        nwcs = one_trial.apply_selection_trials(
+            masks, read_time=read_time, read_streams=[stream])
+        assert type(nwc) is float and 0.0 < nwc < 1.0
+        assert nwc == nwcs[0]
+        assert scalar.total_cycles() == one_trial.total_cycles_trials()[0]
+        for name, stacked in deployed_weights(one_trial).items():
+            assert stacked.shape == (1,) + selected[name].shape
+            np.testing.assert_array_equal(stacked[0], selected[name])
 
 
 def test_accelerator_read_time_requires_stream(small_setup):

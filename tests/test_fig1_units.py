@@ -22,10 +22,9 @@ def space(rng):
 
 def test_sampling_is_stratified_across_tensors(space):
     indices = _sample_entries(space, 20, RngStream(1).child("s"))
-    # Tensor boundaries.
-    first_size = int(np.prod(space.shape_of(space.names[0])))
-    in_first = int((indices < first_size).sum())
-    in_second = int((indices >= first_size).sum())
+    owners = [space.locate(int(i))[0] for i in indices]
+    in_first = owners.count(space.names[0])
+    in_second = owners.count(space.names[1])
     # Uniform sampling would put ~10% in the second tensor; stratified
     # sampling gives both tensors comparable representation.
     assert in_first >= 5

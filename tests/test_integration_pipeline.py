@@ -47,8 +47,12 @@ def test_full_pipeline(trained_lenet):
     assert 0.0 <= result.achieved_nwc <= 1.0
 
     # 2. Cycle accounting is self-consistent: the achieved NWC equals
-    #    selected cycles over this run's total.
-    cycles = accelerator.weight_cycles()
+    #    selected cycles over this run's total.  Algorithm 1 programs and
+    #    verifies from these two substreams, so rerunning them rebuilds
+    #    its device state and returns the per-device cycles.
+    accelerator.program(rng.child("program").generator)
+    verified = accelerator.write_verify_all(rng.child("verify").generator)
+    cycles = {name: r.cycles.sum(axis=0) for name, r in verified.items()}
     total = accelerator.total_cycles()
     assert total == sum(int(c.sum()) for c in cycles.values())
 

@@ -36,6 +36,7 @@ their own: :func:`test_perfbench_instruments_the_program` runs it.
 from __future__ import annotations
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -73,7 +74,7 @@ KEEP = {
                                 "examples/custom_device.py calls it",
     "CimAccelerator.total_cycles_trials":
         "perfbench/layers.py reads each trial-batched verify's pulse "
-        "count through it (and so through weight_cycles_trials)",
+        "count through it",
     "Module.num_parameters": "examples/method_comparison.py prints the "
                              "model size with it",
     "PlanClient.statsz": "benchmarks/bench_serving.py and "
@@ -246,22 +247,35 @@ def test_every_import_is_named():
     assert not stale, f"UNUSED_IMPORTS lists imports now used or gone: {stale}"
 
 
-#: Install perfbench's wrappers, then make the verify wrappers record:
-#: their span attributes read the accelerator's pulse counts.
+#: Install perfbench's wrappers, drive every public accelerator call
+#: they wrap (plus ``apply_none`` and ``apply_all``) while tracing, and
+#: print the drained spans with the pulse counts the verify spans must
+#: carry.
 _INSTRUMENT = """
+import json
 import numpy as np
 from layers import instrument
 instrument()
 from repro.cim import CimAccelerator
 from repro.nn.models import mlp
 from repro.obs import enable_tracing
+from repro.obs.trace import TRACER
 from repro.utils.rng import RngStream
 enable_tracing()
 accelerator = CimAccelerator(mlp(RngStream(0), (4, 3)))
 accelerator.program(np.random.default_rng(0))
 accelerator.write_verify_all(np.random.default_rng(1))
-accelerator.program_trials([np.random.default_rng(2)])
-accelerator.write_verify_trials(np.random.default_rng(3))
+total = accelerator.total_cycles()
+accelerator.apply_selection({})
+accelerator.apply_none()
+accelerator.apply_all()
+accelerator.program_trials([np.random.default_rng(2), np.random.default_rng(3)])
+accelerator.write_verify_trials(np.random.default_rng(4))
+total_trials = int(accelerator.total_cycles_trials().sum())
+accelerator.apply_selection_trials({})
+spans = [(s["name"], s["parent"], s["attrs"]) for s in TRACER.drain()]
+print(json.dumps({"total": total, "total_trials": total_trials,
+                  "spans": spans}))
 """
 
 
@@ -272,6 +286,11 @@ def test_perfbench_instruments_the_program():
     wrappers read pulse counts through ``total_cycles`` and
     ``total_cycles_trials`` while tracing, so deleting or renaming any
     of them fails here rather than only in a traced perfbench run.
+
+    Each wrapped call records exactly one top-level span: a public
+    accelerator method that called another public one (``apply_none``
+    through ``apply_selection``, say) would add or nest a span, and a
+    nested verify would count its pulses twice in ``cim.verify_pulses``.
     """
     root = SRC.parents[1]
     env = dict(os.environ)
@@ -282,3 +301,12 @@ def test_perfbench_instruments_the_program():
         cwd=root, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    names = [name for name, _, _ in out["spans"]]
+    assert sorted(names) == sorted(
+        ["cim.program", "cim.write_verify", "cim.apply_selection"] * 2)
+    assert all(parent is None for _, parent, _ in out["spans"])
+    scalar, trials = (attrs["pulses"] for name, _, attrs in out["spans"]
+                      if name == "cim.write_verify")
+    assert scalar == out["total"] > 0
+    assert trials == out["total_trials"] > 0

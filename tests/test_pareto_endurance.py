@@ -103,9 +103,9 @@ def test_wear_from_accelerator_cycles(trained_lenet):
     )
     rng = RngStream(808)
     accelerator.program(rng.child("p").generator)
-    accelerator.write_verify_all(rng.child("wv").generator)
+    verified = accelerator.write_verify_all(rng.child("wv").generator)
     cycles = np.concatenate([
-        c.reshape(-1) for c in accelerator.weight_cycles().values()
+        r.cycles.sum(axis=0).reshape(-1) for r in verified.values()
     ])
     mask = np.zeros(cycles.size, dtype=bool)
     mask[: cycles.size // 10] = True

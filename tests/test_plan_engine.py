@@ -124,6 +124,32 @@ class TestPlanResolution:
         assert not np.array_equal(plans[0].order("hetero_swim"),
                                   plans[2].order("hetero_swim"))
 
+    def test_drift_free_technology_plans_once_per_physics_point(
+            self, mini_zoo):
+        """A stack without read stages deploys the same weights at every
+        read time, so its variance map and ``hetero_swim`` order are
+        computed once; a drifting stack still plans per read time."""
+        engine = _engine(mini_zoo)
+        for read_time in (10.0, 1e6, None):
+            engine.variance(PlanRequest(methods=("hetero_swim",),
+                                        technology="mram",
+                                        read_time=read_time))
+        assert engine.stats["variance_passes"] == 1
+        mram = [
+            engine.plan(PlanRequest(methods=("hetero_swim",),
+                                    technology="mram", read_time=t))
+            for t in (10.0, 1e6)
+        ]
+        assert engine.stats["variance_passes"] == 1
+        assert engine.stats["ranking_passes"] == 1
+        assert np.array_equal(mram[0].order("hetero_swim"),
+                              mram[1].order("hetero_swim"))
+        for t in (10.0, 1e6):
+            engine.plan(PlanRequest(methods=("hetero_swim",),
+                                    technology="pcm", read_time=t))
+        assert engine.stats["variance_passes"] == 3
+        assert engine.stats["ranking_passes"] == 3
+
     def test_warm_cache_is_bitwise_and_passless(self, mini_zoo, tmp_path):
         """Cold and warm plans are bitwise-equal; warm runs zero passes."""
         requests = [

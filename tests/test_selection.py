@@ -31,6 +31,11 @@ def test_flatten_unflatten_roundtrip(rng):
     flat = rng.child("v").normal(size=space.total_size)
     tensors = space.unflatten(flat)
     np.testing.assert_array_equal(space.flatten(tensors), flat)
+    for index, value in enumerate(flat):
+        name, inner = space.locate(index)
+        assert tensors[name].reshape(-1)[inner] == value
+    with pytest.raises(IndexError):
+        space.locate(space.total_size)
 
 
 def test_flatten_validates_shapes(rng):

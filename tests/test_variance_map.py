@@ -221,7 +221,7 @@ def test_variance_map_reduces_to_mapping_constant(sigma, bits, weight_bits,
     for name in space.names:
         _, scale = mapper.quantize(params[name].data)
         std_w = mapping.code_noise_std() * scale
-        eq16[name] = np.full(space.shape_of(name), std_w ** 2)
+        eq16[name] = np.full(params[name].shape, std_w ** 2)
     np.testing.assert_array_equal(from_stack, space.flatten(eq16))
 
 
