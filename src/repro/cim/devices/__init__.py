@@ -13,8 +13,8 @@ behind two concepts:
   with technology-specific sigma/drift/endurance parameters.
 
 Every stage supports a leading ``(n_trials, ...)`` axis with per-trial
-RNG substreams, so the batched Monte Carlo sweep and the scalar
-reference path stay bitwise-equivalent.
+RNG substreams, so trial ``i`` of a batch is bitwise a one-trial call
+on trial ``i``'s stream.
 """
 
 from repro.cim.devices.device import DeviceConfig

@@ -5,8 +5,8 @@ Each study is one or more :class:`~repro.plan.ScenarioCell`\\ s that
 :func:`~repro.experiments.sweeps.run_method_sweep`, like every grid
 scenario: the orders come from :class:`~repro.plan.PlanEngine`, every
 deployment runs on the sweep's own accelerator, and the cells get tile
-caching, ``--workers``, ``--scalar`` and spans.  A study's cells share
-one RNG stream, so its settings compare on the same device draws:
+caching, ``--workers`` and spans.  A study's cells share one RNG
+stream, so its settings compare on the same device draws:
 
 - ``granularity`` — Algorithm 1's group size ``p`` (paper fixes 5%).
   Algorithm 1 deploys exactly the prefixes that
@@ -234,13 +234,13 @@ _ROWS = {
 }
 
 
-def run_ablations(zoo, batched=True, workers=None, report_out=None):
+def run_ablations(zoo, workers=None, report_out=None):
     """Run every study of :func:`ablation_cells` on ``zoo``.
 
     The curvature study plans over its own 512-sample sense set, so it
     runs as a second orchestrator grid after the 256-sample one.
-    ``batched`` and ``workers`` act as in every scenario; ``report_out``
-    (a list, when given) collects both grids'
+    ``workers`` acts as in every scenario; ``report_out`` (a list,
+    when given) collects both grids'
     :class:`~repro.robustness.report.RunReport`\\ s.
 
     Returns
@@ -269,7 +269,7 @@ def run_ablations(zoo, batched=True, workers=None, report_out=None):
         )
         outcomes = orchestrator.run(
             [cell for name in names for cell in studies[name]],
-            batched=batched, workers=workers, scenario=scenario,
+            workers=workers, scenario=scenario,
         )
         if report_out is not None:
             report_out.append(orchestrator.report)

@@ -6,9 +6,9 @@ savings transfer across device technologies?  Each registered
 point — plus ``rram``, ``pcm``, ``fefet-spatial``, ``mram``; read-path
 variants like ``pcm-comp`` are skipped since nothing drifts at
 read-after-write) runs the Fig. 2-style paired Monte Carlo sweep on
-LeNet through its own nonideality stack, batched by default, and the
-summary adds the endurance angle: expected re-deployments of the
-most-stressed cell under each technology's pulse budget.
+LeNet through its own nonideality stack, and the summary adds the
+endurance angle: expected re-deployments of the most-stressed cell
+under each technology's pulse budget.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ __all__ = ["run_devices", "render_devices"]
 DEVICES_METHODS = ("swim", "hetero_swim", "magnitude", "random")
 
 
-def run_devices(scale, technologies=None, seed=11, batched=True,
-                workers=None, report_out=None):
+def run_devices(scale, technologies=None, seed=11, workers=None,
+                report_out=None):
     """Run the accuracy-vs-NWC sweep for every registered technology.
 
     Parameters
@@ -42,7 +42,7 @@ def run_devices(scale, technologies=None, seed=11, batched=True,
         ``read_time=None`` where they are statistically identical to
         their base technology; ``runner retention`` is where they
         differ).
-    batched / workers / report_out:
+    workers / report_out:
         As in :func:`~repro.experiments.sweeps.run_grid`.
 
     Returns
@@ -73,8 +73,8 @@ def run_devices(scale, technologies=None, seed=11, batched=True,
         )
         for name in names
     ]
-    return run_grid("devices", zoo, cells, scale, batched=batched,
-                    workers=workers, report_out=report_out)
+    return run_grid("devices", zoo, cells, scale, workers=workers,
+                    report_out=report_out)
 
 
 def render_devices(result):

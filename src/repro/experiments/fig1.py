@@ -8,15 +8,13 @@ correlation — and (b) the weight's second derivative — strong correlation
 and also records the *loss increase*, which is the quantity Eq. 5 actually
 predicts (accuracy drop is a discretized proxy of it).
 
-The Monte Carlo trials run trial-batched by default: every trial of a
-perturbed weight differs from the baseline in exactly one tensor, so the
+The Monte Carlo trials run trial-batched: every trial of a perturbed
+weight differs from the baseline in exactly one tensor, so the
 activations *upstream* of that tensor's layer are shared by all of its
 trials and are computed once per tensor (prefix sharing), the perturbed
 layer's output is its baseline plus a one-channel correction, and only
 the suffix of the network runs per-trial (folded trial-major; see
 :class:`~repro.core.perturbation.PerturbationEvaluator`).
-``batched=False`` keeps the scalar one-forward-per-trial reference path;
-both draw identical perturbations from the same RNG stream.
 
 The device point is fixed: :data:`SIGMA` on :data:`DEVICE_BITS`-bit
 cells, and the study runs on the float activation path (activation
@@ -99,37 +97,6 @@ def _sample_entries(space, n_weights, rng):
     return np.sort(flat)
 
 
-def _perturbation_mc_scalar(model, layers, base_weights, indices, deltas,
-                            locate, eval_x, eval_y, base_accuracy, base_loss,
-                            loss_fn):
-    """Reference path: one full forward per (weight, trial)."""
-    acc_drops = np.empty(indices.size)
-    loss_increases = np.empty(indices.size)
-    for pos, flat_index in enumerate(indices):
-        name, inner = locate(int(flat_index))
-        layer = layers[name]
-        drops = []
-        increases = []
-        for delta in deltas[pos]:
-            # Antithetic +/- pair: the first-order Taylor term g*delta
-            # cancels exactly in the pair average, leaving the curvature
-            # signal 0.5*H*delta^2 that Fig. 1b plots (variance reduction
-            # over the paper's plain Monte Carlo).
-            for signed in (delta, -delta):
-                perturbed = base_weights[name].copy()
-                perturbed.reshape(-1)[inner] += signed
-                layer.set_weight_override(perturbed)
-                logits = model(eval_x)
-                accuracy = float((np.argmax(logits, axis=1) == eval_y).mean())
-                value = loss_fn(logits, eval_y)
-                drops.append(base_accuracy - accuracy)
-                increases.append(value - base_loss)
-        layer.set_weight_override(base_weights[name])
-        acc_drops[pos] = float(np.mean(drops))
-        loss_increases[pos] = float(np.mean(increases))
-    return acc_drops, loss_increases
-
-
 def _trial_stats(logits, eval_y):
     """Per-trial (accuracy, mean CE loss) from ``(T, N, C)`` logits."""
     accuracy = (np.argmax(logits, axis=2) == eval_y[None, :]).mean(axis=1)
@@ -141,7 +108,8 @@ def _trial_stats(logits, eval_y):
 def _perturbation_mc_batched(model, layers, base_weights, indices, deltas,
                              locate, eval_x, eval_y, base_accuracy,
                              base_loss):
-    """Trial-batched path via :class:`~repro.core.perturbation.PerturbationEvaluator`.
+    """Per-weight mean accuracy drop and loss increase, trial-batched
+    through :class:`~repro.core.perturbation.PerturbationEvaluator`.
 
     Weights are grouped by owning tensor; the evaluator shares that
     tensor's prefix activations across all of its trials, propagates each
@@ -166,6 +134,10 @@ def _perturbation_mc_batched(model, layers, base_weights, indices, deltas,
     for name, entries in by_tensor.items():
         layer = layers[name]
         inner = np.repeat([e[1] for e in entries], trials_per_weight)
+        # Antithetic +/- pairs: the first-order Taylor term g*delta
+        # cancels exactly in the pair average, leaving the curvature
+        # signal 0.5*H*delta^2 that Fig. 1b plots (variance reduction
+        # over the paper's plain Monte Carlo).
         signed = np.empty(len(entries) * trials_per_weight)
         for j, (pos, _) in enumerate(entries):
             row = j * trials_per_weight
@@ -180,12 +152,11 @@ def _perturbation_mc_batched(model, layers, base_weights, indices, deltas,
     return acc_drops, loss_increases
 
 
-def run_fig1(zoo, config, rng, batched=True):
+def run_fig1(zoo, config, rng):
     """Run the perturbation study on a trained workload.
 
-    ``batched=True`` (default) evaluates all Monte Carlo perturbations of
-    a weight in one trial-batched pass; ``batched=False`` is the scalar
-    reference loop.  Both consume identical perturbation draws.
+    All Monte Carlo perturbations of a weight's tensor are evaluated in
+    one trial-batched pass.
 
     Returns
     -------
@@ -255,8 +226,7 @@ def run_fig1(zoo, config, rng, batched=True):
     magnitude_flat = np.abs(space.gather_from_model(model, "data"))
 
     noise_rng = rng.child("noise").generator
-    # One row of deltas per sampled weight, drawn in the same stream
-    # order the scalar loop uses, so both paths see identical noise.
+    # One row of deltas per sampled weight, in sampled-index order.
     deltas = np.stack(
         [
             noise_rng.normal(0.0, noise_std[space.locate(int(i))[0]],
@@ -265,16 +235,10 @@ def run_fig1(zoo, config, rng, batched=True):
         ]
     )
 
-    if batched:
-        acc_drops, loss_increases = _perturbation_mc_batched(
-            model, layers, base_weights, indices, deltas, space.locate,
-            eval_x, eval_y, base_accuracy, base_loss,
-        )
-    else:
-        acc_drops, loss_increases = _perturbation_mc_scalar(
-            model, layers, base_weights, indices, deltas, space.locate,
-            eval_x, eval_y, base_accuracy, base_loss, loss_fn,
-        )
+    acc_drops, loss_increases = _perturbation_mc_batched(
+        model, layers, base_weights, indices, deltas, space.locate,
+        eval_x, eval_y, base_accuracy, base_loss,
+    )
 
     curvature = curvature_flat[indices]
     magnitude = magnitude_flat[indices]

@@ -29,18 +29,13 @@ FIG2_SIGMA = 0.1
 FIG2_SEED = 2
 
 
-def run_fig2_panel(scale, panel, batched=True, workers=None,
-                   report_out=None):
+def run_fig2_panel(scale, panel, workers=None, report_out=None):
     """Run one Fig. 2 panel (``panel`` in {"a", "b", "c"}).
 
     The panel is a one-cell scenario grid (keyed by its sigma), so it
     plans through the shared plan cache and reruns warm from the
-    eval-tile cache like every other scenario.  ``batched=False`` is
-    the scalar per-trial path; it saves no memory here (a panel runs
-    one trial, and its peak RSS matched or exceeded the batched run's
-    on smoke ``fig2b``/``fig2c`` and default ``fig2a``).  It and
-    ``workers`` and ``report_out`` act as in :func:`~repro.experiments.
-    sweeps.run_grid`.
+    eval-tile cache like every other scenario.  ``workers`` and
+    ``report_out`` act as in :func:`~repro.experiments.sweeps.run_grid`.
 
     Returns
     -------
@@ -62,8 +57,8 @@ def run_fig2_panel(scale, panel, batched=True, workers=None,
         mc_runs=scale.mc_runs_fig2,
         sweep_kwargs={"insitu_lr": scale.insitu_lr},
     )
-    return run_grid(f"fig2{panel}", zoo, [cell], scale, batched=batched,
-                    workers=workers, report_out=report_out)
+    return run_grid(f"fig2{panel}", zoo, [cell], scale, workers=workers,
+                    report_out=report_out)
 
 
 def render_fig2_panel(result):

@@ -35,8 +35,8 @@ RETENTION_TECHNOLOGIES = ("pcm", "pcm-comp")
 
 
 def run_retention(scale, technologies=RETENTION_TECHNOLOGIES, times=None,
-                  methods=RETENTION_METHODS, seed=13, batched=True,
-                  workers=None, plan_cache=None, report_out=None):
+                  methods=RETENTION_METHODS, seed=13, workers=None,
+                  plan_cache=None, report_out=None):
     """Run the Table-1-over-time drift study.
 
     Parameters
@@ -53,7 +53,7 @@ def run_retention(scale, technologies=RETENTION_TECHNOLOGIES, times=None,
     times:
         Read-time grid in seconds (default: the preset's).  Must be
         >= the retention model's ``t0`` (1 s).
-    batched / workers / plan_cache / report_out:
+    workers / plan_cache / report_out:
         As in :func:`~repro.experiments.sweeps.run_grid`.
 
     Returns
@@ -95,9 +95,8 @@ def run_retention(scale, technologies=RETENTION_TECHNOLOGIES, times=None,
                 rng=root,
                 mc_runs=scale.mc_runs_retention,
             ))
-    return run_grid("retention", zoo, cells, scale, batched=batched,
-                    workers=workers, plan_cache=plan_cache,
-                    report_out=report_out)
+    return run_grid("retention", zoo, cells, scale, workers=workers,
+                    plan_cache=plan_cache, report_out=report_out)
 
 
 def render_retention(result):

@@ -69,8 +69,8 @@ def _grid_csv(result, out_dir):
     return [save_grid_csv(result, path)]
 
 
-#: Grid scenario -> (run, render, save).  ``run(scale, batched=,
-#: workers=, report_out=)`` returns a :class:`~repro.experiments.sweeps.
+#: Grid scenario -> (run, render, save).  ``run(scale, workers=,
+#: report_out=)`` returns a :class:`~repro.experiments.sweeps.
 #: GridResult`, ``render`` its paper-style text, and ``save(result,
 #: out_dir)`` writes its CSVs and returns their paths.
 GRIDS = {
@@ -86,14 +86,14 @@ GRIDS = {
 }
 
 
-def _run_fig1(scale, out_dir, batched=True):
+def _run_fig1(scale, out_dir):
     zoo = load_workload(scale.workload("lenet-digits"))
     config = Fig1Config(
         n_weights=scale.fig1_weights,
         mc_runs=scale.fig1_mc_runs,
         eval_samples=scale.fig1_eval_samples,
     )
-    result = run_fig1(zoo, config, RngStream(101).child("fig1"), batched=batched)
+    result = run_fig1(zoo, config, RngStream(101).child("fig1"))
     print(render_fig1(result, workload=zoo.spec.key))
     path = save_fig1_csv(result, os.path.join(out_dir, "fig1.csv"))
     print(f"[saved {path}]")
@@ -122,11 +122,6 @@ def main(argv=None):
                         help="smoke | default | full (or REPRO_SCALE)")
     parser.add_argument("--output-dir", default=None,
                         help="directory for CSV artifacts")
-    parser.add_argument("--scalar", action="store_true",
-                        help="use the scalar per-trial Monte Carlo loop "
-                             "instead of the trial-batched engine (fig1, "
-                             "table1, fig2a|b|c, ablations, devices, "
-                             "retention, spatial)")
     parser.add_argument("--workers", type=int, default=None,
                         help="size the work-rectangle scheduler's fork "
                              "pool over a scenario's (cells x trial-"
@@ -149,7 +144,6 @@ def main(argv=None):
     scale = resolve_scale(args.scale)
     out_dir = results_dir(args.output_dir)
     todo = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
-    batched = not args.scalar
     reports = []
     if args.trace:
         from repro.obs import enable_tracing
@@ -161,7 +155,7 @@ def main(argv=None):
         start = time.time()
         print(f"\n=== {name} ===")
         with TRACER.span(f"runner.{name}", scale=scale.name):
-            _run_one(name, scale, out_dir, args, batched, reports)
+            _run_one(name, scale, out_dir, args, reports)
         print(f"[{name} took {time.time() - start:.1f}s]")
 
     if args.trace:
@@ -182,25 +176,24 @@ def main(argv=None):
     return 0
 
 
-def _run_one(name, scale, out_dir, args, batched, reports):
+def _run_one(name, scale, out_dir, args, reports):
     """Run one experiment (traced as ``runner.<name>``): print its
     tables, save its CSVs (and plans), and collect its run reports."""
     if name == "fig1":
-        _run_fig1(scale, out_dir, batched=batched)
+        _run_fig1(scale, out_dir)
         return
     grid_reports = []
     if name == "ablations":
         studies, plans = run_ablations(
             load_workload(scale.workload("lenet-digits")),
-            batched=batched, workers=args.workers, report_out=grid_reports,
+            workers=args.workers, report_out=grid_reports,
         )
         for study, rows in studies.items():
             print(render_ablation(rows, title=f"Ablation — {study}"))
             print()
     else:
         run, render, save = GRIDS[name]
-        result = run(scale, batched=batched, workers=args.workers,
-                     report_out=grid_reports)
+        result = run(scale, workers=args.workers, report_out=grid_reports)
         plans = result.plans
         if result.outcomes:
             print(render(result))

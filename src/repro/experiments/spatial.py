@@ -35,14 +35,14 @@ SPATIAL_METHODS = ("swim", "hetero_swim", "magnitude")
 SPATIAL_TECHNOLOGY = "fefet-spatial"
 
 
-def run_spatial(scale, seed=17, batched=True, workers=None, report_out=None):
+def run_spatial(scale, seed=17, workers=None, report_out=None):
     """Run the clustered-failure stress test across correlation lengths.
 
     Every length of the preset's ``spatial_correlation_lengths`` grid
     (in devices; 0 means i.i.d.) runs a copy of
     :data:`SPATIAL_TECHNOLOGY` with that correlation length, for
-    ``mc_runs_spatial`` trials.  ``batched``, ``workers`` and
-    ``report_out`` act as in :func:`~repro.experiments.sweeps.run_grid`.
+    ``mc_runs_spatial`` trials.  ``workers`` and ``report_out`` act as
+    in :func:`~repro.experiments.sweeps.run_grid`.
 
     Returns
     -------
@@ -67,8 +67,8 @@ def run_spatial(scale, seed=17, batched=True, workers=None, report_out=None):
         )
         for length in sorted(map(float, scale.spatial_correlation_lengths))
     ]
-    return run_grid("spatial", zoo, cells, scale, batched=batched,
-                    workers=workers, report_out=report_out)
+    return run_grid("spatial", zoo, cells, scale, workers=workers,
+                    report_out=report_out)
 
 
 def render_spatial(result):

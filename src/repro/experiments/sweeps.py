@@ -15,18 +15,14 @@ the plan carries the cell's physics, methods, NWC grid, selection counts
 and the ``swim`` / ``hetero_swim`` / ``magnitude`` orders, all resolved
 once per grid by :class:`~repro.plan.PlanEngine` (Sec. 3.3's one
 sensitivity pass per model); only ``random`` re-draws its order per
-trial.  By default each block of trials shares one masked verify loop
-and one folded forward pass per distinct deployment, whose result every
-(method, target) cell deploying the same selection copies.  Pass
-``batched=False`` for the scalar reference loop, which evaluates every
-cell one trial at a time (the orchestrator's ``workers=`` pool
-parallelizes it across trial windows); it verifies each trial from its
-own stream, so it equals the batched path bitwise at NWC = 0 and
-statistically elsewhere.  Trial ``i`` draws its
-programming noise from the same named substream, ``rng.child("mc", i)``,
-in every mode, so the paired design — and the per-trial noise draw
-itself — is identical across paths.  The sweep walks its trial window
-in blocks of :func:`~repro.core.mc.default_trial_block` trials.
+trial.  Each block of trials shares one masked verify loop and one
+folded forward pass per distinct deployment, whose result every
+(method, target) cell deploying the same selection copies.  Trial ``i``
+draws its programming noise from its own named substream,
+``rng.child("mc", i)``, so the per-trial draw does not depend on the
+block or tile that runs it.  The sweep walks its trial window in blocks
+of :func:`~repro.core.mc.default_trial_block` trials.  Its reference in
+the tests, ``tests/helpers.py::scalar_sweep``, runs one trial at a time.
 """
 
 from __future__ import annotations
@@ -167,8 +163,8 @@ def _insitu_row(zoo, accelerator, nwc_targets, run_rng, eval_x, eval_y,
 def _selection_key(indices, total):
     """What a deployment selects: ``"none"``, ``"all"``, or a digest.
 
-    Equal keys on one trial block deploy equal weights, so the batched
-    sweep evaluates each key once per block.  ``indices`` is a prefix
+    Equal keys on one trial block deploy equal weights, so the sweep
+    evaluates each key once per block.  ``indices`` is a prefix
     of a full ranking (a permutation of the weight space), so a prefix
     of ``total`` indices selects every weight.
     """
@@ -188,19 +184,19 @@ def _batched_sweep(rng, window, zoo, accelerator, space, orders, methods,
     The ``(start, stop)`` trial ``window`` runs in blocks of
     :func:`~repro.core.mc.default_trial_block` trials from ``start``.
     Each block of trials is programmed from its per-trial substreams
-    (bit-identical to the scalar path) and verified through one masked
-    pulse loop.  Each distinct deployment of the block is then
-    evaluated once, in one folded forward pass, and its accuracy and
-    NWC are copied into every (method, target) that deploys the same
-    selection: no selection at NWC = 0, every weight at NWC = 1, or
-    equal index sets of the deterministic orders.  ``random`` draws a
-    new order per trial, so it shares only those two ends.  This is
-    exact: equal selections on one block are equal weights, the
-    programming and verify streams are per block, and drift draws are
-    named substreams (:meth:`~repro.cim.CimAccelerator._drifted`).
+    and verified through one masked pulse loop.  Each distinct
+    deployment of the block is then evaluated once, in one folded
+    forward pass, and its accuracy and NWC are copied into every
+    (method, target) that deploys the same selection: no selection at
+    NWC = 0, every weight at NWC = 1, or equal index sets of the
+    deterministic orders.  ``random`` draws a new order per trial, so
+    it shares only those two ends.  This is exact: equal selections on
+    one block are equal weights, the programming and verify streams are
+    per block, and drift draws are named substreams
+    (:meth:`~repro.cim.CimAccelerator._drifted`).
     The in-situ baseline is an on-chip *training* loop, inherently
-    sequential, so it keeps the scalar per-trial path — its substreams
-    match the scalar mode too — and programs and verifies its own draw
+    sequential, so it runs one trial at a time on the trial's
+    ``"insitu"`` substream and programs and verifies its own draw
     (:meth:`~repro.core.InSituTrainer.initialize`).
     """
     total = space.total_size
@@ -278,47 +274,8 @@ def _batched_sweep(rng, window, zoo, accelerator, space, orders, methods,
                 nwc_store["insitu"][trial] = achieved
 
 
-def _scalar_sweep_trial(run_rng, zoo, accelerator, space, orders, methods,
-                        counts, nwc_targets, eval_x, eval_y, insitu_lr,
-                        read_time=None):
-    """One scalar Monte Carlo trial: rows for every method.
-
-    Returns ``method -> (accuracy_row, nwc_row)``.
-    """
-    accelerator.program(run_rng.child("program").generator)
-    accelerator.write_verify_all(run_rng.child("verify").generator)
-
-    run_orders = dict(orders)
-    if "random" in methods:
-        run_orders["random"] = RandomScorer().ranking(
-            zoo.model, space, None, None, rng=run_rng.child("random-order")
-        )
-
-    rows = {}
-    for method in methods:
-        if method == "insitu":
-            continue
-        order = run_orders[method]
-        accuracies = np.empty(len(counts), dtype=np.float64)
-        achieved = np.empty(len(counts), dtype=np.float64)
-        for i, count in enumerate(counts):
-            masks = space.masks_from_indices(order[:count])
-            achieved[i] = accelerator.apply_selection(
-                masks, read_time=read_time, read_stream=run_rng
-            )
-            accuracies[i] = evaluate_accuracy(zoo.model, eval_x, eval_y)
-        rows[method] = (accuracies, achieved)
-
-    if "insitu" in methods:
-        rows["insitu"] = _insitu_row(
-            zoo, accelerator, nwc_targets, run_rng.child("insitu"),
-            eval_x, eval_y, insitu_lr,
-        )
-    return rows
-
-
 def run_method_sweep(zoo, plan, mc_runs, rng, eval_samples=400,
-                     insitu_lr=0.03, batched=True, trial_range=None):
+                     insitu_lr=0.03, trial_range=None):
     """Run the full paired Monte Carlo sweep of one planned cell.
 
     Parameters
@@ -346,18 +303,13 @@ def run_method_sweep(zoo, plan, mc_runs, rng, eval_samples=400,
         Test subset for accuracy.
     insitu_lr:
         On-chip learning rate of the in-situ baseline.
-    batched:
-        Run the write-verify methods a block of trials at a time
-        (default).  ``False`` selects the scalar reference loop, one
-        trial at a time; per-trial programming noise is identical
-        either way.
     trial_range:
         Optional ``(start, stop)`` window: evaluate only trials
         ``start..stop-1`` of the ``mc_runs`` protocol, with absolute
         per-trial substreams — the work-rectangle scheduler's tile
-        unit.  In batched mode both ends must sit on the trial-block
-        grid (``stop`` may also be ``mc_runs``): the shared verify
-        stream is keyed per block.  The returned curves then hold the
+        unit.  Both ends must sit on the trial-block grid (``stop``
+        may also be ``mc_runs``): the shared verify stream is keyed
+        per block.  The returned curves then hold the
         window's ``stop - start`` trial rows, so adjacent windows stack
         exactly (:func:`repro.robustness.checkpoint.merge_outcomes`)
         into the full sweep.
@@ -376,12 +328,12 @@ def run_method_sweep(zoo, plan, mc_runs, rng, eval_samples=400,
             f"trial_range {trial_range!r} outside [0, {mc_runs}]"
         )
     width = default_trial_block()
-    if batched and (start % width or (stop % width and stop != mc_runs)):
+    if start % width or (stop % width and stop != mc_runs):
         raise ValueError(
             f"trial_range {trial_range!r} must align to the "
-            f"{width}-trial block grid for the batched path: the "
-            "shared verify stream is keyed per block, so a "
-            "misaligned window would not reproduce the full run"
+            f"{width}-trial block grid: the shared verify stream is "
+            "keyed per block, so a misaligned window would not "
+            "reproduce the full run"
         )
     methods, nwc_targets, read_time = (
         plan.methods, plan.nwc_targets, plan.read_time
@@ -420,22 +372,11 @@ def run_method_sweep(zoo, plan, mc_runs, rng, eval_samples=400,
     nwc_store = {m: np.zeros((mc_runs, n_targets)) for m in methods}
 
     try:
-        if batched:
-            _batched_sweep(
-                rng, (start, stop), zoo, accelerator, space, orders, methods,
-                counts, nwc_targets, eval_x, eval_y, insitu_lr, acc_store,
-                nwc_store, read_time=read_time,
-            )
-        else:
-            for run in range(start, stop):
-                rows = _scalar_sweep_trial(
-                    rng.child("mc", run), zoo, accelerator, space, orders,
-                    methods, counts, nwc_targets, eval_x, eval_y, insitu_lr,
-                    read_time=read_time,
-                )
-                for method, (accuracies, achieved) in rows.items():
-                    acc_store[method][run] = accuracies
-                    nwc_store[method][run] = achieved
+        _batched_sweep(
+            rng, (start, stop), zoo, accelerator, space, orders, methods,
+            counts, nwc_targets, eval_x, eval_y, insitu_lr, acc_store,
+            nwc_store, read_time=read_time,
+        )
     finally:
         # A failed tile must not leave its noisy weights deployed on the
         # model that the next plan ranks.
@@ -478,16 +419,15 @@ class GridResult:
     plans: dict
 
 
-def run_grid(scenario, zoo, cells, scale, batched=True, workers=None,
-             plan_cache=None, report_out=None):
+def run_grid(scenario, zoo, cells, scale, workers=None, plan_cache=None,
+             report_out=None):
     """Plan and run a scenario's cells on ``zoo``; returns the
     :class:`GridResult`.
 
     ``scale`` supplies the evaluation and sensitivity subset sizes.
-    ``batched`` selects the Monte Carlo path (as in
-    :func:`run_method_sweep`); ``workers`` sizes the work-rectangle
-    fork pool over the grid's (cells x trial-blocks) tiles (or
-    ``REPRO_WORKERS``; results are bitwise-equal to serial);
+    ``workers`` sizes the work-rectangle fork pool over the grid's
+    (cells x trial-blocks) tiles, each a :func:`run_method_sweep`
+    window (or ``REPRO_WORKERS``; results are bitwise-equal to serial);
     ``plan_cache`` overrides the shared on-disk
     :class:`~repro.plan.PlanArtifactCache`; and ``report_out`` (a
     list, when given) collects the orchestrator's
@@ -499,8 +439,7 @@ def run_grid(scenario, zoo, cells, scale, batched=True, workers=None,
         zoo, eval_samples=scale.eval_samples,
         sense_samples=scale.sense_samples, cache=plan_cache,
     )
-    outcomes = orchestrator.run(cells, batched=batched, workers=workers,
-                                scenario=scenario)
+    outcomes = orchestrator.run(cells, workers=workers, scenario=scenario)
     if report_out is not None:
         report_out.append(orchestrator.report)
     return GridResult(

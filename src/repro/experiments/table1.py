@@ -25,14 +25,14 @@ _METHOD_LABELS = {
 }
 
 
-def run_table1(scale, seed=1, batched=True, workers=None, plan_cache=None,
+def run_table1(scale, seed=1, workers=None, plan_cache=None,
                report_out=None):
     """Run the Table 1 grid (one cell per sigma) at a scale preset.
 
     The deterministic selections are planned once for all sigmas — the
     curvature ranking does not depend on the device noise level.
-    ``batched``, ``workers``, ``plan_cache`` and ``report_out`` act as
-    in :func:`~repro.experiments.sweeps.run_grid`.
+    ``workers``, ``plan_cache`` and ``report_out`` act as in
+    :func:`~repro.experiments.sweeps.run_grid`.
 
     Returns
     -------
@@ -55,9 +55,8 @@ def run_table1(scale, seed=1, batched=True, workers=None, plan_cache=None,
         )
         for sigma in TABLE1_SIGMAS
     ]
-    return run_grid("table1", zoo, cells, scale, batched=batched,
-                    workers=workers, plan_cache=plan_cache,
-                    report_out=report_out)
+    return run_grid("table1", zoo, cells, scale, workers=workers,
+                    plan_cache=plan_cache, report_out=report_out)
 
 
 def render_table1(result):

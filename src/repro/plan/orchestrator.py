@@ -176,7 +176,7 @@ class ScenarioOrchestrator:
 
     # ------------------------------------------------------------ tile keys
 
-    def _cell_config(self, cell, batched):
+    def _cell_config(self, cell):
         """Content address of one cell's outcome: everything that
         determines the result, nothing that does not.
 
@@ -203,7 +203,8 @@ class ScenarioOrchestrator:
             },
             "eval_samples": self.eval_samples,
             "sense_samples": self.sense_samples,
-            "batched": bool(batched),
+            # Kept from when there were two paths: no stored key moves.
+            "batched": True,
         }
         batch_size = self.engine.curvature_batch_size
         if batch_size != min(256, self.sense_samples):
@@ -214,26 +215,20 @@ class ScenarioOrchestrator:
 
     # -------------------------------------------------------------- execution
 
-    def run(self, cells, batched=True, workers=None, timeout=None,
-            retries=None, scenario=""):
+    def run(self, cells, workers=None, scenario=""):
         """Schedule the grid's work rectangle and merge its tiles.
 
         Parameters
         ----------
         cells:
             :class:`ScenarioCell` grid, in output order.
-        batched:
-            Monte Carlo path selection inside each tile, as in
-            :func:`~repro.experiments.sweeps.run_method_sweep`.
         workers:
             Total worker processes for the (cells x trial-blocks)
             rectangle (or ``REPRO_WORKERS``); ``0`` auto-sizes to the
             detected core count.  Unset, tiles run serially in the
             parent.  Results are bitwise-equal at any worker count.
-        timeout / retries:
-            Supervision overrides forwarded to :func:`~repro.
-            robustness.supervisor.supervised_map` (default:
-            ``REPRO_CELL_TIMEOUT`` / ``REPRO_CELL_RETRIES``).
+            Supervision reads ``REPRO_CELL_TIMEOUT`` and
+            ``REPRO_CELL_RETRIES``.
         scenario:
             Label stored on :attr:`report`.
 
@@ -258,7 +253,7 @@ class ScenarioOrchestrator:
         # Boundaries depend only on each cell's trial count and the
         # trial-block grid — never on the worker count — so tile cache
         # keys are stable across serial and parallel invocations.
-        configs = [self._cell_config(cell, batched) for cell in cells]
+        configs = [self._cell_config(cell) for cell in cells]
         block = default_trial_block()
         tiles = []  # tile id -> Tile
         cell_tiles = []  # cell index -> its tile ids, in trial order
@@ -305,7 +300,6 @@ class ScenarioOrchestrator:
                     mc_runs=cell.mc_runs,
                     rng=cell.rng,
                     eval_samples=self.eval_samples,
-                    batched=batched,
                     trial_range=(tile.start, tile.stop),
                     **cell.sweep_kwargs,
                 )
@@ -350,15 +344,12 @@ class ScenarioOrchestrator:
                     execute,
                     todo,
                     workers=min(workers, len(todo)),
-                    timeout=timeout,
-                    retries=retries,
                     labels=labels,
                     on_result=persist,
                 )
             else:
                 supervised = serial_map(
-                    execute, todo, retries=retries, labels=labels,
-                    on_result=persist,
+                    execute, todo, labels=labels, on_result=persist,
                 )
         tile_reports = supervised.reports
         report.tiles_computed = sum(1 for t in todo if t in tile_values)

@@ -1,8 +1,10 @@
 """Helpers shared by the test suite: numerical oracles and the runner.
 
 ``fd_diagonal_hessian`` (the paper's Eq. 6) and ``MSELoss`` are the
-oracles of the curvature recursion's exactness tests; no scenario runs
-either, so they live here rather than in ``repro``.  ``run_runner``
+oracles of the curvature recursion's exactness tests, and
+``scalar_sweep``, the per-trial Monte Carlo loop, is the Monte Carlo
+sweep's; no scenario runs any of them, so they live here rather than in
+``repro``.  ``run_runner``
 launches the experiment runner the way CI and users invoke it, and
 ``copy_cache`` and ``cache_keys`` handle its artifact store.
 """
@@ -146,6 +148,83 @@ def plan_for(zoo, sense_samples=512, **request):
         zoo, sense_samples, cache=PlanArtifactCache(disk=False)
     )
     return engine.plan(PlanRequest(**request))
+
+
+def scalar_sweep(zoo, plan, mc_runs, rng, eval_samples=400, insitu_lr=0.03,
+                 trial_range=None):
+    """The per-trial Monte Carlo loop, the reference of the one sweep.
+
+    Takes :func:`~repro.experiments.sweeps.run_method_sweep`'s
+    arguments and returns its ``SweepOutcome`` (``wear`` included), but
+    runs one trial at a time on the accelerator's one-trial protocol:
+    trial ``i`` programs from ``rng.child("mc", i).child("program")``
+    and verifies every device from its own ``.child("verify")`` stream;
+    each (method, target) deploys through ``apply_selection`` and is
+    scored by the untrialled ``evaluate_accuracy``; in-situ trains last
+    in each trial, through the sweep's own ``_insitu_row``.  The sweep
+    verifies a block of trials from one shared stream, so the two agree
+    bitwise where nothing is verified (NWC = 0) and for in-situ, which
+    programs and verifies its own draw, and statistically elsewhere.
+    Any ``trial_range`` window is accepted.
+    """
+    from repro.cim import CimAccelerator
+    from repro.core import RandomScorer, WeightSpace, evaluate_accuracy
+    from repro.experiments.sweeps import MethodCurve, SweepOutcome, _insitu_row
+
+    start, stop = (0, mc_runs) if trial_range is None else trial_range
+    methods, targets, read_time = plan.methods, plan.nwc_targets, plan.read_time
+    space = WeightSpace.from_model(zoo.model)
+    tech, device, mapping, stack = plan.resolve()
+    accelerator = CimAccelerator(zoo.model, mapping_config=mapping, stack=stack)
+    eval_x = zoo.data.test_x[:eval_samples]
+    eval_y = zoo.data.test_y[:eval_samples]
+    shape = (stop - start, len(targets))
+    accuracy = {method: np.empty(shape) for method in methods}
+    nwc = {method: np.empty(shape) for method in methods}
+    try:
+        for row, trial in enumerate(range(start, stop)):
+            run_rng = rng.child("mc", trial)
+            accelerator.program(run_rng.child("program").generator)
+            accelerator.write_verify_all(run_rng.child("verify").generator)
+            for method in methods:
+                if method == "insitu":
+                    continue
+                if method == "random":
+                    order = RandomScorer().ranking(
+                        zoo.model, space, None, None,
+                        rng=run_rng.child("random-order"),
+                    )
+                else:
+                    order = plan.order(method)
+                for i, count in enumerate(plan.counts):
+                    nwc[method][row, i] = accelerator.apply_selection(
+                        space.masks_from_indices(order[:count]),
+                        read_time=read_time, read_stream=run_rng,
+                    )
+                    accuracy[method][row, i] = evaluate_accuracy(
+                        zoo.model, eval_x, eval_y)
+            if "insitu" in methods:
+                accuracy["insitu"][row], nwc["insitu"][row] = _insitu_row(
+                    zoo, accelerator, targets, run_rng.child("insitu"),
+                    eval_x, eval_y, insitu_lr,
+                )
+    finally:
+        accelerator.clear()
+    outcome = SweepOutcome(
+        workload=zoo.spec.key,
+        sigma=device.sigma,
+        clean_accuracy=zoo.clean_accuracy,
+        nwc_targets=tuple(targets),
+        technology=tech.name if tech is not None else "",
+        read_time=read_time,
+        wear=accelerator.wear_summary(),
+    )
+    for method in methods:
+        outcome.curves[method] = MethodCurve(
+            method=method, nwc_targets=tuple(targets),
+            accuracy_runs=accuracy[method], nwc_runs=nwc[method],
+        )
+    return outcome
 
 
 def accelerator_on(model, technology):

@@ -34,7 +34,7 @@ from repro.utils.rng import RngStream
 
 from repro.plan import PlanRequest
 
-from .helpers import accelerator_on, deployed_weights, plan_for
+from .helpers import accelerator_on, deployed_weights, plan_for, scalar_sweep
 
 
 @pytest.fixture
@@ -303,11 +303,12 @@ def test_wear_summary_tracks_sessions(small_setup):
 
 @pytest.mark.slow
 def test_sweep_batched_matches_scalar_for_every_technology():
-    """Seeded equivalence through the experiment layer, per technology.
+    """Seeded equivalence with the per-trial reference, per technology.
 
-    The NWC=0 column involves no verify pulses, so it must be bitwise
-    across paths (programming and drift draws are per-trial named);
-    verified cells share one pulse rng when batched, so they agree
+    The NWC=0 column involves no verify pulses, so the sweep and
+    :func:`~tests.helpers.scalar_sweep` must agree bitwise there
+    (programming and drift draws are per-trial named); the sweep's
+    verified cells share one pulse rng per block, so they agree
     statistically (deterministic given the seed — tolerance has margin
     over the observed 0.052 worst case).
     """
@@ -323,12 +324,10 @@ def test_sweep_batched_matches_scalar_for_every_technology():
                         methods=("swim", "random"))
         kwargs = dict(mc_runs=2, eval_samples=96)
         batched = run_method_sweep(
-            zoo, plan, rng=RngStream(5).child("eq", tech), batched=True,
-            **kwargs
+            zoo, plan, rng=RngStream(5).child("eq", tech), **kwargs
         )
-        scalar = run_method_sweep(
-            zoo, plan, rng=RngStream(5).child("eq", tech), batched=False,
-            **kwargs
+        scalar = scalar_sweep(
+            zoo, plan, rng=RngStream(5).child("eq", tech), **kwargs
         )
         assert batched.technology == tech
         for method in ("swim", "random"):

@@ -8,6 +8,7 @@ import pytest
 from repro.core.selection import WeightSpace
 from repro.experiments import fig1
 from repro.experiments.fig1 import Fig1Config, _sample_entries, run_fig1
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import mlp
 from repro.nn.quant import ActQuant
 from repro.utils.rng import RngStream
@@ -58,16 +59,53 @@ def _model_state(model):
     return params, peaks
 
 
-def test_scalar_reference_matches_batched_and_leaves_the_model(mini_zoo):
-    """The scalar reference loop and the trial-batched path draw the
-    same perturbations: accuracy drops agree bitwise, loss increases
-    within 1e-15 (the two paths sum the loss in different orders).
-    Neither run touches the caller's model."""
+def _perturbation_mc_scalar(model, layers, base_weights, indices, deltas,
+                            locate, eval_x, eval_y, base_accuracy, base_loss):
+    """The study's reference, in ``fig1._perturbation_mc_batched``'s
+    signature: one full forward per (weight, trial)."""
+    loss_fn = CrossEntropyLoss()
+    acc_drops = np.empty(indices.size)
+    loss_increases = np.empty(indices.size)
+    for pos, flat_index in enumerate(indices):
+        name, inner = locate(int(flat_index))
+        layer = layers[name]
+        drops = []
+        increases = []
+        for delta in deltas[pos]:
+            for signed in (delta, -delta):  # the antithetic pair
+                perturbed = base_weights[name].copy()
+                perturbed.reshape(-1)[inner] += signed
+                layer.set_weight_override(perturbed)
+                logits = model(eval_x)
+                accuracy = float((np.argmax(logits, axis=1) == eval_y).mean())
+                value = loss_fn(logits, eval_y)
+                drops.append(base_accuracy - accuracy)
+                increases.append(value - base_loss)
+        layer.set_weight_override(base_weights[name])
+        acc_drops[pos] = float(np.mean(drops))
+        loss_increases[pos] = float(np.mean(increases))
+    return acc_drops, loss_increases
+
+
+def test_scalar_reference_matches_batched_and_leaves_the_model(mini_zoo,
+                                                                monkeypatch):
+    """The one-forward-per-trial reference loop, installed in place of
+    the trial-batched path, draws the same perturbations: accuracy drops
+    agree bitwise, loss increases within 1e-15 (the two paths sum the
+    loss in different orders).  Neither run touches the caller's
+    model."""
     before = _model_state(mini_zoo.model)
     config = Fig1Config(n_weights=12, mc_runs=3, eval_samples=64)
     batched = run_fig1(mini_zoo, config, RngStream(5).child("fig1"))
-    scalar = run_fig1(mini_zoo, config, RngStream(5).child("fig1"),
-                      batched=False)
+    calls = []
+
+    def reference(*args):
+        calls.append(1)
+        return _perturbation_mc_scalar(*args)
+
+    monkeypatch.setattr(fig1, "_perturbation_mc_batched", reference)
+    scalar = run_fig1(mini_zoo, config, RngStream(5).child("fig1"))
+    assert calls == [1]
     np.testing.assert_array_equal(scalar.accuracy_drops,
                                   batched.accuracy_drops)
     np.testing.assert_allclose(scalar.loss_increases, batched.loss_increases,

@@ -4,8 +4,10 @@ The batched stages must reproduce the scalar protocol's physics — same
 per-trial programming draws (bitwise), same write-verify statistics
 (mean cycles ~10, residual sigma ~0.03-0.05 full-scale at the paper's
 operating point) — while stacking all trials on one leading axis.  The
-whole sweep's batched == scalar gate is
-``test_device_stack.py::test_sweep_batched_matches_scalar_for_every_technology``.
+whole sweep's gates against the per-trial reference
+(``tests/helpers.py::scalar_sweep``) are
+``test_device_stack.py::test_sweep_batched_matches_scalar_for_every_technology``
+and :func:`test_engine_blocks_cover_all_trials`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.core.metrics import evaluate_accuracy, evaluate_accuracy_trials
 from repro.core.sensitivity import MagnitudeScorer
 from repro.utils.rng import RngStream
 
-from .helpers import plan_for
+from .helpers import plan_for, scalar_sweep
 
 
 @pytest.fixture
@@ -131,22 +133,31 @@ def test_engine_substreams_are_independent_and_stable():
 
 
 def test_engine_blocks_cover_all_trials(mini_zoo):
-    """The batched sweep walks 5 trials in blocks of 2, 2 and 1 and
-    writes every trial's row: the unverified column, whose draws are
-    per trial, equals the scalar reference's bit for bit."""
+    """The sweep walks 5 trials in blocks of 2, 2 and 1 and writes every
+    trial's row.  Where its draws are per trial it equals the per-trial
+    reference bit for bit: the write-verify methods' unverified column,
+    and in-situ at every target, since both train trial ``i`` on
+    ``rng.child("mc", i).child("insitu")``."""
     from repro.experiments.sweeps import run_method_sweep
 
+    targets = (0.0, 0.1, 0.5, 1.0)
     plan = plan_for(mini_zoo, sense_samples=64, sigma=0.1,
-                    nwc_targets=(0.0,), methods=("magnitude",))
-    runs = {
-        batched: run_method_sweep(
-            mini_zoo, plan, mc_runs=5, rng=RngStream(3).child("blocks"),
-            eval_samples=32, batched=batched,
-        ).curves["magnitude"].accuracy_runs
-        for batched in (True, False)
-    }
-    assert runs[True].shape == (5, 1)
-    np.testing.assert_array_equal(runs[True], runs[False])
+                    nwc_targets=targets,
+                    methods=("swim", "magnitude", "random", "insitu"))
+    sweep, reference = (
+        run(mini_zoo, plan, mc_runs=5, rng=RngStream(3).child("blocks"),
+            eval_samples=32).curves
+        for run in (run_method_sweep, scalar_sweep)
+    )
+    for method in plan.methods:
+        assert sweep[method].accuracy_runs.shape == (5, len(targets))
+    for method in ("swim", "magnitude", "random"):
+        np.testing.assert_array_equal(sweep[method].accuracy_runs[:, 0],
+                                      reference[method].accuracy_runs[:, 0])
+    np.testing.assert_array_equal(sweep["insitu"].accuracy_runs,
+                                  reference["insitu"].accuracy_runs)
+    np.testing.assert_array_equal(sweep["insitu"].nwc_runs,
+                                  reference["insitu"].nwc_runs)
 
 
 @pytest.mark.parametrize("physics", [

@@ -357,10 +357,10 @@ class TestSelectionPlanArtifact:
             run_method_sweep(mini_zoo, six_bit, mc_runs=1, rng=RngStream(6))
 
 class TestScenarioIntegration:
-    def test_scalar_tiles_on_the_pool_match_a_direct_sweep(self, mini_zoo):
-        """Fig. 2's path: a one-cell grid with every method on the scalar
-        per-trial loop, its trial tiles fanned over the worker pool, is
-        bitwise a direct scalar ``run_method_sweep``."""
+    def test_tiles_on_the_pool_match_a_direct_sweep(self, mini_zoo):
+        """Fig. 2's path: a one-cell grid with every method, its trial
+        tiles fanned over the worker pool, is bitwise a direct
+        ``run_method_sweep``."""
         from repro.experiments.sweeps import run_method_sweep
         from repro.plan import ScenarioCell, ScenarioOrchestrator
 
@@ -371,7 +371,6 @@ class TestScenarioIntegration:
                         nwc_targets=targets, methods=methods)
         direct = run_method_sweep(
             mini_zoo, plan, mc_runs=4, rng=rng, eval_samples=32,
-            batched=False,
         )
         orchestrator = ScenarioOrchestrator(
             mini_zoo, eval_samples=32, sense_samples=64,
@@ -384,7 +383,7 @@ class TestScenarioIntegration:
             rng=rng,
             mc_runs=4,
         )
-        tiled = orchestrator.run([cell], batched=False, workers=2)[0.1]
+        tiled = orchestrator.run([cell], workers=2)[0.1]
         report = orchestrator.report
         assert not report.failed
         assert report.tiles_computed == report.tiles_total == 2

@@ -623,15 +623,14 @@ class TestOrchestratorRobustness:
         )
         monkeypatch.setenv("REPRO_FAULTS_DIR", str(tmp_path / "ledger"))
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
-        orchestrator = _orchestrator(
-            mini_zoo, PlanArtifactCache(root=str(tmp_path), memory=False)
-        )
         # A mini_zoo tile takes at most 0.51 s on 2 workers (measured
         # under load); 5 s is ~10x that, so only the planted hang times
         # out, and the test waits 5 s for it instead of 15.
-        faulted = orchestrator.run(
-            _grid(3), workers=2, timeout=5.0, scenario="t"
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "5")
+        orchestrator = _orchestrator(
+            mini_zoo, PlanArtifactCache(root=str(tmp_path), memory=False)
         )
+        faulted = orchestrator.run(_grid(3), workers=2, scenario="t")
         statuses = {
             c.key: c.status for c in orchestrator.report.cells
         }

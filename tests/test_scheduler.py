@@ -101,7 +101,7 @@ class TestTileRanges:
             tile_ranges(0, 2)
 
 
-def _window_sweep(zoo, mc_runs, trial_range=None, batched=True):
+def _window_sweep(zoo, mc_runs, trial_range=None):
     """The magnitude accuracy rows of one seeded sweep window."""
     from repro.experiments.sweeps import run_method_sweep
 
@@ -109,7 +109,7 @@ def _window_sweep(zoo, mc_runs, trial_range=None, batched=True):
                     nwc_targets=(0.0, 0.5), methods=("magnitude",))
     outcome = run_method_sweep(
         zoo, plan, mc_runs=mc_runs, rng=RngStream(9).child("window"),
-        eval_samples=32, batched=batched, trial_range=trial_range,
+        eval_samples=32, trial_range=trial_range,
     )
     return outcome.curves["magnitude"].accuracy_runs
 
@@ -125,14 +125,6 @@ class TestEngineWindow:
         whole = _window_sweep(mini_zoo, 6)
         window = _window_sweep(mini_zoo, 6, trial_range=(2, 6))
         np.testing.assert_array_equal(window, whole[2:6])
-
-    def test_substreams_use_absolute_trial_indices(self, mini_zoo):
-        # The scalar path takes any window; trial 1 of a (1, 2) window
-        # draws from the stream of trial 1 of the full run.
-        whole = _window_sweep(mini_zoo, 3, batched=False)
-        window = _window_sweep(mini_zoo, 3, trial_range=(1, 2),
-                               batched=False)
-        np.testing.assert_array_equal(window, whole[1:2])
 
     def test_window_validation(self, mini_zoo):
         with pytest.raises(ValueError, match="trial_range"):

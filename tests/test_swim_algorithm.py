@@ -1,8 +1,10 @@
 """Algorithm 1 and the NWC sweep: end-to-end behaviour on a trained model.
 
 The sweep tests drive :func:`~repro.experiments.sweeps.run_method_sweep`
-(the one Monte Carlo sweep) on its scalar path, with plans resolved by a
-:class:`~repro.plan.PlanEngine`.
+(the one Monte Carlo sweep), with plans resolved by a
+:class:`~repro.plan.PlanEngine`; Algorithm 1 verifies from the trial's
+own stream, so its test compares it with the per-trial reference
+(``tests/helpers.py::scalar_sweep``).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from repro.core import (
     SwimScorer,
     selective_write_verify,
 )
+from repro.core.metrics import evaluate_accuracy_trials
 from repro.experiments.ablations import (
     DELTA_A,
     EVAL_SAMPLES,
@@ -26,11 +29,10 @@ from repro.experiments.ablations import (
     algorithm1_stop,
 )
 from repro.experiments.sweeps import run_method_sweep
-from repro.nn import evaluate_accuracy
 from repro.plan import PlanArtifactCache, PlanEngine
 from repro.utils.rng import RngStream
 
-from .helpers import deployed_weights, plan_for
+from .helpers import deployed_weights, plan_for, scalar_sweep
 
 
 @pytest.fixture
@@ -115,13 +117,13 @@ def test_algorithm1_impossible_target_verifies_everything(mapped):
 
 def _sweep(mini_zoo, methods, targets, mc_runs, seed, eval_samples=400,
            sense_samples=512, curvature_batches=2):
-    """The scalar Monte Carlo sweep at the ``mapped`` fixture's sigma."""
+    """The Monte Carlo sweep at the ``mapped`` fixture's sigma."""
     plan = plan_for(mini_zoo, sense_samples=sense_samples, sigma=0.15,
                     nwc_targets=targets, methods=methods,
                     curvature_batches=curvature_batches)
     return run_method_sweep(
         mini_zoo, plan, mc_runs=mc_runs, rng=RngStream(seed).child("sweep"),
-        eval_samples=eval_samples, batched=False,
+        eval_samples=eval_samples,
     )
 
 
@@ -132,14 +134,23 @@ def test_sweep_endpoints_match_apply_none_and_all(mini_zoo, mapped):
                      curvature_batches=1)
     curve = outcome.curve("swim")
     np.testing.assert_array_equal(curve.achieved_nwc, [0.0, 1.0])
-    # NWC=1.0 must match the fully verified deployment of the same draw.
+    # NWC=1.0 must match the fully verified deployment of the same
+    # draws: block 0 (trials 0 and 1), verified from its shared stream.
     model, data, clean, accelerator = mapped
-    draw = RngStream(13).child("sweep").child("mc", 0)
-    accelerator.program(draw.child("program").generator)
-    accelerator.write_verify_all(draw.child("verify").generator)
-    accelerator.apply_all()
-    full = evaluate_accuracy(model, data.test_x[:200], data.test_y[:200])
-    assert curve.accuracy_runs[0, 1] == pytest.approx(full)
+    root = RngStream(13).child("sweep")
+    accelerator.program_trials(
+        [root.child("mc", trial).child("program").generator
+         for trial in (0, 1)]
+    )
+    accelerator.write_verify_trials(root.child("verify-batch", 0).generator)
+    accelerator.apply_selection_trials({
+        name: np.ones(m.codes.shape, dtype=bool)
+        for name, m in accelerator.map_model().items()
+    })
+    full = evaluate_accuracy_trials(
+        model, data.test_x[:200], data.test_y[:200], 2
+    )
+    np.testing.assert_array_equal(curve.accuracy_runs[:2, 1], full)
     # Write-verify must not hurt on average: full verify >= no verify.
     means = curve.means()
     assert means[1] >= means[0] - 0.02
@@ -173,13 +184,13 @@ def test_failed_sweep_leaves_no_weights_deployed(mini_zoo, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("tile failed")
 
-    monkeypatch.setattr(sweeps, "evaluate_accuracy", fail)
+    monkeypatch.setattr(sweeps, "evaluate_accuracy_trials", fail)
     plan = plan_for(mini_zoo, sense_samples=128, sigma=0.1,
                     methods=("swim",), nwc_targets=(0.1,),
                     curvature_batches=1)
     with pytest.raises(RuntimeError, match="tile failed"):
         run_method_sweep(mini_zoo, plan, mc_runs=1, rng=RngStream(17),
-                         eval_samples=50, batched=False)
+                         eval_samples=50)
     deployed = deployed_weights(CimAccelerator(mini_zoo.model))
     assert all(weights is None for weights in deployed.values())
 
@@ -202,8 +213,9 @@ def test_overrides_do_not_touch_ideal_weights(mapped):
 
 def test_granularity_cell_is_algorithm1(mini_zoo):
     """Algorithm 1 deploys exactly the budgets of a granularity cell, so
-    on the scalar path the cell's curve, up to the point where it stops,
-    is Algorithm 1's accuracy and NWC history on the same trial stream.
+    the cell's curve on the per-trial reference, which verifies from
+    the trial's own stream as Algorithm 1 does, is Algorithm 1's
+    accuracy and NWC history up to the point where it stops.
 
     The target is the draw's fully verified accuracy (this 4-bit LeNet
     never comes within 0.01 of its float accuracy), so both the study's
@@ -215,9 +227,9 @@ def test_granularity_cell_is_algorithm1(mini_zoo):
     stops = set()
     for cell in ablation_cells(mini_zoo)["granularity"]:
         plan = engine.plan(cell.request)
-        curve = run_method_sweep(
+        curve = scalar_sweep(
             mini_zoo, plan, cell.mc_runs, cell.rng,
-            eval_samples=EVAL_SAMPLES, batched=False,
+            eval_samples=EVAL_SAMPLES,
         ).curve("swim")
         accuracies = curve.accuracy_runs[0]
         accelerator = CimAccelerator(model, mapping_config=plan.resolve()[2])
