@@ -118,7 +118,7 @@ class InSituTrainer:
         config = self.config
         self.model.zero_grad()
         value = self.loss(self.model(xb), yb)
-        self.model.backward(self.loss.backward())
+        self.model.backward(self.loss.backward(), input_grad=False)
 
         params = dict(self.model.named_parameters())
         mapping = self.accelerator.mapping_config
@@ -167,6 +167,7 @@ class InSituTrainer:
         Returns
         -------
         InSituHistory
+            The model keeps no forward cache after the run.
         """
         if self._denominator is None:
             raise RuntimeError("initialize() must run first")
@@ -191,4 +192,5 @@ class InSituTrainer:
                 history.accuracy.append(accuracy)
         if was_training:
             self.model.train()
+        self.model.drop_caches()
         return history

@@ -44,22 +44,24 @@ def _forward_trials(model, batch, n_trials):
     the trial axis (every zoo model's is), its input unfolding (the
     im2col) is computed once via ``Conv2d.forward_multi`` instead of
     ``n_trials`` times on a tiled batch, and the tiled copy of the batch
-    is never built.  Any other model runs on plain tiling.
+    is never built.  Any other model runs on plain tiling.  The forward
+    runs under ``model.inference()``, so no layer caches anything.
     """
     from repro.nn.layers.conv import Conv2d
     from repro.nn.module import Sequential
 
-    if isinstance(model, Sequential) and len(model) > 0:
-        first = model[0]
-        if (
-            isinstance(first, Conv2d)
-            and first.override_trials() == n_trials
-        ):
-            out = first.forward_multi(batch, first.weight_override)
-            for module in list(model)[1:]:
-                out = module(out)
-            return out
-    return model(_tile_trials(batch, n_trials))
+    with model.inference():
+        if isinstance(model, Sequential) and len(model) > 0:
+            first = model[0]
+            if (
+                isinstance(first, Conv2d)
+                and first.override_trials() == n_trials
+            ):
+                out = first.forward_multi(batch, first.weight_override)
+                for module in list(model)[1:]:
+                    out = module(out)
+                return out
+        return model(_tile_trials(batch, n_trials))
 
 
 def evaluate_accuracy_trials(model, x, y, n_trials):

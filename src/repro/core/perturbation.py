@@ -111,21 +111,24 @@ class PerturbationEvaluator:
         -------
         numpy.ndarray
             Logits of shape ``(n_trials, len(eval_x), classes)``.
+
+        The forwards run under ``model.inference()``: no layer caches.
         """
         inner = np.asarray(inner, dtype=np.int64)
         signed = np.asarray(signed, dtype=np.float64)
-        if self._chain is None or module not in self._chain:
+        with self.model.inference():
+            if self._chain is None or module not in self._chain:
+                return self._evaluate_override(module, inner, signed)
+            position = self._chain.index(module)
+            if isinstance(module, Linear):
+                return self._evaluate_linear(module, position, inner, signed)
+            if isinstance(module, Conv2d):
+                out = self._evaluate_conv_incremental(
+                    module, position, inner, signed
+                )
+                if out is not None:
+                    return out
             return self._evaluate_override(module, inner, signed)
-        position = self._chain.index(module)
-        if isinstance(module, Linear):
-            return self._evaluate_linear(module, position, inner, signed)
-        if isinstance(module, Conv2d):
-            out = self._evaluate_conv_incremental(
-                module, position, inner, signed
-            )
-            if out is not None:
-                return out
-        return self._evaluate_override(module, inner, signed)
 
     # ----------------------------------------------- linear: rank-1 update
 
@@ -255,7 +258,11 @@ class PerturbationEvaluator:
     # ------------------------------------------ generic trial-batched path
 
     def _evaluate_override(self, module, inner, signed):
-        """Whole-model fallback: weight-override stacks + tiled inputs."""
+        """Whole-model fallback: weight-override stacks + tiled inputs.
+
+        Trial-batched weights are inference-only, so this runs under
+        ``model.inference()`` of its own.
+        """
         base = module.effective_weight()
         saved = module.weight_override
         n = self.x.shape[0]
@@ -270,7 +277,8 @@ class PerturbationEvaluator:
                 tiled = np.broadcast_to(
                     self.x, (len(chunk),) + self.x.shape
                 ).reshape((len(chunk) * n,) + self.x.shape[1:])
-                logits = self.model(tiled)
+                with self.model.inference():
+                    logits = self.model(tiled)
                 chunks.append(logits.reshape(len(chunk), n, -1))
         finally:
             module.set_weight_override(saved)

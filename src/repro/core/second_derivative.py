@@ -28,7 +28,8 @@ def compute_gradients(model, x, y, loss=None):
     loss = loss if loss is not None else CrossEntropyLoss()
     model.zero_grad()
     loss(model(x), y)
-    model.backward(loss.backward())
+    model.backward(loss.backward(), input_grad=False)
+    model.drop_caches()
     return {name: p.grad.copy() for name, p in model.named_parameters()}
 
 
@@ -43,7 +44,8 @@ def accumulate_second_derivatives(
     curvatures and dividing by the number of batches estimates the
     full-dataset curvature.  Each batch runs one forward pass, one
     gradient backward pass (it supplies the first-order term of Eq. 9
-    that smooth activations need) and one curvature backward pass.
+    that smooth activations need) and one curvature backward pass; the
+    model keeps no forward cache after the last.
 
     Returns
     -------
@@ -56,11 +58,12 @@ def accumulate_second_derivatives(
     n_batches = 0
     for xb, yb in iterate_batches(x, y, batch_size):
         loss(model(xb), yb)
-        model.backward(loss.backward())
-        model.backward_second(loss.second())
+        model.backward(loss.backward(), input_grad=False)
+        model.backward_second(loss.second(), input_grad=False)
         n_batches += 1
         if max_batches is not None and n_batches >= max_batches:
             break
+    model.drop_caches()
     if n_batches == 0:
         raise ValueError("dataset produced no batches")
     scale = 1.0 / n_batches

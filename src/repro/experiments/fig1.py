@@ -216,7 +216,8 @@ def run_fig1(zoo, config, rng):
         )
     model.eval()
     base_accuracy = evaluate_accuracy(model, eval_x, eval_y)
-    base_loss = loss_fn(model(eval_x), eval_y)
+    with model.inference():
+        base_loss = loss_fn(model(eval_x), eval_y)
 
     # Sensitivity metrics of the sampled weights.
     indices = _sample_entries(space, config.n_weights, rng.child("sample"))

@@ -24,10 +24,6 @@ __all__ = ["ReLU", "Tanh", "Sigmoid", "Identity"]
 class _Activation(Module):
     """Common caching logic for element-wise activations."""
 
-    def __init__(self):
-        super().__init__()
-        self._cache = None
-
     def _derivatives(self, cache):
         """Return ``(g_prime, g_double_prime)`` arrays for the cached input."""
         raise NotImplementedError
@@ -35,20 +31,18 @@ class _Activation(Module):
     def forward(self, x):
         raise NotImplementedError
 
-    def backward(self, grad_out):
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        g_prime, _ = self._derivatives(self._cache)
-        self._cache["grad_out"] = grad_out
+    def backward(self, grad_out, input_grad=True):
+        cache = self._saved("backward")
+        g_prime, _ = self._derivatives(cache)
+        cache["grad_out"] = grad_out
         return grad_out * g_prime
 
-    def backward_second(self, curv_out):
-        if self._cache is None:
-            raise RuntimeError("backward_second called before forward")
-        g_prime, g_double = self._derivatives(self._cache)
+    def backward_second(self, curv_out, input_grad=True):
+        cache = self._saved("backward_second")
+        g_prime, g_double = self._derivatives(cache)
         curv_in = curv_out * np.square(g_prime)
         if g_double is not None:
-            grad_out = self._cache.get("grad_out")
+            grad_out = cache.get("grad_out")
             if grad_out is None:
                 raise RuntimeError(
                     "backward_second for a smooth activation requires "
@@ -70,7 +64,7 @@ class ReLU(_Activation):
     def forward(self, x):
         out = np.fmax(x, 0)
         out += 0  # -0.0 -> +0.0: fmax may return either zero on a tie.
-        self._cache = {"out": out}
+        self._save_for_backward(out=out)
         return out
 
     def _derivatives(self, cache):
@@ -82,7 +76,7 @@ class Tanh(_Activation):
 
     def forward(self, x):
         out = np.tanh(x)
-        self._cache = {"out": out}
+        self._save_for_backward(out=out)
         return out
 
     def _derivatives(self, cache):
@@ -97,7 +91,7 @@ class Sigmoid(_Activation):
 
     def forward(self, x):
         out = 1.0 / (1.0 + np.exp(-x))
-        self._cache = {"out": out}
+        self._save_for_backward(out=out)
         return out
 
     def _derivatives(self, cache):
@@ -113,8 +107,8 @@ class Identity(Module):
     def forward(self, x):
         return x
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         return grad_out
 
-    def backward_second(self, curv_out):
+    def backward_second(self, curv_out, input_grad=True):
         return curv_out

@@ -24,8 +24,9 @@ are already quantized by construction.
 folded batch of ``n_trials * N`` samples and applies trial ``t``'s weights
 to samples ``t*N .. (t+1)*N``.  This is how the Monte Carlo sweep
 (:func:`repro.experiments.sweeps.run_method_sweep`) evaluates every variation draw of an experiment in
-one vectorized pass.  Batched overrides are inference-only: the backward
-passes refuse to run on a trial-batched forward.
+one vectorized pass.  Batched overrides are inference-only: a
+trial-batched forward runs only under :meth:`~repro.nn.module.Module.
+inference`, which keeps no cache, so no backward can follow it.
 """
 
 from __future__ import annotations
@@ -71,6 +72,14 @@ class WeightedLayer(Module):
         if override is None or override.ndim == self.weight.data.ndim:
             return None
         return override.shape[0]
+
+    def _require_inference(self):
+        """Refuse a trial-batched forward outside ``Module.inference()``."""
+        if not self._inference:
+            raise RuntimeError(
+                f"{type(self).__name__}: trial-batched weights are "
+                f"inference-only; run the forward under model.inference()"
+            )
 
     def clear_weight_override(self):
         """Restore the ideal weights."""

@@ -15,6 +15,10 @@ summing per-patch input derivatives back onto the pixels they came from:
 A weight is shared across all spatial positions, so both its gradient and
 its curvature sum over positions — the curvature sum matching the paper's
 one-weight-at-a-time independence approximation.
+
+The forward pass caches its input, not ``cols`` (9-25x larger), and each
+backward pass unfolds the input again: ``im2col`` is a pure copy, so the
+derivatives keep their bytes.
 """
 
 from __future__ import annotations
@@ -66,13 +70,17 @@ class Conv2d(WeightedLayer):
         self.has_bias = bool(bias)
         if self.has_bias:
             self.bias = Parameter(init.zeros((self.out_channels,), dtype), name="bias")
-        self._cache = None
 
     def _weight_matrix(self, w):
         kh, kw = self.kernel_size
         if w.ndim == 5:  # (T, F, C, kh, kw) trial stack
             return w.reshape(w.shape[0], self.out_channels, -1)
         return w.reshape(self.out_channels, self.in_channels * kh * kw)
+
+    def _unfold(self, x):
+        return F.im2col(
+            x, self.kernel_size, stride=self.stride, padding=self.padding
+        )
 
     def forward(self, x):
         x = np.asarray(x)
@@ -81,9 +89,7 @@ class Conv2d(WeightedLayer):
                 f"expected input (N, {self.in_channels}, H, W), got {x.shape}"
             )
         n = x.shape[0]
-        cols, out_h, out_w = F.im2col(
-            x, self.kernel_size, stride=self.stride, padding=self.padding
-        )
+        cols, out_h, out_w = self._unfold(x)
         w = self.effective_weight()
         w_mat = self._weight_matrix(w)
         n_trials = self.override_trials()
@@ -91,6 +97,7 @@ class Conv2d(WeightedLayer):
             # Trial-batched inference on a trial-major folded batch: the
             # column matrix is (Ckk, T*N'*oh*ow) with samples trial-major,
             # so a reshape exposes the trial axis for one batched matmul.
+            self._require_inference()
             per = self._fold_size(n, n_trials)
             cols_t = cols.reshape(
                 cols.shape[0], n_trials, per * out_h * out_w
@@ -102,89 +109,75 @@ class Conv2d(WeightedLayer):
             )
             if self.has_bias:
                 out = out + self.bias.data.reshape(1, -1, 1, 1)
-            self._cache = None  # inference-only: no backward through this
             return np.ascontiguousarray(out)
         out = w_mat @ cols  # (F, N*oh*ow)
         out = out.reshape(self.out_channels, n, out_h, out_w).transpose(1, 0, 2, 3)
         if self.has_bias:
             out = out + self.bias.data.reshape(1, -1, 1, 1)
-        self._cache = {
-            "x_shape": x.shape,
-            "cols": cols,
-            "w_mat": w_mat,
-            "out_hw": (out_h, out_w),
-        }
+        self._save_for_backward(x=x, w_mat=w_mat)
         return np.ascontiguousarray(out)
 
     def forward_multi(self, x, weights):
         """Apply a ``(T, F, C, kh, kw)`` filter stack to one *shared* input.
 
         The receptive fields of ``x`` are unfolded once and multiplied by
-        every trial's filter bank in a single batched matmul, so T weight
-        variants cost one im2col instead of T.  Returns a trial-major
-        folded output ``(T*N, F, oh, ow)``.  Inference-only.
+        every trial's filter bank in one ``(T*F, Ckk) @ cols`` matmul, so
+        T weight variants cost one im2col and one pass over the columns.
+        Returns a trial-major folded output ``(T*N, F, oh, ow)``.
+        Inference-only.
         """
+        self._require_inference()
         x = np.asarray(x)
         weights = np.asarray(weights)
         n, n_trials = x.shape[0], weights.shape[0]
-        cols, out_h, out_w = F.im2col(
-            x, self.kernel_size, stride=self.stride, padding=self.padding
-        )
-        w_mat = self._weight_matrix(weights)
-        out = w_mat @ cols  # (T, F, N*oh*ow) by broadcasting over trials
+        cols, out_h, out_w = self._unfold(x)
+        w_rows = weights.reshape(n_trials * self.out_channels, -1)
+        out = w_rows @ cols  # (T*F, N*oh*ow)
         out = out.reshape(n_trials, self.out_channels, n, out_h, out_w)
         out = out.transpose(0, 2, 1, 3, 4).reshape(
             n_trials * n, self.out_channels, out_h, out_w
         )
         if self.has_bias:
             out = out + self.bias.data.reshape(1, -1, 1, 1)
-        self._cache = None
         return np.ascontiguousarray(out)
 
     def _grad_matrix(self, grad_out):
-        n = grad_out.shape[0]
-        out_h, out_w = self._cache["out_hw"]
-        return grad_out.transpose(1, 0, 2, 3).reshape(
-            self.out_channels, n * out_h * out_w
+        return grad_out.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
+
+    def _fold(self, cols, x):
+        return F.col2im(
+            cols, x.shape, self.kernel_size, stride=self.stride,
+            padding=self.padding,
         )
 
-    def backward(self, grad_out):
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        cols = self._cache["cols"]
-        w_mat = self._cache["w_mat"]
+    def backward(self, grad_out, input_grad=True):
+        cache = self._saved("backward")
+        x, w_mat = cache["x"], cache["w_mat"]
+        cols, _, _ = self._unfold(x)
         g_mat = self._grad_matrix(grad_out)
         grad_w = (g_mat @ cols.T).reshape(self.weight.data.shape)
+        del cols
         self.weight.accumulate_grad(grad_w)
         if self.has_bias:
             self.bias.accumulate_grad(g_mat.sum(axis=1))
-        grad_cols = w_mat.T @ g_mat
-        return F.col2im(
-            grad_cols,
-            self._cache["x_shape"],
-            self.kernel_size,
-            stride=self.stride,
-            padding=self.padding,
-        )
+        if not input_grad:
+            return None
+        return self._fold(w_mat.T @ g_mat, x)
 
-    def backward_second(self, curv_out):
-        if self._cache is None:
-            raise RuntimeError("backward_second called before forward")
-        cols = self._cache["cols"]
-        w_mat = self._cache["w_mat"]
+    def backward_second(self, curv_out, input_grad=True):
+        cache = self._saved("backward_second")
+        x, w_mat = cache["x"], cache["w_mat"]
+        cols, _, _ = self._unfold(x)
         h_mat = self._grad_matrix(curv_out)
-        curv_w = (h_mat @ np.square(cols).T).reshape(self.weight.data.shape)
+        np.square(cols, out=cols)
+        curv_w = (h_mat @ cols.T).reshape(self.weight.data.shape)
+        del cols
         self.weight.accumulate_curvature(curv_w)
         if self.has_bias:
             self.bias.accumulate_curvature(h_mat.sum(axis=1))
-        curv_cols = np.square(w_mat).T @ h_mat
-        return F.col2im(
-            curv_cols,
-            self._cache["x_shape"],
-            self.kernel_size,
-            stride=self.stride,
-            padding=self.padding,
-        )
+        if not input_grad:
+            return None
+        return self._fold(np.square(w_mat).T @ h_mat, x)
 
     def __repr__(self):
         return (

@@ -41,7 +41,6 @@ class Linear(WeightedLayer):
         self.has_bias = bool(bias)
         if self.has_bias:
             self.bias = Parameter(init.zeros((self.out_features,), dtype), name="bias")
-        self._cache = None
 
     def forward(self, x):
         x = np.asarray(x)
@@ -54,44 +53,37 @@ class Linear(WeightedLayer):
         if n_trials is not None:
             # Trial-batched inference: per-trial weights applied to a
             # trial-major folded batch (see WeightedLayer docstring).
+            self._require_inference()
             xt = self._split_trials(x, n_trials)
             # (T, N', in) @ (T, in, out) — stacked BLAS matmuls.
             out = np.matmul(xt, w.transpose(0, 2, 1)).reshape(x.shape[0], -1)
             if self.has_bias:
                 out = out + self.bias.data
-            self._cache = None  # inference-only: no backward through this
             return out
         out = x @ w.T
         if self.has_bias:
             out = out + self.bias.data
-        self._cache = {"x": x, "w": w}
+        self._save_for_backward(x=x, w=w)
         return out
 
-    def backward(self, grad_out):
-        if self._cache is None:
-            raise RuntimeError(
-                "backward called before forward (or after a trial-batched "
-                "forward, which is inference-only)"
-            )
-        x = self._cache["x"]
-        w = self._cache["w"]
-        self.weight.accumulate_grad(grad_out.T @ x)
+    def backward(self, grad_out, input_grad=True):
+        cache = self._saved("backward")
+        self.weight.accumulate_grad(grad_out.T @ cache["x"])
         if self.has_bias:
             self.bias.accumulate_grad(grad_out.sum(axis=0))
-        return grad_out @ w
+        return grad_out @ cache["w"] if input_grad else None
 
-    def backward_second(self, curv_out):
-        if self._cache is None:
-            raise RuntimeError("backward_second called before forward")
-        x = self._cache["x"]
-        w = self._cache["w"]
+    def backward_second(self, curv_out, input_grad=True):
+        cache = self._saved("backward_second")
         # Eq. 8: curvature of each weight sums (over the batch) the output
         # curvature times the squared input it multiplies.
-        self.weight.accumulate_curvature(curv_out.T @ np.square(x))
+        self.weight.accumulate_curvature(curv_out.T @ np.square(cache["x"]))
         if self.has_bias:
             self.bias.accumulate_curvature(curv_out.sum(axis=0))
+        if not input_grad:
+            return None
         # Eq. 10: propagate through squared weights.
-        return curv_out @ np.square(w)
+        return curv_out @ np.square(cache["w"])
 
     def __repr__(self):
         return (

@@ -40,7 +40,6 @@ class _BatchNorm(Module):
         self.running_var = np.ones(self.num_features, dtype=dtype)
         self.register_buffer_name("running_mean")
         self.register_buffer_name("running_var")
-        self._cache = None
 
     def _reduce_axes(self):
         raise NotImplementedError
@@ -67,30 +66,31 @@ class _BatchNorm(Module):
         out = self._shape_param(self.gamma.data) * x_hat + self._shape_param(
             self.beta.data
         )
-        self._cache = {
-            "x_hat": x_hat,
-            "std": std,
-            "m": int(np.prod([x.shape[a] for a in axes])),
-            "train_stats": self.training,
-        }
+        self._save_for_backward(
+            x_hat=x_hat,
+            std=std,
+            m=int(np.prod([x.shape[a] for a in axes])),
+            train_stats=self.training,
+        )
         return out
 
-    def backward(self, grad_out):
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
+    def backward(self, grad_out, input_grad=True):
+        cache = self._saved("backward")
         axes = self._reduce_axes()
-        x_hat = self._cache["x_hat"]
-        std = self._shape_param(self._cache["std"])
+        x_hat = cache["x_hat"]
+        std = self._shape_param(cache["std"])
         gamma = self._shape_param(self.gamma.data)
 
         self.gamma.accumulate_grad((grad_out * x_hat).sum(axis=axes))
         self.beta.accumulate_grad(grad_out.sum(axis=axes))
 
-        if not self._cache["train_stats"]:
+        if not input_grad:
+            return None
+        if not cache["train_stats"]:
             # Inference: statistics are constants; pure affine backward.
             return grad_out * gamma / std
 
-        m = self._cache["m"]
+        m = cache["m"]
         sum_g = grad_out.sum(axis=axes)
         sum_gx = (grad_out * x_hat).sum(axis=axes)
         return (
@@ -104,15 +104,16 @@ class _BatchNorm(Module):
             )
         )
 
-    def backward_second(self, curv_out):
-        if self._cache is None:
-            raise RuntimeError("backward_second called before forward")
+    def backward_second(self, curv_out, input_grad=True):
+        cache = self._saved("backward_second")
         axes = self._reduce_axes()
-        x_hat = self._cache["x_hat"]
-        std = self._shape_param(self._cache["std"])
+        x_hat = cache["x_hat"]
+        std = self._shape_param(cache["std"])
         gamma = self._shape_param(self.gamma.data)
         self.gamma.accumulate_curvature((curv_out * np.square(x_hat)).sum(axis=axes))
         self.beta.accumulate_curvature(curv_out.sum(axis=axes))
+        if not input_grad:
+            return None
         return curv_out * np.square(gamma / std)
 
 

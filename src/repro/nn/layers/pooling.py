@@ -52,14 +52,15 @@ class MaxPool2d(Module):
     hits' values are added into strided slices of a zeroed input-shaped
     buffer, so every pixel sums its windows in (kh, kw) order from +0.0,
     as ``col2im`` does.  A window holding several NaNs outputs the last
-    of them; they route to the first.
+    of them; they route to the first.  ``np.maximum`` propagates NaN, so
+    only a NaN output's window can hold one: without a NaN output the
+    routing skips the NaN test.
     """
 
     def __init__(self, kernel_size, stride=None):
         super().__init__()
         self.kernel_size = _pair(kernel_size)
         self.stride = int(stride) if stride is not None else self.kernel_size[0]
-        self._cache = None
 
     def _offsets(self, out_h, out_w):
         """Yield the ``(rows, cols)`` slices of each kernel offset's view."""
@@ -80,7 +81,7 @@ class MaxPool2d(Module):
             # On a +0.0/-0.0 tie np.maximum returns its second argument,
             # the earlier zero (tests/test_functional.py pins this).
             np.maximum(x[:, :, rows, cols], out, out=out)
-        self._cache = {"x": x, "out": out}
+        self._save_for_backward(x=x, out=out)
         return out
 
     def _scatter(self, values):
@@ -89,50 +90,44 @@ class MaxPool2d(Module):
         values = values.reshape(out.shape)
         routed = np.zeros(x.shape, dtype=values.dtype)
         taken = np.zeros(out.shape, dtype=bool)
-        for rows, cols in self._offsets(*out.shape[2:]):
+        has_nan = bool(np.isnan(out).any())
+        offsets = list(self._offsets(*out.shape[2:]))
+        for index, (rows, cols) in enumerate(offsets, 1):
             view = x[:, :, rows, cols]
             hit = view == out
-            hit |= np.isnan(view)
+            if has_nan:
+                hit |= np.isnan(view)
             np.greater(hit, taken, out=hit)  # hit & ~taken
-            taken |= hit
+            if index < len(offsets):  # no later offset reads the last's
+                taken |= hit
             routed[:, :, rows, cols] += _select(hit, values)
         return routed
 
-    def backward(self, grad_out):
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
+    def backward(self, grad_out, input_grad=True):
+        self._saved("backward")
         return self._scatter(grad_out)
 
-    def backward_second(self, curv_out):
-        if self._cache is None:
-            raise RuntimeError("backward_second called before forward")
+    def backward_second(self, curv_out, input_grad=True):
+        self._saved("backward_second")
         return self._scatter(curv_out)
 
 
 class GlobalAvgPool2d(Module):
     """Average over all spatial positions: (N, C, H, W) -> (N, C)."""
 
-    def __init__(self):
-        super().__init__()
-        self._cache = None
-
     def forward(self, x):
-        self._cache = {"x_shape": x.shape}
+        self._save_for_backward(x_shape=x.shape)
         return x.mean(axis=(2, 3))
 
-    def backward(self, grad_out):
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        n, c, h, w = self._cache["x_shape"]
+    def backward(self, grad_out, input_grad=True):
+        n, c, h, w = self._saved("backward")["x_shape"]
         coeff = 1.0 / (h * w)
         return np.broadcast_to(
             grad_out.reshape(n, c, 1, 1) * coeff, (n, c, h, w)
         ).copy()
 
-    def backward_second(self, curv_out):
-        if self._cache is None:
-            raise RuntimeError("backward_second called before forward")
-        n, c, h, w = self._cache["x_shape"]
+    def backward_second(self, curv_out, input_grad=True):
+        n, c, h, w = self._saved("backward_second")["x_shape"]
         coeff = 1.0 / (h * w) ** 2
         return np.broadcast_to(
             curv_out.reshape(n, c, 1, 1) * coeff, (n, c, h, w)

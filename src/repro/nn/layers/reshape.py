@@ -10,20 +10,12 @@ __all__ = ["Flatten"]
 class Flatten(Module):
     """Flatten (N, ...) to (N, features)."""
 
-    def __init__(self):
-        super().__init__()
-        self._cache = None
-
     def forward(self, x):
-        self._cache = {"shape": x.shape}
+        self._save_for_backward(shape=x.shape)
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, grad_out):
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out.reshape(self._cache["shape"])
+    def backward(self, grad_out, input_grad=True):
+        return grad_out.reshape(self._saved("backward")["shape"])
 
-    def backward_second(self, curv_out):
-        if self._cache is None:
-            raise RuntimeError("backward_second called before forward")
-        return curv_out.reshape(self._cache["shape"])
+    def backward_second(self, curv_out, input_grad=True):
+        return curv_out.reshape(self._saved("backward_second")["shape"])

@@ -65,20 +65,20 @@ class BasicBlock(Module):
         skip = self.shortcut(x)
         return self.act_quant(self.relu_out(main + skip))
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         grad_out = self.act_quant.backward(grad_out)
         grad_out = self.relu_out.backward(grad_out)
-        grad_main = self.body.backward(grad_out)
-        grad_skip = self.shortcut.backward(grad_out)
-        return grad_main + grad_skip
+        grad_main = self.body.backward(grad_out, input_grad)
+        grad_skip = self.shortcut.backward(grad_out, input_grad)
+        return grad_main + grad_skip if input_grad else None
 
-    def backward_second(self, curv_out):
+    def backward_second(self, curv_out, input_grad=True):
         curv_out = self.act_quant.backward_second(curv_out)
         curv_out = self.relu_out.backward_second(curv_out)
-        curv_main = self.body.backward_second(curv_out)
-        curv_skip = self.shortcut.backward_second(curv_out)
+        curv_main = self.body.backward_second(curv_out, input_grad)
+        curv_skip = self.shortcut.backward_second(curv_out, input_grad)
         # Paper Sec. 3.3: branch second derivatives are summed.
-        return curv_main + curv_skip
+        return curv_main + curv_skip if input_grad else None
 
 
 def _scaled(width, mult, minimum=8):

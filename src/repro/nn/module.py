@@ -5,10 +5,10 @@ to run three passes over a cached forward activation,
 
 ``forward(x)``
     compute outputs and cache whatever the backward passes need;
-``backward(grad_out)``
+``backward(grad_out, input_grad=True)``
     standard reverse-mode gradient pass (Eq. 12/13 of the paper) which
     accumulates ``Parameter.grad`` and returns the gradient w.r.t. input;
-``backward_second(curv_out)``
+``backward_second(curv_out, input_grad=True)``
     the paper's single-pass diagonal second-derivative recursion
     (Eq. 8/10), which accumulates ``Parameter.curvature`` and returns the
     curvature w.r.t. input.
@@ -16,6 +16,12 @@ to run three passes over a cached forward activation,
 ``backward_second`` must be called after ``backward`` for the same forward
 pass: activations with non-zero second derivative (tanh, sigmoid) need the
 first-order gradient term of Eq. 9, which ``backward`` caches for them.
+``input_grad=False`` tells a pass that its caller discards the input
+derivative: a module that owns parameters then skips computing it and
+returns None.  A :class:`Sequential` hands the flag to its first module
+only, since every later module's input derivative feeds the one before
+it; a module without parameters returns the derivative anyway, as it is
+the whole of its pass.
 
 No pass writes into its argument.  A forward pass computes output values
 only and caches references to what its backward passes need (often its
@@ -23,11 +29,20 @@ input or its output, which is the next layer's input); the backward
 passes derive masks and routing from that cache when they run.  A layer
 that wrote into its input would therefore corrupt the backward of the
 layer before it.
+
+A cache holds only what a backward pass reads, and only while one will
+read it.  Forwards run under :meth:`Module.inference` cache nothing, so a
+backward after one raises; the evaluation forwards (accuracy, Monte Carlo
+and Fig. 1 evaluations) run under it, and trial-batched weights run only
+under it.  The callers that run backward passes (training, the gradient
+and curvature passes, in-situ training) call :meth:`Module.drop_caches`
+when they return.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,6 +55,11 @@ _BUFFER_PREFIX = "buffer::"
 
 class Module:
     """Base class for all layers, blocks, and models."""
+
+    #: What the last forward kept for the backward passes, or None.
+    _cache = None
+    #: Set while :meth:`inference` runs: forwards keep no cache.
+    _inference = False
 
     def __init__(self):
         self._parameters = OrderedDict()
@@ -130,6 +150,44 @@ class Module:
         """Set inference mode recursively; returns self."""
         return self.train(False)
 
+    @contextmanager
+    def inference(self):
+        """Run the forwards inside the block without caching for backward.
+
+        Every module's forward then drops its cache instead of keeping
+        one, so a backward after such a forward raises.  Independent of
+        :meth:`eval`: in-situ training runs backward in eval mode.  The
+        previous setting of every module comes back on exit, so blocks
+        nest.
+        """
+        modules = list(self.modules())
+        before = [module._inference for module in modules]
+        for module in modules:
+            module._inference = True
+        try:
+            yield self
+        finally:
+            for module, flag in zip(modules, before):
+                module._inference = flag
+
+    def drop_caches(self):
+        """Free every module's forward cache; a backward then raises."""
+        for module in self.modules():
+            module._cache = None
+
+    def _save_for_backward(self, **cache):
+        """Keep what this module's backward passes read (not in inference)."""
+        self._cache = None if self._inference else cache
+
+    def _saved(self, pass_name):
+        """The cache of the last forward; raises when it kept none."""
+        if self._cache is None:
+            raise RuntimeError(
+                f"{pass_name} called before forward, or after a forward "
+                f"under inference(), which keeps no cache"
+            )
+        return self._cache
+
     # ------------------------------------------------------------- buffers
 
     def zero_grad(self):
@@ -184,11 +242,11 @@ class Module:
         """Compute outputs from inputs; must be overridden."""
         raise NotImplementedError
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         """Backpropagate gradients; must be overridden by layers."""
         raise NotImplementedError
 
-    def backward_second(self, curv_out):
+    def backward_second(self, curv_out, input_grad=True):
         """Backpropagate diagonal second derivatives (paper Sec. 3.3)."""
         raise NotImplementedError
 
@@ -226,12 +284,18 @@ class Sequential(Module):
             x = layer(x)
         return x
 
-    def backward(self, grad_out):
-        for layer in reversed(self._layers):
+    # The flag goes to the first module positionally, so a wrapped pass
+    # that forwards only positional arguments still receives it.
+    def backward(self, grad_out, input_grad=True):
+        for layer in reversed(self._layers[1:]):
             grad_out = layer.backward(grad_out)
-        return grad_out
+        if not self._layers:
+            return grad_out
+        return self._layers[0].backward(grad_out, input_grad)
 
-    def backward_second(self, curv_out):
-        for layer in reversed(self._layers):
+    def backward_second(self, curv_out, input_grad=True):
+        for layer in reversed(self._layers[1:]):
             curv_out = layer.backward_second(curv_out)
-        return curv_out
+        if not self._layers:
+            return curv_out
+        return self._layers[0].backward_second(curv_out, input_grad)

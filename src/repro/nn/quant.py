@@ -121,7 +121,6 @@ class ActQuant(Module):
         self.momentum = float(momentum)
         self.running_peak = 0.0
         self.register_buffer_name("running_peak")
-        self._cache = None
 
     def forward(self, x):
         if self.training:
@@ -133,7 +132,7 @@ class ActQuant(Module):
                     (1 - self.momentum) * self.running_peak + self.momentum * peak
                 )
         peak = self.running_peak
-        self._cache = {"x": x, "peak": peak}
+        self._save_for_backward(x=x, peak=peak)
         if peak <= 0.0:
             return x
         qmax = (1 << self.bits) - 1
@@ -144,22 +143,19 @@ class ActQuant(Module):
         np.multiply(out, scale, out=out)
         return out
 
-    def _mask(self):
+    def _mask(self, pass_name):
         """STE mask: the inputs inside the peak the last forward used."""
-        x, peak = self._cache["x"], self._cache["peak"]
+        cache = self._saved(pass_name)
+        x, peak = cache["x"], cache["peak"]
         if peak <= 0.0:
             return np.ones_like(x, dtype=bool)
         return np.abs(x) <= peak
 
-    def backward(self, grad_out):
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * self._mask()
+    def backward(self, grad_out, input_grad=True):
+        return grad_out * self._mask("backward")
 
-    def backward_second(self, curv_out):
-        if self._cache is None:
-            raise RuntimeError("backward_second called before forward")
-        return curv_out * self._mask()
+    def backward_second(self, curv_out, input_grad=True):
+        return curv_out * self._mask("backward_second")
 
     def __repr__(self):
         return f"ActQuant(bits={self.bits}, peak={self.running_peak:.4g})"

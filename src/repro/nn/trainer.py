@@ -28,13 +28,17 @@ def iterate_batches(x, y, batch_size, rng=None):
 
 
 def evaluate_accuracy(model, x, y, batch_size=256):
-    """Top-1 accuracy of ``model`` on ``(x, y)`` in inference mode."""
+    """Top-1 accuracy of ``model`` on ``(x, y)`` in inference mode.
+
+    The forwards run under ``model.inference()``: they cache nothing.
+    """
     was_training = model.training
     model.eval()
     correct = 0
-    for xb, yb in iterate_batches(x, y, batch_size):
-        logits = model(xb)
-        correct += int((np.argmax(logits, axis=1) == yb).sum())
+    with model.inference():
+        for xb, yb in iterate_batches(x, y, batch_size):
+            logits = model(xb)
+            correct += int((np.argmax(logits, axis=1) == yb).sum())
     if was_training:
         model.train()
     return correct / x.shape[0]
@@ -81,7 +85,10 @@ class Trainer:
         self._shuffle_rng = rng
 
     def fit(self, model, train_x, train_y, test_x=None, test_y=None, config=None):
-        """Run the training loop; returns a :class:`TrainHistory`."""
+        """Run the training loop; returns a :class:`TrainHistory`.
+
+        The model is left in eval mode, holding no forward cache.
+        """
         config = config or TrainConfig()
         if config.weight_bits is not None:
             attach_weight_quantizers(model, config.weight_bits)
@@ -105,7 +112,7 @@ class Trainer:
                 logits = model(xb)
                 loss_value = self.loss(logits, yb)
                 model.zero_grad()
-                model.backward(self.loss.backward())
+                model.backward(self.loss.backward(), input_grad=False)
                 self.optimizer.step()
                 epoch_loss += loss_value
                 epoch_correct += int((np.argmax(logits, axis=1) == yb).sum())
@@ -117,4 +124,5 @@ class Trainer:
                 history.test_accuracy.append(acc)
                 model.train()
         model.eval()
+        model.drop_caches()
         return history

@@ -293,7 +293,7 @@ def _json_int_list(values):
     return b"[" + np.compress(keep.ravel(), chars.ravel()).tobytes() + b"]"
 
 
-def plan_bytes(plan):
+def plan_bytes(plan, encoded=None):
     """A resolved plan as canonical JSON bytes (the response body).
 
     Exactly ``json.dumps(plan.to_json(), sort_keys=True,
@@ -301,6 +301,13 @@ def plan_bytes(plan):
     :func:`_json_int_list` and spliced into the JSON of the plan's other
     fields, in place of one placeholder string per method; the plan is
     not modified.
+
+    ``encoded`` (optional) maps a method to ``(order, order_json)`` from
+    an earlier call: an order that is the same array object reuses its
+    JSON, and the dict is left holding this plan's encodings only.  The
+    plan cache hands out the same immutable order arrays for every read
+    time (``swim``, ``magnitude``), so a caller that keeps the dict
+    encodes each of those once.
     """
     data = replace(plan, orders={}).to_json()
     # NUL-led, which no method name or model digest (the strings that
@@ -308,11 +315,20 @@ def plan_bytes(plan):
     marks = {method: f"\x00{i}" for i, method in enumerate(plan.orders)}
     data["orders"] = marks
     rest = json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+    memo = encoded if encoded is not None else {}
+    fresh = {}
     parts = []
     for method in sorted(marks):
+        order = plan.orders[method]
+        old_order, order_json = memo.get(method, (None, None))
+        if old_order is not order:
+            order_json = _json_int_list(order)
+        fresh[method] = (order, order_json)
         head, _, rest = rest.partition(json.dumps(marks[method]).encode())
-        parts += [head, _json_int_list(plan.orders[method])]
+        parts += [head, order_json]
     parts.append(rest)
+    memo.clear()
+    memo.update(fresh)
     return b"".join(parts)
 
 

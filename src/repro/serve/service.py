@@ -155,6 +155,9 @@ class PlanService:
             max_workers=1, thread_name_prefix="plan-resolve",
         )
         self._inflight = {}  # content key -> asyncio.Task resolving it
+        # The last plan's encoded orders, read and written only on the
+        # resolution thread (see plan_bytes).
+        self._encoded = {}
         workload = engine.workload or "default"
         self.workload_label = workload
 
@@ -260,7 +263,7 @@ class PlanService:
         with span("serve.resolve", workload=self.workload_label):
             plan = self.engine.plan(request)
             with span("serve.encode", workload=self.workload_label):
-                data = plan_bytes(plan)
+                data = plan_bytes(plan, self._encoded)
         self.cache.put(PLAN_KIND, config, encode_plan_bytes(data))
         return data
 

@@ -17,7 +17,7 @@ from repro.nn import functional as F
 from repro.nn.layers import Conv2d, MaxPool2d, ReLU
 from repro.nn.layers.activation import _Activation
 from repro.nn.layers.base import WeightedLayer
-from repro.nn.models import convnet, lenet
+from repro.nn.models import convnet, lenet, resnet18
 from repro.nn.quant import ActQuant
 from repro.utils.rng import RngStream
 
@@ -121,6 +121,47 @@ class ActQuantReference(ActQuant):
 
     def backward_second(self, curv_out):
         return curv_out * self._cache["mask"]
+
+
+class Conv2dReference(Conv2d):
+    """Conv2d that caches its column matrix and runs the backward
+    formulas on it: the reference for the Conv2d that caches its input
+    and unfolds it again in each backward pass."""
+
+    def forward(self, x):
+        n = x.shape[0]
+        cols, out_h, out_w = F.im2col(
+            x, self.kernel_size, stride=self.stride, padding=self.padding
+        )
+        w_mat = self.effective_weight().reshape(self.out_channels, -1)
+        out = (w_mat @ cols).reshape(self.out_channels, n, out_h, out_w)
+        out = out.transpose(1, 0, 2, 3)
+        if self.has_bias:
+            out = out + self.bias.data.reshape(1, -1, 1, 1)
+        self._cache = {"x_shape": x.shape, "cols": cols, "w_mat": w_mat}
+        return np.ascontiguousarray(out)
+
+    def _fold_reference(self, cols):
+        return F.col2im(cols, self._cache["x_shape"], self.kernel_size,
+                        stride=self.stride, padding=self.padding)
+
+    def backward(self, grad_out, input_grad=True):
+        cols, w_mat = self._cache["cols"], self._cache["w_mat"]
+        g_mat = grad_out.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
+        grad_w = (g_mat @ cols.T).reshape(self.weight.data.shape)
+        self.weight.accumulate_grad(grad_w)
+        if self.has_bias:
+            self.bias.accumulate_grad(g_mat.sum(axis=1))
+        return self._fold_reference(w_mat.T @ g_mat)
+
+    def backward_second(self, curv_out, input_grad=True):
+        cols, w_mat = self._cache["cols"], self._cache["w_mat"]
+        h_mat = curv_out.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
+        curv_w = (h_mat @ np.square(cols).T).reshape(self.weight.data.shape)
+        self.weight.accumulate_curvature(curv_w)
+        if self.has_bias:
+            self.bias.accumulate_curvature(h_mat.sum(axis=1))
+        return self._fold_reference(np.square(w_mat).T @ h_mat)
 
 
 def _reference_layer(layer):
@@ -341,6 +382,87 @@ def test_models_byte_identical_with_reference_layers(build, shape):
                 noise = np.random.default_rng(6).normal(0, 0.05, (2,) + w.shape)
                 layer.set_weight_override((w + noise).astype(w.dtype))
     _assert_same_bytes(_forward_trials(model, x, 2), _forward_trials(twin, x, 2))
+
+
+SMOKE_MODELS = [
+    pytest.param(lambda rng: lenet(rng, act_bits=4), (16, 1, 28, 28),
+                 id="lenet"),
+    pytest.param(lambda rng: convnet(rng, width_mult=0.1, act_bits=6),
+                 (16, 3, 32, 32), id="convnet"),
+    pytest.param(lambda rng: resnet18(rng, width_mult=0.1, act_bits=6),
+                 (16, 3, 32, 32), id="resnet18"),
+]
+
+
+def _smoke_model(build, shape, dtype):
+    """A smoke-width zoo model in ``dtype``, its batch norms and
+    activation quantizers calibrated on one batch, in eval mode."""
+    model = build(RngStream(41).child("model"))
+    for param in model.parameters():
+        param.data = param.data.astype(dtype)
+    x = np.random.default_rng(7).random(shape).astype(dtype)
+    model.train()
+    model(x)
+    model.eval()
+    return model, x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("build, shape", SMOKE_MODELS)
+def test_conv_backward_byte_identical_to_cached_columns(build, shape, dtype):
+    """Re-unfolding the cached input in each backward pass gives the
+    bytes of the cached-column formulas: parameter gradients and
+    curvatures of the curvature pass (which skips the input derivative),
+    and a training step's input gradient, which ``model.backward``
+    returns by default."""
+    model, x = _smoke_model(build, shape, dtype)
+    twin = copy.deepcopy(model)
+    convs = [m for m in twin.modules() if type(m) is Conv2d]
+    assert convs
+    for conv in convs:
+        conv.__class__ = Conv2dReference
+    y = np.arange(shape[0]) % 10
+
+    accumulate_second_derivatives(model, x, y, batch_size=8)
+    accumulate_second_derivatives(twin, x, y, batch_size=8)
+    for got, want in zip(model.parameters(), twin.parameters()):
+        _assert_same_bytes(got.grad, want.grad)
+        _assert_same_bytes(got.curvature, want.curvature)
+
+    model.train()
+    twin.train()
+    grad = np.random.default_rng(8).normal(size=(shape[0], 10)).astype(dtype)
+    outputs = []
+    for layers in (model, twin):
+        layers.zero_grad()
+        layers(x)
+        outputs.append(layers.backward(grad))
+    _assert_same_bytes(*outputs)
+    for got, want in zip(model.parameters(), twin.parameters()):
+        _assert_same_bytes(got.grad, want.grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("build, shape", SMOKE_MODELS)
+def test_forward_multi_byte_identical_to_one_trial_forwards(build, shape,
+                                                            dtype):
+    """The shared first layer's one ``(T*F, Ckk) @ cols`` matmul gives
+    each trial the bytes of its own one-trial forward."""
+    model, x = _smoke_model(build, shape, dtype)
+    first = model[0]
+    w = first.weight.data
+    n = shape[0]
+    for n_trials in (1, 2, 3):
+        noise = np.random.default_rng(n_trials).normal(0, 0.05,
+                                                       (n_trials,) + w.shape)
+        stack = (w + noise).astype(dtype)
+        with model.inference():
+            got = first.forward_multi(x, stack)
+        for trial in range(n_trials):
+            first.set_weight_override(stack[trial])
+            _assert_same_bytes(got[trial * n:(trial + 1) * n],
+                               first.forward(x))
+        first.clear_weight_override()
 
 
 def test_oversized_kernel_raises_value_error(rng):

@@ -202,3 +202,75 @@ def test_passes_leave_their_argument_unchanged(case, mode, rng):
     want = curv.tobytes()
     layer.backward_second(curv)
     assert curv.tobytes() == want
+
+
+@pytest.mark.parametrize("case", sorted(set(PASS_CASES) - {"Identity"}))
+def test_backward_after_an_inference_forward_raises(case, rng):
+    """A forward under ``inference()`` caches nothing, and drops what an
+    earlier forward cached, so neither backward pass can run after it
+    (Identity has no cache: its passes read nothing)."""
+    factory, shape = PASS_CASES[case]
+    layer = factory(rng.child(case))
+    x = np.random.default_rng(0).normal(size=shape).astype(np.float32)
+    out = layer.forward(x)
+    with layer.inference():
+        assert layer.forward(x).tobytes() == out.tobytes()
+    assert all(module._cache is None for module in layer.modules())
+    for name in ("backward", "backward_second"):
+        with pytest.raises(RuntimeError, match="inference"):
+            getattr(layer, name)(np.ones_like(out))
+
+
+def test_inference_nests_and_restores(rng):
+    model = lenet(rng.child("m"), conv_channels=(2, 3), fc_features=(8, 6))
+    with model.inference():
+        with model[0].inference():
+            assert all(module._inference for module in model.modules())
+        assert all(module._inference for module in model.modules())
+        with pytest.raises(KeyError):
+            with model.inference():
+                raise KeyError("restored on the way out")
+        assert all(module._inference for module in model.modules())
+    assert not any(module._inference for module in model.modules())
+
+
+@pytest.mark.parametrize("case", ["Linear", "Conv2d"])
+def test_trial_batched_forward_needs_inference(case, rng):
+    factory, shape = PASS_CASES[case]
+    layer = factory(rng.child(case))
+    w = layer.weight.data
+    layer.set_weight_override(np.stack([w, 2 * w]))
+    x = np.random.default_rng(1).normal(size=(2 * shape[0],) + shape[1:])
+    x = x.astype(np.float32)
+    with pytest.raises(RuntimeError, match="inference"):
+        layer.forward(x)
+    with layer.inference():
+        layer.forward(x)
+    if case == "Conv2d":
+        with pytest.raises(RuntimeError, match="inference"):
+            layer.forward_multi(x[: shape[0]], layer.weight_override)
+
+
+@pytest.mark.parametrize("case", ["Conv2d", "Linear", "BatchNorm2d",
+                                  "lenet", "convnet", "resnet18"])
+def test_skipping_the_input_derivative_keeps_parameter_derivatives(case, rng):
+    """``input_grad=False`` returns None and accumulates the bytes of
+    the default passes, which return the input derivatives."""
+    factory, shape = PASS_CASES[case]
+    layer = factory(rng.child(case))
+    gen = np.random.default_rng(2)
+    x = gen.normal(size=shape).astype(np.float32)
+    layer.train()
+    grads = []
+    for input_grad in (True, False):
+        layer.zero_grad()
+        layer.zero_curvature()
+        out = layer.forward(x)
+        grad = np.random.default_rng(3).normal(size=out.shape)
+        grad = grad.astype(np.float32)
+        returned = [layer.backward(grad, input_grad),
+                    layer.backward_second(np.abs(grad), input_grad)]
+        assert all((r is None) == (not input_grad) for r in returned)
+        grads.append([(p.grad.tobytes(), p.curvature.tobytes())
+                      for p in layer.parameters()])
+    assert grads[0] == grads[1]

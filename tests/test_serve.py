@@ -191,6 +191,35 @@ class TestCodec:
         ))
         self._assert_canonical(built())
 
+    def test_plan_bytes_encodes_a_returning_order_once(self, mini_zoo,
+                                                       monkeypatch):
+        """With a memo dict, an order that comes back as the same array
+        object (the cache hands out ``swim`` and ``magnitude`` unchanged
+        across read times) reuses its JSON; the bytes stay canonical and
+        the memo holds the last plan's orders only."""
+        from repro.serve import codec
+
+        encoded = []
+        encode = codec._json_int_list
+        monkeypatch.setattr(codec, "_json_int_list",
+                            lambda values: encoded.append(values) or
+                            encode(values))
+        engine = _engine(mini_zoo)
+        memo = {}
+        for read_time in (ONE_HOUR, ONE_MONTH):
+            plan = engine.plan(PlanRequest(technology="pcm",
+                                           read_time=read_time))
+            assert plan_bytes(plan, memo) == json.dumps(
+                plan.to_json(), sort_keys=True, separators=(",", ":")
+            ).encode("utf-8")
+            assert {m: o for m, (o, _) in memo.items()} == plan.orders
+        # The second plan encodes only its new hetero_swim order.
+        assert len(encoded) == 4
+        assert encoded[-1] is plan.orders["hetero_swim"]
+        plan = engine.plan(PlanRequest(methods=("magnitude",), sigma=0.1))
+        plan_bytes(plan, memo)
+        assert list(memo) == ["magnitude"] and len(encoded) == 4
+
 
 # ------------------------------------------------------------------- service
 
